@@ -13,9 +13,8 @@
 //! - locals are stored before they are read (array-backed slots are
 //!   exempt: frames zero-fill, so their reads are defined).
 //!
-//! These are exactly the traps the trusted executor and engine stop
-//! constructing errors for, so every finding here is a hard verification
-//! error — except read-before-store of a scalar that *is* stored elsewhere
+//! These are exactly the malformed-program traps a loaded image must never
+//! reach, so every finding here is a hard verification error — except read-before-store of a scalar that *is* stored elsewhere
 //! in the region, which the runtime defines as reading zero and is
 //! reported as a warning.
 
@@ -257,9 +256,9 @@ fn analyze_region(program: &Program, region: &Region, diags: &mut Vec<Diagnostic
         let addr = (start + rel) as u32;
         let inst = code[start + rel];
 
-        // Slot-range screening: these are the bounds the trusted engine
-        // stops trapping on, so out-of-range operands are hard errors and
-        // no sound state propagates past them.
+        // Slot-range screening: an out-of-range operand would trap as a
+        // malformed program at run time, so it is a hard error and no
+        // sound state propagates past it.
         let mut slots_ok = true;
         local_reads(&inst, &mut reads);
         let write = local_write(&inst);

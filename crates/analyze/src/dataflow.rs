@@ -31,8 +31,8 @@
 //! preconditions. Every assumption is still guarded defensively — an
 //! inconsistency aborts the region with no facts rather than panicking.
 //! Soundness of the published bitmap is closed dynamically by the
-//! conformance auditor, which evaluates every elided guard and reports a
-//! firing as a divergence.
+//! conformance auditor, which evaluates every discharged guard and reports
+//! a firing as a divergence.
 
 use std::collections::BTreeMap;
 

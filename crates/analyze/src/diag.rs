@@ -15,7 +15,7 @@ pub enum Severity {
     Info,
     /// Suspicious but well-defined at run time.
     Warning,
-    /// The image must not be executed on the trusted path.
+    /// The image must not be loaded.
     Error,
 }
 

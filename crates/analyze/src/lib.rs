@@ -4,8 +4,9 @@
 //! unbalanced stack sequence or a stray branch only surfaces as a runtime
 //! trap deep inside the DTB dispatch loop. This crate is the classic
 //! answer — JVM-style load-time verification — for the UHM pipeline: prove
-//! the invariants **once, statically, before execution**, then let the hot
-//! interpreter and engine drop their per-instruction defensive checks.
+//! the invariants **once, statically, before execution**, and refuse to
+//! load an image that fails them. Execution stays fully checked: a proof
+//! gates what may run, it never switches a runtime check off.
 //!
 //! [`analyze`] runs six passes over an encoded [`Image`] and its
 //! [`Program`]:
@@ -34,11 +35,10 @@
 //!    ([`regionform`]).
 //!
 //! [`verify`] turns a clean analysis into a [`Verified`] witness, the only
-//! way to reach the trusted fast paths ([`dir::exec::run_trusted_with`],
-//! `psder::Engine::set_trusted`, `uhm::Machine::load`). The witness owns
-//! the image, the program it was proved against, *and* the per-site fact
-//! bitmap, so neither the whole-image fast path nor per-site check
-//! elision can be reached with a mismatched pair.
+//! way to construct a `uhm::Machine` through `Machine::load`. The witness
+//! owns the image, the program it was proved against, *and* the per-site
+//! fact bitmap, so a loaded machine always runs the exact code that was
+//! proved, and the facts always describe that code.
 //!
 //! ```
 //! use dir::encode::SchemeKind;
@@ -47,7 +47,7 @@
 //! let program = dir::compiler::compile(&hir);
 //! let image = SchemeKind::Huffman.encode(&program);
 //! let verified = analyze::verify(&program, image).expect("clean program");
-//! let (output, _) = analyze::run_verified(&verified, dir::exec::Limits::default())?;
+//! let output = dir::exec::run(verified.program())?;
 //! assert_eq!(output, vec![42]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -73,7 +73,6 @@ pub use regionform::RegionCandidate;
 pub use report::AnalysisReport;
 
 use dir::encode::Image;
-use dir::exec::{ExecStats, Limits, Trap};
 use dir::facts::SiteFacts;
 use dir::program::Program;
 
@@ -148,8 +147,8 @@ pub fn analyze(program: &Program, image: &Image) -> AnalysisReport {
 
 /// Proof that an image passed whole-image verification, together with the
 /// program it was proved against. The only constructor is [`verify`]; the
-/// pair cannot be taken apart and reassembled, so a trusted executor
-/// reached through a witness always runs the exact code that was proved.
+/// pair cannot be taken apart and reassembled, so a machine loaded from a
+/// witness always runs the exact code that was proved.
 #[derive(Debug, Clone)]
 pub struct Verified<T> {
     value: T,
@@ -168,10 +167,9 @@ impl<T> Verified<T> {
         &self.program
     }
 
-    /// The per-site fact bitmap the dataflow pass discharged: the license
-    /// for per-instruction check elision when whole-image trusted mode is
-    /// unavailable (for example under fault injection, where facts are
-    /// voided exactly like `TRUSTED`).
+    /// The per-site fact bitmap the dataflow pass discharged. It is
+    /// analysis output and the input of the soundness auditor
+    /// (`dir::exec::run_audit_with`); no executor skips a check on it.
     pub fn facts(&self) -> &SiteFacts {
         &self.facts
     }
@@ -195,20 +193,6 @@ pub fn verify(program: &Program, image: Image) -> Result<Verified<Image>, Box<An
     } else {
         Err(Box::new(report))
     }
-}
-
-/// Executes a verified program on the DIR reference executor's trusted
-/// fast path (no underflow/bounds error construction in the hot loop).
-///
-/// # Errors
-///
-/// Returns a [`Trap`] on dynamic runtime errors (division by zero, array
-/// bounds, step/depth limits) — the traps no static pass can rule out.
-pub fn run_verified(
-    verified: &Verified<Image>,
-    limits: Limits,
-) -> Result<(Vec<i64>, ExecStats), Trap> {
-    dir::exec::run_trusted_with(verified.program(), limits, false)
 }
 
 #[cfg(test)]
@@ -236,17 +220,6 @@ mod tests {
             let (fused, _) = dir::fuse::fuse(&p);
             let report = analyze(&fused, &SchemeKind::PairHuffman.encode(&fused));
             assert!(report.is_clean(), "{} fused: {}", s.name, report.render());
-        }
-    }
-
-    #[test]
-    fn verified_execution_matches_checked_execution() {
-        for s in hlr::programs::ALL {
-            let p = dir::compiler::compile(&s.compile().unwrap());
-            let want = dir::exec::run(&p).unwrap();
-            let v = verify(&p, SchemeKind::Huffman.encode(&p)).unwrap();
-            let (got, _) = run_verified(&v, Limits::default()).unwrap();
-            assert_eq!(got, want, "{}", s.name);
         }
     }
 

@@ -21,7 +21,7 @@ pub struct AnalysisReport {
     pub callgraph: CallGraph,
     /// The DTB pressure estimate.
     pub pressure: PressureReport,
-    /// The per-site check-elision bitmap the dataflow pass discharged
+    /// The per-site fact bitmap the dataflow pass discharged
     /// (empty when passes 1–4 found errors).
     pub site_facts: SiteFacts,
     /// Fact coverage: site and discharge counts, per pass and per region.

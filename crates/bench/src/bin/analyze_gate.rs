@@ -1,39 +1,29 @@
 //! **E17 — the analyze gate (load-time verification):** runs the
 //! whole-image static verifier over the full sample corpus under every
 //! encoding scheme at both semantic tiers, checks that every image
-//! verifies clean, that every known-bad fixture is rejected with the
-//! right diagnostic family, and that the `Verified` fast path of the DIR
-//! reference executor is bit-identical to the checked path. Wall-clock
-//! for both paths is measured and reported alongside.
+//! verifies clean and that every known-bad fixture is rejected with the
+//! right diagnostic family.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin analyze_gate`.
-//! With `--json`, emits a versioned AnalyzeReport (schema 3): one verdict
-//! entry per corpus image plus fixture verdicts and the measured
-//! checked/trusted timing ratio in the aggregate.
+//! With `--json`, emits a versioned AnalyzeReport: one verdict entry per
+//! corpus image plus fixture verdicts.
 //! With `--smoke`, exits non-zero if (a) any corpus image fails to
-//! verify, (b) any fixture is accepted, or (c) any program's verified
-//! execution diverges from the checked execution. Timing is reported but
-//! never gates: wall-clock ratios are too noisy for CI on the fast
-//! interpreter loop.
+//! verify or (b) any fixture is accepted.
 
-use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
-use analyze::{AnalysisReport, DiagCode, Severity, Verified};
-use dir::encode::{fixtures, Image, SchemeKind};
-use dir::exec::Limits;
+use analyze::{AnalysisReport, DiagCode, Severity};
+use dir::encode::{fixtures, SchemeKind};
 use dir::program::Program;
 use telemetry::{AnalyzeReport, Json};
 use uhm_bench::corpus::encoded_corpus;
 use uhm_bench::workloads;
 
-/// One verified corpus entry, kept for the timing pass.
+/// One analyzed corpus entry.
 struct CorpusEntry {
     name: String,
     scheme: SchemeKind,
     report: AnalysisReport,
-    verified: Option<Verified<Image>>,
 }
 
 /// One known-bad fixture with the diagnostic code its rejection must
@@ -49,13 +39,10 @@ fn corpus() -> Vec<CorpusEntry> {
         .into_iter()
         .map(|entry| {
             let name = entry.name();
-            let report = analyze::analyze(&entry.program, &entry.image);
-            let verified = analyze::verify(&entry.program, entry.image).ok();
             CorpusEntry {
                 name,
                 scheme: entry.scheme,
-                report,
-                verified,
+                report: analyze::analyze(&entry.program, &entry.image),
             }
         })
         .collect()
@@ -144,49 +131,6 @@ fn bad_program(bad: dir::Inst) -> Program {
     }
 }
 
-/// Times one call of `f`, returning elapsed ns.
-fn time<T>(mut f: impl FnMut() -> T) -> u64 {
-    let t = Instant::now();
-    black_box(f());
-    t.elapsed().as_nanos() as u64
-}
-
-/// Differential + timing pass: checked vs verified execution of every
-/// base-tier workload. Returns `(identical, checked_ns, trusted_ns)`.
-///
-/// The two paths are timed interleaved (checked, trusted, checked, ...)
-/// and summarized per workload as the minimum over rounds, so a
-/// frequency ramp or a scheduling hiccup cannot systematically favour
-/// whichever path ran second.
-fn differential() -> (bool, u64, u64) {
-    const ROUNDS: usize = 7;
-    let mut identical = true;
-    let mut checked_ns = 0;
-    let mut trusted_ns = 0;
-    for w in workloads() {
-        let verified = analyze::verify(&w.base, SchemeKind::ByteAligned.encode(&w.base))
-            .expect("corpus verifies clean");
-        let want = dir::exec::run(&w.base).expect("corpus is trap-free");
-        let (got, _) =
-            analyze::run_verified(&verified, Limits::default()).expect("corpus is trap-free");
-        if got != want {
-            eprintln!("analyze gate: {} diverged on the trusted path", w.name);
-            identical = false;
-        }
-        let mut best_checked = u64::MAX;
-        let mut best_trusted = u64::MAX;
-        for _ in 0..ROUNDS {
-            best_checked = best_checked.min(time(|| dir::exec::run(&w.base).unwrap()));
-            best_trusted = best_trusted.min(time(|| {
-                analyze::run_verified(&verified, Limits::default()).unwrap()
-            }));
-        }
-        checked_ns += best_checked;
-        trusted_ns += best_trusted;
-    }
-    (identical, checked_ns, trusted_ns)
-}
-
 /// The per-image verdict entry shared by the JSON artifact and `raul
 /// analyze` (same canonical shape).
 fn verdict_json(name: &str, report: &AnalysisReport) -> Json {
@@ -223,10 +167,8 @@ fn main() -> ExitCode {
         .iter()
         .filter(|f| !f.report.is_clean() && f.report.diagnostics.iter().any(|d| d.code == f.expect))
         .count();
-    let (identical, checked_ns, trusted_ns) = differential();
-    let speedup = checked_ns as f64 / trusted_ns.max(1) as f64;
 
-    let pass = clean == entries.len() && rejected == fixture_reports.len() && identical;
+    let pass = clean == entries.len() && rejected == fixture_reports.len();
 
     if json {
         let mut images: Vec<Json> = entries
@@ -250,10 +192,6 @@ fn main() -> ExitCode {
                 ("clean", (clean as i64).into()),
                 ("fixtures", (fixture_reports.len() as i64).into()),
                 ("fixtures_rejected", (rejected as i64).into()),
-                ("differential_identical", identical.into()),
-                ("checked_ns", (checked_ns as i64).into()),
-                ("trusted_ns", (trusted_ns as i64).into()),
-                ("trusted_speedup", speedup.into()),
                 ("pass", pass.into()),
             ]),
         );
@@ -280,36 +218,27 @@ fn main() -> ExitCode {
                 if hit { "found" } else { "MISSING" }
             );
         }
-        println!(
-            "differential: outputs {} | checked {:.1} ms vs trusted {:.1} ms ({:.2}x)",
-            if identical { "identical" } else { "DIVERGED" },
-            checked_ns as f64 / 1e6,
-            trusted_ns as f64 / 1e6,
-            speedup
-        );
         // Surface any unexpectedly dirty corpus entry with its report.
         for e in entries.iter().filter(|e| !e.report.is_clean()) {
             println!("--- {} under {} ---", e.name, e.scheme);
             print!("{}", e.report.render());
-            debug_assert!(e.verified.is_none());
         }
     }
 
     if smoke && !pass {
         eprintln!(
-            "analyze smoke FAIL: {}/{} clean, {}/{} fixtures rejected, differential {}",
+            "analyze smoke FAIL: {}/{} clean, {}/{} fixtures rejected",
             clean,
             entries.len(),
             rejected,
-            fixture_reports.len(),
-            if identical { "ok" } else { "diverged" }
+            fixture_reports.len()
         );
         return ExitCode::FAILURE;
     }
     if smoke {
         println!(
-            "analyze smoke PASS: {} images clean, {} fixtures rejected, trusted path {:.2}x",
-            clean, rejected, speedup
+            "analyze smoke PASS: {} images clean, {} fixtures rejected",
+            clean, rejected
         );
     }
     ExitCode::SUCCESS

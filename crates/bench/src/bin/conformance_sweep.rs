@@ -2,7 +2,7 @@
 //! random RAUL programs through the full cross-engine oracle — reference
 //! evaluator × DIR executor (base and fused) × PSDER interpreter ×
 //! machine interpreter/DTB/I-cache modes × tree/table decoders ×
-//! trusted verified-image mode × profiled and miss-classified runs —
+//! profiled and miss-classified runs × the dataflow soundness auditor —
 //! and assert bit-identical outputs, identical traps and the metric
 //! identities the planes promise. A pool stage re-runs a batch of
 //! generated programs as multi-tenant workloads and compares every

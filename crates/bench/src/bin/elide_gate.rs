@@ -1,32 +1,25 @@
-//! **E22 — the elide gate (per-site check elision):** runs the
-//! interprocedural dataflow pass over the full encoded corpus, gates the
-//! fact-coverage ratios against a committed baseline, audits every
-//! elided site dynamically (the guard is still evaluated; a guard that
-//! would have fired refutes the static proof), checks that per-site
-//! elided execution is bit-identical — outputs AND modeled stats — to
-//! checked execution, and times checked vs per-site-elided vs
-//! fully-trusted interpretation.
+//! **E22 — the elide gate (per-site facts):** runs the interprocedural
+//! dataflow pass over the full encoded corpus, gates the fact-coverage
+//! ratios against a committed baseline, and audits every discharged site
+//! dynamically (the checked run evaluates each guard; a discharged guard
+//! that fires refutes the static proof).
 //!
 //! Run with `cargo run -p uhm-bench --release --bin elide_gate`.
 //! With `--json`, emits a versioned AnalyzeReport (schema 7): one fact
-//! row per corpus image plus the aggregate discharge ratios and timing.
-//! With `--smoke`, exits non-zero if (a) any audit guard fires, (b) any
-//! sited run diverges from the checked run, or (c) a fact-coverage
+//! row per corpus image plus the aggregate discharge ratios.
+//! With `--smoke`, exits non-zero if (a) any discharged guard fires or
+//! the audited run diverges from the checked run, or (b) a fact-coverage
 //! ratio falls below its committed floor. The floors are *exact* gates,
 //! not tolerance-scaled: static fact counts are deterministic, so any
-//! drop is a real regression in the dataflow pass. Timing is reported
-//! but never gates.
+//! drop is a real regression in the dataflow pass.
 
-use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use analyze::FactsReport;
 use dir::exec::Limits;
 use dir::program::Program;
 use telemetry::{AnalyzeReport, Json};
 use uhm_bench::corpus::encoded_corpus;
-use uhm_bench::workloads;
 
 /// Committed fact-coverage floors (the `aggregate` object of a previous
 /// `--json` run, pruned to the gated keys).
@@ -38,7 +31,6 @@ struct Row {
     facts: FactsReport,
     hot_regions: usize,
     audit_sound: bool,
-    sited_identical: bool,
 }
 
 /// Dataflow + audit sweep over every encoded corpus image.
@@ -48,62 +40,24 @@ fn sweep() -> Vec<Row> {
         .map(|entry| {
             let name = format!("{}/{}", entry.name(), entry.scheme.label());
             let report = analyze::analyze(&entry.program, &entry.image);
-            let (audit_sound, sited_identical) = audit(&entry.program, &report.site_facts);
+            let audit_sound = audit(&entry.program, &report.site_facts);
             Row {
                 name,
                 facts: report.facts,
                 hot_regions: report.hot_regions.len(),
                 audit_sound,
-                sited_identical,
             }
         })
         .collect()
 }
 
-/// Runs one program checked, sited and audited. Returns
-/// `(audit_sound, sited_identical)` where `sited_identical` covers both
-/// outputs and the full modeled [`dir::exec::ExecStats`].
-fn audit(program: &Program, facts: &dir::facts::SiteFacts) -> (bool, bool) {
+/// Runs one program checked and audited: sound when no discharged guard
+/// fired and the audited run (outputs and the full modeled
+/// [`dir::exec::ExecStats`]) equals the checked run.
+fn audit(program: &Program, facts: &dir::facts::SiteFacts) -> bool {
     let checked = dir::exec::run_with(program, Limits::default(), false);
-    let sited = dir::exec::run_sited_with(program, facts, Limits::default(), false);
     let (audited, verdict) = dir::exec::run_audit_with(program, facts, Limits::default(), false);
-    (verdict.is_sound() && audited == checked, sited == checked)
-}
-
-/// Times one call of `f`, returning elapsed ns.
-fn time<T>(mut f: impl FnMut() -> T) -> u64 {
-    let t = Instant::now();
-    black_box(f());
-    t.elapsed().as_nanos() as u64
-}
-
-/// Interleaved min-of-N timing of checked vs per-site-elided vs trusted
-/// interpretation over the base-tier workloads, as in `analyze_gate`.
-fn timing() -> (u64, u64, u64) {
-    const ROUNDS: usize = 7;
-    let (mut checked_ns, mut sited_ns, mut trusted_ns) = (0, 0, 0);
-    for w in workloads() {
-        let verified = analyze::verify(
-            &w.base,
-            dir::encode::SchemeKind::ByteAligned.encode(&w.base),
-        )
-        .expect("corpus verifies clean");
-        let facts = verified.facts().clone();
-        let (mut c, mut s, mut t) = (u64::MAX, u64::MAX, u64::MAX);
-        for _ in 0..ROUNDS {
-            c = c.min(time(|| dir::exec::run(&w.base).unwrap()));
-            s = s.min(time(|| {
-                dir::exec::run_sited_with(&w.base, &facts, Limits::default(), false).unwrap()
-            }));
-            t = t.min(time(|| {
-                analyze::run_verified(&verified, Limits::default()).unwrap()
-            }));
-        }
-        checked_ns += c;
-        sited_ns += s;
-        trusted_ns += t;
-    }
-    (checked_ns, sited_ns, trusted_ns)
+    verdict.is_sound() && audited == checked
 }
 
 /// A safe ratio: `proved / sites`, 1.0 when there are no sites.
@@ -134,11 +88,6 @@ fn main() -> ExitCode {
     let div_ratio = ratio(total.div_proved, total.div_sites);
     let idx_ratio = ratio(total.idx_proved, total.idx_sites);
     let unsound = rows.iter().filter(|r| !r.audit_sound).count();
-    let diverged = rows.iter().filter(|r| !r.sited_identical).count();
-
-    let (checked_ns, sited_ns, trusted_ns) = timing();
-    let sited_speedup = checked_ns as f64 / sited_ns.max(1) as f64;
-    let trusted_speedup = checked_ns as f64 / trusted_ns.max(1) as f64;
 
     // Gate the deterministic fact counts against the committed floors.
     let baseline = Json::parse(BASELINE.trim()).expect("committed baseline parses");
@@ -158,7 +107,7 @@ fn main() -> ExitCode {
     gate("idx_proved", total.idx_proved as f64);
     gate("depth_exact", total.depth_exact as f64);
 
-    let pass = unsound == 0 && diverged == 0 && violations.is_empty();
+    let pass = unsound == 0 && violations.is_empty();
 
     if json {
         let images: Vec<Json> = rows
@@ -173,7 +122,6 @@ fn main() -> ExitCode {
                     ("depth_exact", (r.facts.depth_exact as i64).into()),
                     ("hot_regions", (r.hot_regions as i64).into()),
                     ("audit_sound", r.audit_sound.into()),
-                    ("sited_identical", r.sited_identical.into()),
                 ])
             })
             .collect();
@@ -193,12 +141,6 @@ fn main() -> ExitCode {
                 ("branches_always", (total.branches_always as i64).into()),
                 ("unreachable_insts", (total.unreachable_insts as i64).into()),
                 ("audit_unsound", (unsound as i64).into()),
-                ("sited_diverged", (diverged as i64).into()),
-                ("checked_ns", (checked_ns as i64).into()),
-                ("sited_ns", (sited_ns as i64).into()),
-                ("trusted_ns", (trusted_ns as i64).into()),
-                ("sited_speedup", sited_speedup.into()),
-                ("trusted_speedup", trusted_speedup.into()),
                 ("pass", pass.into()),
             ]),
         );
@@ -217,23 +159,11 @@ fn main() -> ExitCode {
             total.depth_exact
         );
         println!(
-            "audit: {} unsound, {} sited-diverged ({} never-taken, {} always-taken, {} \
-             unreachable facts)",
-            unsound, diverged, total.branches_never, total.branches_always, total.unreachable_insts
+            "audit: {} unsound ({} never-taken, {} always-taken, {} unreachable facts)",
+            unsound, total.branches_never, total.branches_always, total.unreachable_insts
         );
-        println!(
-            "timing: checked {:.1} ms | sited {:.1} ms ({:.2}x) | trusted {:.1} ms ({:.2}x)",
-            checked_ns as f64 / 1e6,
-            sited_ns as f64 / 1e6,
-            sited_speedup,
-            trusted_ns as f64 / 1e6,
-            trusted_speedup
-        );
-        for r in rows.iter().filter(|r| !r.audit_sound || !r.sited_identical) {
-            println!(
-                "  FAILED {}: audit_sound={} sited_identical={}",
-                r.name, r.audit_sound, r.sited_identical
-            );
+        for r in rows.iter().filter(|r| !r.audit_sound) {
+            println!("  FAILED {}: audit unsound", r.name);
         }
         for v in &violations {
             println!("  {v}");
@@ -242,7 +172,7 @@ fn main() -> ExitCode {
 
     if smoke && !pass {
         eprintln!(
-            "elide smoke FAIL: {unsound} unsound, {diverged} diverged, {} floor violations",
+            "elide smoke FAIL: {unsound} unsound, {} floor violations",
             violations.len()
         );
         for v in &violations {
@@ -252,10 +182,9 @@ fn main() -> ExitCode {
     }
     if smoke {
         println!(
-            "elide smoke PASS: div {:.1}%, idx {:.1}%, audit clean, sited path {:.2}x",
+            "elide smoke PASS: div {:.1}%, idx {:.1}%, audit clean",
             div_ratio * 100.0,
-            idx_ratio * 100.0,
-            sited_speedup
+            idx_ratio * 100.0
         );
     }
     ExitCode::SUCCESS

@@ -26,9 +26,9 @@ pub struct Coverage {
     pub opcode_pairs: BTreeSet<(Opcode, Opcode)>,
     /// Encoding schemes a case ran under.
     pub schemes: BTreeSet<&'static str>,
-    /// Execution tiers exercised (`interp` / `psder` / `trusted` /
-    /// `sited` — the last when per-site check-elision facts were
-    /// non-empty and the elided run was audited).
+    /// Execution tiers exercised (`interp` for instructions INTERP
+    /// decoded inline, `psder` once a DTB-resident translation was
+    /// dispatched).
     pub tiers: BTreeSet<&'static str>,
     /// DTB miss classes observed (`cold` / `capacity` / `conflict`).
     pub miss_classes: BTreeSet<&'static str>,

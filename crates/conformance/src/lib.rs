@@ -16,8 +16,8 @@
 //!
 //! * [`oracle`] — runs one program through every engine (reference
 //!   evaluator, DIR executor, fused DIR, PSDER interpreter, machine
-//!   interpreter/DTB/I-cache modes, tree and table decoders, trusted
-//!   verified-image mode, profiled and miss-classified runs) and
+//!   interpreter/DTB/I-cache modes, tree and table decoders, profiled
+//!   and miss-classified runs, the dataflow soundness auditor) and
 //!   reports every divergence, including violations of the metric
 //!   identities the planes promise.
 //! * [`coverage`] — accounts what a batch of cases actually exercised

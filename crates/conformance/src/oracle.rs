@@ -7,19 +7,16 @@
 //! * DIR executor, on both the base and the fused program,
 //! * PSDER interpreter,
 //! * the [`Machine`] in interpreter, DTB and I-cache modes,
-//! * tree vs table decoders, verified-image trusted mode, a profiling
-//!   counter plane and a miss-classifying trace sink,
-//! * per-site check-elision (`sited`) and its *soundness auditor*: every
-//!   check the dataflow pass discharged is run once elided and once with
-//!   the guard still evaluated — a guard that would have fired refutes
-//!   the static proof and is reported as a divergence.
+//! * tree vs table decoders, a profiling counter plane and a
+//!   miss-classifying trace sink,
+//! * the dataflow *soundness auditor* on the DIR executor: the guard at
+//!   every site the dataflow pass discharged is evaluated, and one that
+//!   fires refutes the static proof and is reported as a divergence.
 //!
 //! Outputs (and traps) must be bit-identical everywhere. On top of
 //! that, the oracle asserts the *metric identities* the planes promise:
-//! trusted-mode metrics equal unverified metrics, decoder choice never
-//! changes modeled metrics, per-site elision never changes outputs or
-//! modeled metrics, and observation (profiling, classification) never
-//! changes them either. Any violation is reported as a
+//! decoder choice never changes modeled metrics, and observation
+//! (profiling, classification) never changes them either. Any violation is reported as a
 //! [`Divergence`] rather than a panic, so the sweep can hand the case
 //! to the shrinker.
 
@@ -293,53 +290,24 @@ pub fn run_case(
         }
     }
 
-    // ---- Trusted mode: verified image, identical metrics -------------
+    // ---- Dataflow soundness auditor --------------------------------
+    // The guard at every site the dataflow pass discharged is evaluated
+    // as usual; a guard that fires refutes the static proof.
     let image = cfg.scheme.encode(&compiled);
     match analyze::verify(&compiled, image) {
         Ok(verified) => {
-            let trusted = Machine::load(&verified);
-            let trusted_run = trusted.run(&dtb_mode);
-            check(
-                &mut divergences,
-                &reference,
-                "machine-trusted",
-                &as_result(&trusted_run),
+            let (audit_dir, audit) = dir::exec::run_audit_with(
+                &compiled,
+                verified.facts(),
+                dir::exec::Limits::default(),
+                false,
             );
-            if let (Ok(a), Ok(b)) = (&dtb_run, &trusted_run) {
-                coverage.tiers.insert("trusted");
-                if a.metrics != b.metrics {
-                    divergences.push(Divergence {
-                        engine: "machine-trusted",
-                        against: "machine-dtb",
-                        detail: "verification changed modeled metrics".into(),
-                    });
-                }
-            }
-
-            // ---- Per-site elision: the dataflow soundness auditor ----
-            // Every check the dataflow pass discharged is first elided
-            // (the run must stay bit-identical to the checked run,
-            // outputs AND modeled stats) and then audited: the guard is
-            // still evaluated at each elided site, and a guard that
-            // would have fired refutes the static proof.
-            let facts = verified.facts();
-            let sited_dir =
-                dir::exec::run_sited_with(&compiled, facts, dir::exec::Limits::default(), false);
-            if sited_dir != dir_run {
-                divergences.push(Divergence {
-                    engine: "dir-sited",
-                    against: "dir-exec",
-                    detail: "per-site elision changed output or stats".into(),
-                });
-            }
-            let (audit_dir, audit) =
-                dir::exec::run_audit_with(&compiled, facts, dir::exec::Limits::default(), false);
             if !audit.is_sound() {
                 divergences.push(Divergence {
                     engine: "dir-audit",
                     against: "analyze-dataflow",
                     detail: format!(
-                        "elided guards fired: {} div, {} idx at sites {:?}",
+                        "discharged guards fired: {} div, {} idx at sites {:?}",
                         audit.div_violations, audit.idx_violations, audit.sites
                     ),
                 });
@@ -350,42 +318,6 @@ pub fn run_case(
                     against: "dir-exec",
                     detail: "audit mode changed output or stats".into(),
                 });
-            }
-            let sited_psder =
-                psder::interp::run_sited_with(&compiled, facts, psder::interp::Limits::default());
-            check(&mut divergences, &reference, "psder-sited", &sited_psder);
-            let (audit_psder, fired) =
-                psder::interp::run_audit_with(&compiled, facts, psder::interp::Limits::default());
-            if fired != 0 {
-                divergences.push(Divergence {
-                    engine: "psder-audit",
-                    against: "analyze-dataflow",
-                    detail: format!("{fired} elided psder guards fired"),
-                });
-            }
-            check(&mut divergences, &reference, "psder-audit", &audit_psder);
-            if !facts.is_empty() {
-                coverage.tiers.insert("sited");
-                let mut sited_machine = Machine::new(&compiled, cfg.scheme);
-                sited_machine
-                    .set_decoder(DecodeMode::Table)
-                    .set_site_facts(Some(std::sync::Arc::new(facts.clone())));
-                let sited_run = sited_machine.run(&dtb_mode);
-                check(
-                    &mut divergences,
-                    &reference,
-                    "machine-sited",
-                    &as_result(&sited_run),
-                );
-                if let (Ok(a), Ok(b)) = (&dtb_run, &sited_run) {
-                    if a.metrics != b.metrics {
-                        divergences.push(Divergence {
-                            engine: "machine-sited",
-                            against: "machine-dtb",
-                            detail: "per-site elision changed modeled metrics".into(),
-                        });
-                    }
-                }
             }
         }
         Err(report) => divergences.push(Divergence {

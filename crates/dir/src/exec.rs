@@ -149,185 +149,60 @@ pub fn run_with(
     limits: Limits,
     trace: bool,
 ) -> Result<(Vec<i64>, ExecStats), Trap> {
-    run_policy(program, Checked, limits, trace).0
+    execute(program, limits, trace).0
 }
 
-/// Runs a *statically verified* program, dropping the executor's defensive
-/// malformed-program checks (operand-stack underflow, pc range, return
-/// without frame): the verifier has already proved those traps unreachable,
-/// so the hot loop carries no error construction for them. Dynamic traps —
-/// division by zero, array bounds, step/depth limits — are still checked;
-/// they depend on runtime values no static pass can bound.
-///
-/// Soundness is the *caller's* obligation: this entry must only be reached
-/// through a verification witness (the analyze crate's `Verified` type).
-/// On an unverified malformed program the executor stays memory-safe but
-/// may silently read zeros where the checked path would trap.
-///
-/// # Errors
-///
-/// Returns a [`Trap`] on dynamic runtime errors or exhausted limits.
-pub fn run_trusted_with(
-    program: &Program,
-    limits: Limits,
-    trace: bool,
-) -> Result<(Vec<i64>, ExecStats), Trap> {
-    run_policy(program, Trusted, limits, trace).0
-}
-
-/// Runs a program with *per-site* check elision: every defensive check
-/// stays on (unlike [`run_trusted_with`]), but at each address whose
-/// [`SiteFacts`] bit is set the corresponding dynamic guard — divide-by-
-/// zero or array bounds — is skipped. Outputs and [`ExecStats`] are
-/// bit-identical to [`run_with`] whenever the facts are sound; soundness
-/// is the fact producer's obligation, enforced dynamically by
-/// [`run_audit_with`].
-///
-/// # Errors
-///
-/// Returns a [`Trap`] on runtime errors or exhausted limits.
-pub fn run_sited_with(
-    program: &Program,
-    facts: &SiteFacts,
-    limits: Limits,
-    trace: bool,
-) -> Result<(Vec<i64>, ExecStats), Trap> {
-    run_policy(program, Elide(facts), limits, trace).0
-}
-
-/// Runs a program in *audit* mode: checked semantics throughout, but at
-/// every site the facts claim elidable the guard is still evaluated and a
-/// firing guard is recorded in the returned [`SiteAudit`] before trapping
-/// normally. The run therefore behaves exactly like [`run_with`]; a
-/// non-empty audit is a static-analysis soundness divergence.
+/// Runs a program in *audit* mode: an ordinary checked run, after which a
+/// divide-by-zero or bounds trap raised at a site the facts claim
+/// discharged is recorded in the returned [`SiteAudit`]. The run result is
+/// exactly [`run_with`]'s; a non-empty audit is a static-analysis
+/// soundness divergence.
 pub fn run_audit_with(
     program: &Program,
     facts: &SiteFacts,
     limits: Limits,
     trace: bool,
 ) -> (Result<(Vec<i64>, ExecStats), Trap>, SiteAudit) {
-    let (result, policy) = run_policy(
-        program,
-        Audit {
-            facts,
-            log: SiteAudit::default(),
-        },
-        limits,
-        trace,
-    );
-    (result, policy.log)
+    let (result, pc) = execute(program, limits, trace);
+    let mut audit = SiteAudit::default();
+    match result {
+        Err(Trap::DivByZero) if facts.div_ok(pc) => audit.div_violations += 1,
+        Err(Trap::IndexOutOfBounds { .. }) if facts.idx_ok(pc) => audit.idx_violations += 1,
+        _ => return (result, audit),
+    }
+    audit.sites.push(pc);
+    (result, audit)
 }
 
-/// Soundness violations observed by [`run_audit_with`]: elided checks
-/// whose guard would have fired anyway.
+/// Soundness violations observed by [`run_audit_with`]: sites the facts
+/// claim discharged whose guard fired anyway.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteAudit {
     /// Proved-nonzero divisor sites where the divisor was zero.
     pub div_violations: u64,
     /// Proved-in-bounds index sites where the index was out of range.
     pub idx_violations: u64,
-    /// DIR addresses of the violating sites, in dynamic order.
+    /// DIR addresses of the violating sites. A run stops at its first
+    /// trap, so an audit records at most one.
     pub sites: Vec<u32>,
 }
 
 impl SiteAudit {
-    /// True when no elided guard fired — the facts were dynamically sound
-    /// on this run.
+    /// True when no discharged guard fired — the facts were dynamically
+    /// sound on this run.
     #[must_use]
     pub fn is_sound(&self) -> bool {
         self.div_violations == 0 && self.idx_violations == 0
     }
 }
 
-/// How the executor treats its dynamic and defensive checks. Each policy
-/// monomorphizes [`State::run`] so the existing checked and trusted paths
-/// carry zero new work; the per-site paths pay one bitmap probe at the
-/// guarded opcodes only.
-trait SitePolicy {
-    /// Drop the defensive malformed-program checks (the old whole-image
-    /// trusted mode).
-    const TRUSTED: bool;
-    /// Consult per-site facts before evaluating dynamic guards.
-    const ELIDES: bool;
-    /// Keep evaluating elided guards and record firings.
-    const AUDIT: bool;
-
-    fn div_ok(&self, _pc: u32) -> bool {
-        false
-    }
-    fn idx_ok(&self, _pc: u32) -> bool {
-        false
-    }
-    fn record(&mut self, _pc: u32, _div: bool) {}
-}
-
-/// Full checked execution (the semantic reference).
-struct Checked;
-
-impl SitePolicy for Checked {
-    const TRUSTED: bool = false;
-    const ELIDES: bool = false;
-    const AUDIT: bool = false;
-}
-
-/// Whole-image trusted execution behind a verification witness.
-struct Trusted;
-
-impl SitePolicy for Trusted {
-    const TRUSTED: bool = true;
-    const ELIDES: bool = false;
-    const AUDIT: bool = false;
-}
-
-/// Per-site elision driven by a [`SiteFacts`] bitmap.
-struct Elide<'f>(&'f SiteFacts);
-
-impl SitePolicy for Elide<'_> {
-    const TRUSTED: bool = false;
-    const ELIDES: bool = true;
-    const AUDIT: bool = false;
-
-    fn div_ok(&self, pc: u32) -> bool {
-        self.0.div_ok(pc)
-    }
-    fn idx_ok(&self, pc: u32) -> bool {
-        self.0.idx_ok(pc)
-    }
-}
-
-/// Checked execution that logs every elided guard that fires.
-struct Audit<'f> {
-    facts: &'f SiteFacts,
-    log: SiteAudit,
-}
-
-impl SitePolicy for Audit<'_> {
-    const TRUSTED: bool = false;
-    const ELIDES: bool = true;
-    const AUDIT: bool = true;
-
-    fn div_ok(&self, pc: u32) -> bool {
-        self.facts.div_ok(pc)
-    }
-    fn idx_ok(&self, pc: u32) -> bool {
-        self.facts.idx_ok(pc)
-    }
-    fn record(&mut self, pc: u32, div: bool) {
-        if div {
-            self.log.div_violations += 1;
-        } else {
-            self.log.idx_violations += 1;
-        }
-        self.log.sites.push(pc);
-    }
-}
-
-fn run_policy<P: SitePolicy>(
+/// Runs the checked executor, returning the result and the pc it stopped
+/// at (the trapping instruction's address on error).
+fn execute(
     program: &Program,
-    policy: P,
     limits: Limits,
     trace: bool,
-) -> (Result<(Vec<i64>, ExecStats), Trap>, P) {
+) -> (Result<(Vec<i64>, ExecStats), Trap>, u32) {
     let mut st = State {
         program,
         pc: 0,
@@ -344,16 +219,12 @@ fn run_policy<P: SitePolicy>(
             ..ExecStats::default()
         },
         limits,
-        policy,
     };
     let result = st.run();
     let State {
-        output,
-        stats,
-        policy,
-        ..
+        pc, output, stats, ..
     } = st;
-    (result.map(|()| (output, stats)), policy)
+    (result.map(|()| (output, stats)), pc)
 }
 
 struct Frame {
@@ -363,7 +234,7 @@ struct Frame {
     ret_pc: u32,
 }
 
-struct State<'p, P: SitePolicy> {
+struct State<'p> {
     program: &'p Program,
     pc: u32,
     stack: Vec<i64>,
@@ -374,23 +245,14 @@ struct State<'p, P: SitePolicy> {
     output: Vec<i64>,
     stats: ExecStats,
     limits: Limits,
-    policy: P,
 }
 
-impl<'p, P: SitePolicy> State<'p, P> {
-    /// Pops the operand stack. The untrusted instantiation reports
-    /// underflow as a trap; the trusted one relies on the verifier's
-    /// no-underflow proof and compiles to a bare pop (the default is dead
-    /// code on verified programs, kept only so the signature stays safe).
+impl State<'_> {
     #[inline]
     fn pop(&mut self) -> Result<i64, Trap> {
-        if P::TRUSTED {
-            Ok(self.stack.pop().unwrap_or_default())
-        } else {
-            self.stack
-                .pop()
-                .ok_or(Trap::Malformed("operand stack underflow"))
-        }
+        self.stack
+            .pop()
+            .ok_or(Trap::Malformed("operand stack underflow"))
     }
 
     fn frame_base(&self) -> usize {
@@ -402,59 +264,26 @@ impl<'p, P: SitePolicy> State<'p, P> {
         &mut self.slots[base + slot as usize]
     }
 
-    fn check_index(index: i64, len: u32) -> Result<usize, Trap> {
-        if index < 0 || index >= len as i64 {
-            Err(Trap::IndexOutOfBounds { index, len })
-        } else {
-            Ok(index as usize)
-        }
-    }
-
-    /// ALU application with the policy's per-site divisor elision. In
-    /// audit mode the zero guard is still evaluated at elided sites and a
-    /// firing is recorded before trapping with checked semantics.
     #[inline]
-    fn alu(&mut self, op: AluOp, a: i64, b: i64) -> Result<i64, Trap> {
-        if P::ELIDES && op.traps_on_zero() && self.policy.div_ok(self.pc) {
-            if P::AUDIT && b == 0 {
-                self.policy.record(self.pc, true);
-                return Err(Trap::DivByZero);
-            }
-            return Ok(op.apply_unchecked(a, b));
-        }
+    fn alu(op: AluOp, a: i64, b: i64) -> Result<i64, Trap> {
         op.apply(a, b).map_err(|_| Trap::DivByZero)
     }
 
-    /// Array-index check with the policy's per-site bounds elision. An
-    /// elided site uses the index directly (Rust's own slice check keeps
-    /// the executor memory-safe on a broken proof); audit mode still
-    /// evaluates the guard and records a firing.
     #[inline]
-    fn index(&mut self, index: i64, len: u32) -> Result<usize, Trap> {
-        if P::ELIDES && self.policy.idx_ok(self.pc) {
-            if P::AUDIT && (index < 0 || index >= len as i64) {
-                self.policy.record(self.pc, false);
-                return Err(Trap::IndexOutOfBounds { index, len });
-            }
-            return Ok(index as usize);
+    fn index(index: i64, len: u32) -> Result<usize, Trap> {
+        if index < 0 || index >= len as i64 {
+            return Err(Trap::IndexOutOfBounds { index, len });
         }
-        Self::check_index(index, len)
+        Ok(index as usize)
     }
 
     fn run(&mut self) -> Result<(), Trap> {
         loop {
-            let inst = if P::TRUSTED {
-                // The verifier proved every reachable pc in range; plain
-                // indexing keeps Rust's bounds check but drops the trap
-                // construction from the hot loop.
-                self.program.code[self.pc as usize]
-            } else {
-                *self
-                    .program
-                    .code
-                    .get(self.pc as usize)
-                    .ok_or(Trap::Malformed("pc out of range"))?
-            };
+            let inst = *self
+                .program
+                .code
+                .get(self.pc as usize)
+                .ok_or(Trap::Malformed("pc out of range"))?;
             self.stats.instructions += 1;
             if self.stats.instructions > self.limits.max_steps {
                 return Err(Trap::StepLimit);
@@ -481,26 +310,26 @@ impl<'p, P: SitePolicy> State<'p, P> {
                 }
                 Inst::LoadArrLocal { base, len } => {
                     let i = self.pop()?;
-                    let idx = self.index(i, len)?;
+                    let idx = Self::index(i, len)?;
                     let fb = self.frame_base();
                     self.stack.push(self.slots[fb + base as usize + idx]);
                 }
                 Inst::LoadArrGlobal { base, len } => {
                     let i = self.pop()?;
-                    let idx = self.index(i, len)?;
+                    let idx = Self::index(i, len)?;
                     self.stack.push(self.globals[base as usize + idx]);
                 }
                 Inst::StoreArrLocal { base, len } => {
                     let v = self.pop()?;
                     let i = self.pop()?;
-                    let idx = self.index(i, len)?;
+                    let idx = Self::index(i, len)?;
                     let fb = self.frame_base();
                     self.slots[fb + base as usize + idx] = v;
                 }
                 Inst::StoreArrGlobal { base, len } => {
                     let v = self.pop()?;
                     let i = self.pop()?;
-                    let idx = self.index(i, len)?;
+                    let idx = Self::index(i, len)?;
                     self.globals[base as usize + idx] = v;
                 }
                 Inst::Pop => {
@@ -509,7 +338,7 @@ impl<'p, P: SitePolicy> State<'p, P> {
                 Inst::Bin(op) => {
                     let b = self.pop()?;
                     let a = self.pop()?;
-                    let r = self.alu(op, a, b)?;
+                    let r = Self::alu(op, a, b)?;
                     self.stack.push(r);
                 }
                 Inst::Neg => {
@@ -547,16 +376,11 @@ impl<'p, P: SitePolicy> State<'p, P> {
                     next = info.entry;
                 }
                 Inst::Return => {
-                    let frame = if P::TRUSTED {
-                        // The verifier proved Return only occurs inside a
-                        // procedure body, where a frame always exists.
-                        self.frames.pop().expect("verified return has a frame")
-                    } else {
-                        self.frames
-                            .pop()
-                            .ok_or(Trap::Malformed("return without frame"))?
-                    };
-                    if !P::TRUSTED && frame.ret_pc == u32::MAX {
+                    let frame = self
+                        .frames
+                        .pop()
+                        .ok_or(Trap::Malformed("return without frame"))?;
+                    if frame.ret_pc == u32::MAX {
                         return Err(Trap::Malformed("return from prelude"));
                     }
                     self.slots.truncate(frame.base);
@@ -571,7 +395,7 @@ impl<'p, P: SitePolicy> State<'p, P> {
                     let fb = self.frame_base();
                     let va = self.slots[fb + a as usize];
                     let vb = self.slots[fb + b as usize];
-                    let r = self.alu(op, va, vb)?;
+                    let r = Self::alu(op, va, vb)?;
                     self.slots[fb + dst as usize] = r;
                 }
                 Inst::IncLocal { slot, imm } => {
@@ -588,7 +412,7 @@ impl<'p, P: SitePolicy> State<'p, P> {
                     target,
                 } => {
                     let v = *self.local(slot);
-                    let r = self.alu(op, v, imm)?;
+                    let r = Self::alu(op, v, imm)?;
                     if r == 0 {
                         next = target;
                     }
@@ -597,7 +421,7 @@ impl<'p, P: SitePolicy> State<'p, P> {
                     let fb = self.frame_base();
                     let va = self.slots[fb + a as usize];
                     let vb = self.slots[fb + b as usize];
-                    let r = self.alu(op, va, vb)?;
+                    let r = Self::alu(op, va, vb)?;
                     if r == 0 {
                         next = target;
                     }
@@ -652,6 +476,36 @@ mod tests {
             let want: Trap = hlr::eval::run(&hir).unwrap_err().into();
             let got = run(&compile(&hir)).unwrap_err();
             assert_eq!(got, want, "{src}");
+        }
+    }
+
+    #[test]
+    fn audit_flags_a_fired_guard_at_a_discharged_site() {
+        let cases = [
+            ("proc main() begin write 1 / 0; end", true),
+            ("proc main() begin int a[3]; write a[3]; end", false),
+        ];
+        for (src, div) in cases {
+            let p = compile(&hlr::compile(src).unwrap());
+            let want = run_with(&p, Limits::default(), false);
+            let (_, sound) = run_audit_with(
+                &p,
+                &SiteFacts::empty(p.code.len() as u32),
+                Limits::default(),
+                false,
+            );
+            assert!(sound.is_sound(), "{src}: no fact, no violation");
+            // Claim every site discharged: the trapping one is refuted.
+            let mut facts = SiteFacts::empty(p.code.len() as u32);
+            for addr in 0..p.code.len() as u32 {
+                facts.set_div_ok(addr);
+                facts.set_idx_ok(addr);
+            }
+            let (got, audit) = run_audit_with(&p, &facts, Limits::default(), false);
+            assert_eq!(got, want, "{src}");
+            assert_eq!(audit.sites.len(), 1, "{src}");
+            assert_eq!(audit.div_violations, u64::from(div), "{src}");
+            assert_eq!(audit.idx_violations, u64::from(!div), "{src}");
         }
     }
 

@@ -1,24 +1,22 @@
-//! Per-site check-elision facts proved by static analysis.
+//! Per-site check-discharge facts proved by static analysis.
 //!
 //! [`SiteFacts`] is a pair of bitmaps over DIR addresses recording which
 //! individual dynamic checks a static pass has discharged: a set `div_ok`
 //! bit at address `a` means the divisor consumed by the instruction at `a`
 //! was proved nonzero on every reachable path, and a set `idx_ok` bit means
-//! the array index consumed at `a` was proved within `[0, len)`. Executors
-//! consult the bitmap per instruction and skip just that one guard, even
-//! when the whole-image trusted mode is unavailable — the fine-grained
-//! counterpart of the all-or-nothing verification witness.
+//! the array index consumed at `a` was proved within `[0, len)`. The map is
+//! analysis output: no executor skips a guard on it. It waits for a
+//! consumer whose savings the host cost ledger can measure.
 //!
 //! Soundness is the *producer's* obligation (the analyze crate's dataflow
-//! plane). The conformance auditor closes the loop dynamically: it re-runs
-//! every elided site with the guard still evaluated and treats a firing
-//! guard as a soundness divergence.
+//! plane). The auditor ([`crate::exec::run_audit_with`]) closes the loop
+//! dynamically: it runs the checked executor and treats a guard that fires
+//! at a discharged site as a soundness divergence.
 
-/// Bitmaps of per-address check-elision facts for one DIR program.
+/// Bitmaps of per-address check-discharge facts for one DIR program.
 ///
 /// Addresses outside the recorded code length report `false` for every
-/// fact, so a stale or truncated bitmap degrades to checked execution
-/// rather than eliding anything.
+/// fact, so a stale or truncated bitmap claims nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SiteFacts {
     /// Length of the code array the facts were computed for.
@@ -70,7 +68,7 @@ impl SiteFacts {
         }
     }
 
-    /// True when the divide/remainder at `addr` may skip its zero guard.
+    /// True when the divisor at `addr` was proved nonzero.
     #[inline]
     #[must_use]
     pub fn div_ok(&self, addr: u32) -> bool {
@@ -79,7 +77,7 @@ impl SiteFacts {
             .is_some_and(|w| w >> (addr % 64) & 1 != 0)
     }
 
-    /// True when the array access at `addr` may skip its bounds guard.
+    /// True when the array index at `addr` was proved in bounds.
     #[inline]
     #[must_use]
     pub fn idx_ok(&self, addr: u32) -> bool {
@@ -106,7 +104,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_facts_elide_nothing() {
+    fn empty_facts_discharge_nothing() {
         let f = SiteFacts::empty(130);
         assert!(f.is_empty());
         for a in 0..130 {

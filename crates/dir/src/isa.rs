@@ -85,24 +85,6 @@ impl AluOp {
         matches!(self, AluOp::Div | AluOp::Mod)
     }
 
-    /// Applies the operation with the `Div`/`Mod` zero guard elided.
-    ///
-    /// Callers must hold a static proof that `b != 0` at this site (a
-    /// [`SiteFacts`](crate::facts::SiteFacts) bit). On a broken proof the
-    /// division panics via Rust's own zero check instead of returning the
-    /// modeled trap — exactly the failure mode the conformance auditor
-    /// exists to rule out before any fact reaches an executor.
-    #[must_use]
-    pub fn apply_unchecked(self, a: i64, b: i64) -> i64 {
-        match self {
-            AluOp::Div => a.wrapping_div(b),
-            AluOp::Mod => a.wrapping_rem(b),
-            other => other
-                .apply(a, b)
-                .expect("only Div/Mod can fail and they are handled above"),
-        }
-    }
-
     /// Applies the operation with RAUL semantics (wrapping arithmetic, 0/1
     /// booleans).
     ///

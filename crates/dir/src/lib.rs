@@ -14,8 +14,8 @@
 //! [`program`] (the flat code array + procedure table), [`exec`] (the
 //! semantic reference executor), [`bitstream`] and [`huffman`] (encoding
 //! machinery), [`stats`] (static statistics), [`formats`] (the Table 1
-//! format-equivalence demonstration) and [`facts`] (per-site check-elision
-//! bitmaps consumed by the executors).
+//! format-equivalence demonstration) and [`facts`] (per-site fact bitmaps
+//! proved by static analysis and checked by the executor's auditor).
 //!
 //! # Example
 //!

@@ -12,7 +12,7 @@
 //! Four surfaces, one event stream:
 //!
 //! * [`CounterPlane`] — the always-on counter plane: per-DIR-region,
-//!   per-opcode and per-tier (INTERP / PSDER / TRUSTED) retire + cycle
+//!   per-opcode and per-tier (INTERP / PSDER) retire + cycle
 //!   attribution, opcode-pair frequencies, and sampled DTB
 //!   occupancy/eviction timelines, rendered into the schema-v4
 //!   [`telemetry::ProfileReport`] by [`report::profile_report`];

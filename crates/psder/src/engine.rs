@@ -62,23 +62,6 @@ pub struct Engine {
     output: Vec<i64>,
     procs: Vec<ProcMeta>,
     max_depth: u32,
-    /// When set, the defensive malformed-state checks (operand-stack
-    /// underflow, slot range) take the cheap branch: a load-time verifier
-    /// proved them unreachable. See [`Engine::set_trusted`].
-    trusted: bool,
-    /// Per-site elision flags for the DIR instruction currently being
-    /// executed: the caller (the machine's dispatch loop or the PSDER
-    /// interpreter) sets these from a `SiteFacts` bitmap before handing
-    /// the instruction's translation to the engine. See
-    /// [`Engine::set_site_elide`].
-    site_elide_div: bool,
-    site_elide_idx: bool,
-    /// Auditor mode: elided guards are still evaluated; a firing guard
-    /// increments [`Engine::site_violations`] and traps with checked
-    /// semantics.
-    audit: bool,
-    /// Elided guards that fired while auditing (soundness divergences).
-    site_violations: u64,
 }
 
 impl Engine {
@@ -103,58 +86,7 @@ impl Engine {
                 })
                 .collect(),
             max_depth,
-            trusted: false,
-            site_elide_div: false,
-            site_elide_idx: false,
-            audit: false,
-            site_violations: 0,
         }
-    }
-
-    /// Switches the engine's defensive malformed-state checks off: the
-    /// caller asserts that a load-time verifier proved operand-stack
-    /// underflow and out-of-range slots unreachable for the program this
-    /// engine executes (the analyze crate's `Verified` witness). Dynamic
-    /// traps — division by zero, array bounds, call depth — are still
-    /// raised. On an unverified malformed program the trusted engine
-    /// stays memory-safe but may read zeros where the checked engine
-    /// would trap.
-    pub fn set_trusted(&mut self, trusted: bool) {
-        self.trusted = trusted;
-    }
-
-    /// Whether the defensive checks are currently disabled.
-    pub fn is_trusted(&self) -> bool {
-        self.trusted
-    }
-
-    /// Sets the per-site elision flags for the DIR instruction whose
-    /// translation is about to execute: `div` elides the divide-by-zero
-    /// guard of any ALU op in the sequence, `idx` elides the
-    /// `CheckIdx` bounds guard. Callers derive both bits from a
-    /// `SiteFacts` bitmap (`facts.div_ok(pc)` / `facts.idx_ok(pc)`);
-    /// soundness is the fact producer's obligation. The flags are
-    /// orthogonal to [`Engine::set_trusted`] and do not change the
-    /// modeled cost of the translation — elided micro-ops are still
-    /// dispatched, only their guard comparison is skipped.
-    #[inline]
-    pub fn set_site_elide(&mut self, div: bool, idx: bool) {
-        self.site_elide_div = div;
-        self.site_elide_idx = idx;
-    }
-
-    /// Switches auditor mode on: elided guards are still evaluated, and a
-    /// firing guard is counted in [`Engine::site_violations`] before
-    /// trapping exactly as checked execution would. With auditing on, the
-    /// engine's behavior is bit-identical to checked execution.
-    pub fn set_audit(&mut self, audit: bool) {
-        self.audit = audit;
-    }
-
-    /// Number of elided guards that fired while auditing. Nonzero means
-    /// the site facts were unsound for this run.
-    pub fn site_violations(&self) -> u64 {
-        self.site_violations
     }
 
     /// The program output so far.
@@ -187,36 +119,21 @@ impl Engine {
 
     #[inline]
     fn pop(&mut self) -> Result<i64, Trap> {
-        if self.trusted {
-            // Verified programs never underflow; the default is dead code.
-            Ok(self.stack.pop().unwrap_or_default())
-        } else {
-            self.stack
-                .pop()
-                .ok_or(Trap::Malformed("operand stack underflow"))
-        }
+        self.stack
+            .pop()
+            .ok_or(Trap::Malformed("operand stack underflow"))
     }
 
     fn frame_base(&self) -> Result<usize, Trap> {
-        if self.trusted {
-            // The prelude pseudo-frame never pops, so a frame exists.
-            Ok(self.frames.last().copied().unwrap_or_default())
-        } else {
-            self.frames
-                .last()
-                .copied()
-                .ok_or(Trap::Malformed("no active frame"))
-        }
+        self.frames
+            .last()
+            .copied()
+            .ok_or(Trap::Malformed("no active frame"))
     }
 
     #[inline]
     fn frame_slot(&mut self, slot: i64) -> Result<&mut i64, Trap> {
         let base = self.frame_base()?;
-        if self.trusted {
-            // Verified slot operands are in-range; keep Rust's bounds
-            // check but drop the trap construction.
-            return Ok(&mut self.slots[base + slot as usize]);
-        }
         if slot < 0 {
             return Err(Trap::Malformed("negative frame slot"));
         }
@@ -227,9 +144,6 @@ impl Engine {
 
     #[inline]
     fn global_slot(&mut self, slot: i64) -> Result<&mut i64, Trap> {
-        if self.trusted {
-            return Ok(&mut self.globals[slot as usize]);
-        }
         if slot < 0 {
             return Err(Trap::Malformed("negative global slot"));
         }
@@ -294,15 +208,7 @@ impl Engine {
                 MicroOp::Push(r) => self.stack.push(self.reg(r)),
                 MicroOp::Alu { op, a, b, dst } => {
                     let (va, vb) = (self.reg(a), self.reg(b));
-                    let v = if self.site_elide_div && op.traps_on_zero() {
-                        if self.audit && vb == 0 {
-                            self.site_violations += 1;
-                            return Err(Trap::DivByZero);
-                        }
-                        op.apply_unchecked(va, vb)
-                    } else {
-                        op.apply(va, vb).map_err(|_| Trap::DivByZero)?
-                    };
+                    let v = op.apply(va, vb).map_err(|_| Trap::DivByZero)?;
                     self.set_reg(dst, v);
                 }
                 MicroOp::NegOp { src, dst } => self.set_reg(dst, self.reg(src).wrapping_neg()),
@@ -321,17 +227,9 @@ impl Engine {
                     self.set_reg(dst, v);
                 }
                 MicroOp::CheckIdx { idx, len } => {
-                    if self.site_elide_idx && !self.audit {
-                        // Guard discharged statically; the micro-op is
-                        // still dispatched so modeled costs are unchanged.
-                        continue;
-                    }
                     let index = self.reg(idx);
                     let len = self.reg(len);
                     if index < 0 || index >= len {
-                        if self.site_elide_idx {
-                            self.site_violations += 1;
-                        }
                         return Err(Trap::IndexOutOfBounds {
                             index,
                             len: len as u32,

@@ -8,7 +8,6 @@
 //! in *when* translations happen and what they cost.
 
 use dir::exec::Trap;
-use dir::facts::SiteFacts;
 use dir::program::Program;
 
 use crate::engine::{Engine, MicroEffect, ShortEffect};
@@ -48,83 +47,38 @@ pub fn run(program: &Program) -> Result<Vec<i64>, Trap> {
 ///
 /// Returns the same [`Trap`]s as [`dir::exec::run`].
 pub fn run_with(program: &Program, limits: Limits) -> Result<Vec<i64>, Trap> {
-    run_engine(program, None, false, limits).0
-}
-
-/// Runs a program with *per-site* check elision: at each DIR address whose
-/// [`SiteFacts`] bit is set, the corresponding guard (divide-by-zero or
-/// `CheckIdx` bounds) is skipped inside that instruction's translation.
-/// Output is bit-identical to [`run_with`] whenever the facts are sound.
-///
-/// # Errors
-///
-/// Returns the same [`Trap`]s as [`dir::exec::run`].
-pub fn run_sited_with(
-    program: &Program,
-    facts: &SiteFacts,
-    limits: Limits,
-) -> Result<Vec<i64>, Trap> {
-    run_engine(program, Some(facts), false, limits).0
-}
-
-/// Runs a program in *audit* mode: checked semantics throughout, but every
-/// guard the facts claim elidable is counted when it fires (before trapping
-/// normally). Returns the run result and the number of violations — nonzero
-/// means the facts were unsound for this program.
-pub fn run_audit_with(
-    program: &Program,
-    facts: &SiteFacts,
-    limits: Limits,
-) -> (Result<Vec<i64>, Trap>, u64) {
-    run_engine(program, Some(facts), true, limits)
-}
-
-fn run_engine(
-    program: &Program,
-    facts: Option<&SiteFacts>,
-    audit: bool,
-    limits: Limits,
-) -> (Result<Vec<i64>, Trap>, u64) {
     let lib = RoutineLib::new();
     let mut engine = Engine::new(program, limits.max_depth);
-    engine.set_audit(audit);
-    let result = (|| {
-        let mut pc: u32 = 0;
-        let mut steps: u64 = 0;
-        loop {
-            steps += 1;
-            if steps > limits.max_steps {
-                return Err(Trap::StepLimit);
-            }
-            let inst = *program
-                .code
-                .get(pc as usize)
-                .ok_or(Trap::Malformed("pc out of range"))?;
-            if let Some(f) = facts {
-                engine.set_site_elide(f.div_ok(pc), f.idx_ok(pc));
-            }
-            let sequence = translate(inst, pc + 1);
-            let mut next: Option<u32> = None;
-            for short in sequence {
-                match engine.exec_short(short)? {
-                    ShortEffect::Continue => {}
-                    ShortEffect::CallRoutine(id) => {
-                        for word in lib.words(id) {
-                            if engine.exec_word(word)? == MicroEffect::Halt {
-                                return Ok(());
-                            }
+    let mut pc: u32 = 0;
+    let mut steps: u64 = 0;
+    loop {
+        steps += 1;
+        if steps > limits.max_steps {
+            return Err(Trap::StepLimit);
+        }
+        let inst = *program
+            .code
+            .get(pc as usize)
+            .ok_or(Trap::Malformed("pc out of range"))?;
+        let sequence = translate(inst, pc + 1);
+        let mut next: Option<u32> = None;
+        for short in sequence {
+            match engine.exec_short(short)? {
+                ShortEffect::Continue => {}
+                ShortEffect::CallRoutine(id) => {
+                    for word in lib.words(id) {
+                        if engine.exec_word(word)? == MicroEffect::Halt {
+                            return Ok(engine.into_output());
                         }
                     }
-                    ShortEffect::Interp(addr) => {
-                        next = Some(addr);
-                    }
+                }
+                ShortEffect::Interp(addr) => {
+                    next = Some(addr);
                 }
             }
-            pc = next.ok_or(Trap::Malformed("sequence ended without INTERP"))?;
         }
-    })();
-    let violations = engine.site_violations();
-    (result.map(|()| engine.into_output()), violations)
+        pc = next.ok_or(Trap::Malformed("sequence ended without INTERP"))?;
+    }
 }
 
 #[cfg(test)]

@@ -78,20 +78,15 @@ impl FaultKind {
 /// Which execution tier retired a DIR instruction.
 ///
 /// The tier is the profiling plane's cost axis: the same DIR instruction
-/// costs differently depending on whether INTERP interpreted it inline,
-/// dispatched a resident PSDER translation, or dispatched it with the
-/// defensive checks compiled out (the verified-image fast path).
+/// costs differently depending on whether INTERP interpreted it inline or
+/// dispatched a resident PSDER translation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// Interpreted inline (interpreter/icache mode, degraded addresses,
     /// or an uncached-overflow translation).
     Interp,
-    /// Dispatched from a resident PSDER translation with defensive
-    /// checks on.
+    /// Dispatched from a resident PSDER translation.
     Psder,
-    /// Dispatched from a resident PSDER translation with the verifier's
-    /// trusted fast path (checks proven unreachable at load time).
-    Trusted,
 }
 
 impl Tier {
@@ -100,7 +95,6 @@ impl Tier {
         match self {
             Tier::Interp => "interp",
             Tier::Psder => "psder",
-            Tier::Trusted => "trusted",
         }
     }
 
@@ -109,12 +103,14 @@ impl Tier {
         match self {
             Tier::Interp => 0,
             Tier::Psder => 1,
-            Tier::Trusted => 2,
         }
     }
 
     /// Number of tiers (length of per-tier arrays).
-    pub const COUNT: usize = 3;
+    pub const COUNT: usize = 2;
+
+    /// Every tier, in [`Tier::index`] order.
+    pub const ALL: [Tier; Tier::COUNT] = [Tier::Interp, Tier::Psder];
 }
 
 /// One trace event.
@@ -480,7 +476,7 @@ mod tests {
         let mut c = EventCounts::default();
         c.record(&Event::Retire {
             addr: 4,
-            tier: Tier::Trusted,
+            tier: Tier::Psder,
             cycles: 11,
         });
         c.record(&Event::DtbFill {
@@ -492,12 +488,12 @@ mod tests {
         assert_eq!(c.total(), 2);
         let j = Event::Retire {
             addr: 4,
-            tier: Tier::Trusted,
+            tier: Tier::Psder,
             cycles: 11,
         }
         .to_json();
         assert_eq!(j.get("ev").and_then(Json::as_str), Some("retire"));
-        assert_eq!(j.get("tier").and_then(Json::as_str), Some("trusted"));
+        assert_eq!(j.get("tier").and_then(Json::as_str), Some("psder"));
         assert_eq!(j.get("cycles").and_then(Json::as_i64), Some(11));
         let f = Event::DtbFill {
             addr: 4,
@@ -509,7 +505,7 @@ mod tests {
 
     #[test]
     fn tier_labels_and_indices_are_distinct() {
-        let tiers = [Tier::Interp, Tier::Psder, Tier::Trusted];
+        let tiers = Tier::ALL;
         let labels: std::collections::HashSet<_> = tiers.iter().map(|t| t.label()).collect();
         assert_eq!(labels.len(), Tier::COUNT);
         let indices: std::collections::HashSet<_> = tiers.iter().map(|t| t.index()).collect();

@@ -14,7 +14,6 @@
 
 use dir::encode::{DecodeMode, Image, SchemeKind};
 use dir::exec::Trap;
-use dir::facts::SiteFacts;
 use dir::program::Program;
 use memsim::{Access, Geometry, SetAssocCache};
 use psder::engine::{Engine, MicroEffect, ShortEffect};
@@ -111,16 +110,6 @@ pub struct Machine {
     /// Shared read-only decode templates consulted before the per-run
     /// private cache. Host-side only; modeled costs are unaffected.
     shared_trans: Option<Arc<FrozenTransCache>>,
-    /// Whether this machine was constructed from an
-    /// [`analyze::Verified`] witness. Verified runs put the PSDER engine
-    /// on its trusted fast path (no per-access error construction) —
-    /// unless a fault plane is attached, which voids the static proofs.
-    verified: bool,
-    /// Per-site check-elision facts from the dataflow pass, carried by
-    /// the witness. Consulted per instruction even when whole-image
-    /// trusted mode is off; voided by a fault plane exactly like
-    /// `verified`.
-    facts: Option<Arc<SiteFacts>>,
 }
 
 impl Machine {
@@ -149,8 +138,6 @@ impl Machine {
             retry: RetryPolicy::default(),
             budget: Budget::default(),
             shared_trans: None,
-            verified: false,
-            facts: None,
         }
     }
 
@@ -161,12 +148,10 @@ impl Machine {
     }
 
     /// Creates a machine from an [`analyze::Verified`] witness: the
-    /// machine runs the exact image and program the verifier proved, and
-    /// every run executes the PSDER engine on its trusted fast path — the
-    /// per-access underflow and frame checks the static analysis
-    /// discharged are skipped. Attaching a fault plane
-    /// ([`Machine::set_faults`]) re-enables the checked path for the
-    /// affected runs, since injected corruption voids the static proofs.
+    /// machine runs the exact image and program the verifier proved. The
+    /// witness only gates construction — execution is the same checked
+    /// path every machine runs, so an image the verifier wrongly accepted
+    /// still traps instead of misbehaving.
     ///
     /// ```
     /// use dir::encode::SchemeKind;
@@ -176,7 +161,6 @@ impl Machine {
     /// let prog = dir::compiler::compile(&hir);
     /// let verified = analyze::verify(&prog, SchemeKind::Huffman.encode(&prog)).unwrap();
     /// let machine = Machine::load(&verified);
-    /// assert!(machine.is_verified());
     /// assert_eq!(machine.run(&Mode::Interpreter).unwrap().output, vec![42]);
     /// # Ok::<(), hlr::Error>(())
     /// ```
@@ -197,35 +181,7 @@ impl Machine {
             retry: RetryPolicy::default(),
             budget: Budget::default(),
             shared_trans: None,
-            verified: true,
-            facts: (!verified.facts().is_empty()).then(|| Arc::new(verified.facts().clone())),
         }
-    }
-
-    /// Whether this machine was constructed from a verification witness
-    /// (and thus runs the engine's trusted fast path when no fault plane
-    /// is attached).
-    pub fn is_verified(&self) -> bool {
-        self.verified
-    }
-
-    /// Attaches (or clears) a per-site fact bitmap for individual check
-    /// elision. [`Machine::load`]/[`Machine::load_with`] install the
-    /// witness's facts automatically; this override exists so a machine
-    /// built without a witness can still elide proved sites — the
-    /// configuration the `elide_gate` bench measures — and so the
-    /// conformance auditor can swap bitmaps. Outputs and all modeled
-    /// metrics are bit-identical to checked execution when the facts are
-    /// sound; a fault plane voids them for the affected runs exactly as
-    /// it voids whole-image trusted mode.
-    pub fn set_site_facts(&mut self, facts: Option<Arc<SiteFacts>>) -> &mut Self {
-        self.facts = facts;
-        self
-    }
-
-    /// The per-site fact bitmap consulted by fault-free runs, if any.
-    pub fn site_facts(&self) -> Option<&SiteFacts> {
-        self.facts.as_deref()
     }
 
     /// Enables recording of the dynamic DIR-address trace in reports.
@@ -448,25 +404,9 @@ impl Machine {
                 d.enable_classification();
             }
         }
-        // The trusted fast path requires the static proofs to hold for the
-        // whole run: a fault plane can corrupt the level-2 stream or DTB
-        // lines into sequences the verifier never saw, so any injector —
-        // even the machine default being overridden here — keeps the
-        // checked path.
-        let mut engine = Engine::new(&self.program, self.limits.max_depth);
-        engine.set_trusted(self.verified && faults.is_none());
-        // Per-site facts are voided by an injector for the same reason as
-        // whole-image trust: corruption can rewrite the very sites the
-        // dataflow pass proved.
-        let site_facts = if faults.is_none() {
-            self.facts.clone()
-        } else {
-            None
-        };
         let mut run = Run {
             machine: self,
-            engine,
-            site_facts,
+            engine: Engine::new(&self.program, self.limits.max_depth),
             metrics: Metrics {
                 trace: self.trace.then(Vec::new),
                 ..Metrics::default()
@@ -560,9 +500,6 @@ impl WindowState {
 struct Run<'m, S: TraceSink> {
     machine: &'m Machine,
     engine: Engine,
-    /// Per-site elision bitmap for this run (`None` when a fault plane is
-    /// attached). Consulted once per retired DIR instruction.
-    site_facts: Option<Arc<SiteFacts>>,
     metrics: Metrics,
     dtb: Option<Dtb>,
     dtb2: Option<Dtb>,
@@ -944,9 +881,6 @@ impl<'m, S: TraceSink> Run<'m, S> {
             if pc as usize >= self.machine.image.len() {
                 return Err(Trap::Malformed("pc out of range"));
             }
-            if let Some(f) = self.site_facts.as_deref() {
-                self.engine.set_site_elide(f.div_ok(pc), f.idx_ok(pc));
-            }
 
             let next = match mode {
                 Mode::Interpreter | Mode::ICache { .. } => self.interp_one(pc)?,
@@ -1066,7 +1000,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
         // Execute the PSDER translation out of the buffer array, one short
         // word per τ_D.
         if S::ENABLED {
-            self.tier = self.dispatch_tier();
+            self.tier = Tier::Psder;
         }
         let len = require(self.dtb.as_ref(), NO_DTB)?.len(handle);
         for i in 0..len {
@@ -1184,7 +1118,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
             }
         };
         if S::ENABLED {
-            self.tier = self.dispatch_tier();
+            self.tier = Tier::Psder;
         }
         let len = require(self.dtb.as_ref(), NO_DTB)?.len(handle);
         for i in 0..len {
@@ -1196,16 +1130,6 @@ impl<'m, S: TraceSink> Run<'m, S> {
             }
         }
         Err(Trap::Malformed("translation ended without INTERP"))
-    }
-
-    /// The tier of a DTB-resident dispatch: `Trusted` when the engine is
-    /// on its verified fast path, `Psder` otherwise.
-    fn dispatch_tier(&self) -> Tier {
-        if self.engine.is_trusted() {
-            Tier::Trusted
-        } else {
-            Tier::Psder
-        }
     }
 }
 
@@ -1618,15 +1542,13 @@ mod tests {
 
     #[test]
     fn verified_machine_matches_unverified_exactly() {
-        // The trusted engine path must be invisible to everything
+        // Loading through a witness must be invisible to everything
         // observable: output and every modeled metric, in every mode.
         for s in hlr::programs::ALL {
             let p = compile(&s.compile().unwrap());
             let verified = analyze::verify(&p, SchemeKind::Huffman.encode(&p)).unwrap();
             let loaded = Machine::load(&verified);
-            assert!(loaded.is_verified());
             let plain = Machine::new(&p, SchemeKind::Huffman);
-            assert!(!plain.is_verified());
             for mode in modes() {
                 let a = loaded.run(&mode).unwrap();
                 let b = plain.run(&mode).unwrap();
@@ -1638,7 +1560,7 @@ mod tests {
 
     #[test]
     fn verified_machine_still_traps_on_dynamic_errors() {
-        // Division by zero is not statically refutable; the trusted path
+        // Division by zero is not statically refutable; a loaded machine
         // must keep the dynamic traps.
         let p = compile(&hlr::compile("proc main() begin write 1 / 0; end").unwrap());
         let want = dir::exec::run(&p).unwrap_err();
@@ -1650,7 +1572,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_plane_disables_the_trusted_path_but_stays_correct() {
+    fn faulted_verified_machine_stays_correct() {
         let p = compile(&hlr::programs::SIEVE.compile().unwrap());
         let want = dir::exec::run(&p).unwrap();
         let verified = analyze::verify(&p, SchemeKind::Huffman.encode(&p)).unwrap();

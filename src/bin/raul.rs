@@ -83,7 +83,7 @@
 //! fact discharge) without executing it; it honours --scheme, --fold and
 //! --fuse, prints the typed diagnostic report, and exits 1 when
 //! verification rejects the image. --facts adds the per-region
-//! check-elision fact table, --regions the full ranked hot-region
+//! fact table, --regions the full ranked hot-region
 //! (natural-loop) table, and --deny-warnings makes a clean-but-warned
 //! image exit 1 (a clean image with no warnings still exits 0).
 //! With --json it emits a versioned AnalyzeReport (schema 7) on stdout.
@@ -1201,7 +1201,7 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             );
             let total_cycles = plane.cycles().max(1) as f64;
             println!("by tier:");
-            for t in [Tier::Interp, Tier::Psder, Tier::Trusted] {
+            for t in Tier::ALL {
                 let a = plane.by_tier()[t.index()];
                 if a.retires == 0 {
                     continue;

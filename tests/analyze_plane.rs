@@ -1,13 +1,19 @@
 //! Analyze-plane integration tests: the load-time verifier accepts the
 //! whole sample corpus under every encoding scheme, rejects each
-//! known-bad fixture with the exact diagnostic code, and the `Verified`
-//! fast path is observably identical to the checked path — both at the
-//! DIR reference-executor level and through a fully loaded `Machine`.
+//! known-bad fixture with the exact diagnostic code (and the checked
+//! machine traps on each one, typed, if it runs anyway), a witness carries
+//! exactly the program it proved, a machine loaded from a witness is
+//! observably identical to an unverified one, and on bit-flipped
+//! (hostile) images the verifier either rejects or admits only programs
+//! that never trap as malformed and never panic the host.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use analyze::{DiagCode, Severity};
-use dir::encode::{fixtures, SchemeKind};
+use dir::encode::{fixtures, Image, SchemeKind};
+use dir::exec::Trap;
 use dir::program::ProcInfo;
-use uhm::{DtbConfig, Machine, Mode};
+use uhm::{CostModel, DtbConfig, Machine, Mode};
 
 fn sample_programs() -> Vec<(&'static str, dir::Program)> {
     hlr::programs::ALL
@@ -90,6 +96,33 @@ fn negative_fixtures_carry_exact_diagnostic_codes() {
     }
 }
 
+/// The checked path is the safety net under the verifier: each fixture
+/// the verifier rejects, run anyway on a machine built without a witness,
+/// ends in a typed `Malformed` trap (or runs, for the warning-only
+/// uninitialized read) and never panics the host.
+#[test]
+fn rejected_fixtures_trap_typed_on_an_unverified_machine() {
+    let cases = [
+        (dir::Inst::Pop, true),
+        (dir::Inst::Jump(999), true),
+        (dir::Inst::Call(7), true),
+        (dir::Inst::PushLocal(0), false),
+    ];
+    for (bad, malformed) in cases {
+        let machine = Machine::new(&bad_program(bad), SchemeKind::ByteAligned);
+        for mode in [Mode::Interpreter, Mode::Dtb(DtbConfig::with_capacity(16))] {
+            let run = catch_unwind(AssertUnwindSafe(|| machine.run(&mode)))
+                .unwrap_or_else(|_| panic!("{bad:?} panicked the host under {mode:?}"));
+            assert_eq!(
+                matches!(run, Err(Trap::Malformed(_))),
+                malformed,
+                "{bad:?} under {mode:?}: {:?}",
+                run.map(|r| r.output)
+            );
+        }
+    }
+}
+
 /// Corrupted encoded images are stopped by the codec pass at load time —
 /// before any decode attempt could turn them into a mid-run trap.
 #[test]
@@ -124,19 +157,17 @@ fn witness_refuses_a_mismatched_image() {
     assert!(analyze::verify(a, SchemeKind::Packed.encode(b)).is_err());
 }
 
-/// The DIR-level trusted path produces bit-identical output and stats
-/// for every sample.
+/// The program a witness carries executes bit-identically, output and
+/// stats, to the program it was proved from.
 #[test]
 fn verified_dir_execution_is_bit_identical() {
     for (name, program) in sample_programs() {
         let verified = analyze::verify(&program, SchemeKind::Huffman.encode(&program))
             .unwrap_or_else(|r| panic!("{name} verifies:\n{}", r.render()));
-        let (want, want_stats) = dir::exec::run_with(&program, dir::exec::Limits::default(), false)
-            .expect("corpus is trap-free");
-        let (got, got_stats) =
-            analyze::run_verified(&verified, dir::exec::Limits::default()).unwrap();
+        let limits = dir::exec::Limits::default();
+        let want = dir::exec::run_with(&program, limits, false).expect("corpus is trap-free");
+        let got = dir::exec::run_with(verified.program(), limits, false).unwrap();
         assert_eq!(got, want, "{name}");
-        assert_eq!(got_stats.instructions, want_stats.instructions, "{name}");
     }
 }
 
@@ -147,7 +178,6 @@ fn verified_machine_is_observably_identical() {
     for (name, program) in sample_programs() {
         let verified = analyze::verify(&program, SchemeKind::Huffman.encode(&program)).unwrap();
         let loaded = Machine::load(&verified);
-        assert!(loaded.is_verified());
         let plain = Machine::new(&program, SchemeKind::Huffman);
         for mode in [
             Mode::Interpreter,
@@ -163,4 +193,110 @@ fn verified_machine_is_observably_identical() {
             assert_eq!(a.metrics, b.metrics, "{name} {mode:?}");
         }
     }
+}
+
+/// Flips `flips` seeded bits (not necessarily distinct) inside the
+/// image's encoded stream.
+fn flip_bits(image: &Image, rng: &mut hlr::rng::Rng, flips: u32) -> Image {
+    let mut mutant = image.clone();
+    for _ in 0..flips {
+        let bit = rng.range_u64(0, image.bit_len.max(1));
+        mutant.bytes[(bit / 8) as usize] ^= 0x80 >> (bit % 8);
+    }
+    mutant
+}
+
+/// What the pipeline made of one hostile image.
+enum Verdict {
+    /// The verifier refused it with an error diagnostic.
+    Rejected,
+    /// The verifier accepted it; the traps its three runs raised, and
+    /// whether its code differs from the original program's.
+    Ran { changed: bool, traps: Vec<Trap> },
+}
+
+/// Runs one hostile image through re-derivation, verification and, when
+/// accepted, the DIR executor plus a loaded machine in interpreter and
+/// 16-entry DTB modes, all under a small step limit.
+fn judge(program: &dir::Program, mutant: Image) -> Verdict {
+    const MAX_STEPS: u64 = 5_000;
+    const MAX_DEPTH: u32 = 64;
+    // Re-derive the program the hostile stream encodes. A stream that no
+    // longer decodes is checked against the original program instead.
+    let code: Result<Vec<_>, _> = (0..mutant.len() as u32)
+        .map(|i| mutant.decode(i).map(|d| d.inst))
+        .collect();
+    let derived = match code {
+        Ok(code) => dir::Program {
+            code,
+            ..program.clone()
+        },
+        Err(_) => program.clone(),
+    };
+    let verified = match analyze::verify(&derived, mutant) {
+        Ok(v) => v,
+        Err(report) => {
+            assert!(
+                report.count(Severity::Error) > 0,
+                "rejection carries an error"
+            );
+            return Verdict::Rejected;
+        }
+    };
+    let dir_limits = dir::exec::Limits {
+        max_steps: MAX_STEPS,
+        max_depth: MAX_DEPTH,
+    };
+    let mut traps: Vec<Trap> = dir::exec::run_with(&derived, dir_limits, false)
+        .err()
+        .into_iter()
+        .collect();
+    let machine_limits = uhm::Limits {
+        max_steps: MAX_STEPS,
+        max_depth: MAX_DEPTH,
+    };
+    let machine = Machine::load_with(&verified, CostModel::default(), machine_limits);
+    for mode in [Mode::Interpreter, Mode::Dtb(DtbConfig::with_capacity(16))] {
+        traps.extend(machine.run(&mode).err());
+    }
+    Verdict::Ran {
+        changed: derived.code != program.code,
+        traps,
+    }
+}
+
+/// Mutation soundness: a hostile image (1–2 flipped stream bits) is
+/// either rejected by the verifier with an error diagnostic, or the
+/// program it decodes to runs on the DIR executor and on a loaded
+/// machine without a `Trap::Malformed` and without panicking the host.
+#[test]
+fn hostile_images_are_rejected_or_run_without_malformed_traps() {
+    const MUTANTS_PER_IMAGE: usize = 8;
+    let mut rng = hlr::rng::Rng::new(0x0005_AFE1);
+    let (mut rejected, mut changed) = (0, 0);
+    for (name, program) in sample_programs() {
+        for scheme in SchemeKind::all() {
+            let image = scheme.encode(&program);
+            for m in 0..MUTANTS_PER_IMAGE {
+                let mutant = flip_bits(&image, &mut rng, 1 + (m % 2) as u32);
+                let case = format!("{name} under {scheme}, mutant {m}");
+                match catch_unwind(AssertUnwindSafe(|| judge(&program, mutant))) {
+                    Err(_) => panic!("{case}: host panicked"),
+                    Ok(Verdict::Rejected) => rejected += 1,
+                    Ok(Verdict::Ran { changed: c, traps }) => {
+                        changed += usize::from(c);
+                        for trap in traps {
+                            assert!(
+                                !matches!(trap, Trap::Malformed(_)),
+                                "{case}: verifier accepted an image that traps: {trap}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The property is only meaningful when both sides were exercised.
+    assert!(rejected > 0, "no mutant was rejected");
+    assert!(changed > 0, "no accepted mutant decoded to different code");
 }
