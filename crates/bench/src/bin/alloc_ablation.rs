@@ -7,7 +7,7 @@
 //! pressure) uncacheable translations.
 //!
 //! Run with `cargo run -p uhm-bench --bin alloc_ablation --release`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 
 use dir::encode::SchemeKind;
 use memsim::Geometry;

@@ -5,7 +5,7 @@
 //! right diagnostic family.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin analyze_gate`.
-//! With `--json`, emits a versioned AnalyzeReport: one verdict entry per
+//! With `--json`, emits a versioned analyze report: one verdict entry per
 //! corpus image plus fixture verdicts.
 //! With `--smoke`, exits non-zero if (a) any corpus image fails to
 //! verify or (b) any fixture is accepted.
@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use analyze::{AnalysisReport, DiagCode, Severity};
 use dir::encode::{fixtures, SchemeKind};
 use dir::program::Program;
-use telemetry::{AnalyzeReport, Json};
+use telemetry::{Json, Kind, Report};
 use uhm_bench::corpus::encoded_corpus;
 use uhm_bench::workloads;
 
@@ -180,20 +180,21 @@ fn main() -> ExitCode {
                 .iter()
                 .map(|f| verdict_json(&format!("fixture/{}", f.name), &f.report)),
         );
-        let report = AnalyzeReport::new(
+        let aggregate = Json::obj(vec![
+            ("images", (entries.len() as i64).into()),
+            ("clean", (clean as i64).into()),
+            ("fixtures", (fixture_reports.len() as i64).into()),
+            ("fixtures_rejected", (rejected as i64).into()),
+            ("pass", pass.into()),
+        ]);
+        let report = Report::new(
+            Kind::Analyze,
             "analyze_gate",
             Json::obj(vec![
                 ("schemes", (SchemeKind::all().len() as i64).into()),
                 ("tiers", 2i64.into()),
             ]),
-            Json::Arr(images),
-            Json::obj(vec![
-                ("images", (entries.len() as i64).into()),
-                ("clean", (clean as i64).into()),
-                ("fixtures", (fixture_reports.len() as i64).into()),
-                ("fixtures_rejected", (rejected as i64).into()),
-                ("pass", pass.into()),
-            ]),
+            [("images", Json::Arr(images)), ("aggregate", aggregate)],
         );
         println!("{}", report.render());
     } else {

@@ -6,7 +6,7 @@
 //! the DTB on our workloads.
 //!
 //! Run with `cargo run -p uhm-bench --bin assoc_ablation --release`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 
 use dir::encode::SchemeKind;
 use memsim::Geometry;

@@ -20,8 +20,8 @@
 //! so the campaign's aggregate outcome table is deterministic; `--smoke`
 //! replays the campaign and compares that table against the committed
 //! baseline (`baselines/chaos_campaign.json`) — the CI gate for the
-//! resilience plane. With `--json`, emits the schema-v5
-//! [`ResilienceReport`] instead of the text table.
+//! resilience plane. With `--json`, emits a versioned resilience report
+//! instead of the text table.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin chaos_campaign`.
 
@@ -29,7 +29,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use dir::encode::SchemeKind;
-use telemetry::{Json, ResilienceReport};
+use telemetry::{Json, Kind, Report};
 use uhm::resilience::{AdmissionPolicy, BreakerPolicy, ChaosConfig, Supervisor};
 use uhm::{Budget, DtbConfig, Machine, MachinePool, Mode, PoolRun, TenantOutcome};
 use uhm_bench::json_flag;
@@ -381,13 +381,19 @@ fn config_json() -> Json {
     ])
 }
 
-fn report(cells: &[Cell]) -> ResilienceReport {
-    ResilienceReport::new(
+fn report(cells: &[Cell]) -> Report {
+    Report::new(
+        Kind::Resilience,
         "chaos_campaign",
         config_json(),
-        Json::Arr(cells.iter().map(cell_json).collect()),
-        outcome_table(cells),
-        invariants_json(cells),
+        [
+            (
+                "scenarios",
+                Json::Arr(cells.iter().map(cell_json).collect()),
+            ),
+            ("outcomes", outcome_table(cells)),
+            ("invariants", invariants_json(cells)),
+        ],
     )
 }
 

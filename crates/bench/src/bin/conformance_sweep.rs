@@ -21,7 +21,7 @@
 //!
 //! Run with `cargo run -p uhm-bench --release --bin conformance_sweep`.
 //! `--programs N` overrides the program count (default 240).
-//! With `--json`, emits a versioned RunReport whose output section
+//! With `--json`, emits a versioned run report whose output section
 //! carries the full coverage sets (the CI artifact).
 //! With `--smoke`, exits non-zero if any divergence survives shrinking
 //! or any coverage dimension regresses below the committed floor

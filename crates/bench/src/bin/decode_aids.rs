@@ -11,7 +11,7 @@
 //! buffer memory, reported in short words).
 //!
 //! Run with `cargo run -p uhm-bench --bin decode_aids --release`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 
 use dir::encode::SchemeKind;
 use telemetry::Json;

@@ -3,13 +3,12 @@
 //! instruction traces that explain them.
 //!
 //! Run with `cargo run -p uhm-bench --bin dtb_sweep --release`.
-//! With `--json`, emits a versioned RunReport instead of the text tables.
+//! With `--json`, emits a versioned run report instead of the text tables.
 
 use dir::encode::SchemeKind;
 use memsim::workset;
 use telemetry::Json;
 use uhm::sweep::capacity_sweep;
-use uhm::{Machine, Mode};
 use uhm_bench::{bench_report, json_flag, workloads};
 
 fn main() {
@@ -61,19 +60,11 @@ fn main() {
     println!("executed instructions, except on the adversarial straight-line workload.");
 }
 
+/// Locality of the reference executor's DIR-address trace.
 fn locality(program: &dir::Program) -> workset::LocalityReport {
-    let mut machine = Machine::new(program, SchemeKind::Packed);
-    machine.set_trace(true);
-    let r = machine
-        .run(&Mode::Interpreter)
+    let (_, stats) = dir::exec::run_with(program, dir::exec::Limits::default(), true)
         .expect("samples are trap-free");
-    let trace: Vec<u64> = r
-        .metrics
-        .trace
-        .unwrap()
-        .into_iter()
-        .map(u64::from)
-        .collect();
+    let trace: Vec<u64> = stats.trace.unwrap().into_iter().map(u64::from).collect();
     workset::LocalityReport::measure(&trace)
 }
 

@@ -5,7 +5,7 @@
 //! that fires refutes the static proof).
 //!
 //! Run with `cargo run -p uhm-bench --release --bin elide_gate`.
-//! With `--json`, emits a versioned AnalyzeReport (schema 7): one fact
+//! With `--json`, emits a versioned analyze report: one fact
 //! row per corpus image plus the aggregate discharge ratios.
 //! With `--smoke`, exits non-zero if (a) any discharged guard fires or
 //! the audited run diverges from the checked run, or (b) a fact-coverage
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use analyze::FactsReport;
 use dir::exec::Limits;
 use dir::program::Program;
-use telemetry::{AnalyzeReport, Json};
+use telemetry::{Json, Kind, Report};
 use uhm_bench::corpus::encoded_corpus;
 
 /// Committed fact-coverage floors (the `aggregate` object of a previous
@@ -125,24 +125,25 @@ fn main() -> ExitCode {
                 ])
             })
             .collect();
-        let report = AnalyzeReport::new(
+        let aggregate = Json::obj(vec![
+            ("div_sites", (total.div_sites as i64).into()),
+            ("div_proved", (total.div_proved as i64).into()),
+            ("div_ratio", div_ratio.into()),
+            ("idx_sites", (total.idx_sites as i64).into()),
+            ("idx_proved", (total.idx_proved as i64).into()),
+            ("idx_ratio", idx_ratio.into()),
+            ("depth_exact", (total.depth_exact as i64).into()),
+            ("branches_never", (total.branches_never as i64).into()),
+            ("branches_always", (total.branches_always as i64).into()),
+            ("unreachable_insts", (total.unreachable_insts as i64).into()),
+            ("audit_unsound", (unsound as i64).into()),
+            ("pass", pass.into()),
+        ]);
+        let report = Report::new(
+            Kind::Analyze,
             "elide_gate",
             Json::obj(vec![("images", (rows.len() as i64).into())]),
-            Json::Arr(images),
-            Json::obj(vec![
-                ("div_sites", (total.div_sites as i64).into()),
-                ("div_proved", (total.div_proved as i64).into()),
-                ("div_ratio", div_ratio.into()),
-                ("idx_sites", (total.idx_sites as i64).into()),
-                ("idx_proved", (total.idx_proved as i64).into()),
-                ("idx_ratio", idx_ratio.into()),
-                ("depth_exact", (total.depth_exact as i64).into()),
-                ("branches_never", (total.branches_never as i64).into()),
-                ("branches_always", (total.branches_always as i64).into()),
-                ("unreachable_insts", (total.unreachable_insts as i64).into()),
-                ("audit_unsound", (unsound as i64).into()),
-                ("pass", pass.into()),
-            ]),
+            [("images", Json::Arr(images)), ("aggregate", aggregate)],
         );
         println!("{}", report.render());
     } else {

@@ -4,7 +4,7 @@
 //! byte-aligned baseline on every workload, at both semantic tiers.
 //!
 //! Run with `cargo run -p uhm-bench --bin encoding_report --release`.
-//! With `--json`, emits a versioned RunReport instead of the text tables.
+//! With `--json`, emits a versioned run report instead of the text tables.
 
 use dir::encode::SchemeKind;
 use dir::stats::{ImageSummary, StaticStats};

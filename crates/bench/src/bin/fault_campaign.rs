@@ -3,7 +3,7 @@
 //! fraction and cycle overhead per workload.
 //!
 //! Run with `cargo run -p uhm-bench --bin fault_campaign --release`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 //! With `--smoke`, runs only the DTB corruption classes at a fixed seed
 //! and rate and exits non-zero unless every single run recovers with the
 //! clean run's output — the CI gate for the integrity machinery.

@@ -12,7 +12,7 @@
 //!   fall upward).
 //!
 //! Run with `cargo run -p uhm-bench --bin fig1_space --release`.
-//! With `--json`, emits a versioned RunReport instead of the text tables.
+//! With `--json`, emits a versioned run report instead of the text tables.
 
 use dir::encode::SchemeKind;
 use dir::program::Program;

@@ -5,7 +5,7 @@
 //! statistics").
 //!
 //! Run with `cargo run -p uhm-bench --bin model_check --release`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 
 use dir::encode::SchemeKind;
 use telemetry::Json;

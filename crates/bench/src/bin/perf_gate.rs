@@ -11,7 +11,7 @@
 //! on the modeled-cost / host-throughput separation.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin perf_gate`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 //! With `--smoke`, exits non-zero if (a) the two decoders diverge on any
 //! instruction of any scheme — output, consumed bits, or modeled cost —
 //! or (b) any scheme's table/tree speedup ratio regresses more than 20%

@@ -9,7 +9,7 @@
 //! decode artifacts.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin pool_throughput`.
-//! With `--json`, emits a versioned RunReport (one row per worker count,
+//! With `--json`, emits a versioned run report (one row per worker count,
 //! including per-tenant latency percentiles) instead of the text table.
 //! With `--smoke`, exits non-zero if (a) any tenant's pooled outcome
 //! differs from the sequential reference at any tested worker count, or

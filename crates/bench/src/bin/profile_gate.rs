@@ -20,7 +20,7 @@
 //! thing profiling can cost is host time, and this gate bounds it.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin profile_gate`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 //! With `--smoke`, exits non-zero on any identity divergence or an
 //! overhead ratio above the bound.
 

@@ -5,7 +5,7 @@
 //! capacities.
 //!
 //! Run with `cargo run -p uhm-bench --bin replacement_ablation --release`.
-//! With `--json`, emits a versioned RunReport instead of the text tables.
+//! With `--json`, emits a versioned run report instead of the text tables.
 
 use dir::encode::SchemeKind;
 use memsim::Geometry;

@@ -21,8 +21,8 @@
 //!    absolute ceiling (the committed baseline pins the exact value;
 //!    the ceiling guards the sweep itself against runaway queueing).
 //!
-//! With `--json`, emits the schema-v6
-//! [`ServiceReport`](telemetry::ServiceReport); with
+//! With `--json`, emits a versioned service report with an `slo`
+//! section; with
 //! `--baseline`, prints the baseline file's exact contents (how
 //! `baselines/service_load.json` is regenerated after an intentional
 //! change).
@@ -197,7 +197,7 @@ fn main() -> ExitCode {
     }
     if json_flag() {
         let mut report = uhm::report::service_report("service_load", config_json(), &run);
-        report.slo = Some(slo_json(&run));
+        report.push("slo", slo_json(&run));
         println!("{}", report.render());
         return ExitCode::SUCCESS;
     }

@@ -3,7 +3,7 @@
 //! without the index field).
 //!
 //! Run with `cargo run -p uhm-bench --bin table1`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 
 use telemetry::Json;
 use uhm_bench::{bench_report, json_flag};

@@ -12,7 +12,7 @@
 //!    machine rather than assumed.
 //!
 //! Run with `cargo run -p uhm-bench --bin table2 --release`.
-//! With `--json`, emits a versioned RunReport instead of the text panels.
+//! With `--json`, emits a versioned run report instead of the text panels.
 
 use dir::encode::SchemeKind;
 use telemetry::Json;

@@ -6,7 +6,7 @@
 //! symbolic model, and full simulation with measured parameters.
 //!
 //! Run with `cargo run -p uhm-bench --bin table3 --release`.
-//! With `--json`, emits a versioned RunReport instead of the text panels.
+//! With `--json`, emits a versioned run report instead of the text panels.
 
 use dir::encode::SchemeKind;
 use telemetry::Json;

@@ -7,7 +7,7 @@
 //! instead of re-decoded and re-translated.
 //!
 //! Run with `cargo run -p uhm-bench --bin two_level --release`.
-//! With `--json`, emits a versioned RunReport instead of the text table.
+//! With `--json`, emits a versioned run report instead of the text table.
 
 use dir::encode::SchemeKind;
 use telemetry::Json;

@@ -3,18 +3,19 @@
 //! Each binary under `src/bin/` either regenerates one table or figure
 //! of Rau (1978) or gates one of the cross-cutting planes
 //! (`fault_campaign`, `perf_gate`, `pool_throughput`, `analyze_gate`,
-//! `profile_gate`, `chaos_campaign`, `conformance_sweep`,
+//! `elide_gate`, `profile_gate`, `chaos_campaign`, `conformance_sweep`,
 //! `service_load`) against a committed baseline via `--smoke` — see
 //! DESIGN.md's experiment index. Every binary prints a plain-text
-//! table to stdout and the same data as a versioned report via
-//! `--json`. This library holds the workload plumbing they share.
+//! table to stdout and the same data as one versioned
+//! [`telemetry::Report`] line via `--json`. This library holds the
+//! workload plumbing they share.
 
 pub mod corpus;
 pub mod timing;
 
 use dir::encode::SchemeKind;
 use dir::program::Program;
-use telemetry::{Json, RunReport};
+use telemetry::{Json, Kind};
 use uhm::{DtbConfig, Machine, Mode, Report};
 
 /// A compiled workload at both semantic tiers.
@@ -80,21 +81,28 @@ pub fn run_three(
 }
 
 /// True when the binary was invoked with `--json`: emit a versioned
-/// [`RunReport`] instead of the plain-text table.
+/// [`telemetry::Report`] instead of the plain-text table.
 pub fn json_flag() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 
-/// Builds the canonical report every bench binary emits under `--json`:
-/// `tool` names the binary, `config` its knobs, and `rows` (an array of
-/// objects, one per printed table row) lands in the report's `output`
-/// section. The `metrics` section carries the row count so consumers can
-/// sanity-check truncation.
-pub fn bench_report(tool: &str, config: Json, rows: Vec<Json>) -> RunReport {
+/// Builds the canonical [`Kind::Run`] report the table, figure and gate
+/// bench binaries emit under `--json`: `tool` names the binary, `config`
+/// its knobs, and `rows` (an array of objects, one per printed table row)
+/// lands in the report's `output` section. The `metrics` section carries
+/// the row count so consumers can sanity-check truncation.
+pub fn bench_report(tool: &str, config: Json, rows: Vec<Json>) -> telemetry::Report {
     let metrics = Json::obj(vec![("rows", (rows.len() as u64).into())]);
-    let mut report = RunReport::new(tool, config, metrics, Json::obj(vec![]));
-    report.output = Some(Json::Arr(rows));
-    report
+    telemetry::Report::new(
+        Kind::Run,
+        tool,
+        config,
+        [
+            ("metrics", metrics),
+            ("derived", Json::obj(vec![])),
+            ("output", Json::Arr(rows)),
+        ],
+    )
 }
 
 /// Serializes one machine-run report as a row: identifying fields plus

@@ -5,12 +5,12 @@
 //! is auto-calibrated to a batch size large enough to time reliably,
 //! sampled several times, and summarized as min/mean ns per iteration.
 //! With `--json` the collected timings render as a versioned
-//! [`RunReport`] instead of the text table.
+//! [`Kind::Run`] report instead of the text table.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use telemetry::{Json, RunReport};
+use telemetry::{Json, Kind, Report};
 
 /// Timing summary of one named benchmark.
 #[derive(Debug, Clone)]
@@ -92,8 +92,8 @@ impl Harness {
     }
 
     /// In `--json` mode, renders the collected timings as a
-    /// [`RunReport`] on stdout; otherwise a no-op (lines were already
-    /// printed).
+    /// [`Kind::Run`] report on stdout; otherwise a no-op (lines were
+    /// already printed).
     pub fn finish(&self) {
         if !self.json {
             return;
@@ -112,7 +112,12 @@ impl Harness {
             .collect();
         let config = Json::obj(vec![("samples", (SAMPLES as u64).into())]);
         let metrics = Json::obj(vec![("benchmarks", Json::Arr(rows))]);
-        let report = RunReport::new(self.tool, config, metrics, Json::obj(vec![]));
+        let report = Report::new(
+            Kind::Run,
+            self.tool,
+            config,
+            [("metrics", metrics), ("derived", Json::obj(vec![]))],
+        );
         println!("{}", report.render());
     }
 }

@@ -1,11 +1,12 @@
-//! Every bench binary's `--json` output must be one parseable schema-1
-//! [`RunReport`] line — the acceptance surface scripts and CI rely on.
+//! A table/figure/gate bench binary's `--json` output must be one
+//! parseable run-kind [`Report`] line — the acceptance surface scripts and
+//! CI rely on.
 
 use std::process::Command;
 
-use telemetry::{Json, RunReport};
+use telemetry::{Json, Kind, Report};
 
-fn report_of(exe: &str) -> RunReport {
+fn report_of(exe: &str) -> Report {
     let out = Command::new(exe)
         .arg("--json")
         .output()
@@ -16,18 +17,24 @@ fn report_of(exe: &str) -> RunReport {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8(out.stdout).unwrap();
-    RunReport::parse(text.trim()).expect("stdout is one schema-1 RunReport")
+    Report::parse(text.trim(), Kind::Run).expect("stdout is one run report")
+}
+
+/// The report's `output` rows.
+fn rows_of(report: &Report) -> &[Json] {
+    report
+        .section("output")
+        .and_then(Json::as_arr)
+        .expect("an output array of rows")
 }
 
 #[test]
-fn dtb_sweep_emits_schema_1() {
+fn dtb_sweep_emits_a_run_report() {
     let rr = report_of(env!("CARGO_BIN_EXE_dtb_sweep"));
     assert_eq!(rr.tool, "dtb_sweep");
-    let Some(Json::Arr(rows)) = rr.output else {
-        panic!("expected per-workload rows");
-    };
+    let rows = rows_of(&rr);
     assert!(!rows.is_empty());
-    for row in &rows {
+    for row in rows {
         let Some(Json::Arr(sweep)) = row.get("sweep") else {
             panic!("expected a sweep array per workload");
         };
@@ -41,29 +48,25 @@ fn dtb_sweep_emits_schema_1() {
 }
 
 #[test]
-fn table1_emits_schema_1() {
+fn table1_emits_a_run_report() {
     let rr = report_of(env!("CARGO_BIN_EXE_table1"));
     assert_eq!(rr.tool, "table1");
-    let Some(Json::Arr(rows)) = rr.output else {
-        panic!("expected representation rows");
-    };
+    let rows = rows_of(&rr);
     // PSDER, PDP-11 and 360-RX representations at minimum.
     assert!(rows.len() >= 3);
-    for row in &rows {
+    for row in rows {
         assert!(row.get("total_bits").and_then(Json::as_i64).unwrap() > 0);
     }
 }
 
 #[test]
-fn perf_gate_emits_schema_1() {
+fn perf_gate_emits_a_run_report() {
     let rr = report_of(env!("CARGO_BIN_EXE_perf_gate"));
     assert_eq!(rr.tool, "perf_gate");
     for key in ["lut_bits", "workloads", "tolerance"] {
         assert!(rr.config.get(key).is_some(), "config.{key} missing");
     }
-    let Some(Json::Arr(rows)) = rr.output else {
-        panic!("expected decode + translate rows");
-    };
+    let rows = rows_of(&rr);
     let decode: Vec<_> = rows
         .iter()
         .filter(|r| r.get("kind").and_then(Json::as_str) == Some("decode"))
@@ -90,15 +93,13 @@ fn perf_gate_emits_schema_1() {
 }
 
 #[test]
-fn pool_throughput_emits_schema_1() {
+fn pool_throughput_emits_a_run_report() {
     let rr = report_of(env!("CARGO_BIN_EXE_pool_throughput"));
     assert_eq!(rr.tool, "pool_throughput");
     for key in ["tenants", "corpus", "host_cores"] {
         assert!(rr.config.get(key).is_some(), "config.{key} missing");
     }
-    let Some(Json::Arr(rows)) = rr.output else {
-        panic!("expected one row per worker count");
-    };
+    let rows = rows_of(&rr);
     assert_eq!(rows.len(), 4, "worker counts 1/2/4/8");
     let instrs: Vec<i64> = rows
         .iter()
@@ -109,7 +110,7 @@ fn pool_throughput_emits_schema_1() {
         instrs.iter().all(|&i| i > 0 && i == instrs[0]),
         "{instrs:?}"
     );
-    for row in &rows {
+    for row in rows {
         assert!(row.get("minstr_per_sec").and_then(Json::as_f64).unwrap() > 0.0);
         let p50 = row.get("latency_p50_ns").and_then(Json::as_f64).unwrap();
         let p99 = row.get("latency_p99_ns").and_then(Json::as_f64).unwrap();
@@ -118,7 +119,7 @@ fn pool_throughput_emits_schema_1() {
 }
 
 #[test]
-fn model_check_emits_schema_1() {
+fn model_check_emits_a_run_report() {
     let rr = report_of(env!("CARGO_BIN_EXE_model_check"));
     assert_eq!(rr.tool, "model_check");
     let max_err = rr

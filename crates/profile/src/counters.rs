@@ -239,7 +239,7 @@ impl CounterPlane {
     }
 
     /// The attribution payload as the canonical `profile` section of a
-    /// schema-v4 [`telemetry::ProfileReport`].
+    /// [`telemetry::Kind::Profile`] report.
     pub fn to_json(&self) -> Json {
         let regions: Vec<Json> = self
             .by_region()
@@ -462,15 +462,15 @@ mod tests {
     }
 
     #[test]
-    fn profile_matches_the_recorded_trace() {
-        // The counter plane's incremental profile must equal the one
-        // built from a full recorded address trace.
+    fn profile_matches_the_reference_trace() {
+        // The machine's counter plane must agree, address by address,
+        // with the profile of the reference executor's recorded trace.
         let program = dir::compiler::compile(&hlr::compile(LOOP).unwrap());
-        let mut machine = Machine::new(&program, SchemeKind::Packed);
-        machine.set_trace(true);
+        let machine = Machine::new(&program, SchemeKind::Packed);
         let mut plane = CounterPlane::new(&program);
-        let report = machine.run_with(&Mode::Interpreter, &mut plane).unwrap();
-        let from_trace = Profile::from_trace(&program, report.metrics.trace.as_ref().unwrap());
+        machine.run_with(&Mode::Interpreter, &mut plane).unwrap();
+        let (_, stats) = dir::exec::run_with(&program, dir::exec::Limits::default(), true).unwrap();
+        let from_trace = Profile::from_trace(&program, &stats.trace.unwrap());
         assert_eq!(plane.profile(), from_trace);
     }
 

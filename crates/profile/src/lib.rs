@@ -14,8 +14,8 @@
 //! * [`CounterPlane`] — the always-on counter plane: per-DIR-region,
 //!   per-opcode and per-tier (INTERP / PSDER) retire + cycle
 //!   attribution, opcode-pair frequencies, and sampled DTB
-//!   occupancy/eviction timelines, rendered into the schema-v4
-//!   [`telemetry::ProfileReport`] by [`report::profile_report`];
+//!   occupancy/eviction timelines, rendered into a
+//!   [`telemetry::Kind::Profile`] report by [`report::profile_report`];
 //! * [`SpanTracer`] — hierarchical span tracing on the modeled clock,
 //!   exported as Chrome `trace_event` JSON loadable in Perfetto
 //!   (`raul ... --trace-out trace.json`);

@@ -1,5 +1,5 @@
 //! Execution profiling: per-instruction and per-procedure execution
-//! counts derived from a machine's DIR-address trace.
+//! counts derived from a DIR-address trace.
 //!
 //! The paper's whole argument rests on skewed execution profiles — a small
 //! hot working set that earns its translation many times over. This module
@@ -19,8 +19,9 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Builds a profile from a recorded DIR-address trace (see
-    /// [`Machine::set_trace`](uhm::Machine::set_trace)).
+    /// Builds a profile from a recorded DIR-address trace, such as the
+    /// one the reference executor records
+    /// ([`dir::exec::run_with`] with `trace` set).
     pub fn from_trace(program: &Program, trace: &[u32]) -> Profile {
         let mut counts = vec![0u64; program.len()];
         for &addr in trace {
@@ -93,12 +94,15 @@ mod tests {
     use dir::encode::SchemeKind;
     use uhm::{DtbConfig, Machine, Mode};
 
+    /// The profile of `program`'s reference-executor address trace.
+    fn reference_profile(program: &Program) -> Profile {
+        let (_, stats) = dir::exec::run_with(program, dir::exec::Limits::default(), true).unwrap();
+        Profile::from_trace(program, &stats.trace.unwrap())
+    }
+
     fn profile_of(src: &str) -> (Program, Profile) {
         let program = dir::compiler::compile(&hlr::compile(src).unwrap());
-        let mut machine = Machine::new(&program, SchemeKind::Packed);
-        machine.set_trace(true);
-        let report = machine.run(&Mode::Interpreter).unwrap();
-        let profile = Profile::from_trace(&program, &report.metrics.trace.unwrap());
+        let profile = reference_profile(&program);
         (program, profile)
     }
 
@@ -128,10 +132,7 @@ mod tests {
     #[test]
     fn straightline_has_flat_profile() {
         let program = dir::compiler::compile(&hlr::programs::STRAIGHTLINE.compile().unwrap());
-        let mut machine = Machine::new(&program, SchemeKind::Packed);
-        machine.set_trace(true);
-        let report = machine.run(&Mode::Interpreter).unwrap();
-        let p = Profile::from_trace(&program, &report.metrics.trace.unwrap());
+        let p = reference_profile(&program);
         // Every instruction executes exactly once: coverage is linear.
         assert_eq!(p.touched() as u64, p.total);
         let k = p.counts.len() / 2;
@@ -238,10 +239,8 @@ mod tests {
         // The DTB's hit ratio can never exceed the coverage of its
         // capacity (perfect replacement bound).
         let program = dir::compiler::compile(&hlr::programs::QUEENS.compile().unwrap());
-        let mut machine = Machine::new(&program, SchemeKind::Packed);
-        machine.set_trace(true);
-        let interp = machine.run(&Mode::Interpreter).unwrap();
-        let profile = Profile::from_trace(&program, &interp.metrics.trace.unwrap());
+        let machine = Machine::new(&program, SchemeKind::Packed);
+        let profile = reference_profile(&program);
         for cap in [8usize, 32] {
             let r = machine
                 .run(&Mode::Dtb(DtbConfig::with_capacity(cap)))

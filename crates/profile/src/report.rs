@@ -1,5 +1,5 @@
-//! Builders for the schema-v4 [`ProfileReport`]: single-run attribution
-//! and pool-wide aggregation.
+//! Builders for the [`Kind::Profile`] report: single-run attribution and
+//! pool-wide aggregation.
 //!
 //! The single-run builder pairs a [`CounterPlane`] with the run's
 //! [`Metrics`]; the pool builder folds a [`PoolRun`] into mergeable
@@ -7,21 +7,16 @@
 //! merged bucket-exactly), worker utilization and the queue-depth
 //! timeline.
 
-use telemetry::{Json, LogHistogram, ProfileReport};
+use telemetry::{Json, Kind, LogHistogram, Report};
 use uhm::pool::PoolRun;
 use uhm::Metrics;
 
 use crate::counters::CounterPlane;
 
-/// Assembles a schema-v4 profile report from one run's counter plane and
-/// metrics. `config` is the free-form run configuration (workload, mode,
-/// scheme, knobs) the caller already knows.
-pub fn profile_report(
-    tool: &str,
-    config: Json,
-    plane: &CounterPlane,
-    metrics: &Metrics,
-) -> ProfileReport {
+/// Assembles a profile report from one run's counter plane and metrics.
+/// `config` is the free-form run configuration (workload, mode, scheme,
+/// knobs) the caller already knows.
+pub fn profile_report(tool: &str, config: Json, plane: &CounterPlane, metrics: &Metrics) -> Report {
     let aggregate = Json::obj([
         ("instructions", Json::from(metrics.instructions)),
         ("cycles", Json::from(metrics.cycles.total())),
@@ -33,7 +28,12 @@ pub fn profile_report(
         ("cycles_observed", Json::from(plane.cycles())),
         ("dtb_evictions", Json::from(plane.evictions())),
     ]);
-    ProfileReport::new(tool, config, plane.to_json(), aggregate)
+    Report::new(
+        Kind::Profile,
+        tool,
+        config,
+        [("profile", plane.to_json()), ("aggregate", aggregate)],
+    )
 }
 
 /// Folds a pool run into the report's optional `pool` section:
@@ -104,7 +104,6 @@ mod tests {
     use super::*;
     use dir::encode::SchemeKind;
     use std::sync::Arc;
-    use telemetry::PROFILE_SCHEMA_VERSION;
     use uhm::pool::MachinePool;
     use uhm::{DtbConfig, Machine, Mode};
 
@@ -115,7 +114,7 @@ mod tests {
     end";
 
     #[test]
-    fn single_run_report_round_trips_at_schema_v4() {
+    fn single_run_report_round_trips_as_a_profile_report() {
         let program = dir::compiler::compile(&hlr::compile(LOOP).unwrap());
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut plane = CounterPlane::new(&program);
@@ -129,18 +128,12 @@ mod tests {
             &report.metrics,
         );
         let text = pr.render();
-        let back = ProfileReport::parse(&text).unwrap();
+        let back = Report::parse(&text, Kind::Profile).unwrap();
         assert_eq!(back, pr);
-        let j = back.to_json();
+        let aggregate = back.section("aggregate").unwrap();
         assert_eq!(
-            j.get("schema_version").and_then(Json::as_i64),
-            Some(PROFILE_SCHEMA_VERSION)
-        );
-        assert_eq!(
-            back.aggregate.get("instructions").and_then(Json::as_i64),
-            back.aggregate
-                .get("retires_observed")
-                .and_then(Json::as_i64),
+            aggregate.get("instructions").and_then(Json::as_i64),
+            aggregate.get("retires_observed").and_then(Json::as_i64),
             "counter plane must have observed every retire"
         );
     }

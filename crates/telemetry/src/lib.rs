@@ -15,7 +15,7 @@
 //!   streams events as JSON lines;
 //! * [`json`] + [`report`] — a dependency-free JSON value model
 //!   (serializer *and* parser, so reports round-trip) and the versioned
-//!   [`RunReport`] schema every `--json` surface emits, making
+//!   [`Report`] envelope every `--json` surface emits, making
 //!   `BENCH_*.json` trajectories diffable across PRs.
 //!
 //! The crate is a leaf: it depends on nothing in the workspace (or
@@ -32,10 +32,6 @@ pub mod stats;
 
 pub use event::{Event, EventCounts, FaultKind, MissKind, Tier};
 pub use json::Json;
-pub use report::{
-    AnalyzeReport, PoolReport, ProfileReport, ResilienceReport, RunReport, ServiceReport,
-    ANALYZE_SCHEMA_VERSION, POOL_SCHEMA_VERSION, PROFILE_SCHEMA_VERSION, RESILIENCE_SCHEMA_VERSION,
-    SCHEMA_VERSION, SERVICE_SCHEMA_VERSION,
-};
+pub use report::{Kind, Report, SCHEMA_VERSION};
 pub use sink::{JsonlSink, NullSink, RingSink, TeeSink, TraceSink};
 pub use stats::{percentile_sorted, LogHistogram, Percentiles};

@@ -1,127 +1,151 @@
-//! The versioned, machine-readable run report.
+//! The versioned, machine-readable report envelope.
 //!
-//! Every `--json` surface in the workspace — `raul run`, `raul profile`,
-//! and each bench binary — emits exactly this shape, so results are
-//! diffable across PRs and scriptable with `jq`. The schema is versioned:
-//! consumers check `schema_version` and fail loudly on mismatch instead
-//! of silently misreading renamed fields.
+//! Every `--json` surface in the workspace — each `raul` subcommand and
+//! each bench binary — emits exactly one [`Report`] line, so results are
+//! diffable across PRs and scriptable with `jq`. One envelope serves
+//! every kind of run; only the table of required sections
+//! ([`Kind::required`]) differs per kind. The version applies to the
+//! envelope: consumers check `schema_version` and `kind` and fail loudly
+//! on mismatch instead of silently misreading renamed fields.
 //!
-//! Top-level shape (version 1):
+//! The document is flat (version 8):
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
-//!   "tool": "raul run",
-//!   "config": { ... },          // free-form: workload, mode, scheme, knobs
-//!   "metrics": { ... },         // counters + cycle breakdown + dtb/icache stats
-//!   "derived": { "T": .., "d": .., "g": .., "x": .., "s1": .., "s2": .. },
-//!   "windows": [ ... ],         // optional per-N-instruction samples
-//!   "output": [ ... ]           // optional program output
+//!   "schema_version": 8,
+//!   "kind": "run",               // run | pool | analyze | profile | resilience | service
+//!   "tool": "raul",
+//!   "config": { ... },           // free-form: workload, mode, scheme, knobs
+//!   "metrics": { ... },          // the sections, in emission order:
+//!   "derived": { ... },          //   the kind's required ones, then any
+//!   "windows": [ ... ]           //   optional ones (windows, output, ...)
 //! }
 //! ```
 
 use crate::json::Json;
-use crate::stats::Percentiles;
 
-/// Current schema version of [`RunReport`]. Bump on any
-/// rename/removal/semantic change of an existing field; adding fields is
+/// Version of the [`Report`] envelope. Bump on any rename, removal or
+/// semantic change of an existing section or field; adding a section is
 /// backward compatible and does not require a bump.
-pub const SCHEMA_VERSION: i64 = 1;
-
-/// Current schema version of [`PoolReport`]. Multi-tenant pool runs are a
-/// distinct top-level shape (per-tenant array + latency percentiles), so
-/// they carry their own version, starting above [`SCHEMA_VERSION`] to keep
-/// the two report families unambiguous in mixed JSONL streams.
-pub const POOL_SCHEMA_VERSION: i64 = 2;
-
-/// Current schema version of [`AnalyzeReport`]. Static-verification runs
-/// are a third top-level shape (per-image verdict array + corpus
-/// aggregate), versioned above [`POOL_SCHEMA_VERSION`] so the three
-/// report families stay unambiguous in mixed JSONL streams.
 ///
-/// Version 7 (the dataflow plane): per-image verdicts gained `facts`
-/// (per-pass fact counts and per-procedure discharge ratios) and
-/// `hot_regions` sections, and the aggregate gained corpus-wide fact
-/// coverage. The version leapfrogs the other report families so every
-/// consumer written against versions 3–6 rejects the new documents
-/// loudly instead of silently missing the fact sections.
-pub const ANALYZE_SCHEMA_VERSION: i64 = 7;
+/// Version 8 replaced the six per-kind report families (versions 1, 2
+/// and 4–7) with this envelope and its `kind` field; documents stamped
+/// with any earlier version are rejected.
+pub const SCHEMA_VERSION: i64 = 8;
 
-/// Current schema version of [`ProfileReport`]. Profiling runs are a
-/// fourth top-level shape (per-region/opcode/tier attribution plus
-/// optional pool aggregation), versioned above
-/// [`ANALYZE_SCHEMA_VERSION`] so all four report families stay
-/// unambiguous in mixed JSONL streams.
-pub const PROFILE_SCHEMA_VERSION: i64 = 4;
-
-/// Current schema version of [`ResilienceReport`]. Chaos campaigns and
-/// supervised pool runs are a fifth top-level shape (per-scenario array
-/// plus an aggregate outcome table and invariant verdicts), versioned
-/// above [`PROFILE_SCHEMA_VERSION`] so all five report families stay
-/// unambiguous in mixed JSONL streams.
-pub const RESILIENCE_SCHEMA_VERSION: i64 = 5;
-
-/// Current schema version of [`ServiceReport`]. Request-serving runs are
-/// a sixth top-level shape (a per-load-step trajectory of
-/// latency-under-load percentiles plus a request outcome table),
-/// versioned above [`RESILIENCE_SCHEMA_VERSION`] so all six report
-/// families stay unambiguous in mixed JSONL streams.
-pub const SERVICE_SCHEMA_VERSION: i64 = 6;
-
-/// One machine-readable run report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunReport {
-    /// The emitting tool, e.g. `"raul run"` or `"dtb_sweep"`.
-    pub tool: String,
-    /// The configuration that produced the run (free-form object).
-    pub config: Json,
-    /// Measured counters (free-form object; `uhm` fills the canonical
-    /// shape).
-    pub metrics: Json,
-    /// The derived §7 parameters (`T`, `d`, `g`, `x`, `s1`, `s2`).
-    pub derived: Json,
-    /// Optional per-window samples.
-    pub windows: Option<Json>,
-    /// Optional program output.
-    pub output: Option<Json>,
-    /// Optional trace-sink health (ring `dropped`/`retained`, JSONL
-    /// `written`/`write_error`): surfaces silently dropped trace events
-    /// in the report itself.
-    pub trace_health: Option<Json>,
+/// What a [`Report`] describes; it decides the required sections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// One program on one machine (`raul run`, `raul faults`, the
+    /// table/figure/gate bench bins).
+    Run,
+    /// A batch of tenants on a worker pool (`raul pool`, `raul chaos`).
+    Pool,
+    /// Load-time verification of encoded images (`raul analyze`,
+    /// `analyze_gate`, `elide_gate`).
+    Analyze,
+    /// Cycle attribution of one run or a pool (`raul profile`).
+    Profile,
+    /// A chaos campaign's scenarios and invariant verdicts
+    /// (`chaos_campaign`).
+    Resilience,
+    /// A request-serving latency trajectory (`raul serve`, `raul load`,
+    /// `service_load`).
+    Service,
 }
 
-impl RunReport {
-    /// Creates a report with empty optional sections.
-    pub fn new(tool: &str, config: Json, metrics: Json, derived: Json) -> RunReport {
-        RunReport {
-            tool: tool.to_string(),
-            config,
-            metrics,
-            derived,
-            windows: None,
-            output: None,
-            trace_health: None,
+impl Kind {
+    /// The kind's `kind` field value.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kind::Run => "run",
+            Kind::Pool => "pool",
+            Kind::Analyze => "analyze",
+            Kind::Profile => "profile",
+            Kind::Resilience => "resilience",
+            Kind::Service => "service",
         }
     }
 
-    /// The report as a JSON value (with `schema_version` stamped in).
+    /// The sections a report of this kind must carry. Every other
+    /// section is optional.
+    pub fn required(self) -> &'static [&'static str] {
+        match self {
+            Kind::Run => &["metrics", "derived"],
+            Kind::Pool => &["tenants", "aggregate", "latency_ns"],
+            Kind::Analyze => &["images", "aggregate"],
+            Kind::Profile => &["profile", "aggregate"],
+            Kind::Resilience => &["scenarios", "outcomes", "invariants"],
+            Kind::Service => &["steps", "aggregate"],
+        }
+    }
+}
+
+/// The envelope keys every report carries ahead of its sections.
+const HEADER: [&str; 4] = ["schema_version", "kind", "tool", "config"];
+
+/// One machine-readable report: a kind, the emitting tool, its
+/// configuration and an ordered list of named sections. Sections are
+/// free-form JSON — the producing crate fills the canonical shape; this
+/// type owns only versioning, the required-section check and
+/// round-tripping.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// What the report describes.
+    pub kind: Kind,
+    /// The emitting tool, e.g. `"raul"` or `"dtb_sweep"`.
+    pub tool: String,
+    /// The configuration that produced the run (free-form object).
+    pub config: Json,
+    /// The named sections, in emission order.
+    pub sections: Vec<(String, Json)>,
+}
+
+impl Report {
+    /// Creates a report from its sections, in order.
+    pub fn new<I>(kind: Kind, tool: &str, config: Json, sections: I) -> Report
+    where
+        I: IntoIterator<Item = (&'static str, Json)>,
+    {
+        let mut report = Report {
+            kind,
+            tool: tool.to_string(),
+            config,
+            sections: Vec::new(),
+        };
+        for (name, value) in sections {
+            report.push(name, value);
+        }
+        report
+    }
+
+    /// Appends a section after the existing ones.
+    pub fn push(&mut self, name: &str, value: Json) {
+        debug_assert!(
+            !HEADER.contains(&name) && self.section(name).is_none(),
+            "duplicate report key {name}"
+        );
+        self.sections.push((name.to_string(), value));
+    }
+
+    /// The named section, if present.
+    pub fn section(&self, name: &str) -> Option<&Json> {
+        self.sections
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
+    }
+
+    /// The report as a JSON value (with `schema_version` and `kind`
+    /// stamped in).
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
             ("schema_version".to_string(), Json::Int(SCHEMA_VERSION)),
-            ("tool".to_string(), Json::Str(self.tool.clone())),
+            ("kind".to_string(), Json::from(self.kind.name())),
+            ("tool".to_string(), Json::from(self.tool.as_str())),
             ("config".to_string(), self.config.clone()),
-            ("metrics".to_string(), self.metrics.clone()),
-            ("derived".to_string(), self.derived.clone()),
         ];
-        if let Some(w) = &self.windows {
-            pairs.push(("windows".to_string(), w.clone()));
-        }
-        if let Some(o) = &self.output {
-            pairs.push(("output".to_string(), o.clone()));
-        }
-        if let Some(t) = &self.trace_health {
-            pairs.push(("trace_health".to_string(), t.clone()));
-        }
+        pairs.extend(self.sections.iter().cloned());
         Json::Obj(pairs)
     }
 
@@ -130,13 +154,19 @@ impl RunReport {
         self.to_json().render()
     }
 
-    /// Reconstructs a report from a parsed JSON value.
+    /// Parses a report of the `expected` kind from JSON text.
     ///
     /// # Errors
     ///
-    /// Fails when `schema_version` is missing or not [`SCHEMA_VERSION`],
-    /// or a required section is absent.
-    pub fn from_json(value: &Json) -> Result<RunReport, String> {
+    /// Propagates JSON syntax errors. Fails when `schema_version` is
+    /// missing or not [`SCHEMA_VERSION`], when `kind` is not `expected`,
+    /// or when `tool`, `config` or one of the kind's
+    /// [required](Kind::required) sections is absent.
+    pub fn parse(text: &str, expected: Kind) -> Result<Report, String> {
+        let value = Json::parse(text)?;
+        let Json::Obj(pairs) = &value else {
+            return Err("report is not a JSON object".to_string());
+        };
         let version = value
             .get("schema_version")
             .and_then(Json::as_i64)
@@ -146,621 +176,36 @@ impl RunReport {
                 "unsupported schema_version {version} (expected {SCHEMA_VERSION})"
             ));
         }
+        let kind = value
+            .get("kind")
+            .and_then(Json::as_str)
+            .ok_or("missing kind")?;
+        if kind != expected.name() {
+            return Err(format!("report kind {kind} (expected {})", expected.name()));
+        }
         let tool = value
             .get("tool")
             .and_then(Json::as_str)
-            .ok_or("missing tool")?
-            .to_string();
-        let section = |name: &str| -> Result<Json, String> {
-            value
-                .get(name)
-                .cloned()
-                .ok_or(format!("missing {name} section"))
-        };
-        Ok(RunReport {
-            tool,
-            config: section("config")?,
-            metrics: section("metrics")?,
-            derived: section("derived")?,
-            windows: value.get("windows").cloned(),
-            output: value.get("output").cloned(),
-            trace_health: value.get("trace_health").cloned(),
-        })
-    }
-
-    /// Parses a report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates JSON syntax errors and schema violations.
-    pub fn parse(text: &str) -> Result<RunReport, String> {
-        RunReport::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One machine-readable multi-tenant pool report (schema
-/// [`POOL_SCHEMA_VERSION`]).
-///
-/// Where [`RunReport`] describes a single program on a single machine,
-/// a `PoolReport` describes N tenant programs executed by a worker pool:
-/// a per-tenant result array, pool-level aggregates (wall-clock, total
-/// modeled work, throughput), and the latency distribution across
-/// tenants as p50/p95/p99. The per-tenant and aggregate sections are
-/// free-form objects — the producing crate (`uhm::report`) fills the
-/// canonical shape; this type owns only versioning and round-tripping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolReport {
-    /// The emitting tool, e.g. `"raul pool"` or `"pool_throughput"`.
-    pub tool: String,
-    /// Pool configuration (free-form object: workers, tenant count,
-    /// mode, scheme, fault knobs).
-    pub config: Json,
-    /// Per-tenant results, in tenant-index order (free-form array).
-    pub tenants: Json,
-    /// Pool-level aggregates (free-form object: wall_ns, instructions,
-    /// cycles, minstr_per_sec, steals, ...).
-    pub aggregate: Json,
-    /// Per-tenant latency percentiles, in nanoseconds.
-    pub latency: Percentiles,
-    /// Optional trace-sink health (dropped/retained/written counts per
-    /// tenant sink), mirroring [`RunReport::trace_health`].
-    pub trace_health: Option<Json>,
-}
-
-impl PoolReport {
-    /// Creates a pool report from its four sections.
-    pub fn new(
-        tool: &str,
-        config: Json,
-        tenants: Json,
-        aggregate: Json,
-        latency: Percentiles,
-    ) -> PoolReport {
-        PoolReport {
+            .ok_or("missing tool")?;
+        let config = value.get("config").cloned().ok_or("missing config")?;
+        let sections: Vec<(String, Json)> = pairs
+            .iter()
+            .filter(|(k, _)| !HEADER.contains(&k.as_str()))
+            .cloned()
+            .collect();
+        if let Some(name) = expected
+            .required()
+            .iter()
+            .find(|&&name| !sections.iter().any(|(k, _)| k == name))
+        {
+            return Err(format!("missing {name} section"));
+        }
+        Ok(Report {
+            kind: expected,
             tool: tool.to_string(),
             config,
-            tenants,
-            aggregate,
-            latency,
-            trace_health: None,
-        }
-    }
-
-    /// The report as a JSON value (with `schema_version` stamped in).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("schema_version".to_string(), Json::Int(POOL_SCHEMA_VERSION)),
-            ("tool".to_string(), Json::Str(self.tool.clone())),
-            ("config".to_string(), self.config.clone()),
-            ("tenants".to_string(), self.tenants.clone()),
-            ("aggregate".to_string(), self.aggregate.clone()),
-            (
-                "latency_ns".to_string(),
-                Json::obj([
-                    ("p50", Json::from(self.latency.p50)),
-                    ("p95", Json::from(self.latency.p95)),
-                    ("p99", Json::from(self.latency.p99)),
-                    ("p999", Json::from(self.latency.p999)),
-                ]),
-            ),
-        ];
-        if let Some(t) = &self.trace_health {
-            pairs.push(("trace_health".to_string(), t.clone()));
-        }
-        Json::Obj(pairs)
-    }
-
-    /// Serializes to one compact JSON line.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Reconstructs a pool report from a parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `schema_version` is missing or not
-    /// [`POOL_SCHEMA_VERSION`], or a required section is absent.
-    pub fn from_json(value: &Json) -> Result<PoolReport, String> {
-        let version = value
-            .get("schema_version")
-            .and_then(Json::as_i64)
-            .ok_or("missing schema_version")?;
-        if version != POOL_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported pool schema_version {version} (expected {POOL_SCHEMA_VERSION})"
-            ));
-        }
-        let tool = value
-            .get("tool")
-            .and_then(Json::as_str)
-            .ok_or("missing tool")?
-            .to_string();
-        let section = |name: &str| -> Result<Json, String> {
-            value
-                .get(name)
-                .cloned()
-                .ok_or(format!("missing {name} section"))
-        };
-        let latency_obj = section("latency_ns")?;
-        let pct = |name: &str| -> Result<f64, String> {
-            latency_obj
-                .get(name)
-                .and_then(Json::as_f64)
-                .ok_or(format!("missing latency_ns.{name}"))
-        };
-        Ok(PoolReport {
-            tool,
-            config: section("config")?,
-            tenants: section("tenants")?,
-            aggregate: section("aggregate")?,
-            latency: Percentiles {
-                p50: pct("p50")?,
-                p95: pct("p95")?,
-                p99: pct("p99")?,
-                // p999 was added after schema 2 shipped; adding a field
-                // is backward compatible, so old reports parse as 0.0.
-                p999: latency_obj
-                    .get("p999")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-            },
-            trace_health: value.get("trace_health").cloned(),
+            sections,
         })
-    }
-
-    /// Parses a pool report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates JSON syntax errors and schema violations.
-    pub fn parse(text: &str) -> Result<PoolReport, String> {
-        PoolReport::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One machine-readable static-verification report (schema
-/// [`ANALYZE_SCHEMA_VERSION`]).
-///
-/// Where [`RunReport`] describes a dynamic run, an `AnalyzeReport`
-/// describes load-time verification of one or more encoded images: a
-/// per-image verdict array (name, scheme, diagnostic counts, diagnostics)
-/// and a corpus-level aggregate (images checked, clean count, totals).
-/// Both sections are free-form — the producing side (`raul analyze`, the
-/// analyze gate bench) fills the canonical shape; this type owns only
-/// versioning and round-tripping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzeReport {
-    /// The emitting tool, e.g. `"raul analyze"` or `"analyze_gate"`.
-    pub tool: String,
-    /// Verification configuration (free-form object: schemes, corpus).
-    pub config: Json,
-    /// Per-image verdicts (free-form array of objects with `name`,
-    /// `scheme`, `clean`, `errors`, `warnings`, `notes`, `diagnostics`).
-    pub images: Json,
-    /// Corpus-level aggregate (free-form object: `images`, `clean`,
-    /// `errors`, `warnings`).
-    pub aggregate: Json,
-}
-
-impl AnalyzeReport {
-    /// Creates an analyze report from its three sections.
-    pub fn new(tool: &str, config: Json, images: Json, aggregate: Json) -> AnalyzeReport {
-        AnalyzeReport {
-            tool: tool.to_string(),
-            config,
-            images,
-            aggregate,
-        }
-    }
-
-    /// The report as a JSON value (with `schema_version` stamped in).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Json::Int(ANALYZE_SCHEMA_VERSION),
-            ),
-            ("tool".to_string(), Json::Str(self.tool.clone())),
-            ("config".to_string(), self.config.clone()),
-            ("images".to_string(), self.images.clone()),
-            ("aggregate".to_string(), self.aggregate.clone()),
-        ])
-    }
-
-    /// Serializes to one compact JSON line.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Reconstructs an analyze report from a parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `schema_version` is missing or not
-    /// [`ANALYZE_SCHEMA_VERSION`], or a required section is absent.
-    pub fn from_json(value: &Json) -> Result<AnalyzeReport, String> {
-        let version = value
-            .get("schema_version")
-            .and_then(Json::as_i64)
-            .ok_or("missing schema_version")?;
-        if version != ANALYZE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported analyze schema_version {version} (expected {ANALYZE_SCHEMA_VERSION})"
-            ));
-        }
-        let tool = value
-            .get("tool")
-            .and_then(Json::as_str)
-            .ok_or("missing tool")?
-            .to_string();
-        let section = |name: &str| -> Result<Json, String> {
-            value
-                .get(name)
-                .cloned()
-                .ok_or(format!("missing {name} section"))
-        };
-        Ok(AnalyzeReport {
-            tool,
-            config: section("config")?,
-            images: section("images")?,
-            aggregate: section("aggregate")?,
-        })
-    }
-
-    /// Parses an analyze report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates JSON syntax errors and schema violations.
-    pub fn parse(text: &str) -> Result<AnalyzeReport, String> {
-        AnalyzeReport::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One machine-readable profiling report (schema
-/// [`PROFILE_SCHEMA_VERSION`]).
-///
-/// Where [`RunReport`] carries a run's aggregate counters, a
-/// `ProfileReport` carries its *attribution*: per-DIR-region, per-opcode,
-/// and per-tier cycle/dispatch breakdowns, opcode-pair frequencies, and
-/// DTB occupancy/eviction timelines, plus an optional pool section
-/// (per-tenant latency histograms, worker utilization, queue depth). The
-/// `profile` and `aggregate` sections are free-form objects — the
-/// producing crate (`uhm-profile`) fills the canonical shape; this type
-/// owns only versioning and round-tripping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileReport {
-    /// The emitting tool, e.g. `"raul profile"` or `"profile_gate"`.
-    pub tool: String,
-    /// Profiling configuration (free-form object: workload, mode,
-    /// scheme, knobs).
-    pub config: Json,
-    /// The attribution payload (free-form object: `regions`, `opcodes`,
-    /// `tiers`, `pairs`, `dtb_timeline`, `hottest`, `coverage`).
-    pub profile: Json,
-    /// Run-level aggregates (free-form object: `instructions`,
-    /// `cycles`, `events`).
-    pub aggregate: Json,
-    /// Optional pool aggregation (per-tenant latency histograms, worker
-    /// utilization, queue-depth samples).
-    pub pool: Option<Json>,
-    /// Optional trace-sink health, mirroring [`RunReport::trace_health`].
-    pub trace_health: Option<Json>,
-}
-
-impl ProfileReport {
-    /// Creates a profile report with empty optional sections.
-    pub fn new(tool: &str, config: Json, profile: Json, aggregate: Json) -> ProfileReport {
-        ProfileReport {
-            tool: tool.to_string(),
-            config,
-            profile,
-            aggregate,
-            pool: None,
-            trace_health: None,
-        }
-    }
-
-    /// The report as a JSON value (with `schema_version` stamped in).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            (
-                "schema_version".to_string(),
-                Json::Int(PROFILE_SCHEMA_VERSION),
-            ),
-            ("tool".to_string(), Json::Str(self.tool.clone())),
-            ("config".to_string(), self.config.clone()),
-            ("profile".to_string(), self.profile.clone()),
-            ("aggregate".to_string(), self.aggregate.clone()),
-        ];
-        if let Some(p) = &self.pool {
-            pairs.push(("pool".to_string(), p.clone()));
-        }
-        if let Some(t) = &self.trace_health {
-            pairs.push(("trace_health".to_string(), t.clone()));
-        }
-        Json::Obj(pairs)
-    }
-
-    /// Serializes to one compact JSON line.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Reconstructs a profile report from a parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `schema_version` is missing or not
-    /// [`PROFILE_SCHEMA_VERSION`], or a required section is absent.
-    pub fn from_json(value: &Json) -> Result<ProfileReport, String> {
-        let version = value
-            .get("schema_version")
-            .and_then(Json::as_i64)
-            .ok_or("missing schema_version")?;
-        if version != PROFILE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported profile schema_version {version} (expected {PROFILE_SCHEMA_VERSION})"
-            ));
-        }
-        let tool = value
-            .get("tool")
-            .and_then(Json::as_str)
-            .ok_or("missing tool")?
-            .to_string();
-        let section = |name: &str| -> Result<Json, String> {
-            value
-                .get(name)
-                .cloned()
-                .ok_or(format!("missing {name} section"))
-        };
-        Ok(ProfileReport {
-            tool,
-            config: section("config")?,
-            profile: section("profile")?,
-            aggregate: section("aggregate")?,
-            pool: value.get("pool").cloned(),
-            trace_health: value.get("trace_health").cloned(),
-        })
-    }
-
-    /// Parses a profile report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates JSON syntax errors and schema violations.
-    pub fn parse(text: &str) -> Result<ProfileReport, String> {
-        ProfileReport::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One machine-readable resilience report (schema
-/// [`RESILIENCE_SCHEMA_VERSION`]).
-///
-/// The output shape of chaos campaigns and supervised pool runs: a
-/// `scenarios` array (one entry per seeded chaos scenario, free-form —
-/// the producing bench fills the canonical shape), an `outcomes` object
-/// (the aggregate outcome table: completed / trapped / panicked /
-/// timed_out / shed / quarantined counts plus retries and worker
-/// crashes), and an `invariants` object recording the campaign's verdict
-/// on each asserted invariant (no lost tenants, full accounting,
-/// bit-identical survivors, bounded p99). This type owns only
-/// versioning and round-tripping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceReport {
-    /// The emitting tool, e.g. `"chaos_campaign"` or `"raul chaos"`.
-    pub tool: String,
-    /// Campaign configuration (free-form object: seeds, rates, policies,
-    /// worker counts).
-    pub config: Json,
-    /// Per-scenario results (free-form array).
-    pub scenarios: Json,
-    /// The aggregate outcome table (free-form object).
-    pub outcomes: Json,
-    /// Invariant verdicts (free-form object; `true` = held everywhere).
-    pub invariants: Json,
-}
-
-impl ResilienceReport {
-    /// Creates a resilience report.
-    pub fn new(
-        tool: &str,
-        config: Json,
-        scenarios: Json,
-        outcomes: Json,
-        invariants: Json,
-    ) -> ResilienceReport {
-        ResilienceReport {
-            tool: tool.to_string(),
-            config,
-            scenarios,
-            outcomes,
-            invariants,
-        }
-    }
-
-    /// The report as a JSON value (with `schema_version` stamped in).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "schema_version".to_string(),
-                Json::Int(RESILIENCE_SCHEMA_VERSION),
-            ),
-            ("tool".to_string(), Json::Str(self.tool.clone())),
-            ("config".to_string(), self.config.clone()),
-            ("scenarios".to_string(), self.scenarios.clone()),
-            ("outcomes".to_string(), self.outcomes.clone()),
-            ("invariants".to_string(), self.invariants.clone()),
-        ])
-    }
-
-    /// Serializes to one compact JSON line.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Reconstructs a resilience report from a parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `schema_version` is missing or not
-    /// [`RESILIENCE_SCHEMA_VERSION`], or a required section is absent.
-    pub fn from_json(value: &Json) -> Result<ResilienceReport, String> {
-        let version = value
-            .get("schema_version")
-            .and_then(Json::as_i64)
-            .ok_or("missing schema_version")?;
-        if version != RESILIENCE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported resilience schema_version {version} \
-                 (expected {RESILIENCE_SCHEMA_VERSION})"
-            ));
-        }
-        let tool = value
-            .get("tool")
-            .and_then(Json::as_str)
-            .ok_or("missing tool")?
-            .to_string();
-        let section = |name: &str| -> Result<Json, String> {
-            value
-                .get(name)
-                .cloned()
-                .ok_or(format!("missing {name} section"))
-        };
-        Ok(ResilienceReport {
-            tool,
-            config: section("config")?,
-            scenarios: section("scenarios")?,
-            outcomes: section("outcomes")?,
-            invariants: section("invariants")?,
-        })
-    }
-
-    /// Parses a resilience report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates JSON syntax errors and schema violations.
-    pub fn parse(text: &str) -> Result<ResilienceReport, String> {
-        ResilienceReport::from_json(&Json::parse(text)?)
-    }
-}
-
-/// One machine-readable service report (schema
-/// [`SERVICE_SCHEMA_VERSION`]).
-///
-/// The output shape of request-serving runs (`raul serve`/`raul load`,
-/// the `service_load` bench): where [`PoolReport`] carries one batch's
-/// latency percentiles, a `ServiceReport` extends them into a
-/// *latency-under-load trajectory* — a `steps` array with one entry per
-/// open-loop arrival-rate step, each carrying its own
-/// p50/p95/p99/p99.9 latency (in **modeled cycles**, so the trajectory
-/// is deterministic and committable as a baseline) plus the step's
-/// request outcome table (completed / trapped / rejected / shed). The
-/// `aggregate` section totals the outcome table across steps; the
-/// optional `slo` section records the producing tool's verdicts on its
-/// service-level objectives (bounded p99, zero lost requests, full
-/// accounting). Sections are free-form — the producing crate
-/// (`uhm::report::service_report`) fills the canonical shape; this type
-/// owns only versioning and round-tripping.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceReport {
-    /// The emitting tool, e.g. `"raul load"` or `"service_load"`.
-    pub tool: String,
-    /// Service configuration (free-form object: workers, watermark,
-    /// quota, admission bound, seed, request mix).
-    pub config: Json,
-    /// Per-load-step trajectory entries, in sweep order (free-form
-    /// array; each entry carries the step's arrival rate, outcome
-    /// counts, and `latency_cycles` percentiles).
-    pub steps: Json,
-    /// Cross-step aggregates (free-form object: total requests, the
-    /// outcome table, lost-request count).
-    pub aggregate: Json,
-    /// Optional SLO verdicts (free-form object; `true` = objective met).
-    pub slo: Option<Json>,
-}
-
-impl ServiceReport {
-    /// Creates a service report with an empty optional SLO section.
-    pub fn new(tool: &str, config: Json, steps: Json, aggregate: Json) -> ServiceReport {
-        ServiceReport {
-            tool: tool.to_string(),
-            config,
-            steps,
-            aggregate,
-            slo: None,
-        }
-    }
-
-    /// The report as a JSON value (with `schema_version` stamped in).
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            (
-                "schema_version".to_string(),
-                Json::Int(SERVICE_SCHEMA_VERSION),
-            ),
-            ("tool".to_string(), Json::Str(self.tool.clone())),
-            ("config".to_string(), self.config.clone()),
-            ("steps".to_string(), self.steps.clone()),
-            ("aggregate".to_string(), self.aggregate.clone()),
-        ];
-        if let Some(s) = &self.slo {
-            pairs.push(("slo".to_string(), s.clone()));
-        }
-        Json::Obj(pairs)
-    }
-
-    /// Serializes to one compact JSON line.
-    pub fn render(&self) -> String {
-        self.to_json().render()
-    }
-
-    /// Reconstructs a service report from a parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `schema_version` is missing or not
-    /// [`SERVICE_SCHEMA_VERSION`], or a required section is absent.
-    pub fn from_json(value: &Json) -> Result<ServiceReport, String> {
-        let version = value
-            .get("schema_version")
-            .and_then(Json::as_i64)
-            .ok_or("missing schema_version")?;
-        if version != SERVICE_SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported service schema_version {version} \
-                 (expected {SERVICE_SCHEMA_VERSION})"
-            ));
-        }
-        let tool = value
-            .get("tool")
-            .and_then(Json::as_str)
-            .ok_or("missing tool")?
-            .to_string();
-        let section = |name: &str| -> Result<Json, String> {
-            value
-                .get(name)
-                .cloned()
-                .ok_or(format!("missing {name} section"))
-        };
-        Ok(ServiceReport {
-            tool,
-            config: section("config")?,
-            steps: section("steps")?,
-            aggregate: section("aggregate")?,
-            slo: value.get("slo").cloned(),
-        })
-    }
-
-    /// Parses a service report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// Propagates JSON syntax errors and schema violations.
-    pub fn parse(text: &str) -> Result<ServiceReport, String> {
-        ServiceReport::from_json(&Json::parse(text)?)
     }
 }
 
@@ -768,514 +213,91 @@ impl ServiceReport {
 mod tests {
     use super::*;
 
-    fn sample() -> RunReport {
-        let mut r = RunReport::new(
-            "raul run",
-            Json::obj([
-                ("workload", Json::from("sieve")),
-                ("mode", Json::from("dtb")),
-                ("dtb_entries", Json::from(64i64)),
-            ]),
-            Json::obj([
-                ("instructions", Json::from(12345i64)),
-                ("cycles_total", Json::from(99999i64)),
-            ]),
-            Json::obj([
-                ("T", Json::from(8.1)),
-                ("d", Json::from(12.0)),
-                ("s1", Json::from(2.5)),
-            ]),
+    const KINDS: [Kind; 6] = [
+        Kind::Run,
+        Kind::Pool,
+        Kind::Analyze,
+        Kind::Profile,
+        Kind::Resilience,
+        Kind::Service,
+    ];
+
+    /// Optional sections, deliberately out of alphabetical order.
+    const OPTIONAL: [&str; 5] = ["windows", "output", "trace_health", "slo", "pool"];
+
+    /// A report of `kind` carrying its required sections (each tagged
+    /// with its name) followed by every optional section.
+    fn sample(kind: Kind) -> Report {
+        let mut r = Report::new(
+            kind,
+            "envelope_test",
+            Json::obj([("workers", Json::from(4i64))]),
+            [],
         );
-        r.windows = Some(Json::Arr(vec![Json::obj([
-            ("start", Json::from(0i64)),
-            ("hit_rate", Json::from(0.5)),
-        ])]));
-        r.output = Some(Json::Arr(vec![Json::Int(42)]));
+        for name in kind.required().iter().chain(&OPTIONAL) {
+            r.push(name, Json::obj([("section", Json::from(*name))]));
+        }
         r
     }
 
-    #[test]
-    fn report_round_trips_through_text() {
-        let r = sample();
-        let text = r.render();
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.to_json(), r.to_json());
-    }
-
-    #[test]
-    fn schema_version_is_stamped_and_checked() {
-        let r = sample();
-        let j = r.to_json();
-        assert_eq!(j.get("schema_version").and_then(Json::as_i64), Some(1));
-
-        let mut wrong = j.clone();
-        if let Json::Obj(pairs) = &mut wrong {
-            pairs[0].1 = Json::Int(999);
-        }
-        let err = RunReport::from_json(&wrong).unwrap_err();
-        assert!(err.contains("schema_version 999"), "{err}");
-    }
-
-    #[test]
-    fn optional_sections_stay_optional() {
-        let r = RunReport::new("t", Json::Obj(vec![]), Json::Obj(vec![]), Json::Obj(vec![]));
-        let text = r.render();
-        assert!(!text.contains("windows"));
-        let back = RunReport::parse(&text).unwrap();
-        assert_eq!(back.windows, None);
-        assert_eq!(back.output, None);
-    }
-
-    #[test]
-    fn missing_sections_are_rejected() {
-        assert!(RunReport::parse("{\"schema_version\":1}").is_err());
-        assert!(RunReport::parse("{}").is_err());
-        assert!(RunReport::parse("not json").is_err());
-    }
-
-    fn pool_sample() -> PoolReport {
-        PoolReport::new(
-            "raul pool",
-            Json::obj([
-                ("workers", Json::from(4i64)),
-                ("tenants", Json::from(8i64)),
-                ("mode", Json::from("dtb")),
-            ]),
-            Json::Arr(vec![
-                Json::obj([
-                    ("tenant", Json::from(0i64)),
-                    ("name", Json::from("sieve")),
-                    ("status", Json::from("completed")),
-                    ("latency_ns", Json::from(125_000i64)),
-                ]),
-                Json::obj([
-                    ("tenant", Json::from(1i64)),
-                    ("name", Json::from("fib")),
-                    ("status", Json::from("completed")),
-                    ("latency_ns", Json::from(250_000i64)),
-                ]),
-            ]),
-            Json::obj([
-                ("wall_ns", Json::from(300_000i64)),
-                ("instructions", Json::from(99_000i64)),
-                ("minstr_per_sec", Json::from(330.0)),
-                ("steals", Json::from(3i64)),
-            ]),
-            Percentiles::of(&[125_000.0, 250_000.0]),
-        )
-    }
-
-    #[test]
-    fn pool_report_round_trips_through_text() {
-        let r = pool_sample();
-        let back = PoolReport::parse(&r.render()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.latency.p50, 187_500.0);
-    }
-
-    #[test]
-    fn pool_schema_version_is_distinct_and_checked() {
-        let r = pool_sample();
-        let j = r.to_json();
-        assert_eq!(j.get("schema_version").and_then(Json::as_i64), Some(2));
-
-        // A pool report is not parseable as a run report and vice versa:
-        // the version spaces are disjoint by construction.
-        assert!(RunReport::from_json(&j).is_err());
-        assert!(PoolReport::from_json(&sample().to_json()).is_err());
-    }
-
-    fn analyze_sample() -> AnalyzeReport {
-        AnalyzeReport::new(
-            "raul analyze",
-            Json::obj([("scheme", Json::from("huffman"))]),
-            Json::Arr(vec![Json::obj([
-                ("name", Json::from("sieve")),
-                ("scheme", Json::from("huffman")),
-                ("clean", Json::Bool(true)),
-                ("errors", Json::from(0i64)),
-                ("warnings", Json::from(1i64)),
-                ("notes", Json::from(0i64)),
-                (
-                    "diagnostics",
-                    Json::Arr(vec![Json::obj([
-                        ("code", Json::from("AN501")),
-                        ("severity", Json::from("warning")),
-                        ("message", Json::from("hot loop exceeds default DTB")),
-                    ])]),
-                ),
-            ])]),
-            Json::obj([
-                ("images", Json::from(1i64)),
-                ("clean", Json::from(1i64)),
-                ("errors", Json::from(0i64)),
-                ("warnings", Json::from(1i64)),
-            ]),
-        )
-    }
-
-    #[test]
-    fn analyze_report_round_trips_through_text() {
-        let r = analyze_sample();
-        let back = AnalyzeReport::parse(&r.render()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn analyze_schema_version_is_distinct_and_checked() {
-        let j = analyze_sample().to_json();
-        assert_eq!(j.get("schema_version").and_then(Json::as_i64), Some(7));
-        // The three report families reject each other's versions.
-        assert!(RunReport::from_json(&j).is_err());
-        assert!(PoolReport::from_json(&j).is_err());
-        assert!(AnalyzeReport::from_json(&sample().to_json()).is_err());
-        assert!(AnalyzeReport::from_json(&pool_sample().to_json()).is_err());
-    }
-
-    #[test]
-    fn analyze_v7_rejects_pre_facts_version_3_documents() {
-        // A document stamped with the pre-dataflow analyze version (3)
-        // must be rejected: its verdicts carry no fact sections, and a
-        // silent parse would read absent coverage as zero.
-        let mut doctored = analyze_sample().to_json();
-        if let Json::Obj(pairs) = &mut doctored {
-            pairs[0].1 = Json::Int(3);
-        }
-        let err = AnalyzeReport::from_json(&doctored).unwrap_err();
-        assert!(
-            err.contains("unsupported analyze schema_version 3 (expected 7)"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn pool_report_requires_latency_percentiles() {
-        let mut j = pool_sample().to_json();
-        if let Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "latency_ns");
-        }
-        let err = PoolReport::from_json(&j).unwrap_err();
-        assert!(err.contains("latency_ns"), "{err}");
-    }
-
-    #[test]
-    fn pool_report_parses_pre_p999_latency_sections() {
-        // Reports rendered before p99.9 existed lack the key; adding a
-        // field is backward compatible, so they still parse (as 0.0).
-        let mut j = pool_sample().to_json();
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "latency_ns" {
-                    if let Json::Obj(lat) = v {
-                        lat.retain(|(name, _)| name != "p999");
-                    }
-                }
-            }
-        }
-        let back = PoolReport::from_json(&j).unwrap();
-        assert_eq!(back.latency.p999, 0.0);
-        assert_eq!(back.latency.p99, pool_sample().latency.p99);
-    }
-
-    fn profile_sample() -> ProfileReport {
-        let mut r = ProfileReport::new(
-            "raul profile",
-            Json::obj([
-                ("workload", Json::from("queens")),
-                ("mode", Json::from("dtb")),
-            ]),
-            Json::obj([
-                (
-                    "tiers",
-                    Json::Arr(vec![Json::obj([
-                        ("tier", Json::from("psder")),
-                        ("dispatches", Json::from(900i64)),
-                        ("cycles", Json::from(5400i64)),
-                    ])]),
-                ),
-                (
-                    "regions",
-                    Json::Arr(vec![Json::obj([
-                        ("name", Json::from("main")),
-                        ("cycles", Json::from(5400i64)),
-                    ])]),
-                ),
-            ]),
-            Json::obj([
-                ("instructions", Json::from(900i64)),
-                ("cycles", Json::from(5400i64)),
-            ]),
-        );
-        r.pool = Some(Json::obj([("queue_depth_max", Json::from(4i64))]));
-        r.trace_health = Some(Json::obj([("events_dropped", Json::from(0i64))]));
-        r
-    }
-
-    #[test]
-    fn profile_report_round_trips_through_text() {
-        let r = profile_sample();
-        let back = ProfileReport::parse(&r.render()).unwrap();
-        assert_eq!(back, r);
-        // Optional sections stay optional.
-        let bare = ProfileReport::new("t", Json::Obj(vec![]), Json::Obj(vec![]), Json::Obj(vec![]));
-        let back = ProfileReport::parse(&bare.render()).unwrap();
-        assert_eq!(back.pool, None);
-        assert_eq!(back.trace_health, None);
-    }
-
-    fn resilience_sample() -> ResilienceReport {
-        ResilienceReport::new(
-            "chaos_campaign",
-            Json::obj([
-                ("scenarios", Json::from(128i64)),
-                ("tenants", Json::from(16i64)),
-                ("fuel", Json::from(2_000_000i64)),
-            ]),
-            Json::Arr(vec![Json::obj([
-                ("seed", Json::from(7i64)),
-                ("completed", Json::from(14i64)),
-                ("timed_out", Json::from(2i64)),
-            ])]),
-            Json::obj([
-                ("completed", Json::from(14i64)),
-                ("trapped", Json::from(0i64)),
-                ("panicked", Json::from(0i64)),
-                ("timed_out", Json::from(2i64)),
-                ("shed", Json::from(0i64)),
-                ("quarantined", Json::from(0i64)),
-                ("retries", Json::from(2i64)),
-                ("worker_crashes", Json::from(1i64)),
-            ]),
-            Json::obj([
-                ("no_lost_tenants", Json::Bool(true)),
-                ("full_accounting", Json::Bool(true)),
-                ("bit_identical_survivors", Json::Bool(true)),
-                ("p99_bounded", Json::Bool(true)),
-            ]),
-        )
-    }
-
-    #[test]
-    fn resilience_report_round_trips_and_rejects_other_versions() {
-        let r = resilience_sample();
-        let back = ResilienceReport::parse(&r.render()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(
-            back.to_json().get("schema_version").and_then(Json::as_i64),
-            Some(RESILIENCE_SCHEMA_VERSION)
-        );
-        assert_eq!(
-            back.outcomes.get("timed_out").and_then(Json::as_i64),
-            Some(2)
-        );
-        assert_eq!(
-            back.invariants
-                .get("bit_identical_survivors")
-                .and_then(Json::as_bool),
-            Some(true)
-        );
-        // A doctored version is refused with the family's own message.
-        let mut doctored = r.to_json();
-        if let Json::Obj(pairs) = &mut doctored {
-            pairs[0].1 = Json::Int(4);
-        }
-        let err = ResilienceReport::from_json(&doctored).unwrap_err();
-        assert!(
-            err.contains("unsupported resilience schema_version 4"),
-            "{err}"
-        );
-        // Missing sections are named.
-        let bare = Json::obj([
-            ("schema_version", Json::Int(RESILIENCE_SCHEMA_VERSION)),
-            ("tool", Json::from("chaos_campaign")),
-            ("config", Json::obj([])),
-            ("scenarios", Json::Arr(vec![])),
-            ("outcomes", Json::obj([])),
-        ]);
-        let err = ResilienceReport::from_json(&bare).unwrap_err();
-        assert!(err.contains("missing invariants section"), "{err}");
-    }
-
-    fn service_sample() -> ServiceReport {
-        let mut r = ServiceReport::new(
-            "service_load",
-            Json::obj([
-                ("workers", Json::from(4i64)),
-                ("queue_watermark", Json::from(32i64)),
-                ("seed", Json::from(7i64)),
-            ]),
-            Json::Arr(vec![Json::obj([
-                ("rate_per_mcycle", Json::from(8i64)),
-                ("requests", Json::from(120i64)),
-                ("completed", Json::from(118i64)),
-                ("shed", Json::from(2i64)),
-                (
-                    "latency_cycles",
-                    Json::obj([
-                        ("p50", Json::from(41_000.0)),
-                        ("p95", Json::from(95_000.0)),
-                        ("p99", Json::from(140_000.0)),
-                        ("p999", Json::from(160_000.0)),
-                    ]),
-                ),
-            ])]),
-            Json::obj([
-                ("requests", Json::from(120i64)),
-                ("completed", Json::from(118i64)),
-                ("shed", Json::from(2i64)),
-                ("lost", Json::from(0i64)),
-            ]),
-        );
-        r.slo = Some(Json::obj([
-            ("zero_lost_requests", Json::Bool(true)),
-            ("p99_within_baseline", Json::Bool(true)),
-        ]));
-        r
-    }
-
-    #[test]
-    fn service_report_round_trips_and_rejects_other_versions() {
-        let r = service_sample();
-        let back = ServiceReport::parse(&r.render()).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(
-            back.to_json().get("schema_version").and_then(Json::as_i64),
-            Some(SERVICE_SCHEMA_VERSION)
-        );
-        assert_eq!(back.aggregate.get("lost").and_then(Json::as_i64), Some(0));
-        // The optional SLO section stays optional.
-        let bare = ServiceReport::new("t", Json::obj([]), Json::Arr(vec![]), Json::obj([]));
-        let back = ServiceReport::parse(&bare.render()).unwrap();
-        assert_eq!(back.slo, None);
-        // A doctored version is refused with the family's own message.
-        let mut doctored = r.to_json();
-        if let Json::Obj(pairs) = &mut doctored {
-            pairs[0].1 = Json::Int(5);
-        }
-        let err = ServiceReport::from_json(&doctored).unwrap_err();
-        assert!(
-            err.contains("unsupported service schema_version 5"),
-            "{err}"
-        );
-        // Missing sections are named.
-        let bare = Json::obj([
-            ("schema_version", Json::Int(SERVICE_SCHEMA_VERSION)),
-            ("tool", Json::from("service_load")),
-            ("config", Json::obj([])),
-            ("steps", Json::Arr(vec![])),
-        ]);
-        let err = ServiceReport::from_json(&bare).unwrap_err();
-        assert!(err.contains("missing aggregate section"), "{err}");
-    }
-
-    #[test]
-    fn all_report_families_reject_each_other_seven_ways() {
-        let run = sample().to_json();
-        let pool = pool_sample().to_json();
-        let analyze = analyze_sample().to_json();
-        let profile = profile_sample().to_json();
-        let resilience = resilience_sample().to_json();
-        let service = service_sample().to_json();
-        // Seventh shape in the stream: a legacy pre-facts analyze
-        // document (version 3). Nobody parses it any more.
-        let legacy_analyze = {
-            let mut j = analyze_sample().to_json();
-            if let Json::Obj(pairs) = &mut j {
-                pairs[0].1 = Json::Int(3);
-            }
-            j
+    /// `sample(kind)` as JSON with `edit` applied to its top-level pairs.
+    fn doctored(kind: Kind, edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Json {
+        let mut j = sample(kind).to_json();
+        let Json::Obj(pairs) = &mut j else {
+            unreachable!()
         };
-        assert_eq!(
-            profile.get("schema_version").and_then(Json::as_i64),
-            Some(4)
-        );
-        assert_eq!(
-            resilience.get("schema_version").and_then(Json::as_i64),
-            Some(5)
-        );
-        assert_eq!(
-            service.get("schema_version").and_then(Json::as_i64),
-            Some(6)
-        );
-
-        // Each family parses only its own version: 6 families × 6 foreign
-        // shapes (the five other families plus the legacy v3 analyze
-        // document) — seven-way disambiguation in one JSONL stream.
-        for other in [
-            &pool,
-            &analyze,
-            &profile,
-            &resilience,
-            &service,
-            &legacy_analyze,
-        ] {
-            assert!(RunReport::from_json(other).is_err());
-        }
-        for other in [
-            &run,
-            &analyze,
-            &profile,
-            &resilience,
-            &service,
-            &legacy_analyze,
-        ] {
-            assert!(PoolReport::from_json(other).is_err());
-        }
-        for other in [
-            &run,
-            &pool,
-            &profile,
-            &resilience,
-            &service,
-            &legacy_analyze,
-        ] {
-            assert!(AnalyzeReport::from_json(other).is_err());
-        }
-        for other in [
-            &run,
-            &pool,
-            &analyze,
-            &resilience,
-            &service,
-            &legacy_analyze,
-        ] {
-            let err = ProfileReport::from_json(other).unwrap_err();
-            assert!(err.contains("unsupported profile schema_version"), "{err}");
-        }
-        for other in [&run, &pool, &analyze, &profile, &service, &legacy_analyze] {
-            let err = ResilienceReport::from_json(other).unwrap_err();
-            assert!(
-                err.contains("unsupported resilience schema_version"),
-                "{err}"
-            );
-        }
-        for other in [
-            &run,
-            &pool,
-            &analyze,
-            &profile,
-            &resilience,
-            &legacy_analyze,
-        ] {
-            let err = ServiceReport::from_json(other).unwrap_err();
-            assert!(err.contains("unsupported service schema_version"), "{err}");
-        }
+        edit(pairs);
+        j
     }
 
     #[test]
-    fn trace_health_rides_along_on_run_and_pool_reports() {
-        let mut r = sample();
-        r.trace_health = Some(Json::obj([
-            ("events_dropped", Json::from(7i64)),
-            ("events_retained", Json::from(256i64)),
-        ]));
-        let back = RunReport::parse(&r.render()).unwrap();
-        assert_eq!(back.trace_health, r.trace_health);
+    fn one_envelope_round_trips_and_rejects_every_mismatch() {
+        // For each kind: round trip; rejection of every older version, of
+        // a missing version, under each other kind and without each
+        // required section; acceptance without any optional section.
+        for kind in KINDS {
+            // Text round-trip, sections in emission order.
+            let r = sample(kind);
+            let back = Report::parse(&r.render(), kind).unwrap();
+            assert_eq!(back, r);
+            let names: Vec<&str> = back.sections.iter().map(|(k, _)| k.as_str()).collect();
+            let want: Vec<&str> = kind.required().iter().chain(&OPTIONAL).copied().collect();
+            assert_eq!(names, want, "{kind:?}");
+            let j = r.to_json();
+            assert_eq!(j.get("schema_version").and_then(Json::as_i64), Some(8));
+            assert_eq!(j.get("kind").and_then(Json::as_str), Some(kind.name()));
 
-        let mut p = pool_sample();
-        p.trace_health = Some(Json::obj([("write_error", Json::from("disk full"))]));
-        let back = PoolReport::parse(&p.render()).unwrap();
-        assert_eq!(back.trace_health, p.trace_health);
+            // Every earlier schema version, and none at all.
+            for old in 1..SCHEMA_VERSION {
+                let j = doctored(kind, |p| p[0].1 = Json::Int(old));
+                let err = Report::parse(&j.render(), kind).unwrap_err();
+                assert!(err.contains(&format!("schema_version {old}")), "{err}");
+            }
+            let j = doctored(kind, |p| p.retain(|(k, _)| k != "schema_version"));
+            let err = Report::parse(&j.render(), kind).unwrap_err();
+            assert_eq!(err, "missing schema_version");
+
+            // Under each of the other five expected kinds.
+            for other in KINDS.into_iter().filter(|&o| o != kind) {
+                let err = Report::parse(&r.render(), other).unwrap_err();
+                assert!(err.contains(&format!("kind {}", kind.name())), "{err}");
+            }
+
+            // Without each required section.
+            for name in kind.required() {
+                let j = doctored(kind, |p| p.retain(|(k, _)| k != name));
+                let err = Report::parse(&j.render(), kind).unwrap_err();
+                assert_eq!(err, format!("missing {name} section"));
+            }
+
+            // Without any optional section.
+            let j = doctored(kind, |p| p.retain(|(k, _)| !OPTIONAL.contains(&k.as_str())));
+            let back = Report::parse(&j.render(), kind).unwrap();
+            assert_eq!(back.sections.len(), kind.required().len());
+            assert_eq!(back.section("windows"), None);
+        }
+        assert!(Report::parse("{}", Kind::Run).is_err());
+        assert!(Report::parse("not json", Kind::Run).is_err());
+        assert!(Report::parse("[8]", Kind::Run).is_err());
     }
 }

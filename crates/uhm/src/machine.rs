@@ -100,7 +100,6 @@ pub struct Machine {
     lib: RoutineLib,
     costs: CostModel,
     limits: Limits,
-    trace: bool,
     window: Option<u64>,
     faults: Option<FaultConfig>,
     retry: RetryPolicy,
@@ -132,7 +131,6 @@ impl Machine {
             lib: RoutineLib::new(),
             costs,
             limits,
-            trace: false,
             window: None,
             faults: None,
             retry: RetryPolicy::default(),
@@ -175,19 +173,12 @@ impl Machine {
             lib: RoutineLib::new(),
             costs,
             limits,
-            trace: false,
             window: None,
             faults: None,
             retry: RetryPolicy::default(),
             budget: Budget::default(),
             shared_trans: None,
         }
-    }
-
-    /// Enables recording of the dynamic DIR-address trace in reports.
-    pub fn set_trace(&mut self, trace: bool) -> &mut Self {
-        self.trace = trace;
-        self
     }
 
     /// Enables windowed time-series sampling: one
@@ -407,10 +398,7 @@ impl Machine {
         let mut run = Run {
             machine: self,
             engine: Engine::new(&self.program, self.limits.max_depth),
-            metrics: Metrics {
-                trace: self.trace.then(Vec::new),
-                ..Metrics::default()
-            },
+            metrics: Metrics::default(),
             dtb,
             dtb2,
             icache: match mode {
@@ -875,9 +863,6 @@ impl<'m, S: TraceSink> Run<'m, S> {
                 }
             }
             self.metrics.instructions += 1;
-            if let Some(t) = self.metrics.trace.as_mut() {
-                t.push(pc);
-            }
             if pc as usize >= self.machine.image.len() {
                 return Err(Trap::Malformed("pc out of range"));
             }
@@ -1261,17 +1246,6 @@ mod tests {
             .unwrap();
         let c = r.metrics.icache.unwrap();
         assert!(c.hit_ratio() > 0.9, "icache hit ratio {}", c.hit_ratio());
-    }
-
-    #[test]
-    fn trace_collection_matches_instruction_count() {
-        let p = compile(&hlr::programs::GCD_CHAIN.compile().unwrap());
-        let mut m = Machine::new(&p, SchemeKind::Packed);
-        m.set_trace(true);
-        let r = m.run(&Mode::Interpreter).unwrap();
-        let trace = r.metrics.trace.unwrap();
-        assert_eq!(trace.len() as u64, r.metrics.instructions);
-        assert_eq!(trace[0], 0);
     }
 
     #[test]

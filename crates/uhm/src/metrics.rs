@@ -100,8 +100,6 @@ pub struct Metrics {
     pub fetch_retries: u64,
     /// Fault-injection totals, when a fault plane was attached.
     pub faults: Option<FaultStats>,
-    /// Dynamic DIR address trace, when requested.
-    pub trace: Option<Vec<u32>>,
     /// Per-window time-series samples, when requested (see
     /// [`Machine::set_window`](crate::Machine::set_window)).
     pub windows: Option<Vec<crate::window::WindowSample>>,

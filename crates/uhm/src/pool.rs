@@ -28,8 +28,8 @@
 //!
 //! Latency percentiles and aggregate throughput of a pool run are
 //! summarized by [`PoolRun`]; `crate::report::pool_report` renders the
-//! schema-v2 [`telemetry::PoolReport`] consumed by `raul pool --json`
-//! and the `pool_throughput` bench (E16).
+//! [`telemetry::Kind::Pool`] report that `raul pool --json` and
+//! `raul chaos --json` print.
 //!
 //! # Supervision
 //!

@@ -1,15 +1,15 @@
 //! Canonical JSON serialization of machine runs: the bridge between
-//! [`Metrics`] and the versioned [`telemetry::RunReport`] schema.
+//! [`Metrics`] and the versioned [`telemetry::Report`] envelope.
 //!
 //! Every machine-readable emitter in the workspace — `raul run --json`,
 //! `raul profile --json`, the bench binaries — goes through these
 //! builders so the reports share one shape: a `metrics` section with the
 //! raw counters and per-activity cycle breakdown, and a `derived`
 //! section with the paper's Section 7 parameters (`T`, `d`, `g`, `x`,
-//! `s1`, `s2`) plus hit ratios. Consumers should dispatch on
-//! `schema_version` (currently [`telemetry::SCHEMA_VERSION`]).
+//! `s1`, `s2`) plus hit ratios. Consumers should check `schema_version`
+//! (currently [`telemetry::SCHEMA_VERSION`]) and `kind`.
 
-use telemetry::{Json, Percentiles, PoolReport, RunReport, ServiceReport};
+use telemetry::{Json, Kind, Percentiles, Report};
 
 use crate::dtb::DtbStats;
 use crate::fault::FaultStats;
@@ -135,13 +135,22 @@ pub fn window_json(w: &WindowSample) -> Json {
     ])
 }
 
-/// Builds the canonical [`RunReport`] for a finished run: `tool` names
-/// the emitting binary, `config` describes the run's inputs (free-form,
-/// tool-specific). Windows are included when the run sampled them.
-pub fn run_report(tool: &str, config: Json, metrics: &Metrics) -> RunReport {
-    let mut report = RunReport::new(tool, config, metrics_json(metrics), derived_json(metrics));
+/// Builds the canonical [`Kind::Run`] report for a finished run: `tool`
+/// names the emitting binary, `config` describes the run's inputs
+/// (free-form, tool-specific). Windows are included when the run sampled
+/// them.
+pub fn run_report(tool: &str, config: Json, metrics: &Metrics) -> Report {
+    let mut report = Report::new(
+        Kind::Run,
+        tool,
+        config,
+        [
+            ("metrics", metrics_json(metrics)),
+            ("derived", derived_json(metrics)),
+        ],
+    );
     if let Some(ws) = &metrics.windows {
-        report.windows = Some(Json::Arr(ws.iter().map(window_json).collect()));
+        report.push("windows", Json::Arr(ws.iter().map(window_json).collect()));
     }
     report
 }
@@ -204,11 +213,11 @@ pub fn tenant_json(r: &TenantResult) -> Json {
     Json::obj(fields)
 }
 
-/// Builds the canonical schema-v2 [`PoolReport`] for a finished pool
-/// run: per-tenant results in tenant order, pool aggregates (wall-clock,
+/// Builds the canonical [`Kind::Pool`] report for a finished pool run:
+/// per-tenant results in tenant order, pool aggregates (wall-clock,
 /// modeled totals, aggregate Minstr/s, steal count) and per-tenant
-/// latency percentiles.
-pub fn pool_report(tool: &str, config: Json, run: &PoolRun) -> PoolReport {
+/// latency percentiles in nanoseconds.
+pub fn pool_report(tool: &str, config: Json, run: &PoolRun) -> Report {
     let tenants = Json::Arr(run.results.iter().map(tenant_json).collect());
     let utilization = run.worker_utilization();
     let aggregate = Json::obj(vec![
@@ -239,10 +248,19 @@ pub fn pool_report(tool: &str, config: Json, run: &PoolRun) -> PoolReport {
             Json::Arr(utilization.iter().map(|&u| Json::from(u)).collect()),
         ),
     ]);
-    PoolReport::new(tool, config, tenants, aggregate, run.latency_percentiles())
+    Report::new(
+        Kind::Pool,
+        tool,
+        config,
+        [
+            ("tenants", tenants),
+            ("aggregate", aggregate),
+            ("latency_ns", percentiles_json(&run.latency_percentiles())),
+        ],
+    )
 }
 
-/// Serializes a percentile quadruple under the given unit label.
+/// Serializes a percentile quadruple.
 fn percentiles_json(p: &Percentiles) -> Json {
     Json::obj(vec![
         ("p50", p.p50.into()),
@@ -281,11 +299,11 @@ pub fn step_json(s: &StepRun) -> Json {
     ])
 }
 
-/// Builds the canonical schema-v6 [`ServiceReport`] for a finished load
+/// Builds the canonical [`Kind::Service`] report for a finished load
 /// sweep: one trajectory entry per step plus the cross-step outcome
 /// aggregate. The caller supplies `config` (free-form: policy knobs,
-/// request mix) and may attach SLO verdicts afterwards.
-pub fn service_report(tool: &str, config: Json, run: &ServiceRun) -> ServiceReport {
+/// request mix) and may attach an `slo` section afterwards.
+pub fn service_report(tool: &str, config: Json, run: &ServiceRun) -> Report {
     let steps = Json::Arr(run.steps.iter().map(step_json).collect());
     let aggregate = Json::obj(vec![
         ("steps", (run.steps.len() as i64).into()),
@@ -299,13 +317,17 @@ pub fn service_report(tool: &str, config: Json, run: &ServiceRun) -> ServiceRepo
         ("workers", (run.workers as i64).into()),
         ("seed", (run.seed as i64).into()),
     ]);
-    ServiceReport::new(tool, config, steps, aggregate)
+    Report::new(
+        Kind::Service,
+        tool,
+        config,
+        [("steps", steps), ("aggregate", aggregate)],
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use telemetry::SCHEMA_VERSION;
 
     fn sample_metrics() -> Metrics {
         Metrics {
@@ -342,15 +364,16 @@ mod tests {
         let m = sample_metrics();
         let config = Json::obj(vec![("mode", "dtb".into()), ("capacity", 64i64.into())]);
         let rendered = run_report("raul", config, &m).render();
-        let back = RunReport::parse(&rendered).unwrap();
+        let back = Report::parse(&rendered, Kind::Run).unwrap();
         assert_eq!(back.tool, "raul");
         assert_eq!(back.config.get("capacity").unwrap().as_i64(), Some(64));
-        let metrics = &back.metrics;
+        let metrics = back.section("metrics").unwrap();
         assert_eq!(metrics.get("instructions").unwrap().as_i64(), Some(100));
         let dtb = metrics.get("dtb").unwrap();
         assert_eq!(dtb.get("hits").unwrap().as_i64(), Some(90));
         assert_eq!(dtb.get("cold_misses").unwrap().as_i64(), Some(8));
-        let t = back.derived.get("time_per_instruction").unwrap().as_f64();
+        let derived = back.section("derived").unwrap();
+        let t = derived.get("time_per_instruction").unwrap().as_f64();
         assert_eq!(t, Some(6.0));
     }
 
@@ -360,7 +383,7 @@ mod tests {
         let json = run_report("t", Json::obj(vec![]), &m).to_json();
         assert_eq!(
             json.get("schema_version").and_then(Json::as_i64),
-            Some(SCHEMA_VERSION)
+            Some(telemetry::SCHEMA_VERSION)
         );
     }
 
@@ -412,7 +435,7 @@ mod tests {
             ..WindowSample::default()
         }]);
         let report = run_report("raul", Json::obj(vec![]), &m);
-        let arr = report.windows.as_ref().unwrap();
+        let arr = report.section("windows").unwrap();
         let w0 = &arr.as_arr().unwrap()[0];
         assert_eq!(w0.get("occupancy").unwrap().as_i64(), Some(7));
         assert_eq!(w0.get("hit_rate").unwrap().as_f64(), Some(0.8));
@@ -444,10 +467,10 @@ mod tests {
 
         let config = Json::obj(vec![("workers", 2i64.into())]);
         let report = service_report("raul load", config, &run);
-        let back = ServiceReport::parse(&report.render()).unwrap();
+        let back = Report::parse(&report.render(), Kind::Service).unwrap();
         assert_eq!(back, report);
 
-        let steps = back.steps.as_arr().unwrap();
+        let steps = back.section("steps").and_then(Json::as_arr).unwrap();
         assert_eq!(steps.len(), 2);
         assert_eq!(
             steps[0].get("rate_per_mcycle").and_then(Json::as_i64),
@@ -463,7 +486,7 @@ mod tests {
                 .unwrap()
                 > 0.0
         );
-        let agg = &back.aggregate;
+        let agg = back.section("aggregate").unwrap();
         assert_eq!(agg.get("requests").and_then(Json::as_i64), Some(8));
         assert_eq!(agg.get("completed").and_then(Json::as_i64), Some(8));
         assert_eq!(agg.get("lost").and_then(Json::as_i64), Some(0));
@@ -487,10 +510,10 @@ mod tests {
 
         let config = Json::obj(vec![("workers", 2i64.into())]);
         let report = pool_report("raul pool", config, &run);
-        let back = PoolReport::parse(&report.render()).unwrap();
+        let back = Report::parse(&report.render(), Kind::Pool).unwrap();
         assert_eq!(back, report);
 
-        let tenants = back.tenants.as_arr().unwrap();
+        let tenants = back.section("tenants").and_then(Json::as_arr).unwrap();
         assert_eq!(tenants.len(), 3);
         assert_eq!(
             tenants[0].get("status").and_then(Json::as_str),
@@ -498,12 +521,13 @@ mod tests {
         );
         assert_eq!(tenants[1].get("name").and_then(Json::as_str), Some("t1"));
         assert!(tenants[2].get("latency_ns").unwrap().as_i64().unwrap() > 0);
-        let agg = &back.aggregate;
+        let agg = back.section("aggregate").unwrap();
         assert_eq!(agg.get("completed").and_then(Json::as_i64), Some(3));
         assert_eq!(
             agg.get("instructions").and_then(Json::as_i64),
             Some(run.total_instructions() as i64)
         );
-        assert!(back.latency.p50 > 0.0);
+        let p50 = back.section("latency_ns").and_then(|l| l.get("p50"));
+        assert!(p50.and_then(Json::as_f64).unwrap() > 0.0);
     }
 }

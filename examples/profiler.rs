@@ -4,19 +4,15 @@
 //!
 //! Run with `cargo run --example profiler --release`.
 
-use dir::encode::SchemeKind;
 use profile::Profile;
-use uhm::{Machine, Mode};
 
 fn main() {
     let sample = hlr::programs::MIXED;
     println!("Workload: {} — {}\n", sample.name, sample.description);
     let program = dir::compiler::compile(&sample.compile().expect("sample compiles"));
-    let mut machine = Machine::new(&program, SchemeKind::Packed);
-    machine.set_trace(true);
-    let report = machine.run(&Mode::Interpreter).expect("trap-free");
-    let trace = report.metrics.trace.expect("tracing enabled");
-    let profile = Profile::from_trace(&program, &trace);
+    let (_, stats) =
+        dir::exec::run_with(&program, dir::exec::Limits::default(), true).expect("trap-free");
+    let profile = Profile::from_trace(&program, &stats.trace.expect("tracing enabled"));
 
     println!(
         "{} static instructions, {} executed dynamically, {} ever touched\n",

@@ -11,7 +11,10 @@
 #      sources (so renamed/removed CLI flags can't linger in prose),
 #   6. every analyzer diagnostic code defined in
 #      crates/analyze/src/diag.rs is documented in README.md or
-#      ARCHITECTURE.md (new ANxyz codes must land with their table row).
+#      ARCHITECTURE.md (new ANxyz codes must land with their table row),
+#   7. the README "Report schemas" section states the same
+#      `schema_version` as telemetry's SCHEMA_VERSION and names every
+#      report `Kind` (so the schema table cannot drift from the code).
 #
 # Usage: scripts/check_docs.sh [extra-docs...]
 # Exits non-zero listing every stale reference found.
@@ -122,6 +125,24 @@ while IFS= read -r code; do
             "diagnostic code $code is not documented in README.md or ARCHITECTURE.md"
     fi
 done < <(grep -oE '"AN[0-9]{3}"' crates/analyze/src/diag.rs | tr -d '"' | sort -u)
+
+# --- 7: the README schema table matches the report envelope ----------
+REPORT_RS=crates/telemetry/src/report.rs
+version=$(grep -oE 'pub const SCHEMA_VERSION: i64 = [0-9]+' "$REPORT_RS" | grep -oE '[0-9]+$')
+schemas=$(awk '/^### Report schemas/ {on = 1; next} on && /^#/ {exit} on' README.md)
+if [ -z "$version" ] || [ -z "$schemas" ]; then
+    err README.md "cannot read SCHEMA_VERSION or the \"Report schemas\" section"
+else
+    if ! grep -qF "schema_version: $version\`" <<<"$schemas"; then
+        err README.md "\"Report schemas\" does not state \`schema_version: $version\` ($REPORT_RS)"
+    fi
+    while IFS= read -r kind; do
+        [ -n "$kind" ] || continue
+        if ! grep -qF "\`$kind\`" <<<"$schemas"; then
+            err README.md "\"Report schemas\" does not name kind \`$kind\` ($REPORT_RS)"
+        fi
+    done < <(grep -oE 'Kind::[A-Za-z]+ => "[a-z_]+"' "$REPORT_RS" | grep -oE '"[a-z_]+"' | tr -d '"')
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAILED" >&2

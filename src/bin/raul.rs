@@ -27,7 +27,7 @@
 //!   --fold                               constant-fold before compiling
 //!   --fuse                               raise the semantic level
 //!   --stats                              print cycle metrics and IU partition
-//!   --json                               emit a versioned RunReport on stdout
+//!   --json                               emit a versioned report on stdout
 //!   --window N                           sample metrics every N instructions
 //!   --events FILE                        stream trace events as JSONL to FILE
 //!   --trace-out FILE                     write a Chrome trace_event JSON file
@@ -86,13 +86,13 @@
 //! fact table, --regions the full ranked hot-region
 //! (natural-loop) table, and --deny-warnings makes a clean-but-warned
 //! image exit 1 (a clean image with no warnings still exits 0).
-//! With --json it emits a versioned AnalyzeReport (schema 7) on stdout.
+//! With --json it emits a versioned analyze report on stdout.
 //!
 //! `profile` runs the program under the always-on counter plane and
 //! reports per-procedure / per-opcode / per-tier cycle attribution,
 //! opcode-pair frequencies and the coverage curve. It honours the run
 //! options (mode, scheme, DTB geometry), accepts --trace-out and
-//! --flame-out, and with --json emits a schema-v4 ProfileReport. Adding
+//! --flame-out, and with --json emits a versioned profile report. Adding
 //! --tenants M [--workers N] also profiles a pool of M tenant copies and
 //! attaches the pool aggregation (mergeable per-worker latency
 //! histograms, utilization, queue depth) to the report.
@@ -110,7 +110,7 @@ use std::process::ExitCode;
 
 use dir::encode::{DecodeMode, SchemeKind};
 use profile::{CounterPlane, FlameBuilder, SpanTracer};
-use telemetry::{Event, Json, JsonlSink, RingSink, TeeSink, Tier, TraceSink};
+use telemetry::{Event, Json, JsonlSink, Kind, Report, RingSink, TeeSink, Tier, TraceSink};
 use uhm::resilience::{AdmissionPolicy, ChaosConfig, Supervisor};
 use uhm::service::{Service, ServiceConfig, ServiceRun};
 use uhm::{Budget, DtbConfig, FaultConfig, Machine, Mode, RetryPolicy};
@@ -607,7 +607,7 @@ fn fault_config(cli: &Cli) -> FaultConfig {
     }
 }
 
-/// The `config` section of a `raul` RunReport: how the run was set up.
+/// The `config` section of a `raul` run report: how the run was set up.
 fn run_config(cli: &Cli) -> Json {
     let mode = match cli.mode {
         ModeArg::Interp => "interp",
@@ -770,7 +770,7 @@ fn print_stats(m: &uhm::Metrics) {
     }
 }
 
-/// One per-image verdict entry of an [`telemetry::AnalyzeReport`]:
+/// One per-image verdict entry of a [`Kind::Analyze`] report's `images`:
 /// identity, counts, the dataflow fact coverage, the ranked hot-region
 /// table, and every diagnostic with its stable code.
 fn analysis_json(name: &str, report: &analyze::AnalysisReport) -> Json {
@@ -961,7 +961,6 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             let program = build_program(cli, source)?;
             let mut machine = Machine::new(&program, cli.scheme);
             machine.set_decoder(cli.decoder);
-            machine.set_trace(false);
             machine.set_window(cli.window);
             let mode = machine_mode(cli)?;
             let mut prof = ProfSinks::new(cli, &program);
@@ -1020,10 +1019,14 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             };
             if cli.json {
                 let mut rr = uhm::report::run_report("raul", run_config(cli), &report.metrics);
-                rr.output = Some(Json::Arr(
-                    report.output.iter().map(|&v| Json::Int(v)).collect(),
-                ));
-                rr.trace_health = Some(uhm::report::trace_health_json(ring_health, file_health));
+                rr.push(
+                    "output",
+                    Json::Arr(report.output.iter().map(|&v| Json::Int(v)).collect()),
+                );
+                rr.push(
+                    "trace_health",
+                    uhm::report::trace_health_json(ring_health, file_health),
+                );
                 println!("{}", rr.render());
             } else {
                 for v in &report.output {
@@ -1065,7 +1068,20 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             let image = cli.scheme.encode(&program);
             let report = analyze::analyze(&program, &image);
             if cli.json {
-                let ar = telemetry::AnalyzeReport::new(
+                let aggregate = Json::obj(vec![
+                    ("images", 1i64.into()),
+                    ("clean", i64::from(report.is_clean()).into()),
+                    (
+                        "errors",
+                        (report.count(analyze::Severity::Error) as i64).into(),
+                    ),
+                    (
+                        "warnings",
+                        (report.count(analyze::Severity::Warning) as i64).into(),
+                    ),
+                ]);
+                let ar = Report::new(
+                    Kind::Analyze,
                     "raul-analyze",
                     Json::obj(vec![
                         ("file", cli.path.as_str().into()),
@@ -1073,19 +1089,10 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                         ("fold", cli.fold.into()),
                         ("fuse", cli.fuse.into()),
                     ]),
-                    Json::Arr(vec![analysis_json(&cli.path, &report)]),
-                    Json::obj(vec![
-                        ("images", 1i64.into()),
-                        ("clean", i64::from(report.is_clean()).into()),
-                        (
-                            "errors",
-                            (report.count(analyze::Severity::Error) as i64).into(),
-                        ),
-                        (
-                            "warnings",
-                            (report.count(analyze::Severity::Warning) as i64).into(),
-                        ),
-                    ]),
+                    [
+                        ("images", Json::Arr(vec![analysis_json(&cli.path, &report)])),
+                        ("aggregate", aggregate),
+                    ],
                 );
                 println!("{}", ar.render());
             } else {
@@ -1185,8 +1192,12 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                     &plane,
                     &report.metrics,
                 );
-                pr.pool = pool_section;
-                pr.trace_health = trace_health;
+                if let Some(pool) = pool_section {
+                    pr.push("pool", pool);
+                }
+                if let Some(health) = trace_health {
+                    pr.push("trace_health", health);
+                }
                 println!("{}", pr.render());
                 prof.write_artifacts(cli)?;
                 return Ok(());
@@ -1295,13 +1306,17 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             let mut ring = RingSink::new(4096);
             let result = machine.run_with(&mode, &mut ring);
             let counts = ring.counts();
-            let fault_fields = Json::obj(vec![
-                ("seed", cli.seed.into()),
-                ("dir_bit_rate", config.dir_bit_rate.into()),
-                ("dtb_word_rate", config.dtb_word_rate.into()),
-                ("dtb_tag_rate", config.dtb_tag_rate.into()),
-                ("drop_fetch_rate", config.drop_fetch_rate.into()),
-            ]);
+            let mut cfg = run_config(cli);
+            if let Json::Obj(fields) = &mut cfg {
+                let fault_fields = Json::obj(vec![
+                    ("seed", cli.seed.into()),
+                    ("dir_bit_rate", config.dir_bit_rate.into()),
+                    ("dtb_word_rate", config.dtb_word_rate.into()),
+                    ("dtb_tag_rate", config.dtb_tag_rate.into()),
+                    ("drop_fetch_rate", config.drop_fetch_rate.into()),
+                ]);
+                fields.push(("faults".into(), fault_fields));
+            }
             match result {
                 Ok(report) => {
                     let m = &report.metrics;
@@ -1318,21 +1333,20 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                         0.0
                     };
                     if cli.json {
-                        let mut cfg = run_config(cli);
-                        if let Json::Obj(fields) = &mut cfg {
-                            fields.push(("faults".into(), fault_fields));
-                        }
                         let mut rr = uhm::report::run_report("raul-faults", cfg, m);
-                        rr.output = Some(Json::obj(vec![
-                            ("outcome", "ok".into()),
-                            ("output_matches_clean", matches.into()),
-                            ("recoveries", m.recoveries.into()),
-                            ("degraded_instructions", m.degraded_instructions.into()),
-                            ("degraded_fraction", degraded_fraction.into()),
-                            ("cycle_overhead", overhead.into()),
-                            ("events_faults_injected", counts.faults_injected.into()),
-                            ("events_recovery_misses", counts.recovery_misses.into()),
-                        ]));
+                        rr.push(
+                            "output",
+                            Json::obj(vec![
+                                ("outcome", "ok".into()),
+                                ("output_matches_clean", matches.into()),
+                                ("recoveries", m.recoveries.into()),
+                                ("degraded_instructions", m.degraded_instructions.into()),
+                                ("degraded_fraction", degraded_fraction.into()),
+                                ("cycle_overhead", overhead.into()),
+                                ("events_faults_injected", counts.faults_injected.into()),
+                                ("events_recovery_misses", counts.recovery_misses.into()),
+                            ]),
+                        );
                         println!("{}", rr.render());
                     } else {
                         println!(
@@ -1364,15 +1378,25 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                 Err(trap) => {
                     // A typed trap under injection is a reported outcome,
                     // not a CLI failure: the machine detected the damage.
+                    // A trapped run has no metrics, so those sections
+                    // stay empty.
                     if cli.json {
-                        let obj = Json::obj(vec![
-                            ("tool", "raul-faults".into()),
+                        let output = Json::obj(vec![
                             ("outcome", "trap".into()),
                             ("trap", trap.to_string().as_str().into()),
-                            ("faults", fault_fields),
                             ("events_faults_injected", counts.faults_injected.into()),
                         ]);
-                        println!("{}", obj.render());
+                        let rr = Report::new(
+                            Kind::Run,
+                            "raul-faults",
+                            cfg,
+                            [
+                                ("metrics", Json::obj([])),
+                                ("derived", Json::obj([])),
+                                ("output", output),
+                            ],
+                        );
+                        println!("{}", rr.render());
                     } else {
                         println!("outcome: trap ({trap})");
                     }
@@ -1446,10 +1470,10 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                 if !tracers.is_empty() {
                     let retained: u64 = tracers.iter().map(|t| t.len() as u64).sum();
                     let dropped: u64 = tracers.iter().map(SpanTracer::dropped).sum();
-                    pr.trace_health = Some(uhm::report::trace_health_json(
-                        Some((retained, dropped)),
-                        None,
-                    ));
+                    pr.push(
+                        "trace_health",
+                        uhm::report::trace_health_json(Some((retained, dropped)), None),
+                    );
                 }
                 println!("{}", pr.render());
             } else {

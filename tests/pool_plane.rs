@@ -156,7 +156,7 @@ fn schedule_seed_makes_the_schedule_replayable() {
     assert_eq!(outcomes(&reference), outcomes(&pinned.run()));
 }
 
-/// The pool report renders valid schema-v2 JSON that round-trips and
+/// The pool report renders a valid pool-kind report that round-trips and
 /// carries consistent aggregates.
 #[test]
 fn pool_report_json_is_consistent() {
@@ -166,9 +166,10 @@ fn pool_report_json_is_consistent() {
         ("tenants", telemetry::Json::from(6i64)),
     ]);
     let report = uhm::report::pool_report("pool_plane_test", config, &run);
-    let back = telemetry::PoolReport::parse(&report.render()).unwrap();
+    let back = telemetry::Report::parse(&report.render(), telemetry::Kind::Pool).unwrap();
     assert_eq!(back, report);
-    let agg = &back.aggregate;
+    let section = |name: &str| back.section(name).unwrap();
+    let agg = section("aggregate");
     assert_eq!(
         agg.get("completed").and_then(telemetry::Json::as_i64),
         Some(run.completed() as i64)
@@ -177,6 +178,11 @@ fn pool_report_json_is_consistent() {
         agg.get("instructions").and_then(telemetry::Json::as_i64),
         Some(run.total_instructions() as i64)
     );
-    assert_eq!(back.tenants.as_arr().unwrap().len(), 6);
-    assert!(back.latency.p50 <= back.latency.p99);
+    assert_eq!(section("tenants").as_arr().unwrap().len(), 6);
+    let latency = |p: &str| {
+        section("latency_ns")
+            .get(p)
+            .and_then(telemetry::Json::as_f64)
+    };
+    assert!(latency("p50").unwrap() <= latency("p99").unwrap());
 }

@@ -1,16 +1,16 @@
 //! Telemetry end-to-end checks: ring-sink event counts must agree with the
 //! machine's own metrics, window samples must partition the run, and the
-//! `raul --json` surfaces must emit versioned reports that round-trip
-//! through their parsers (`raul run` a schema-1 [`RunReport`],
-//! `raul profile` a schema-4 [`ProfileReport`], `raul chaos` a schema-2
-//! [`PoolReport`] carrying the supervised outcome taxonomy, and
-//! `raul load` a schema-6 [`ServiceReport`] whose trajectory steps keep
-//! the five-state request accounting closed).
+//! `raul --json` surfaces must emit one versioned [`Report`] that
+//! round-trips through [`Report::parse`] under its kind (`raul run` a
+//! run report, `raul profile` a profile report, `raul chaos` a pool
+//! report carrying the supervised outcome taxonomy, and `raul load` a
+//! service report whose trajectory steps keep the five-state request
+//! accounting closed).
 
 use std::process::Command;
 
 use dir::encode::SchemeKind;
-use telemetry::{Json, PoolReport, ProfileReport, RingSink, RunReport, ServiceReport};
+use telemetry::{Json, Kind, Report, RingSink};
 use uhm::{DtbConfig, Machine, Mode};
 
 fn sample_machine() -> (dir::program::Program, Mode) {
@@ -113,24 +113,38 @@ fn raul_stdout(args: &[&str]) -> String {
     String::from_utf8(out.stdout).unwrap()
 }
 
-fn raul_json(args: &[&str]) -> RunReport {
-    RunReport::parse(raul_stdout(args).trim()).expect("stdout is one schema-1 RunReport")
+/// Runs `raul args` and parses its stdout as one report of `kind`.
+fn raul_report(args: &[&str], kind: Kind) -> Report {
+    Report::parse(raul_stdout(args).trim(), kind).expect("stdout is one report of its kind")
+}
+
+/// The named section of `report`, which must be present.
+fn section<'a>(report: &'a Report, name: &str) -> &'a Json {
+    report
+        .section(name)
+        .unwrap_or_else(|| panic!("missing {name} section"))
 }
 
 #[test]
 fn raul_run_json_emits_a_round_trippable_report() {
-    let rr = raul_json(&["run", "examples/programs/sumloop.raul", "--json"]);
+    let rr = raul_report(
+        &["run", "examples/programs/sumloop.raul", "--json"],
+        Kind::Run,
+    );
     assert_eq!(rr.tool, "raul");
     // The program's own output rides along: sum of 1..=100.
-    assert_eq!(rr.output, Some(Json::Arr(vec![Json::Int(5050)])));
-    let instructions = rr
-        .metrics
+    assert_eq!(
+        rr.section("output"),
+        Some(&Json::Arr(vec![Json::Int(5050)]))
+    );
+    let metrics = section(&rr, "metrics");
+    let instructions = metrics
         .get("instructions")
         .and_then(Json::as_i64)
         .expect("metrics.instructions");
     assert!(instructions > 0);
     // The taxonomy partitions the misses.
-    let dtb = rr.metrics.get("dtb").expect("dtb mode stats");
+    let dtb = metrics.get("dtb").expect("dtb mode stats");
     let field = |n: &str| dtb.get(n).and_then(Json::as_i64).unwrap();
     assert_eq!(
         field("cold_misses") + field("capacity_misses") + field("conflict_misses"),
@@ -138,32 +152,36 @@ fn raul_run_json_emits_a_round_trippable_report() {
     );
     // Derived §7 parameters are present and sane.
     for p in ["time_per_instruction", "d", "g", "x", "s1", "s2"] {
-        assert!(rr.derived.get(p).is_some(), "missing derived.{p}");
+        assert!(
+            section(&rr, "derived").get(p).is_some(),
+            "missing derived.{p}"
+        );
     }
     // Trace-sink health rides along: the flight recorder's retained and
     // dropped counts are surfaced in the report itself.
-    let ring = rr
-        .trace_health
-        .as_ref()
-        .and_then(|t| t.get("ring"))
+    let ring = section(&rr, "trace_health")
+        .get("ring")
         .expect("trace_health.ring");
     assert!(ring.get("retained").and_then(Json::as_i64).unwrap() > 0);
     assert!(ring.get("dropped").and_then(Json::as_i64).unwrap() >= 0);
     // Round trip: render → parse is the identity.
-    let back = RunReport::parse(&rr.render()).unwrap();
+    let back = Report::parse(&rr.render(), Kind::Run).unwrap();
     assert_eq!(back, rr);
 }
 
 #[test]
 fn raul_run_json_with_window_attaches_samples() {
-    let rr = raul_json(&[
-        "run",
-        "examples/programs/sumloop.raul",
-        "--window",
-        "200",
-        "--json",
-    ]);
-    let Some(Json::Arr(windows)) = rr.windows else {
+    let rr = raul_report(
+        &[
+            "run",
+            "examples/programs/sumloop.raul",
+            "--window",
+            "200",
+            "--json",
+        ],
+        Kind::Run,
+    );
+    let Some(Json::Arr(windows)) = rr.section("windows") else {
         panic!("expected a windows array");
     };
     assert!(!windows.is_empty());
@@ -173,30 +191,35 @@ fn raul_run_json_with_window_attaches_samples() {
         .sum();
     assert_eq!(
         Some(total),
-        rr.metrics.get("instructions").and_then(Json::as_i64)
+        section(&rr, "metrics")
+            .get("instructions")
+            .and_then(Json::as_i64)
     );
 }
 
 #[test]
 fn raul_profile_json_round_trips() {
     let text = raul_stdout(&["profile", "examples/programs/sumloop.raul", "--json"]);
-    let pr = ProfileReport::parse(text.trim()).expect("stdout is one schema-4 ProfileReport");
+    let pr = Report::parse(text.trim(), Kind::Profile).expect("stdout is one profile report");
     assert_eq!(pr.tool, "raul-profile");
     // The attribution payload carries every canonical section.
     for k in [
         "regions", "opcodes", "tiers", "pairs", "hottest", "coverage",
     ] {
-        assert!(pr.profile.get(k).is_some(), "missing profile.{k}");
+        assert!(
+            section(&pr, "profile").get(k).is_some(),
+            "missing profile.{k}"
+        );
     }
     // The counter plane observed every retire (the retire invariant,
     // end to end through the CLI).
-    let agg = |k: &str| pr.aggregate.get(k).and_then(Json::as_i64);
+    let agg = |k: &str| section(&pr, "aggregate").get(k).and_then(Json::as_i64);
     assert_eq!(agg("instructions"), agg("retires_observed"));
     assert_eq!(agg("cycles"), agg("cycles_observed"));
-    // A profile report is not a run report: the schemas reject each other.
-    assert!(RunReport::parse(text.trim()).is_err());
+    // A profile report is not a run report: the kinds reject each other.
+    assert!(Report::parse(text.trim(), Kind::Run).is_err());
     // Round trip: render → parse is the identity.
-    let back = ProfileReport::parse(&pr.render()).unwrap();
+    let back = Report::parse(&pr.render(), Kind::Profile).unwrap();
     assert_eq!(back, pr);
 }
 
@@ -215,9 +238,14 @@ fn raul_chaos_json_accounts_every_supervised_outcome() {
         "0.5",
         "--json",
     ]);
-    let pr = PoolReport::parse(text.trim()).expect("stdout is one schema-2 PoolReport");
+    let pr = Report::parse(text.trim(), Kind::Pool).expect("stdout is one pool report");
     assert_eq!(pr.tool, "raul-chaos");
-    let agg = |k: &str| pr.aggregate.get(k).and_then(Json::as_i64).unwrap();
+    let agg = |k: &str| {
+        section(&pr, "aggregate")
+            .get(k)
+            .and_then(Json::as_i64)
+            .unwrap()
+    };
     // The six-state outcome taxonomy partitions the tenants even with
     // chaos injected — nothing is silently lost.
     let accounted = agg("completed")
@@ -227,7 +255,7 @@ fn raul_chaos_json_accounts_every_supervised_outcome() {
         + agg("shed")
         + agg("quarantined");
     assert_eq!(accounted, agg("tenants"));
-    assert_eq!(pr.tenants.as_arr().unwrap().len(), 6);
+    assert_eq!(section(&pr, "tenants").as_arr().unwrap().len(), 6);
     // Supervision counters ride along.
     assert!(agg("retries") >= 0 && agg("worker_crashes") >= 0);
 }
@@ -247,9 +275,9 @@ fn raul_load_json_emits_a_round_trippable_service_report() {
         "4",
         "--json",
     ]);
-    let sr = ServiceReport::parse(text.trim()).expect("stdout is one schema-6 ServiceReport");
+    let sr = Report::parse(text.trim(), Kind::Service).expect("stdout is one service report");
     assert_eq!(sr.tool, "raul-load");
-    let steps = sr.steps.as_arr().expect("trajectory steps");
+    let steps = section(&sr, "steps").as_arr().expect("trajectory steps");
     assert_eq!(steps.len(), 2, "one step per requested rate");
     for step in steps {
         let f = |k: &str| step.get(k).and_then(Json::as_i64).unwrap();
@@ -263,15 +291,19 @@ fn raul_load_json_emits_a_round_trippable_service_report() {
         assert!(step.get("latency_cycles").is_some(), "modeled percentiles");
         assert!(step.get("host").is_some(), "host observables ride along");
     }
-    let agg = |k: &str| sr.aggregate.get(k).and_then(Json::as_i64).unwrap();
+    let agg = |k: &str| {
+        section(&sr, "aggregate")
+            .get(k)
+            .and_then(Json::as_i64)
+            .unwrap()
+    };
     assert_eq!(agg("requests"), 16);
     assert_eq!(agg("lost"), 0);
-    // A service report is not a run or pool report: the schema families
-    // reject each other in both directions.
-    assert!(RunReport::parse(text.trim()).is_err());
-    assert!(PoolReport::parse(text.trim()).is_err());
+    // A service report is not a run or pool report.
+    assert!(Report::parse(text.trim(), Kind::Run).is_err());
+    assert!(Report::parse(text.trim(), Kind::Pool).is_err());
     // Round trip: render → parse is the identity.
-    let back = ServiceReport::parse(&sr.render()).unwrap();
+    let back = Report::parse(&sr.render(), Kind::Service).unwrap();
     assert_eq!(back, sr);
 }
 
@@ -286,8 +318,8 @@ fn raul_profile_json_with_tenants_attaches_the_pool_section() {
         "2",
         "--json",
     ]);
-    let pr = ProfileReport::parse(text.trim()).unwrap();
-    let pool = pr.pool.as_ref().expect("pool section");
+    let pr = Report::parse(text.trim(), Kind::Profile).unwrap();
+    let pool = section(&pr, "pool");
     assert_eq!(pool.get("tenants").and_then(Json::as_i64), Some(4));
     assert_eq!(pool.get("completed").and_then(Json::as_i64), Some(4));
     // The merged latency histogram totals the tenant count.
