@@ -31,7 +31,7 @@ use std::sync::Arc;
 use dir::encode::SchemeKind;
 use telemetry::{Json, Kind, Report};
 use uhm::resilience::{AdmissionPolicy, BreakerPolicy, ChaosConfig, Supervisor};
-use uhm::{Budget, DtbConfig, Machine, MachinePool, Mode, PoolRun, TenantOutcome};
+use uhm::{Budget, DtbConfig, Machine, MachinePool, Mode, PoolRun, RequestOutcome};
 use uhm_bench::json_flag;
 
 const SEED: u64 = 0xC0A5;
@@ -177,17 +177,12 @@ fn cell_from_run(
         }
     }
     let no_lost_tenants = run.results.len() == n && present.iter().all(|&c| c == 1);
-    let statuses = [
-        "completed",
-        "trapped",
-        "panicked",
-        "timed_out",
-        "shed",
-        "quarantined",
-    ];
-    let counted: usize = statuses.iter().map(|s| run.outcome_count(s)).sum();
+    let counted: usize = RequestOutcome::STATUSES
+        .iter()
+        .map(|s| run.outcome_count(s))
+        .sum();
     let bit_identical_survivors = run.results.iter().all(|r| {
-        !matches!(r.outcome, TenantOutcome::Completed(_))
+        !matches!(r.outcome, RequestOutcome::Completed(_))
             || reference
                 .results
                 .iter()

@@ -12,7 +12,7 @@ use std::process::ExitCode;
 
 use dir::encode::SchemeKind;
 use telemetry::{FaultKind, Json, RingSink};
-use uhm::{CostModel, DtbConfig, FaultConfig, Limits, Machine, Mode};
+use uhm::{CostModel, DtbConfig, FaultConfig, Limits, Machine, Mode, RunOptions};
 use uhm_bench::{bench_report, json_flag, workloads, Workload};
 
 const SEED: u64 = 0xFA14;
@@ -57,11 +57,14 @@ fn machine(w: &Workload) -> Machine {
 }
 
 fn run_cell(w: &Workload, clean: &uhm::Report, kind: FaultKind, rate: f64, seed: u64) -> Cell {
-    let mut m = machine(w);
-    m.set_faults(Some(FaultConfig::only(seed, kind, rate)));
+    let m = machine(w);
+    let opts = RunOptions {
+        faults: Some(FaultConfig::only(seed, kind, rate)),
+        ..RunOptions::default()
+    };
     let mode = Mode::Dtb(DtbConfig::with_capacity(64));
     let mut ring = RingSink::new(1024);
-    match m.run_with(&mode, &mut ring) {
+    match m.run_with(&mode, &mut ring, opts) {
         Ok(report) => {
             let metrics = &report.metrics;
             let faults = metrics.faults.unwrap_or_default();

@@ -24,7 +24,8 @@ use std::sync::Arc;
 
 use dir::encode::SchemeKind;
 use telemetry::Json;
-use uhm::pool::{MachinePool, PoolRun, TenantOutcome};
+use uhm::pool::{MachinePool, PoolRun};
+use uhm::RequestOutcome;
 use uhm::{DtbConfig, Machine, Mode};
 use uhm_bench::{bench_report, json_flag, workloads};
 
@@ -67,7 +68,7 @@ fn build_pool(machines: &[(String, Arc<Machine>)], workers: usize, tenants: usiz
     pool
 }
 
-fn outcomes(run: &PoolRun) -> Vec<&TenantOutcome> {
+fn outcomes(run: &PoolRun) -> Vec<&RequestOutcome> {
     run.results.iter().map(|r| &r.outcome).collect()
 }
 

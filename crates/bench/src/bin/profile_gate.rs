@@ -32,7 +32,7 @@ use dir::encode::SchemeKind;
 use dir::program::Program;
 use profile::CounterPlane;
 use telemetry::Json;
-use uhm::{DtbConfig, Machine, Mode};
+use uhm::{DtbConfig, Machine, Mode, RunOptions};
 use uhm_bench::{bench_report, json_flag, workloads};
 
 /// Committed reference overhead ratios, for drift context in reports.
@@ -131,7 +131,7 @@ fn pass_profiled(corpus: &[Prepared], mode: &Mode) -> u64 {
     for w in corpus {
         let mut plane = CounterPlane::new(&w.program);
         w.machine
-            .run_with(mode, &mut plane)
+            .run_with(mode, &mut plane, RunOptions::default())
             .expect("samples are trap-free");
         acc = acc.wrapping_add(plane.cycles());
     }
@@ -148,7 +148,7 @@ fn check_identity(corpus: &[Prepared]) -> Result<u64, String> {
             let mut plane = CounterPlane::new(&w.program);
             let profiled = w
                 .machine
-                .run_with(&mode, &mut plane)
+                .run_with(&mode, &mut plane, RunOptions::default())
                 .expect("samples are trap-free");
             if plain.output != profiled.output {
                 return Err(format!(

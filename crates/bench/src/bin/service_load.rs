@@ -35,7 +35,7 @@ use std::sync::Arc;
 use dir::encode::SchemeKind;
 use telemetry::Json;
 use uhm::service::{Service, ServiceConfig, ServiceRun};
-use uhm::{DtbConfig, Machine, Mode};
+use uhm::{DtbConfig, Machine, Mode, RequestOutcome};
 use uhm_bench::{core_workloads, json_flag};
 
 /// Seed of the arrival jitter streams and the pinned pool schedule.
@@ -121,11 +121,13 @@ fn config_json() -> Json {
 
 /// The three SLO verdicts over a finished sweep.
 fn slo_json(run: &ServiceRun) -> Json {
-    let statuses = ["completed", "trapped", "panicked", "rejected", "shed"];
-    let full_accounting = run
-        .steps
-        .iter()
-        .all(|s| statuses.iter().map(|x| s.outcome_count(x)).sum::<usize>() == s.results.len());
+    let full_accounting = run.steps.iter().all(|s| {
+        let counted: usize = RequestOutcome::STATUSES
+            .iter()
+            .map(|x| s.outcome_count(x))
+            .sum();
+        counted == s.results.len()
+    });
     let p99_bounded = run
         .steps
         .iter()

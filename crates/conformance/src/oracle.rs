@@ -25,7 +25,7 @@ use dir::exec::Trap;
 use hlr::ast;
 use profile::CounterPlane;
 use telemetry::{Event, TraceSink};
-use uhm::{DtbConfig, Machine, Metrics, Mode};
+use uhm::{DtbConfig, Machine, Metrics, Mode, RunOptions};
 
 use crate::coverage::Coverage;
 
@@ -329,7 +329,7 @@ pub fn run_case(
 
     // ---- Observation identity: profiling must not perturb ------------
     let mut plane = CounterPlane::new(&compiled);
-    let profiled_run = machine.run_with(&dtb_mode, &mut plane);
+    let profiled_run = machine.run_with(&dtb_mode, &mut plane, RunOptions::default());
     check(
         &mut divergences,
         &reference,
@@ -361,7 +361,7 @@ pub fn run_case(
 
     // ---- Classification identity: the shadow classifier only fills
     // the taxonomy, never changes behaviour or the base metrics --------
-    let classified_run = machine.run_with(&dtb_mode, &mut ClassifySink);
+    let classified_run = machine.run_with(&dtb_mode, &mut ClassifySink, RunOptions::default());
     check(
         &mut divergences,
         &reference,

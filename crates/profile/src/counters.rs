@@ -391,13 +391,15 @@ impl CounterPlane {
 mod tests {
     use super::*;
     use dir::encode::SchemeKind;
-    use uhm::{DtbConfig, Machine, Mode};
+    use uhm::{DtbConfig, Machine, Mode, RunOptions};
 
     fn plane_for(src: &str, mode: &Mode) -> (CounterPlane, uhm::Report) {
         let program = dir::compiler::compile(&hlr::compile(src).unwrap());
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut plane = CounterPlane::new(&program);
-        let report = machine.run_with(mode, &mut plane).unwrap();
+        let report = machine
+            .run_with(mode, &mut plane, RunOptions::default())
+            .unwrap();
         (plane, report)
     }
 
@@ -468,7 +470,9 @@ mod tests {
         let program = dir::compiler::compile(&hlr::compile(LOOP).unwrap());
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut plane = CounterPlane::new(&program);
-        machine.run_with(&Mode::Interpreter, &mut plane).unwrap();
+        machine
+            .run_with(&Mode::Interpreter, &mut plane, RunOptions::default())
+            .unwrap();
         let (_, stats) = dir::exec::run_with(&program, dir::exec::Limits::default(), true).unwrap();
         let from_trace = Profile::from_trace(&program, &stats.trace.unwrap());
         assert_eq!(plane.profile(), from_trace);

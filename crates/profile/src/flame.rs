@@ -90,7 +90,7 @@ impl TraceSink for FlameBuilder {
 mod tests {
     use super::*;
     use dir::encode::SchemeKind;
-    use uhm::{Machine, Mode};
+    use uhm::{Machine, Mode, RunOptions};
 
     const CALLS: &str = "proc leaf(int n) -> int begin return n + 1; end
         proc mid(int n) -> int begin return leaf(n) * 2; end
@@ -104,7 +104,9 @@ mod tests {
         let program = dir::compiler::compile(&hlr::compile(src).unwrap());
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut flame = FlameBuilder::new(&program);
-        let report = machine.run_with(&Mode::Interpreter, &mut flame).unwrap();
+        let report = machine
+            .run_with(&Mode::Interpreter, &mut flame, RunOptions::default())
+            .unwrap();
         (flame, report)
     }
 

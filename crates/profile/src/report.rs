@@ -105,7 +105,7 @@ mod tests {
     use dir::encode::SchemeKind;
     use std::sync::Arc;
     use uhm::pool::MachinePool;
-    use uhm::{DtbConfig, Machine, Mode};
+    use uhm::{DtbConfig, Machine, Mode, RunOptions};
 
     const LOOP: &str = "proc main() begin
         int i; int s := 0;
@@ -119,7 +119,11 @@ mod tests {
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut plane = CounterPlane::new(&program);
         let report = machine
-            .run_with(&Mode::Dtb(DtbConfig::with_capacity(16)), &mut plane)
+            .run_with(
+                &Mode::Dtb(DtbConfig::with_capacity(16)),
+                &mut plane,
+                RunOptions::default(),
+            )
             .unwrap();
         let pr = profile_report(
             "raul profile",

@@ -364,7 +364,7 @@ impl TraceSink for SpanTracer {
 mod tests {
     use super::*;
     use dir::encode::SchemeKind;
-    use uhm::{DtbConfig, Machine, Mode};
+    use uhm::{DtbConfig, Machine, Mode, RunOptions};
 
     const CALLS: &str = "proc helper(int n) -> int begin return n * 2; end
         proc main() begin
@@ -377,7 +377,9 @@ mod tests {
         let program = dir::compiler::compile(&hlr::compile(src).unwrap());
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut tracer = SpanTracer::new(&program);
-        let report = machine.run_with(mode, &mut tracer).unwrap();
+        let report = machine
+            .run_with(mode, &mut tracer, RunOptions::default())
+            .unwrap();
         (tracer.to_json(), report)
     }
 
@@ -391,7 +393,11 @@ mod tests {
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut tracer = SpanTracer::new(&program);
         let report = machine
-            .run_with(&Mode::Dtb(DtbConfig::with_capacity(16)), &mut tracer)
+            .run_with(
+                &Mode::Dtb(DtbConfig::with_capacity(16)),
+                &mut tracer,
+                RunOptions::default(),
+            )
             .unwrap();
         assert_eq!(tracer.clock(), report.metrics.cycles.total());
     }
@@ -467,7 +473,9 @@ mod tests {
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut tracer = SpanTracer::new(&program);
         tracer.set_max_events(32);
-        machine.run_with(&Mode::Interpreter, &mut tracer).unwrap();
+        machine
+            .run_with(&Mode::Interpreter, &mut tracer, RunOptions::default())
+            .unwrap();
         assert!(tracer.dropped() > 0);
         let doc = tracer.to_json();
         assert_eq!(
@@ -489,7 +497,9 @@ mod tests {
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut tracer = SpanTracer::new(&program);
         tracer.set_track(7, 3);
-        machine.run_with(&Mode::Interpreter, &mut tracer).unwrap();
+        machine
+            .run_with(&Mode::Interpreter, &mut tracer, RunOptions::default())
+            .unwrap();
         let doc = tracer.to_json();
         for e in events(&doc) {
             assert_eq!(e.get("pid").and_then(Json::as_i64), Some(7));

@@ -84,9 +84,10 @@ impl DtbConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when the unit size is zero or when a
+    /// Returns a [`ConfigError`] when the unit size is zero, when a
     /// fixed-allocation unit is smaller than the largest translation
-    /// (such a DTB could never hold some instructions).
+    /// (such a DTB could never hold some instructions), or when the
+    /// buffer array exceeds [`MAX_BUFFER_WORDS`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.unit_words == 0 {
             return Err(ConfigError::ZeroUnitWords);
@@ -97,18 +98,37 @@ impl DtbConfig {
                 required: MAX_TRANSLATION_WORDS,
             });
         }
-        Ok(())
+        check_words(self.buffer_words())
     }
 
     /// Total buffer-array capacity in short words (primary units plus
-    /// overflow area) — the DTB's level-1 footprint.
+    /// overflow area) — the DTB's level-1 footprint. Computed with
+    /// checked arithmetic: a geometry whose size overflows reports
+    /// `usize::MAX`, which [`DtbConfig::validate`] rejects.
     pub fn buffer_words(&self) -> usize {
-        let primary = self.geometry.capacity() * self.unit_words;
-        match self.allocation {
-            Allocation::Fixed => primary,
-            Allocation::Overflow { blocks } => primary + blocks * self.unit_words,
-        }
+        let blocks = match self.allocation {
+            Allocation::Fixed => 0,
+            Allocation::Overflow { blocks } => blocks,
+        };
+        let units = self.geometry.sets.checked_mul(self.geometry.ways);
+        let units = units.and_then(|u| u.checked_add(blocks));
+        units
+            .and_then(|u| u.checked_mul(self.unit_words))
+            .unwrap_or(usize::MAX)
     }
+}
+
+/// The largest buffer, in words, that any modeled translation buffer or
+/// i-cache may be configured with: 2^24 (16M) words. Far above every
+/// geometry the benches, the tests and the analyzer's right-sizing use
+/// (thousands of words), and far below what would exhaust host memory —
+/// an oversized geometry is a [`ConfigError`], not an allocation abort.
+pub const MAX_BUFFER_WORDS: usize = 1 << 24;
+
+/// Checks a buffer size against [`MAX_BUFFER_WORDS`].
+pub(crate) fn check_words(words: usize) -> Result<(), ConfigError> {
+    let fits = words <= MAX_BUFFER_WORDS;
+    fits.then_some(()).ok_or(ConfigError::TooLarge { words })
 }
 
 /// An invalid [`DtbConfig`] geometry, reported before any machine runs.
@@ -124,6 +144,12 @@ pub enum ConfigError {
         /// Words the largest translation needs.
         required: usize,
     },
+    /// The buffer exceeds [`MAX_BUFFER_WORDS`] (`usize::MAX` when its
+    /// size overflowed).
+    TooLarge {
+        /// Configured buffer size in words.
+        words: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -137,6 +163,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "fixed allocation units of {unit_words} words cannot hold \
                  the largest translation ({required} words)"
+            ),
+            ConfigError::TooLarge { words } => write!(
+                f,
+                "geometry of {words} buffer words exceeds the {MAX_BUFFER_WORDS}-word ceiling"
             ),
         }
     }
@@ -773,6 +803,23 @@ mod tests {
             Err(ConfigError::ZeroUnitWords)
         );
         assert!(DtbConfig::with_capacity(64).validate().is_ok());
+        // Oversized and overflowing geometries are typed errors, not
+        // allocation aborts.
+        let huge = DtbConfig::with_capacity(100_000_000_000);
+        assert_eq!(
+            huge.validate(),
+            Err(ConfigError::TooLarge {
+                words: 100_000_000_000 * MAX_TRANSLATION_WORDS
+            })
+        );
+        let overflow = DtbConfig::with_capacity(usize::MAX);
+        assert_eq!(overflow.buffer_words(), usize::MAX);
+        assert!(matches!(
+            overflow.validate(),
+            Err(ConfigError::TooLarge { .. })
+        ));
+        let ceiling = DtbConfig::with_capacity(MAX_BUFFER_WORDS / MAX_TRANSLATION_WORDS);
+        assert!(ceiling.validate().is_ok());
         // The typed error renders a clear message and is a std error.
         let e = ConfigError::UnitTooSmall {
             unit_words: 2,

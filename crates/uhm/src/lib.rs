@@ -70,7 +70,7 @@ pub use fault::{FaultConfig, FaultInjector, FaultStats};
 pub use machine::{Machine, Mode, RunOptions, SharedArtifacts};
 pub use metrics::{CycleBreakdown, Metrics, Report};
 pub use model::Params;
-pub use pool::{MachinePool, PoolRun, PoolTenant, TenantOutcome, TenantResult};
+pub use pool::{MachinePool, PoolRun, PoolTenant, TenantResult};
 pub use resilience::{
     AdmissionPolicy, BackoffPolicy, Breaker, BreakerPolicy, BreakerState, ChaosConfig, Supervisor,
 };

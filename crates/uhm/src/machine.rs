@@ -24,7 +24,7 @@ use std::time::Instant;
 use telemetry::{Event, FaultKind, MissKind, NullSink, Tier, TraceSink};
 
 use crate::config::{Budget, CostModel, Limits, RetryPolicy, BUDGET_CHECK_INTERVAL};
-use crate::dtb::{Dtb, DtbConfig, Handle};
+use crate::dtb::{check_words, ConfigError, Dtb, DtbConfig, Handle};
 use crate::fault::{FaultConfig, FaultInjector};
 use crate::metrics::{CycleBreakdown, Metrics, Report};
 use crate::window::WindowSample;
@@ -55,6 +55,27 @@ pub enum Mode {
     },
 }
 
+impl Mode {
+    /// Validates every buffer geometry the mode configures: each DTB
+    /// through [`DtbConfig::validate`], the i-cache against the same
+    /// [`MAX_BUFFER_WORDS`](crate::dtb::MAX_BUFFER_WORDS) ceiling.
+    ///
+    /// # Errors
+    ///
+    /// The first invalid geometry's [`ConfigError`].
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        match self {
+            Mode::Interpreter => Ok(()),
+            Mode::Dtb(cfg) => cfg.validate(),
+            Mode::ICache { geometry } => {
+                let words = geometry.sets.checked_mul(geometry.ways);
+                check_words(words.unwrap_or(usize::MAX))
+            }
+            Mode::TwoLevelDtb { l1, l2 } => l1.validate().and_then(|()| l2.validate()),
+        }
+    }
+}
+
 /// Which shared translation artifacts a run consults (see
 /// [`Machine::set_shared_translations`]). Host-side only in every
 /// variant: outputs, traps and modeled metrics are identical regardless,
@@ -74,16 +95,26 @@ pub enum SharedArtifacts {
     Override(Arc<FrozenTransCache>),
 }
 
-/// Per-run options for [`Machine::run_opts`]: everything a supervisor
-/// may vary between attempts without touching the shared machine.
+/// Per-run options for [`Machine::run_with`]: every setting that may
+/// vary between runs of one shared machine. The default is a plain run —
+/// no sampling, no fault plane, an unlimited budget, the machine's own
+/// shared artifacts — which is what [`Machine::run`] passes.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// The fault plane for this run, taken verbatim (like
-    /// [`Machine::run_with_faults`]): `None` runs fault-free even when
-    /// the machine carries its own configuration.
+    /// Windowed time-series sampling: one [`WindowSample`] is closed
+    /// every `n` dynamic instructions and collected in
+    /// [`Metrics::windows`]. `None` and `Some(0)` disable sampling.
+    pub window: Option<u64>,
+    /// The fault plane: the run consults a seeded [`FaultInjector`] built
+    /// from this configuration and verifies every DTB line on dispatch.
+    /// `None` keeps the fault plane entirely out of the pipeline.
     pub faults: Option<FaultConfig>,
-    /// Budget override for this run (`None` = the machine's own budget).
-    pub budget: Option<Budget>,
+    /// Fault-recovery policy (degradation threshold and fetch retry
+    /// budget). Only consulted when a fault plane is attached.
+    pub retry: RetryPolicy,
+    /// Execution budget (fuel and/or wall-clock deadline). The unlimited
+    /// default keeps the amortized budget check inert.
+    pub budget: Budget,
     /// Which shared translation artifacts to consult.
     pub shared: SharedArtifacts,
 }
@@ -100,12 +131,6 @@ pub struct Machine {
     lib: RoutineLib,
     costs: CostModel,
     limits: Limits,
-    window: Option<u64>,
-    faults: Option<FaultConfig>,
-    retry: RetryPolicy,
-    /// Default execution budget (fuel / wall-clock deadline) applied to
-    /// every run unless [`RunOptions::budget`] overrides it.
-    budget: Budget,
     /// Shared read-only decode templates consulted before the per-run
     /// private cache. Host-side only; modeled costs are unaffected.
     shared_trans: Option<Arc<FrozenTransCache>>,
@@ -131,10 +156,6 @@ impl Machine {
             lib: RoutineLib::new(),
             costs,
             limits,
-            window: None,
-            faults: None,
-            retry: RetryPolicy::default(),
-            budget: Budget::default(),
             shared_trans: None,
         }
     }
@@ -173,53 +194,8 @@ impl Machine {
             lib: RoutineLib::new(),
             costs,
             limits,
-            window: None,
-            faults: None,
-            retry: RetryPolicy::default(),
-            budget: Budget::default(),
             shared_trans: None,
         }
-    }
-
-    /// Enables windowed time-series sampling: one
-    /// [`WindowSample`] is closed every
-    /// `every` dynamic instructions and collected in
-    /// [`Metrics::windows`]. `None` (the default) disables sampling;
-    /// `Some(0)` is treated as disabled.
-    pub fn set_window(&mut self, every: Option<u64>) -> &mut Self {
-        self.window = every.filter(|&n| n > 0);
-        self
-    }
-
-    /// Attaches (or detaches) a fault plane: subsequent runs consult a
-    /// seeded [`FaultInjector`] built from `config` and run the dispatch
-    /// path with per-line integrity verification. `None` (the default)
-    /// keeps the fault plane entirely out of the pipeline.
-    pub fn set_faults(&mut self, config: Option<FaultConfig>) -> &mut Self {
-        self.faults = config;
-        self
-    }
-
-    /// The fault plane this machine carries, if any. The supervised pool
-    /// reads it to re-seed fault streams across retry attempts.
-    pub fn fault_config(&self) -> Option<FaultConfig> {
-        self.faults
-    }
-
-    /// Sets the fault-recovery policy (degradation threshold and fetch
-    /// retry budget). Only consulted when a fault plane is attached.
-    pub fn set_retry(&mut self, retry: RetryPolicy) -> &mut Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the default execution budget (fuel and/or wall-clock
-    /// deadline) for subsequent runs. The unlimited default keeps the
-    /// amortized budget check inert. Per-run overrides go through
-    /// [`RunOptions::budget`].
-    pub fn set_budget(&mut self, budget: Budget) -> &mut Self {
-        self.budget = budget;
-        self
     }
 
     /// Selects the host decoder implementation (tree-walking reference or
@@ -302,13 +278,13 @@ impl Machine {
     /// Returns the same [`Trap`]s as [`dir::exec::run`]; all modes trap
     /// identically on identical programs.
     pub fn run(&self, mode: &Mode) -> Result<Report, Trap> {
-        self.run_with(mode, &mut NullSink)
+        self.run_with(mode, &mut NullSink, RunOptions::default())
     }
 
-    /// Runs the program under `mode`, emitting typed trace events into
-    /// `sink`. With [`NullSink`] (what [`Machine::run`] passes) the
-    /// emission sites monomorphize to nothing, so tracing has no cost
-    /// when disabled. Enabled sinks whose
+    /// Runs the program under `mode` with the per-run `opts`, emitting
+    /// typed trace events into `sink`. With [`NullSink`] (what
+    /// [`Machine::run`] passes) the emission sites monomorphize to
+    /// nothing, so tracing has no cost when disabled. Enabled sinks whose
     /// [`CLASSIFY_MISSES`](TraceSink::CLASSIFY_MISSES) is `true` (the
     /// default — diagnostic sinks like [`telemetry::RingSink`])
     /// additionally switch on the DTB miss taxonomy, so `DtbMiss` events
@@ -316,59 +292,29 @@ impl Machine {
     /// leave it off so their runs' metrics stay bit-identical to an
     /// untraced run.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_with<S: TraceSink>(&self, mode: &Mode, sink: &mut S) -> Result<Report, Trap> {
-        self.run_with_faults(mode, sink, self.faults)
-    }
-
-    /// Runs like [`Machine::run_with`] but with `faults` overriding the
-    /// machine's own fault configuration for this run only. This is how a
-    /// [`MachinePool`](crate::pool::MachinePool) gives every tenant a
-    /// distinct deterministic fault seed while tenants share one machine
-    /// behind an [`Arc`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_with_faults<S: TraceSink>(
-        &self,
-        mode: &Mode,
-        sink: &mut S,
-        faults: Option<FaultConfig>,
-    ) -> Result<Report, Trap> {
-        self.run_opts(
-            mode,
-            sink,
-            RunOptions {
-                faults,
-                ..RunOptions::default()
-            },
-        )
-    }
-
-    /// The full supervised-run entry point: like
-    /// [`Machine::run_with_faults`], plus a per-run budget override and
-    /// control over which shared translation artifacts the run consults.
-    /// This is what the resilience layer drives — every retry attempt of
-    /// a pool tenant is one `run_opts` call with attempt-specific
-    /// options, while the machine itself stays shared and immutable.
+    /// The machine itself stays shared and immutable: a supervisor varies
+    /// only `opts` between attempts (fault seed, budget, which shared
+    /// artifacts to trust).
     ///
     /// # Errors
     ///
     /// Same as [`Machine::run`], plus
-    /// [`Trap::FuelExhausted`]/[`Trap::DeadlineExceeded`] when the
-    /// effective budget fires.
-    pub fn run_opts<S: TraceSink>(
+    /// [`Trap::FuelExhausted`]/[`Trap::DeadlineExceeded`] when
+    /// [`RunOptions::budget`] fires.
+    pub fn run_with<S: TraceSink>(
         &self,
         mode: &Mode,
         sink: &mut S,
         opts: RunOptions,
     ) -> Result<Report, Trap> {
-        let faults = opts.faults;
-        let budget = opts.budget.unwrap_or(self.budget);
-        let shared = match opts.shared {
+        let RunOptions {
+            window,
+            faults,
+            retry,
+            budget,
+            shared,
+        } = opts;
+        let shared = match shared {
             SharedArtifacts::Machine => self.shared_trans.clone(),
             SharedArtifacts::Bypass => None,
             SharedArtifacts::Override(snapshot) => Some(snapshot),
@@ -406,8 +352,9 @@ impl Machine {
                 _ => None,
             },
             sink,
-            window: self.window.map(WindowState::new),
+            window: window.filter(|&n| n > 0).map(WindowState::new),
             faults: faults.map(FaultInjector::new),
+            retry,
             // A mutable level-2 copy of the encoded stream, so injected
             // DIR corruption persists without touching the pristine
             // image shared across runs.
@@ -495,6 +442,8 @@ struct Run<'m, S: TraceSink> {
     sink: &'m mut S,
     window: Option<WindowState>,
     faults: Option<FaultInjector>,
+    /// Fault-recovery policy of this run (fault plane only).
+    retry: RetryPolicy,
     /// Mutable level-2 copy of the encoded DIR stream (fault plane only).
     dir_bytes: Option<Vec<u8>>,
     /// DIR addresses degraded to pure interpretation after repeated
@@ -668,7 +617,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
         }
         let failures = self.fail_counts.entry(pc).or_insert(0);
         *failures += 1;
-        if *failures >= self.machine.retry.degrade_after.max(1) {
+        if *failures >= self.retry.degrade_after.max(1) {
             self.fail_counts.remove(&pc);
             self.degraded.insert(pc);
             self.metrics.degraded_instructions += 1;
@@ -691,7 +640,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
     fn fetch_decode(&mut self, pc: u32) -> Result<dir::Inst, Trap> {
         let word_bits = self.costs().word_bits;
         let (tau_d, t2) = (self.costs().mem.tau_d, self.costs().mem.t2);
-        let max_retries = self.machine.retry.max_fetch_retries;
+        let max_retries = self.retry.max_fetch_retries;
         let words = self.machine.image.fetch_words(pc, word_bits);
         let step = self.metrics.instructions;
         if self.faults.is_some() {
@@ -1123,6 +1072,14 @@ mod tests {
     use super::*;
     use dir::compiler::compile;
 
+    /// Run options with the fault plane attached.
+    fn faulty(faults: FaultConfig) -> RunOptions {
+        RunOptions {
+            faults: Some(faults),
+            ..RunOptions::default()
+        }
+    }
+
     fn modes() -> Vec<Mode> {
         vec![
             Mode::Interpreter,
@@ -1268,22 +1225,30 @@ mod tests {
     #[test]
     fn fuel_budget_preempts_runaway_programs_in_every_mode() {
         let p = compile(&hlr::compile("proc main() begin while true do skip; end").unwrap());
-        let mut m = Machine::new(&p, SchemeKind::Packed);
-        m.set_budget(Budget::fuel(100_000));
+        let m = Machine::new(&p, SchemeKind::Packed);
         for mode in modes() {
-            assert_eq!(m.run(&mode).unwrap_err(), Trap::FuelExhausted, "{mode:?}");
+            let opts = RunOptions {
+                budget: Budget::fuel(100_000),
+                ..RunOptions::default()
+            };
+            let err = m.run_with(&mode, &mut NullSink, opts).unwrap_err();
+            assert_eq!(err, Trap::FuelExhausted, "{mode:?}");
         }
     }
 
     #[test]
     fn deadline_budget_preempts_runaway_programs() {
         let p = compile(&hlr::compile("proc main() begin while true do skip; end").unwrap());
-        let mut m = Machine::new(&p, SchemeKind::Packed);
+        let m = Machine::new(&p, SchemeKind::Packed);
         // 1ms wall-clock: far below what an unbounded spin would take,
         // far above the time to reach the first amortized check.
-        m.set_budget(Budget::deadline_ns(1_000_000));
+        let opts = RunOptions {
+            budget: Budget::deadline_ns(1_000_000),
+            ..RunOptions::default()
+        };
         assert_eq!(
-            m.run(&Mode::Interpreter).unwrap_err(),
+            m.run_with(&Mode::Interpreter, &mut NullSink, opts)
+                .unwrap_err(),
             Trap::DeadlineExceeded
         );
     }
@@ -1292,34 +1257,18 @@ mod tests {
     fn unfired_budget_is_invisible() {
         let p = compile(&hlr::programs::SIEVE.compile().unwrap());
         let mode = Mode::Dtb(DtbConfig::with_capacity(64));
-        let plain = Machine::new(&p, SchemeKind::Huffman).run(&mode).unwrap();
-        let mut m = Machine::new(&p, SchemeKind::Huffman);
-        m.set_budget(Budget {
-            fuel: Some(u64::MAX),
-            deadline_ns: Some(u64::MAX / 4),
-        });
-        let budgeted = m.run(&mode).unwrap();
+        let m = Machine::new(&p, SchemeKind::Huffman);
+        let plain = m.run(&mode).unwrap();
+        let opts = RunOptions {
+            budget: Budget {
+                fuel: Some(u64::MAX),
+                deadline_ns: Some(u64::MAX / 4),
+            },
+            ..RunOptions::default()
+        };
+        let budgeted = m.run_with(&mode, &mut NullSink, opts).unwrap();
         assert_eq!(budgeted.output, plain.output);
         assert_eq!(budgeted.metrics, plain.metrics);
-    }
-
-    #[test]
-    fn run_opts_budget_overrides_the_machine_budget() {
-        let p = compile(&hlr::programs::SIEVE.compile().unwrap());
-        let mut m = Machine::new(&p, SchemeKind::Packed);
-        m.set_budget(Budget::fuel(1));
-        assert_eq!(m.run(&Mode::Interpreter).unwrap_err(), Trap::FuelExhausted);
-        let r = m
-            .run_opts(
-                &Mode::Interpreter,
-                &mut NullSink,
-                RunOptions {
-                    budget: Some(Budget::unlimited()),
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        assert!(r.metrics.instructions > 0);
     }
 
     #[test]
@@ -1331,7 +1280,7 @@ mod tests {
         let poisoned = Arc::new(FrozenTransCache::for_program(&p.code).poisoned());
         for mode in modes() {
             let err = m
-                .run_opts(
+                .run_with(
                     &mode,
                     &mut NullSink,
                     RunOptions {
@@ -1348,7 +1297,7 @@ mod tests {
         // Bypassing shared artifacts rebuilds templates privately:
         // host-side only, so the result is bit-identical to the shared run.
         let bypass = m
-            .run_opts(
+            .run_with(
                 &Mode::Interpreter,
                 &mut NullSink,
                 RunOptions {
@@ -1459,7 +1408,9 @@ mod tests {
         let p = compile(&hlr::programs::FIB_ITER.compile().unwrap());
         let m = Machine::new(&p, SchemeKind::Huffman);
         let mut ring = telemetry::RingSink::new(256);
-        let r = m.run_with(&Mode::Interpreter, &mut ring).unwrap();
+        let r = m
+            .run_with(&Mode::Interpreter, &mut ring, RunOptions::default())
+            .unwrap();
         assert_eq!(ring.counts().decodes, r.metrics.decoded);
         // Every retained event carries the modeled per-instruction cost.
         let mut saw_cost = false;
@@ -1550,9 +1501,15 @@ mod tests {
         let p = compile(&hlr::programs::SIEVE.compile().unwrap());
         let want = dir::exec::run(&p).unwrap();
         let verified = analyze::verify(&p, SchemeKind::Huffman.encode(&p)).unwrap();
-        let mut m = Machine::load(&verified);
-        m.set_faults(Some(FaultConfig::only(0xFA, FaultKind::DtbWord, 0.01)));
-        let r = m.run(&Mode::Dtb(DtbConfig::with_capacity(64))).unwrap();
+        let m = Machine::load(&verified);
+        let opts = faulty(FaultConfig::only(0xFA, FaultKind::DtbWord, 0.01));
+        let r = m
+            .run_with(
+                &Mode::Dtb(DtbConfig::with_capacity(64)),
+                &mut NullSink,
+                opts,
+            )
+            .unwrap();
         assert_eq!(r.output, want, "faulted verified run must recover");
         assert!(r.metrics.recoveries > 0);
     }
@@ -1565,29 +1522,18 @@ mod tests {
     }
 
     #[test]
-    fn inert_fault_plane_changes_nothing() {
-        let p = compile(&hlr::programs::FIB_ITER.compile().unwrap());
-        let mode = Mode::Dtb(DtbConfig::with_capacity(64));
-        let clean = Machine::new(&p, SchemeKind::Huffman).run(&mode).unwrap();
-        let mut m = Machine::new(&p, SchemeKind::Huffman);
-        m.set_faults(Some(FaultConfig::inert(9)));
-        let faulty = m.run(&mode).unwrap();
-        assert_eq!(faulty.output, clean.output);
-        let mut metrics = faulty.metrics;
-        assert_eq!(
-            metrics.faults.take(),
-            Some(crate::fault::FaultStats::default())
-        );
-        assert_eq!(metrics, clean.metrics, "inert injector must be invisible");
-    }
-
-    #[test]
     fn dtb_corruption_is_recovered_transparently() {
         let p = compile(&hlr::programs::SIEVE.compile().unwrap());
         let want = dir::exec::run(&p).unwrap();
-        let mut m = Machine::new(&p, SchemeKind::Huffman);
-        m.set_faults(Some(FaultConfig::only(0xFA, FaultKind::DtbWord, 0.01)));
-        let r = m.run(&Mode::Dtb(DtbConfig::with_capacity(64))).unwrap();
+        let m = Machine::new(&p, SchemeKind::Huffman);
+        let opts = faulty(FaultConfig::only(0xFA, FaultKind::DtbWord, 0.01));
+        let r = m
+            .run_with(
+                &Mode::Dtb(DtbConfig::with_capacity(64)),
+                &mut NullSink,
+                opts,
+            )
+            .unwrap();
         assert_eq!(r.output, want, "recovery must preserve semantics");
         assert!(r.metrics.recoveries > 0, "corruption was never detected");
         assert_eq!(
@@ -1596,24 +1542,6 @@ mod tests {
             "machine and DTB recovery counters must agree"
         );
         assert!(r.metrics.faults.unwrap().dtb_words_corrupted > 0);
-    }
-
-    #[test]
-    fn repeated_failures_degrade_to_interpretation() {
-        let p = compile(&hlr::programs::FIB_ITER.compile().unwrap());
-        let want = dir::exec::run(&p).unwrap();
-        let mut m = Machine::new(&p, SchemeKind::Packed);
-        m.set_faults(Some(FaultConfig::only(3, FaultKind::DtbWord, 1.0)));
-        m.set_retry(RetryPolicy {
-            degrade_after: 1,
-            max_fetch_retries: 8,
-        });
-        let r = m.run(&Mode::Dtb(DtbConfig::with_capacity(64))).unwrap();
-        assert_eq!(r.output, want, "degraded mode must preserve semantics");
-        assert!(
-            r.metrics.degraded_instructions > 0,
-            "constant corruption must force degradation"
-        );
     }
 
     #[test]

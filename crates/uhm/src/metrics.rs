@@ -101,7 +101,7 @@ pub struct Metrics {
     /// Fault-injection totals, when a fault plane was attached.
     pub faults: Option<FaultStats>,
     /// Per-window time-series samples, when requested (see
-    /// [`Machine::set_window`](crate::Machine::set_window)).
+    /// [`RunOptions::window`](crate::RunOptions::window)).
     pub windows: Option<Vec<crate::window::WindowSample>>,
 }
 

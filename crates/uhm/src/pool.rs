@@ -24,7 +24,7 @@
 //!    fault campaigns replayable under any interleaving.
 //! 3. **Isolation.** A panicking tenant (e.g. one constructed over an
 //!    invalid DTB geometry) is caught with `catch_unwind`, reported as
-//!    [`TenantOutcome::Panicked`], and the remaining tenants complete.
+//!    [`RequestOutcome::Panicked`], and the remaining tenants complete.
 //!
 //! Latency percentiles and aggregate throughput of a pool run are
 //! summarized by [`PoolRun`]; `crate::report::pool_report` renders the
@@ -33,28 +33,31 @@
 //!
 //! # Supervision
 //!
-//! Attaching a [`Supervisor`] (and optionally a [`ChaosConfig`]) via
-//! [`MachinePool::set_supervisor`] / [`MachinePool::set_chaos`] switches
-//! tenants onto the *supervised* path, which wraps every run in the
-//! resilience layer of [`crate::resilience`]:
+//! Every tenant runs through one attempt loop, which applies the
+//! resilience layer of [`crate::resilience`]. Without a [`Supervisor`]
+//! or [`ChaosConfig`] attached the loop is a pass-through: one attempt
+//! in the requested mode, no admission, no shedding and no circuit
+//! breakers. Attaching either via [`MachinePool::set_supervisor`] /
+//! [`MachinePool::set_chaos`] engages the policies:
 //!
 //! - **Shedding** — tenants queued past the [`Supervisor::max_queue`]
-//!   watermark are rejected up front ([`TenantOutcome::Shed`]).
-//! - **Admission** — the static DTB pressure bound
-//!   ([`analyze::bound`]) rejects oversized programs or right-sizes an
-//!   undersized DTB before the first attempt.
-//! - **Budget** — every attempt runs under the supervisor's
-//!   [`Budget`](crate::config::Budget); fuel or deadline exhaustion is
-//!   reported as [`TenantOutcome::TimedOut`].
+//!   watermark are refused up front ([`RequestOutcome::Shed`]).
+//! - **Admission** — [`AdmissionPolicy::admit`], the gate the service
+//!   plane also uses, rejects oversized programs
+//!   ([`RequestOutcome::Rejected`]) or right-sizes an undersized DTB
+//!   before the first attempt.
+//! - **Budget** — every attempt runs under the supervisor's [`Budget`];
+//!   fuel or deadline exhaustion is reported as
+//!   [`RequestOutcome::TimedOut`].
 //! - **Retry** — transient failures (fault-plane traps, panics,
-//!   timeouts) are re-run up to the [`BackoffPolicy`](crate::resilience::BackoffPolicy) attempt cap with
+//!   timeouts) are re-run up to the [`BackoffPolicy`] attempt cap with
 //!   seeded, jittered exponential backoff. Backoff is *charged* to the
 //!   tenant's latency, not slept, so supervised campaigns stay fast.
 //!   Retries re-seed pool-level fault streams per attempt and bypass
 //!   shared translation artifacts (which may have caused the failure).
 //! - **Circuit breaking** — consecutive failures of one image first
 //!   degrade it to pure interpretation, then quarantine it
-//!   ([`TenantOutcome::Quarantined`]). The breaker bank is shared
+//!   ([`RequestOutcome::Quarantined`]). The breaker bank is shared
 //!   mutable state keyed by image, so it is the one supervision feature
 //!   whose transitions are schedule-*sensitive* under work stealing;
 //!   campaigns that assert breaker walks pin `workers = 1`.
@@ -66,10 +69,10 @@
 //!   schedule-invariant. Tenants lost to a worker crash are recovered
 //!   by a post-join sweep: *no tenant is silently lost*.
 //!
-//! Per-tenant final outcomes on the supervised path are deterministic
-//! functions of `(tenant, seeds, policies)` — everything except breaker
-//! transitions and the observational fields (latency, steals, queue
-//! depth) replays exactly under any worker count.
+//! Per-tenant final outcomes are deterministic functions of
+//! `(tenant, seeds, policies)` — everything except breaker transitions
+//! and the observational fields (latency, steals, queue depth) replays
+//! exactly under any worker count.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,10 +85,14 @@ use psder::FrozenTransCache;
 use std::collections::VecDeque;
 use telemetry::{NullSink, Percentiles, TraceSink};
 
+use crate::config::Budget;
 use crate::fault::FaultConfig;
 use crate::machine::{Machine, Mode, RunOptions, SharedArtifacts};
 use crate::metrics::Report;
-use crate::resilience::{Breaker, BreakerState, ChaosConfig, Supervisor};
+use crate::resilience::{
+    AdmissionPolicy, BackoffPolicy, Breaker, BreakerPolicy, BreakerState, ChaosConfig, Supervisor,
+};
+use crate::service::RequestOutcome;
 
 /// One guest of the pool: a named program bound to a machine and mode.
 ///
@@ -100,55 +107,6 @@ pub struct PoolTenant {
     pub machine: Arc<Machine>,
     /// The fetch-path configuration (T1/T2/T3/two-level) for this tenant.
     pub mode: Mode,
-}
-
-/// How one tenant's run ended.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TenantOutcome {
-    /// The program ran to completion; output and modeled metrics inside.
-    Completed(Box<Report>),
-    /// The program trapped (guest-level failure, e.g. stack overflow).
-    Trapped(Trap),
-    /// The host-side run panicked (host-level failure); the payload is
-    /// the panic message. Other tenants are unaffected.
-    Panicked(String),
-    /// The supervisor preempted the run: its modeled-cycle fuel or
-    /// wall-clock deadline ran out on the final attempt. The payload is
-    /// the budget trap ([`Trap::FuelExhausted`] or
-    /// [`Trap::DeadlineExceeded`]).
-    TimedOut(Trap),
-    /// The supervisor rejected the tenant before it ran — queue
-    /// watermark exceeded or admission control refused the program. The
-    /// payload says which.
-    Shed(String),
-    /// The tenant's image tripped its circuit breaker before this
-    /// tenant could run; the payload records the consecutive-failure
-    /// count that tripped it.
-    Quarantined(String),
-}
-
-impl TenantOutcome {
-    /// `"completed"`, `"trapped"`, `"panicked"`, `"timed_out"`,
-    /// `"shed"` or `"quarantined"` — the status string used by the JSON
-    /// report.
-    pub fn status(&self) -> &'static str {
-        match self {
-            TenantOutcome::Completed(_) => "completed",
-            TenantOutcome::Trapped(_) => "trapped",
-            TenantOutcome::Panicked(_) => "panicked",
-            TenantOutcome::TimedOut(_) => "timed_out",
-            TenantOutcome::Shed(_) => "shed",
-            TenantOutcome::Quarantined(_) => "quarantined",
-        }
-    }
-
-    /// The completed report, if any.
-    pub fn report(&self) -> Option<&Report> {
-        match self {
-            TenantOutcome::Completed(r) => Some(r.as_ref()),
-            _ => None,
-        }
-    }
 }
 
 /// The result of one tenant within a pool run.
@@ -166,14 +124,14 @@ pub struct TenantResult {
     /// Supervised runs include all attempts plus the *charged* (never
     /// slept) backoff delays.
     pub latency_ns: u64,
-    /// Execution attempts made (1 on the unsupervised path; 0 when the
+    /// Execution attempts made (1 on the pass-through; 0 when the
     /// tenant was shed or quarantined before running).
     pub attempts: u32,
     /// Total backoff delay charged to this tenant across retries, in
     /// nanoseconds (0 unless the supervisor retried it).
     pub backoff_ns: u64,
     /// How the run ended.
-    pub outcome: TenantOutcome,
+    pub outcome: RequestOutcome,
 }
 
 /// The aggregated result of one [`MachinePool::run`].
@@ -200,14 +158,15 @@ pub struct PoolRun {
 }
 
 impl PoolRun {
-    /// Per-tenant latencies in nanoseconds, tenant order.
-    pub fn latencies_ns(&self) -> Vec<f64> {
-        self.results.iter().map(|r| r.latency_ns as f64).collect()
-    }
-
-    /// p50/p95/p99/p99.9 of the per-tenant latencies.
+    /// p50/p95/p99/p99.9 of the per-tenant latencies in nanoseconds.
     pub fn latency_percentiles(&self) -> Percentiles {
-        Percentiles::of(&self.latencies_ns())
+        Percentiles::of(
+            &self
+                .results
+                .iter()
+                .map(|r| r.latency_ns as f64)
+                .collect::<Vec<_>>(),
+        )
     }
 
     /// Host nanoseconds each worker spent executing tenants (length =
@@ -243,9 +202,8 @@ impl PoolRun {
     }
 
     /// Number of tenants whose outcome carries the given
-    /// [`TenantOutcome::status`] string (`"completed"`, `"trapped"`,
-    /// `"panicked"`, `"timed_out"`, `"shed"`, `"quarantined"`). The full
-    /// accounting invariant: the six counts always sum to
+    /// [`RequestOutcome::status`] string. The full accounting invariant:
+    /// the counts over [`RequestOutcome::STATUSES`] always sum to
     /// `results.len()`.
     pub fn outcome_count(&self, status: &str) -> usize {
         self.results
@@ -348,26 +306,25 @@ impl MachinePool {
     }
 
     /// Sets a pool-level base fault configuration. Tenant `i` runs with
-    /// `base` re-seeded as `base.seed ^ i`, overriding whatever fault
-    /// configuration its machine carries — so shared machines still get
-    /// distinct, replayable fault streams. `None` (the default) leaves
-    /// each machine's own configuration in force.
+    /// `base` re-seeded as `base.seed ^ i`, so tenants sharing one
+    /// machine still get distinct, replayable fault streams. `None` (the
+    /// default) runs every tenant fault-free.
     pub fn set_faults(&mut self, base: Option<FaultConfig>) -> &mut Self {
         self.fault_base = base;
         self
     }
 
-    /// Attaches a [`Supervisor`]: subsequent runs go through the
-    /// supervised path (shedding, admission, budget, retry, breaker; see
-    /// the module docs). `None` (the default) restores plain execution.
+    /// Attaches a [`Supervisor`]: subsequent runs apply its policies
+    /// (shedding, admission, budget, retry, breaker; see the module
+    /// docs). `None` (the default) restores the pass-through.
     pub fn set_supervisor(&mut self, supervisor: Option<Supervisor>) -> &mut Self {
         self.supervisor = supervisor;
         self
     }
 
     /// Attaches pool-level chaos injection. Chaos alone also engages the
-    /// supervised path (with default-supervisor semantics: unlimited
-    /// budget, default retry); pair it with a [`Supervisor`] carrying a
+    /// default [`Supervisor`]'s policies (unlimited budget, default
+    /// retry and breakers); pair it with a [`Supervisor`] carrying a
     /// budget so hung tenants are preempted rather than running to the
     /// step limit.
     pub fn set_chaos(&mut self, chaos: Option<ChaosConfig>) -> &mut Self {
@@ -428,7 +385,7 @@ impl MachinePool {
         // Stealing trades determinism for load balance; a pinned
         // schedule keeps every worker on its own deque.
         let steal = self.schedule_seed.is_none();
-        let supervision = self.supervision();
+        let sv = self.supervision();
         let steals = AtomicU64::new(0);
         let remaining = AtomicU64::new(self.tenants.len() as u64);
         let depth_samples: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(self.tenants.len()));
@@ -443,68 +400,51 @@ impl MachinePool {
                     let remaining = &remaining;
                     let depth_samples = &depth_samples;
                     let make_sink = &make_sink;
-                    let supervision = &supervision;
+                    let sv = &sv;
                     scope.spawn(move || {
                         let mut local = Vec::new();
                         while let Some(idx) = next_job(w, deques, steals, steal) {
                             let depth = remaining.fetch_sub(1, Ordering::Relaxed) - 1;
                             depth_samples.lock().unwrap().push(depth);
-                            if let Some(sv) = supervision {
-                                // A chaos worker crash escapes the
-                                // tenant's isolation boundary: the
-                                // worker dies mid-job and every result
-                                // it held is lost until the recovery
-                                // sweep below re-runs the missing
-                                // tenants.
-                                if sv.chaos.crashes_worker(idx) {
-                                    panic!("chaos: injected worker crash on tenant {idx}");
-                                }
+                            // A chaos worker crash escapes the tenant's
+                            // isolation boundary: the worker dies mid-job
+                            // and every result it held is lost until the
+                            // recovery sweep below re-runs the missing
+                            // tenants.
+                            if sv.chaos.crashes_worker(idx) {
+                                panic!("chaos: injected worker crash on tenant {idx}");
                             }
                             let mut sink = make_sink(idx);
-                            let result = match supervision {
-                                Some(sv) => self.run_tenant_supervised(idx, w, &mut sink, sv),
-                                None => self.run_tenant_with(idx, w, &mut sink),
-                            };
+                            let result = self.run_tenant(idx, w, &mut sink, sv);
                             local.push((result, sink));
                         }
                         local
                     })
                 })
                 .collect();
-            for h in handles {
-                // Unsupervised worker bodies never panic (tenant panics
-                // are caught inside run_tenant_with); under chaos a
-                // crashed worker's results are recovered below.
-                match h.join() {
-                    Ok(local) => collected.push(local),
-                    Err(_) => debug_assert!(
-                        supervision.is_some(),
-                        "worker panicked without chaos injection"
-                    ),
-                }
-            }
+            // Tenant panics are caught inside `run_tenant`, so only a
+            // chaos crash kills a worker; its tenants are recovered below.
+            collected.extend(handles.into_iter().filter_map(|h| h.join().ok()));
         });
 
         let mut pairs: Vec<(TenantResult, S)> = collected.into_iter().flatten().collect();
+        // Recovery sweep: any tenant missing from the collected results
+        // rode a crashed worker (or sat in a dead worker's deque). Re-run
+        // each on the recovery lane (worker id = `workers`), counting the
+        // tenants whose own crash injection fired. Nothing is silently
+        // lost.
         let mut worker_crashes = 0u64;
-        if let Some(sv) = &supervision {
-            // Recovery sweep: any tenant missing from the collected
-            // results rode a crashed worker (or sat in a dead worker's
-            // deque). Re-run each on the recovery lane (worker id =
-            // `workers`), counting the tenants whose own crash
-            // injection fired. Nothing is silently lost.
-            let mut have = vec![false; self.tenants.len()];
-            for (r, _) in &pairs {
-                have[r.tenant] = true;
+        let mut have = vec![false; self.tenants.len()];
+        for (r, _) in &pairs {
+            have[r.tenant] = true;
+        }
+        for idx in (0..self.tenants.len()).filter(|&i| !have[i]) {
+            if sv.chaos.crashes_worker(idx) {
+                worker_crashes += 1;
             }
-            for idx in (0..self.tenants.len()).filter(|&i| !have[i]) {
-                if sv.chaos.crashes_worker(idx) {
-                    worker_crashes += 1;
-                }
-                let mut sink = make_sink(idx);
-                let result = self.run_tenant_supervised(idx, workers, &mut sink, sv);
-                pairs.push((result, sink));
-            }
+            let mut sink = make_sink(idx);
+            let result = self.run_tenant(idx, workers, &mut sink, &sv);
+            pairs.push((result, sink));
         }
         let wall_ns = started.elapsed().as_nanos() as u64;
 
@@ -533,17 +473,14 @@ impl MachinePool {
     /// reference for supervised outcomes.
     pub fn run_sequential(&self) -> PoolRun {
         let started = Instant::now();
-        let supervision = self.supervision();
+        let sv = self.supervision();
         let mut worker_crashes = 0u64;
         let results: Vec<TenantResult> = (0..self.tenants.len())
-            .map(|i| match &supervision {
-                Some(sv) => {
-                    if sv.chaos.crashes_worker(i) {
-                        worker_crashes += 1;
-                    }
-                    self.run_tenant_supervised(i, 0, &mut NullSink, sv)
+            .map(|i| {
+                if sv.chaos.crashes_worker(i) {
+                    worker_crashes += 1;
                 }
-                None => self.run_tenant_with(i, 0, &mut NullSink),
+                self.run_tenant(i, 0, &mut NullSink, &sv)
             })
             .collect();
         PoolRun {
@@ -572,66 +509,43 @@ impl MachinePool {
         order
     }
 
-    /// The per-run supervision context, if the supervised path is
-    /// engaged (a supervisor, chaos, or both are attached).
-    fn supervision(&self) -> Option<Supervision> {
-        if self.supervisor.is_none() && self.chaos.is_none() {
-            return None;
-        }
-        let chaos = self.chaos.unwrap_or(ChaosConfig::quiet(0));
-        Some(Supervision {
-            supervisor: self.supervisor.unwrap_or_default(),
-            hang: if chaos.hang_rate > 0.0 {
-                Some(Arc::new(hang_machine()))
-            } else {
-                None
+    /// The per-run supervision context. With neither a supervisor nor
+    /// chaos attached it is the pass-through: one attempt in the
+    /// requested mode under an unlimited budget, with no admission, no
+    /// shedding and no circuit breakers — a plain run of every tenant.
+    fn supervision(&self) -> Supervision {
+        let supervised = self.supervisor.is_some() || self.chaos.is_some();
+        let pass_through = Supervisor {
+            budget: Budget::unlimited(),
+            backoff: BackoffPolicy {
+                max_attempts: 1,
+                ..BackoffPolicy::default()
             },
-            chaos,
-            breakers: Mutex::new(HashMap::new()),
-        })
-    }
-
-    fn run_tenant_with<S: TraceSink>(
-        &self,
-        idx: usize,
-        worker: usize,
-        sink: &mut S,
-    ) -> TenantResult {
-        let tenant = &self.tenants[idx];
-        let faults = self.fault_base.map(|base| FaultConfig {
-            seed: base.seed ^ idx as u64,
-            ..base
-        });
-        let started = Instant::now();
-        let run = catch_unwind(AssertUnwindSafe(|| match faults {
-            Some(cfg) => tenant
-                .machine
-                .run_with_faults(&tenant.mode, sink, Some(cfg)),
-            None => tenant.machine.run_with(&tenant.mode, sink),
-        }));
-        let latency_ns = started.elapsed().as_nanos() as u64;
-        let outcome = match run {
-            Ok(Ok(report)) => TenantOutcome::Completed(Box::new(report)),
-            Ok(Err(trap)) => TenantOutcome::Trapped(trap),
-            Err(payload) => TenantOutcome::Panicked(panic_message(&payload)),
+            breaker: BreakerPolicy::default(),
+            admission: AdmissionPolicy {
+                max_pressure_words: None,
+                right_size: false,
+            },
+            max_queue: None,
         };
-        TenantResult {
-            tenant: idx,
-            name: tenant.name.clone(),
-            worker,
-            latency_ns,
-            attempts: 1,
-            backoff_ns: 0,
-            outcome,
+        let chaos = self.chaos.unwrap_or(ChaosConfig::quiet(0));
+        Supervision {
+            supervisor: match self.supervisor {
+                Some(sup) => sup,
+                None if supervised => Supervisor::default(),
+                None => pass_through,
+            },
+            hang: (chaos.hang_rate > 0.0).then(|| Arc::new(hang_machine())),
+            chaos,
+            breakers: supervised.then(|| Mutex::new(HashMap::new())),
         }
     }
 
-    /// The supervised tenant path: shedding → breaker gate → admission
-    /// → budgeted attempt loop with retry/backoff and chaos injection.
-    /// Every decision except breaker state is a pure function of
-    /// `(idx, seeds, policies)`, so supervised outcomes replay under
-    /// any schedule.
-    fn run_tenant_supervised<S: TraceSink>(
+    /// The one tenant path: shedding → admission → attempt loop with
+    /// breaker gate, budget, retry/backoff and chaos injection. Every
+    /// decision except breaker state is a pure function of
+    /// `(idx, seeds, policies)`, so outcomes replay under any schedule.
+    fn run_tenant<S: TraceSink>(
         &self,
         idx: usize,
         worker: usize,
@@ -659,7 +573,7 @@ impl MachinePool {
                     0,
                     0,
                     0,
-                    TenantOutcome::Shed(format!(
+                    RequestOutcome::Shed(format!(
                         "queue watermark {watermark} exceeded at depth {idx}"
                     )),
                 );
@@ -668,65 +582,43 @@ impl MachinePool {
 
         // Admission control: reject or right-size from the static DTB
         // pressure bound before spending any cycles on the tenant.
-        let mut mode = tenant.mode.clone();
-        let admission = &sup.admission;
-        if admission.max_pressure_words.is_some() || admission.right_size {
-            let bound = analyze::bound(tenant.machine.program());
-            if let Some(max_words) = admission.max_pressure_words {
-                if u64::from(bound.total_words) > max_words {
-                    return done(
-                        0,
-                        0,
-                        0,
-                        TenantOutcome::Shed(format!(
-                            "admission: program needs {} translation words, bound is {max_words}",
-                            bound.total_words
-                        )),
-                    );
-                }
-            }
-            if admission.right_size {
-                if let (Mode::Dtb(cfg), Some(hot)) = (&mode, &bound.hot) {
-                    if hot.insts as usize > cfg.geometry.capacity() {
-                        mode = Mode::Dtb(crate::dtb::DtbConfig::with_capacity(
-                            bound.recommended.capacity(),
-                        ));
-                    }
-                }
-            }
-        }
+        let admitted = sup
+            .admission
+            .admit(&tenant.mode, || analyze::bound(tenant.machine.program()));
+        let mode = match admitted {
+            Ok(mode) => mode,
+            Err(reason) => return done(0, 0, 0, RequestOutcome::Rejected(reason)),
+        };
 
         let key = Arc::as_ptr(&tenant.machine) as usize;
         let schedule = sup.backoff.schedule(idx as u64);
         let mut backoff_ns = 0u64;
         let started = Instant::now();
-        let mut last = None;
         let mut attempts = 0;
-        for attempt in 0..sup.backoff.attempts() {
+        loop {
             // Breaker gate, re-read per attempt: another tenant of the
             // same image may have tripped it since the last attempt.
-            let state = breaker_state(&sv.breakers, key);
+            let (state, failures) = sv.breaker(key);
             if state == BreakerState::Quarantined {
-                let failures = breaker_failures(&sv.breakers, key);
                 return done(
                     attempts,
                     backoff_ns,
                     elapsed_plus(started, backoff_ns),
-                    TenantOutcome::Quarantined(format!(
+                    RequestOutcome::Quarantined(format!(
                         "image quarantined after {failures} consecutive failures"
                     )),
                 );
             }
-            if attempt > 0 {
+            if attempts > 0 {
                 // Backoff is charged, not slept: campaigns replay the
                 // schedule without waiting it out.
-                backoff_ns += schedule.get(attempt as usize - 1).copied().unwrap_or(0);
+                backoff_ns += schedule.get(attempts as usize - 1).copied().unwrap_or(0);
             }
-            attempts = attempt + 1;
-            let outcome = self.supervised_attempt(idx, attempt, state, &mode, sink, sv);
+            let outcome = self.attempt(idx, attempts, state, &mode, sink, sv);
+            attempts += 1;
             let verdict = classify(&outcome);
-            if verdict != Verdict::Transient || attempt + 1 == sup.backoff.attempts() {
-                record_breaker(&sv.breakers, key, &sup.breaker, verdict == Verdict::Success);
+            if verdict != Verdict::Transient || attempts == sup.backoff.attempts() {
+                sv.record(key, verdict == Verdict::Success);
                 return done(
                     attempts,
                     backoff_ns,
@@ -734,23 +626,13 @@ impl MachinePool {
                     outcome,
                 );
             }
-            last = Some(outcome);
         }
-        // Unreachable with attempts >= 1, but keep the compiler honest.
-        let outcome = last.unwrap_or(TenantOutcome::Panicked("no attempts made".into()));
-        record_breaker(&sv.breakers, key, &sup.breaker, false);
-        done(
-            attempts,
-            backoff_ns,
-            elapsed_plus(started, backoff_ns),
-            outcome,
-        )
     }
 
-    /// One supervised attempt: resolves chaos injections, the effective
+    /// One attempt: resolves chaos injections, the effective
     /// machine/mode, fault re-seeding and artifact trust for `attempt`,
     /// then runs under the supervisor's budget.
-    fn supervised_attempt<S: TraceSink>(
+    fn attempt<S: TraceSink>(
         &self,
         idx: usize,
         attempt: u32,
@@ -758,7 +640,7 @@ impl MachinePool {
         mode: &Mode,
         sink: &mut S,
         sv: &Supervision,
-    ) -> TenantOutcome {
+    ) -> RequestOutcome {
         let tenant = &self.tenants[idx];
         // Hung-tenant chaos: the first attempt runs an infinite-loop
         // stand-in instead of the tenant's program. Only the budget can
@@ -776,22 +658,11 @@ impl MachinePool {
             mode.clone()
         };
         // Pool-level fault streams are keyed by tenant (schedule-proof)
-        // and re-salted per retry so a retry sees a fresh stream; the
-        // first attempt matches the unsupervised path exactly.
-        let faults = if hung {
-            None
-        } else {
-            self.fault_base
-                .map(|base| FaultConfig {
-                    seed: base.seed ^ idx as u64,
-                    ..base
-                })
-                .or_else(|| tenant.machine.fault_config())
-                .map(|cfg| FaultConfig {
-                    seed: cfg.seed ^ (u64::from(attempt) << 32),
-                    ..cfg
-                })
-        };
+        // and re-salted per retry so a retry sees a fresh stream.
+        let faults = self.fault_base.filter(|_| !hung).map(|base| FaultConfig {
+            seed: base.seed ^ idx as u64 ^ (u64::from(attempt) << 32),
+            ..base
+        });
         // Shared-artifact trust: attempt 0 may see chaos-corrupted
         // artifacts; retries bypass shared artifacts entirely (they may
         // be what failed). Host-side only — modeled results never
@@ -807,23 +678,24 @@ impl MachinePool {
         };
         let opts = RunOptions {
             faults,
-            budget: Some(sv.supervisor.budget),
+            budget: sv.supervisor.budget,
             shared,
+            ..RunOptions::default()
         };
-        let run = catch_unwind(AssertUnwindSafe(|| machine.run_opts(&mode, sink, opts)));
+        let run = catch_unwind(AssertUnwindSafe(|| machine.run_with(&mode, sink, opts)));
         match run {
-            Ok(Ok(report)) => TenantOutcome::Completed(Box::new(report)),
+            Ok(Ok(report)) => RequestOutcome::Completed(Box::new(report)),
             Ok(Err(trap @ (Trap::FuelExhausted | Trap::DeadlineExceeded))) => {
-                TenantOutcome::TimedOut(trap)
+                RequestOutcome::TimedOut(trap)
             }
-            Ok(Err(trap)) => TenantOutcome::Trapped(trap),
-            Err(payload) => TenantOutcome::Panicked(panic_message(&payload)),
+            Ok(Err(trap)) => RequestOutcome::Trapped(trap),
+            Err(payload) => RequestOutcome::Panicked(panic_message(&payload)),
         }
     }
 }
 
 /// Per-run supervision context: the policies plus the shared mutable
-/// state (breaker bank, hang stand-in) one supervised run needs.
+/// state (breaker bank, hang stand-in) one pool run needs.
 struct Supervision {
     supervisor: Supervisor,
     chaos: ChaosConfig,
@@ -831,11 +703,42 @@ struct Supervision {
     /// per run (only when the hang rate is non-zero).
     hang: Option<Arc<Machine>>,
     /// Circuit breakers keyed by image identity (the `Arc<Machine>`
-    /// pointer): tenants sharing a machine share a breaker.
-    breakers: Mutex<HashMap<usize, Breaker>>,
+    /// pointer): tenants sharing a machine share a breaker. `None` on
+    /// the pass-through, which never degrades or quarantines.
+    breakers: Option<Mutex<HashMap<usize, Breaker>>>,
 }
 
-/// How a supervised attempt's outcome steers the retry loop.
+impl Supervision {
+    /// The breaker state and consecutive-failure count of image `key`.
+    fn breaker(&self, key: usize) -> (BreakerState, u32) {
+        let Some(bank) = &self.breakers else {
+            return (BreakerState::Closed, 0);
+        };
+        let bank = bank
+            .lock()
+            .expect("no code panics holding the breaker bank");
+        bank.get(&key)
+            .map_or((BreakerState::Closed, 0), |b| (b.state(), b.failures()))
+    }
+
+    /// Records a tenant's final outcome against image `key`'s breaker.
+    fn record(&self, key: usize, success: bool) {
+        let Some(bank) = &self.breakers else {
+            return;
+        };
+        let mut bank = bank
+            .lock()
+            .expect("no code panics holding the breaker bank");
+        let breaker = bank.entry(key).or_default();
+        if success {
+            breaker.record_success();
+        } else {
+            breaker.record_failure(&self.supervisor.breaker);
+        }
+    }
+}
+
+/// How an attempt's outcome steers the retry loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Verdict {
     /// Completed: final, closes the breaker.
@@ -850,48 +753,18 @@ enum Verdict {
     Permanent,
 }
 
-fn classify(outcome: &TenantOutcome) -> Verdict {
+fn classify(outcome: &RequestOutcome) -> Verdict {
     match outcome {
-        TenantOutcome::Completed(_) => Verdict::Success,
-        TenantOutcome::Panicked(_) | TenantOutcome::TimedOut(_) => Verdict::Transient,
-        TenantOutcome::Trapped(
+        RequestOutcome::Completed(_) => Verdict::Success,
+        RequestOutcome::Panicked(_) | RequestOutcome::TimedOut(_) => Verdict::Transient,
+        RequestOutcome::Trapped(
             Trap::FetchFailed { .. } | Trap::CorruptDir { .. } | Trap::Malformed(_),
         ) => Verdict::Transient,
-        TenantOutcome::Trapped(_) => Verdict::Permanent,
-        // Shed/Quarantined are decided before attempts, never returned
-        // by an attempt.
-        TenantOutcome::Shed(_) | TenantOutcome::Quarantined(_) => Verdict::Permanent,
-    }
-}
-
-fn breaker_state(bank: &Mutex<HashMap<usize, Breaker>>, key: usize) -> BreakerState {
-    bank.lock()
-        .unwrap()
-        .get(&key)
-        .map(Breaker::state)
-        .unwrap_or_default()
-}
-
-fn breaker_failures(bank: &Mutex<HashMap<usize, Breaker>>, key: usize) -> u32 {
-    bank.lock()
-        .unwrap()
-        .get(&key)
-        .map(Breaker::failures)
-        .unwrap_or(0)
-}
-
-fn record_breaker(
-    bank: &Mutex<HashMap<usize, Breaker>>,
-    key: usize,
-    policy: &crate::resilience::BreakerPolicy,
-    success: bool,
-) {
-    let mut bank = bank.lock().unwrap();
-    let breaker = bank.entry(key).or_default();
-    if success {
-        breaker.record_success();
-    } else {
-        breaker.record_failure(policy);
+        // Refusals are decided before any attempt, never returned by one.
+        RequestOutcome::Trapped(_)
+        | RequestOutcome::Rejected(_)
+        | RequestOutcome::Shed(_)
+        | RequestOutcome::Quarantined(_) => Verdict::Permanent,
     }
 }
 
@@ -960,6 +833,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::dtb::DtbConfig;
+    use crate::service::{Service, ServiceConfig};
     use dir::encode::SchemeKind;
     use telemetry::FaultKind;
 
@@ -992,7 +866,7 @@ mod tests {
         pool
     }
 
-    fn outcomes(run: &PoolRun) -> Vec<(&str, &TenantOutcome)> {
+    fn outcomes(run: &PoolRun) -> Vec<(&str, &RequestOutcome)> {
         run.results
             .iter()
             .map(|r| (r.name.as_str(), &r.outcome))
@@ -1005,7 +879,7 @@ mod tests {
         let seq = pool.run_sequential();
         let par = pool.run();
         // Same tenants, same order, identical outputs / traps / modeled
-        // metrics (TenantOutcome PartialEq covers Report in full).
+        // metrics (RequestOutcome PartialEq covers Report in full).
         assert_eq!(outcomes(&seq), outcomes(&par));
         assert_eq!(par.results.len(), 7);
         assert_eq!(par.completed(), 7);
@@ -1080,7 +954,7 @@ mod tests {
         let last = run.results.last().unwrap();
         assert_eq!(last.name, "bad-geometry");
         match &last.outcome {
-            TenantOutcome::Panicked(msg) => {
+            RequestOutcome::Panicked(msg) => {
                 assert!(!msg.is_empty());
             }
             other => panic!("expected panic outcome, got {other:?}"),
@@ -1246,20 +1120,15 @@ mod tests {
         for r in &run.results[3..] {
             assert_eq!(r.attempts, 0);
             match &r.outcome {
-                TenantOutcome::Shed(reason) => assert!(reason.contains("watermark")),
+                RequestOutcome::Shed(reason) => assert!(reason.contains("watermark")),
                 other => panic!("expected shed, got {other:?}"),
             }
         }
         // Full accounting: every tenant has exactly one outcome.
-        let statuses = [
-            "completed",
-            "trapped",
-            "panicked",
-            "timed_out",
-            "shed",
-            "quarantined",
-        ];
-        let total: usize = statuses.iter().map(|s| run.outcome_count(s)).sum();
+        let total: usize = RequestOutcome::STATUSES
+            .iter()
+            .map(|s| run.outcome_count(s))
+            .sum();
         assert_eq!(total, run.results.len());
     }
 
@@ -1273,7 +1142,7 @@ mod tests {
         let run = pool.run();
         let r = &run.results[0];
         match r.outcome {
-            TenantOutcome::TimedOut(Trap::FuelExhausted) => {}
+            RequestOutcome::TimedOut(Trap::FuelExhausted) => {}
             ref other => panic!("expected fuel timeout, got {other:?}"),
         }
         // A timeout looks like a hang, so every attempt is spent.
@@ -1383,7 +1252,7 @@ mod tests {
         for r in &run.results[3..] {
             assert_eq!(r.attempts, 0);
             match &r.outcome {
-                TenantOutcome::Quarantined(reason) => {
+                RequestOutcome::Quarantined(reason) => {
                     assert!(reason.contains("3 consecutive failures"), "{reason}");
                 }
                 other => panic!("expected quarantine, got {other:?}"),
@@ -1392,18 +1261,57 @@ mod tests {
     }
 
     #[test]
+    fn unsupervised_pool_never_degrades_or_quarantines() {
+        // The pass-through path has no breakers: a shared image that
+        // always traps stays `trapped` for every tenant. Under any
+        // breaker policy the later tenants would be degraded (run in
+        // interpretation, so no DTB traffic) or quarantined (never run).
+        let boom = machine_for(
+            "proc boom() -> int begin return boom(); end
+             proc main() begin write boom(); end",
+        );
+        let mode = Mode::Dtb(DtbConfig::with_capacity(16));
+        let mut pool = MachinePool::new(1);
+        for t in 0..6 {
+            pool.push(format!("boom-{t}"), Arc::clone(&boom), mode.clone());
+        }
+        let want = RequestOutcome::Trapped(boom.run(&mode).unwrap_err());
+        let (run, sinks) = pool.run_with_sinks(|_| CountSink(telemetry::EventCounts::default()));
+        assert_eq!(run.outcome_count("trapped"), 6);
+        for (r, sink) in run.results.iter().zip(&sinks) {
+            assert_eq!((&r.outcome, r.attempts), (&want, 1), "{}", r.name);
+            assert!(sink.0.dtb_misses > 0, "{} ran degraded", r.name);
+        }
+    }
+
+    #[test]
     fn admission_rejects_oversized_programs_and_right_sizes_dtbs() {
-        // Rejection: a 1-word pressure bound refuses everything.
+        // Rejection: a 1-word pressure bound refuses everything, with the
+        // same reason through the pool and the service.
         let mut pool = sample_pool(2);
         let mut sup = plain_supervisor();
         sup.admission.max_pressure_words = Some(1);
         pool.set_supervisor(Some(sup));
         let run = pool.run();
-        assert_eq!(run.outcome_count("shed"), run.results.len());
-        assert!(run.results.iter().all(|r| match &r.outcome {
-            TenantOutcome::Shed(reason) => reason.starts_with("admission:"),
-            _ => false,
-        }));
+        assert_eq!(run.outcome_count("rejected"), run.results.len());
+        let service_of = |admission, tenants: &[PoolTenant]| {
+            let mut service = Service::new(ServiceConfig {
+                admission,
+                ..ServiceConfig::default()
+            });
+            for t in tenants {
+                service.submit("t", t.name.clone(), Arc::clone(&t.machine), t.mode.clone());
+            }
+            service.run_at(10)
+        };
+        let step = service_of(sup.admission, pool.tenants());
+        for (r, s) in run.results.iter().zip(&step.results) {
+            match &r.outcome {
+                RequestOutcome::Rejected(reason) => assert!(reason.starts_with("admission:")),
+                other => panic!("expected an admission rejection, got {other:?}"),
+            }
+            assert_eq!(r.outcome, s.outcome, "{}", r.name);
+        }
 
         // Right-sizing: a 1-entry DTB thrashes a 400-iteration loop;
         // admission grows it to the recommended geometry, so the
@@ -1439,6 +1347,15 @@ mod tests {
             misses(&sized),
             misses(&plain)
         );
+        // Both the pool and the service run the analyzer's recommended
+        // geometry.
+        let capacity = analyze::bound(m.program()).recommended.capacity();
+        let want = m
+            .run(&Mode::Dtb(DtbConfig::with_capacity(capacity)))
+            .unwrap();
+        assert_eq!(sized.results[0].outcome.report(), Some(&want));
+        let step = service_of(sup.admission, pool.tenants());
+        assert_eq!(step.results[0].outcome.report(), Some(&want));
     }
 
     #[test]

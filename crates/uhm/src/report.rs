@@ -14,8 +14,8 @@ use telemetry::{Json, Kind, Percentiles, Report};
 use crate::dtb::DtbStats;
 use crate::fault::FaultStats;
 use crate::metrics::{CycleBreakdown, Metrics};
-use crate::pool::{PoolRun, TenantOutcome, TenantResult};
-use crate::service::{ServiceRun, StepRun};
+use crate::pool::{PoolRun, TenantResult};
+use crate::service::{RequestOutcome, ServiceRun, StepRun};
 use crate::window::WindowSample;
 use memsim::CacheStats;
 
@@ -196,17 +196,18 @@ pub fn tenant_json(r: &TenantResult) -> Json {
         ("backoff_ns", (r.backoff_ns as i64).into()),
     ];
     match &r.outcome {
-        TenantOutcome::Completed(report) => {
+        RequestOutcome::Completed(report) => {
             fields.push(("instructions", report.metrics.instructions.into()));
             fields.push(("cycles", report.metrics.cycles.total().into()));
             fields.push(("output_len", (report.output.len() as i64).into()));
         }
-        TenantOutcome::Trapped(trap) | TenantOutcome::TimedOut(trap) => {
+        RequestOutcome::Trapped(trap) | RequestOutcome::TimedOut(trap) => {
             fields.push(("detail", format!("{trap:?}").as_str().into()));
         }
-        TenantOutcome::Panicked(msg)
-        | TenantOutcome::Shed(msg)
-        | TenantOutcome::Quarantined(msg) => {
+        RequestOutcome::Panicked(msg)
+        | RequestOutcome::Rejected(msg)
+        | RequestOutcome::Shed(msg)
+        | RequestOutcome::Quarantined(msg) => {
             fields.push(("detail", msg.as_str().into()));
         }
     }
@@ -220,19 +221,13 @@ pub fn tenant_json(r: &TenantResult) -> Json {
 pub fn pool_report(tool: &str, config: Json, run: &PoolRun) -> Report {
     let tenants = Json::Arr(run.results.iter().map(tenant_json).collect());
     let utilization = run.worker_utilization();
-    let aggregate = Json::obj(vec![
+    let mut aggregate = vec![
         ("wall_ns", (run.wall_ns as i64).into()),
         ("workers", (run.workers as i64).into()),
         ("tenants", (run.results.len() as i64).into()),
-        ("completed", (run.completed() as i64).into()),
-        ("trapped", (run.outcome_count("trapped") as i64).into()),
-        ("panicked", (run.outcome_count("panicked") as i64).into()),
-        ("timed_out", (run.outcome_count("timed_out") as i64).into()),
-        ("shed", (run.outcome_count("shed") as i64).into()),
-        (
-            "quarantined",
-            (run.outcome_count("quarantined") as i64).into(),
-        ),
+    ];
+    aggregate.extend(status_counts(&[], |s| run.outcome_count(s)));
+    aggregate.extend([
         ("retries", (run.retries as i64).into()),
         ("worker_crashes", (run.worker_crashes as i64).into()),
         ("steals", (run.steals as i64).into()),
@@ -254,10 +249,27 @@ pub fn pool_report(tool: &str, config: Json, run: &PoolRun) -> Report {
         config,
         [
             ("tenants", tenants),
-            ("aggregate", aggregate),
+            ("aggregate", Json::obj(aggregate)),
             ("latency_ns", percentiles_json(&run.latency_percentiles())),
         ],
     )
+}
+
+/// The statuses a service run never produces: they need a pool
+/// supervisor's budget and circuit breakers, so service reports omit
+/// their always-zero counts.
+const SUPERVISED_ONLY: [&str; 2] = ["timed_out", "quarantined"];
+
+/// One `(status, count)` field per [`RequestOutcome::STATUSES`] entry,
+/// in order, except those in `omit`.
+fn status_counts<'a>(
+    omit: &'a [&str],
+    count: impl Fn(&str) -> usize + 'a,
+) -> impl Iterator<Item = (&'static str, Json)> + 'a {
+    RequestOutcome::STATUSES
+        .into_iter()
+        .filter(|s| !omit.contains(s))
+        .map(move |s| (s, (count(s) as i64).into()))
 }
 
 /// Serializes a percentile quadruple.
@@ -275,14 +287,12 @@ fn percentiles_json(p: &Percentiles) -> Json {
 /// percentiles (the deterministic trajectory point), and the host-side
 /// pool observables (wall-clock, throughput — never asserted against).
 pub fn step_json(s: &StepRun) -> Json {
-    Json::obj(vec![
+    let mut fields = vec![
         ("rate_per_mcycle", (s.rate_per_mcycle as i64).into()),
         ("requests", (s.results.len() as i64).into()),
-        ("completed", (s.outcome_count("completed") as i64).into()),
-        ("trapped", (s.outcome_count("trapped") as i64).into()),
-        ("panicked", (s.outcome_count("panicked") as i64).into()),
-        ("rejected", (s.outcome_count("rejected") as i64).into()),
-        ("shed", (s.outcome_count("shed") as i64).into()),
+    ];
+    fields.extend(status_counts(&SUPERVISED_ONLY, |x| s.outcome_count(x)));
+    fields.extend([
         ("served", (s.served() as i64).into()),
         ("lost", (s.lost() as i64).into()),
         ("queue_peak", (s.queue_peak as i64).into()),
@@ -296,7 +306,8 @@ pub fn step_json(s: &StepRun) -> Json {
                 ("steals", (s.pool.steals as i64).into()),
             ]),
         ),
-    ])
+    ]);
+    Json::obj(fields)
 }
 
 /// Builds the canonical [`Kind::Service`] report for a finished load
@@ -305,14 +316,12 @@ pub fn step_json(s: &StepRun) -> Json {
 /// request mix) and may attach an `slo` section afterwards.
 pub fn service_report(tool: &str, config: Json, run: &ServiceRun) -> Report {
     let steps = Json::Arr(run.steps.iter().map(step_json).collect());
-    let aggregate = Json::obj(vec![
+    let mut aggregate = vec![
         ("steps", (run.steps.len() as i64).into()),
         ("requests", (run.total_requests() as i64).into()),
-        ("completed", (run.outcome_count("completed") as i64).into()),
-        ("trapped", (run.outcome_count("trapped") as i64).into()),
-        ("panicked", (run.outcome_count("panicked") as i64).into()),
-        ("rejected", (run.outcome_count("rejected") as i64).into()),
-        ("shed", (run.outcome_count("shed") as i64).into()),
+    ];
+    aggregate.extend(status_counts(&SUPERVISED_ONLY, |s| run.outcome_count(s)));
+    aggregate.extend([
         ("lost", (run.lost() as i64).into()),
         ("workers", (run.workers as i64).into()),
         ("seed", (run.seed as i64).into()),
@@ -321,7 +330,7 @@ pub fn service_report(tool: &str, config: Json, run: &ServiceRun) -> Report {
         Kind::Service,
         tool,
         config,
-        [("steps", steps), ("aggregate", aggregate)],
+        [("steps", steps), ("aggregate", Json::obj(aggregate))],
     )
 }
 

@@ -20,7 +20,7 @@
 //!   bounds of `uhm-analyze`: reject oversized programs up front, or
 //!   right-size their DTB to the recommended geometry.
 //! - [`Supervisor`] — the bundle of budget + retry + breaker + admission
-//!   + queue watermark the pool consults.
+//!   + queue watermark the pool's tenant-attempt loop consults.
 //! - [`ChaosConfig`] — pool-level fault injection (worker crashes, hung
 //!   tenants, shared-artifact corruption), rolled statelessly per tenant
 //!   so outcomes are schedule-invariant.
@@ -29,9 +29,14 @@
 //! enters through [`crate::config::Budget::deadline_ns`], and nothing
 //! deterministic keys off it.
 
+use analyze::PressureReport;
 use hlr::rng::Rng;
 
 use crate::config::Budget;
+use crate::dtb::DtbConfig;
+use crate::machine::Mode;
+#[cfg(doc)]
+use crate::service::RequestOutcome;
 
 /// Ceiling applied to a jittered delay: nominal cap plus the jitter
 /// allowance, so `schedule` can promise a hard upper bound.
@@ -127,10 +132,8 @@ impl BackoffPolicy {
 /// `degrade_after` failures the image is degraded to pure interpretation
 /// — the cheapest mode, with no translation artifacts left to corrupt —
 /// and at `quarantine_after` it is quarantined: not run at all, the
-/// tenant reported as [`TenantOutcome::Quarantined`]. A completed run
+/// tenant reported as [`RequestOutcome::Quarantined`]. A completed run
 /// closes the breaker again.
-///
-/// [`TenantOutcome::Quarantined`]: crate::pool::TenantOutcome::Quarantined
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerPolicy {
     /// Consecutive failures before the image degrades to
@@ -211,23 +214,21 @@ impl Breaker {
     }
 }
 
-/// Admission control from static analysis: before a tenant runs, the
-/// pool computes its DTB pressure bound
-/// ([`analyze::bound`]) and either rejects it, admits it
-/// as-is, or right-sizes its DTB.
+/// Admission control from static analysis: before a program runs, its
+/// DTB pressure bound ([`analyze::bound`]) decides whether it is
+/// rejected, admitted as-is, or admitted with a right-sized DTB
+/// ([`AdmissionPolicy::admit`]).
 ///
-/// The same policy gates the service plane
-/// ([`crate::service::ServiceConfig::admission`]), where it fires
-/// before a request enters any queue — rejection there is *static*
-/// (`admission:` reasons), in contrast to the *dynamic* quota and
+/// The supervised pool ([`Supervisor::admission`]) and the service plane
+/// ([`crate::service::ServiceConfig::admission`]) share this one gate.
+/// Rejection is *static* ([`RequestOutcome::Rejected`] with an
+/// `admission:` reason), in contrast to the *dynamic* quota and
 /// watermark shedding decided at arrival time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionPolicy {
     /// Reject programs whose whole-program translation storage bound
-    /// exceeds this many short words ([`TenantOutcome::Shed`] with an
-    /// `admission:` reason). `None` = admit any size.
-    ///
-    /// [`TenantOutcome::Shed`]: crate::pool::TenantOutcome::Shed
+    /// exceeds this many short words ([`RequestOutcome::Rejected`] with
+    /// an `admission:` reason). `None` = admit any size.
     pub max_pressure_words: Option<u64>,
     /// When the hot span does not fit the tenant's DTB, grow the DTB to
     /// the recommended geometry instead of letting it thrash.
@@ -240,6 +241,44 @@ impl Default for AdmissionPolicy {
             max_pressure_words: None,
             right_size: true,
         }
+    }
+}
+
+impl AdmissionPolicy {
+    /// The admission gate: the mode to run `mode`'s program in, or the
+    /// `"admission:"` reason it is refused. `bound` yields the program's
+    /// static pressure bound and is called at most once, and only when
+    /// the policy can act, so callers may compute or memoize it lazily.
+    ///
+    /// # Errors
+    ///
+    /// The rejection reason when the bound exceeds
+    /// [`AdmissionPolicy::max_pressure_words`].
+    pub fn admit(
+        &self,
+        mode: &Mode,
+        bound: impl FnOnce() -> PressureReport,
+    ) -> Result<Mode, String> {
+        if self.max_pressure_words.is_none() && !self.right_size {
+            return Ok(mode.clone());
+        }
+        let bound = bound();
+        if let Some(max_words) = self.max_pressure_words {
+            if u64::from(bound.total_words) > max_words {
+                return Err(format!(
+                    "admission: program needs {} translation words, bound is {max_words}",
+                    bound.total_words
+                ));
+            }
+        }
+        if let (true, Mode::Dtb(cfg), Some(hot)) = (self.right_size, mode, &bound.hot) {
+            if hot.insts as usize > cfg.geometry.capacity() {
+                return Ok(Mode::Dtb(DtbConfig::with_capacity(
+                    bound.recommended.capacity(),
+                )));
+            }
+        }
+        Ok(mode.clone())
     }
 }
 
@@ -257,9 +296,7 @@ pub struct Supervisor {
     /// Admission control from static DTB pressure bounds.
     pub admission: AdmissionPolicy,
     /// Load-shedding watermark: tenants queued beyond this depth are
-    /// shed up front ([`TenantOutcome::Shed`]). `None` = never shed.
-    ///
-    /// [`TenantOutcome::Shed`]: crate::pool::TenantOutcome::Shed
+    /// shed up front ([`RequestOutcome::Shed`]). `None` = never shed.
     pub max_queue: Option<usize>,
 }
 
@@ -334,13 +371,6 @@ impl ChaosConfig {
     /// Whether `tenant`'s first attempt sees corrupted shared artifacts.
     pub fn corrupts_artifacts(&self, tenant: usize) -> bool {
         self.roll(tenant, CORRUPT_SALT, self.artifact_corruption_rate)
-    }
-
-    /// Whether any injection is enabled at all.
-    pub fn is_quiet(&self) -> bool {
-        self.worker_crash_rate == 0.0
-            && self.hang_rate == 0.0
-            && self.artifact_corruption_rate == 0.0
     }
 }
 
@@ -435,7 +465,6 @@ mod tests {
         let corrupt: Vec<bool> = (0..64).map(|t| c.corrupts_artifacts(t)).collect();
         assert_ne!(crash, hang);
         assert_ne!(hang, corrupt);
-        assert!(ChaosConfig::quiet(42).is_quiet());
         assert!(!ChaosConfig::quiet(42).crashes_worker(0));
     }
 }

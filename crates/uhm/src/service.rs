@@ -55,7 +55,8 @@
 //! ```
 //!
 //! Full accounting holds by construction: every submitted request ends
-//! in exactly one of the five outcome states, so
+//! in exactly one [`RequestOutcome`] state (the service produces five of
+//! the seven; `timed_out` and `quarantined` need a pool supervisor), so
 //! [`StepRun::lost`] is always zero.
 //!
 //! # Example
@@ -91,7 +92,7 @@ use telemetry::Percentiles;
 
 use crate::machine::{Machine, Mode};
 use crate::metrics::Report;
-use crate::pool::{MachinePool, PoolRun, TenantOutcome};
+use crate::pool::{MachinePool, PoolRun};
 use crate::resilience::AdmissionPolicy;
 
 /// The arrival-rate unit: one million modeled cycles. A load step at
@@ -157,13 +158,18 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How one request ended: the five-state request taxonomy.
+/// How one request or pool tenant ended: the seven-state outcome
+/// taxonomy shared by the service ([`RequestResult`]) and the pool
+/// ([`TenantResult`](crate::pool::TenantResult)).
 ///
 /// `Rejected` and `Shed` both refuse work before execution, but at
 /// different stages — rejection is *static* (the admission bound, known
 /// before any traffic) while shedding is *dynamic* (queue state at the
 /// arrival instant). The reason string's prefix (`"admission:"`,
-/// `"quota:"`, `"backpressure:"`) names the policy that fired.
+/// `"quota:"`, `"backpressure:"`, `"queue watermark"`) names the policy
+/// that fired. `TimedOut` and `Quarantined` come only from a supervised
+/// pool run (budget and circuit breaker); the service never produces
+/// them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RequestOutcome {
     /// Served and ran to completion; output and modeled metrics inside.
@@ -171,26 +177,51 @@ pub enum RequestOutcome {
     /// Served, but the program trapped (guest-level failure).
     Trapped(Trap),
     /// Served, but the host-side run panicked; the payload is the panic
-    /// message.
+    /// message. Other requests are unaffected.
     Panicked(String),
+    /// Served, but the supervisor preempted the final attempt: its
+    /// modeled-cycle fuel or wall-clock deadline ran out. The payload is
+    /// the budget trap ([`Trap::FuelExhausted`] or
+    /// [`Trap::DeadlineExceeded`]).
+    TimedOut(Trap),
     /// Refused statically by admission control (`"admission:"` reason).
     Rejected(String),
-    /// Refused dynamically at arrival — tenant quota (`"quota:"`) or
-    /// queue watermark (`"backpressure:"`).
+    /// Refused dynamically before running — tenant quota (`"quota:"`),
+    /// service backlog (`"backpressure:"`) or the pool's submission
+    /// watermark (`"queue watermark …"`).
     Shed(String),
+    /// Refused because the program's image tripped its circuit breaker;
+    /// the payload records the consecutive-failure count that tripped it.
+    Quarantined(String),
 }
 
 impl RequestOutcome {
-    /// `"completed"`, `"trapped"`, `"panicked"`, `"rejected"` or
-    /// `"shed"` — the status string used by the JSON report.
+    /// Every status string, in report order: each outcome's
+    /// [`RequestOutcome::status`] is exactly one of these, so the counts
+    /// over this list always sum to the number of results.
+    pub const STATUSES: [&'static str; 7] = [
+        "completed",
+        "trapped",
+        "panicked",
+        "timed_out",
+        "rejected",
+        "shed",
+        "quarantined",
+    ];
+
+    /// The status string used by the JSON report (one of
+    /// [`RequestOutcome::STATUSES`]).
     pub fn status(&self) -> &'static str {
-        match self {
-            RequestOutcome::Completed(_) => "completed",
-            RequestOutcome::Trapped(_) => "trapped",
-            RequestOutcome::Panicked(_) => "panicked",
-            RequestOutcome::Rejected(_) => "rejected",
-            RequestOutcome::Shed(_) => "shed",
-        }
+        let index = match self {
+            RequestOutcome::Completed(_) => 0,
+            RequestOutcome::Trapped(_) => 1,
+            RequestOutcome::Panicked(_) => 2,
+            RequestOutcome::TimedOut(_) => 3,
+            RequestOutcome::Rejected(_) => 4,
+            RequestOutcome::Shed(_) => 5,
+            RequestOutcome::Quarantined(_) => 6,
+        };
+        Self::STATUSES[index]
     }
 
     /// The completed report, if any.
@@ -202,11 +233,15 @@ impl RequestOutcome {
     }
 
     /// Whether the request was dispatched to a worker at all
-    /// (completed, trapped or panicked — as opposed to refused).
+    /// (completed, trapped, panicked or timed out — as opposed to
+    /// refused).
     pub fn served(&self) -> bool {
         matches!(
             self,
-            RequestOutcome::Completed(_) | RequestOutcome::Trapped(_) | RequestOutcome::Panicked(_)
+            RequestOutcome::Completed(_)
+                | RequestOutcome::Trapped(_)
+                | RequestOutcome::Panicked(_)
+                | RequestOutcome::TimedOut(_)
         )
     }
 }
@@ -257,7 +292,8 @@ pub struct StepRun {
 impl StepRun {
     /// Number of requests whose outcome carries the given
     /// [`RequestOutcome::status`] string. The full-accounting
-    /// invariant: the five counts always sum to `results.len()`.
+    /// invariant: the counts over [`RequestOutcome::STATUSES`] always sum
+    /// to `results.len()`.
     pub fn outcome_count(&self, status: &str) -> usize {
         self.results
             .iter()
@@ -265,8 +301,8 @@ impl StepRun {
             .count()
     }
 
-    /// Number of requests dispatched to a worker (completed + trapped +
-    /// panicked).
+    /// Number of requests dispatched to a worker (see
+    /// [`RequestOutcome::served`]).
     pub fn served(&self) -> usize {
         self.results.iter().filter(|r| r.outcome.served()).count()
     }
@@ -274,28 +310,19 @@ impl StepRun {
     /// Requests with no recorded outcome — always 0; the accounting
     /// invariant the bench and tests assert.
     pub fn lost(&self) -> usize {
-        let statuses = ["completed", "trapped", "panicked", "rejected", "shed"];
-        self.results.len()
-            - statuses
-                .iter()
-                .map(|s| self.outcome_count(s))
-                .sum::<usize>()
-    }
-
-    /// Modeled latencies of the served requests, in cycles.
-    pub fn latencies_cycles(&self) -> Vec<f64> {
-        self.results
+        let accounted: usize = RequestOutcome::STATUSES
             .iter()
-            .filter(|r| r.outcome.served())
-            .map(|r| r.latency_cycles as f64)
-            .collect()
+            .map(|s| self.outcome_count(s))
+            .sum();
+        self.results.len() - accounted
     }
 
     /// p50/p95/p99/p99.9 of the served requests' modeled latencies (in
     /// cycles) — one point of the latency-under-load trajectory.
     /// Deterministic, so the `service_load` baseline commits it exactly.
     pub fn latency_percentiles(&self) -> Percentiles {
-        Percentiles::of(&self.latencies_cycles())
+        let served = self.results.iter().filter(|r| r.outcome.served());
+        Percentiles::of(&served.map(|r| r.latency_cycles as f64).collect::<Vec<_>>())
     }
 
     /// The step's makespan on the modeled clock: the last completion
@@ -338,14 +365,6 @@ impl ServiceRun {
     pub fn lost(&self) -> usize {
         self.steps.iter().map(StepRun::lost).sum()
     }
-}
-
-/// How admission disposed of one request before queueing.
-enum Gate {
-    /// Admitted, with the effective (possibly right-sized) mode.
-    Admit(Mode),
-    /// Statically refused, with the `"admission:"` reason.
-    Reject(String),
 }
 
 /// Per-tenant FIFO lanes with a persistent round-robin cursor — the
@@ -431,16 +450,6 @@ impl Service {
         self
     }
 
-    /// The submitted request mix, in submission order.
-    pub fn requests(&self) -> &[Request] {
-        &self.requests
-    }
-
-    /// The service's policy.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-
     /// A [`MachinePool`] loaded with the same request mix in submission
     /// order (requested modes, no service policy) — the direct-execution
     /// reference the service path must match bit-for-bit on outputs.
@@ -471,46 +480,25 @@ impl Service {
             .collect()
     }
 
-    /// Static admission per request, memoized per image: the pressure
-    /// bound is a property of the program, not of traffic, so it is
-    /// computed once per distinct machine and reused across requests.
-    fn gates(&self) -> Vec<Gate> {
-        let policy = &self.config.admission;
+    /// Static admission per request through [`AdmissionPolicy::admit`]:
+    /// the effective (possibly right-sized) mode, or the `"admission:"`
+    /// reason. Memoized per image: the pressure bound is a property of
+    /// the program, not of traffic, so it is computed once per distinct
+    /// machine and reused across requests.
+    fn gates(&self) -> Vec<Result<Mode, String>> {
         let mut bounds: Vec<(usize, analyze::PressureReport)> = Vec::new();
         self.requests
             .iter()
             .map(|r| {
-                if policy.max_pressure_words.is_none() && !policy.right_size {
-                    return Gate::Admit(r.mode.clone());
-                }
-                let key = Arc::as_ptr(&r.machine) as usize;
-                let bound = match bounds.iter().find(|(k, _)| *k == key) {
-                    Some((_, b)) => b.clone(),
-                    None => {
-                        let b = analyze::bound(r.machine.program());
-                        bounds.push((key, b.clone()));
-                        b
+                self.config.admission.admit(&r.mode, || {
+                    let key = Arc::as_ptr(&r.machine) as usize;
+                    if let Some((_, b)) = bounds.iter().find(|(k, _)| *k == key) {
+                        return b.clone();
                     }
-                };
-                if let Some(max_words) = policy.max_pressure_words {
-                    if u64::from(bound.total_words) > max_words {
-                        return Gate::Reject(format!(
-                            "admission: program needs {} translation words, bound is {max_words}",
-                            bound.total_words
-                        ));
-                    }
-                }
-                let mut mode = r.mode.clone();
-                if policy.right_size {
-                    if let (Mode::Dtb(cfg), Some(hot)) = (&mode, &bound.hot) {
-                        if hot.insts as usize > cfg.geometry.capacity() {
-                            mode = Mode::Dtb(crate::dtb::DtbConfig::with_capacity(
-                                bound.recommended.capacity(),
-                            ));
-                        }
-                    }
-                }
-                Gate::Admit(mode)
+                    let b = analyze::bound(r.machine.program());
+                    bounds.push((key, b.clone()));
+                    b
+                })
             })
             .collect()
     }
@@ -596,10 +584,10 @@ impl Service {
                 next += 1;
                 let tenant = &self.requests[i].tenant;
                 match &gates[i] {
-                    Gate::Reject(reason) => {
+                    Err(reason) => {
                         slots[i] = Some(Slot::Refused(RequestOutcome::Rejected(reason.clone())));
                     }
-                    Gate::Admit(mode) => {
+                    Ok(mode) => {
                         if let Some(quota) = self.config.tenant_quota {
                             if queue.lane_len(tenant) >= quota {
                                 slots[i] = Some(Slot::Refused(RequestOutcome::Shed(format!(
@@ -658,19 +646,7 @@ impl Service {
                 match slot.expect("every request is disposed") {
                     Slot::Refused(outcome) => base(outcome),
                     Slot::Served(start, service, worker, pool_index) => {
-                        let outcome = match &pool_run.results[pool_index].outcome {
-                            TenantOutcome::Completed(report) => {
-                                RequestOutcome::Completed(report.clone())
-                            }
-                            TenantOutcome::Trapped(trap) => RequestOutcome::Trapped(trap.clone()),
-                            TenantOutcome::Panicked(msg) => RequestOutcome::Panicked(msg.clone()),
-                            // Without a supervisor the pool never sheds,
-                            // quarantines or times tenants out.
-                            other => RequestOutcome::Panicked(format!(
-                                "unexpected pool outcome {:?}",
-                                other.status()
-                            )),
-                        };
+                        let outcome = pool_run.results[pool_index].outcome.clone();
                         RequestResult {
                             start_cycle: start,
                             service_cycles: service,
@@ -831,25 +807,6 @@ mod tests {
         {
             assert!(reason.starts_with("quota:"), "{reason}");
         }
-    }
-
-    #[test]
-    fn admission_rejects_oversized_programs_statically() {
-        let m = machine_for(&looping(40));
-        let mut s = Service::new(ServiceConfig {
-            admission: AdmissionPolicy {
-                max_pressure_words: Some(1),
-                right_size: false,
-            },
-            ..ServiceConfig::default()
-        });
-        s.submit("t", "r0", Arc::clone(&m), Mode::Interpreter);
-        let step = s.run_at(10);
-        assert_eq!(step.outcome_count("rejected"), 1);
-        if let RequestOutcome::Rejected(reason) = &step.results[0].outcome {
-            assert!(reason.starts_with("admission:"), "{reason}");
-        }
-        assert_eq!(step.served(), 0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Windowed time-series sampling of a machine run.
 //!
 //! End-of-run aggregates hide exactly what the paper's §6 is about:
-//! working-set *phase transitions*. A machine with windowing enabled
-//! (see [`Machine::set_window`](crate::Machine::set_window)) closes one
+//! working-set *phase transitions*. A run with windowing enabled
+//! (see [`RunOptions::window`](crate::RunOptions::window)) closes one
 //! [`WindowSample`] every N dynamic DIR instructions, carrying the DTB
 //! hit/miss deltas, the resident-translation occupancy at window close,
 //! and the full per-activity cycle breakdown spent inside the window —

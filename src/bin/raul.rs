@@ -110,10 +110,12 @@ use std::process::ExitCode;
 
 use dir::encode::{DecodeMode, SchemeKind};
 use profile::{CounterPlane, FlameBuilder, SpanTracer};
-use telemetry::{Event, Json, JsonlSink, Kind, Report, RingSink, TeeSink, Tier, TraceSink};
+use telemetry::{
+    Event, Json, JsonlSink, Kind, NullSink, Report, RingSink, TeeSink, Tier, TraceSink,
+};
 use uhm::resilience::{AdmissionPolicy, ChaosConfig, Supervisor};
-use uhm::service::{Service, ServiceConfig, ServiceRun};
-use uhm::{Budget, DtbConfig, FaultConfig, Machine, Mode, RetryPolicy};
+use uhm::service::{RequestOutcome, Service, ServiceConfig, ServiceRun};
+use uhm::{Budget, DtbConfig, FaultConfig, Machine, Mode, RetryPolicy, RunOptions};
 
 /// A CLI failure, split by exit status: configuration errors (bad
 /// machine geometry) exit 2, runtime failures (compile errors, traps,
@@ -515,31 +517,34 @@ fn build_program(cli: &Cli, source: &str) -> Result<dir::Program, String> {
     Ok(program)
 }
 
-/// Builds and validates a DTB configuration for `entries` units, applying
-/// any `--dtb-unit-words` override. Invalid geometry is a typed
-/// [`uhm::ConfigError`], reported as a configuration error (exit 2).
-fn dtb_config(cli: &Cli, entries: usize) -> Result<DtbConfig, CliError> {
+/// A DTB configuration for `entries` units, applying any
+/// `--dtb-unit-words` override.
+fn dtb_config(cli: &Cli, entries: usize) -> DtbConfig {
     let mut cfg = DtbConfig::with_capacity(entries);
     if let Some(words) = cli.dtb_unit_words {
         cfg.unit_words = words;
     }
-    cfg.validate()
-        .map_err(|e| CliError::Config(e.to_string()))?;
-    Ok(cfg)
+    cfg
 }
 
+/// The validated machine mode of the flags. Invalid or oversized
+/// geometry is a typed [`uhm::ConfigError`], reported as a
+/// configuration error (exit 2) before anything is allocated.
 fn machine_mode(cli: &Cli) -> Result<Mode, CliError> {
-    Ok(match cli.mode {
+    let mode = match cli.mode {
         ModeArg::Interp => Mode::Interpreter,
-        ModeArg::Dtb => Mode::Dtb(dtb_config(cli, cli.dtb_entries)?),
+        ModeArg::Dtb => Mode::Dtb(dtb_config(cli, cli.dtb_entries)),
         ModeArg::ICache => Mode::ICache {
             geometry: memsim::Geometry::new((cli.dtb_entries / 4).max(1), 4),
         },
         ModeArg::TwoLevel => Mode::TwoLevelDtb {
-            l1: dtb_config(cli, cli.dtb_entries)?,
-            l2: dtb_config(cli, cli.dtb_entries * 8)?,
+            l1: dtb_config(cli, cli.dtb_entries),
+            l2: dtb_config(cli, cli.dtb_entries.saturating_mul(8)),
         },
-    })
+    };
+    mode.validate()
+        .map_err(|e| CliError::Config(e.to_string()))?;
+    Ok(mode)
 }
 
 /// `true` when any fault-rate flag was given (used by `pool`, where fault
@@ -876,20 +881,29 @@ fn service_rates(cli: &Cli) -> Vec<u64> {
     }
 }
 
+/// One line of human-readable detail for a request's or tenant's
+/// outcome.
+fn outcome_detail(outcome: &RequestOutcome) -> String {
+    match outcome {
+        RequestOutcome::Completed(rep) => format!(
+            "{} instructions, {} cycles",
+            rep.metrics.instructions,
+            rep.metrics.cycles.total()
+        ),
+        RequestOutcome::Trapped(trap) => format!("trap: {trap}"),
+        RequestOutcome::Panicked(msg) => format!("panic: {msg}"),
+        RequestOutcome::TimedOut(trap) => format!("timed out: {trap}"),
+        RequestOutcome::Rejected(msg)
+        | RequestOutcome::Shed(msg)
+        | RequestOutcome::Quarantined(msg) => msg.clone(),
+    }
+}
+
 /// Per-request detail for the single step of a `raul serve` run.
 fn print_serve_step(run: &ServiceRun) {
     let step = &run.steps[0];
     for r in &step.results {
-        let detail = match &r.outcome {
-            uhm::RequestOutcome::Completed(rep) => format!(
-                "{} instructions, {} cycles",
-                rep.metrics.instructions,
-                rep.metrics.cycles.total()
-            ),
-            uhm::RequestOutcome::Trapped(trap) => format!("trap: {trap}"),
-            uhm::RequestOutcome::Panicked(msg) => format!("panic: {msg}"),
-            uhm::RequestOutcome::Rejected(msg) | uhm::RequestOutcome::Shed(msg) => msg.clone(),
-        };
+        let detail = outcome_detail(&r.outcome);
         println!(
             "{:>10} {:>10}  arrival {:>9}  latency {:>9}  {:>9}  {detail}",
             r.tenant,
@@ -961,8 +975,11 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             let program = build_program(cli, source)?;
             let mut machine = Machine::new(&program, cli.scheme);
             machine.set_decoder(cli.decoder);
-            machine.set_window(cli.window);
             let mode = machine_mode(cli)?;
+            let opts = || RunOptions {
+                window: cli.window,
+                ..RunOptions::default()
+            };
             let mut prof = ProfSinks::new(cli, &program);
             // Any observability flag switches to an enabled sink so the
             // miss taxonomy and event counts are collected.
@@ -980,6 +997,7 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                             .run_with(
                                 &mode,
                                 &mut TeeSink(&mut TeeSink(&mut ring, &mut jsonl), &mut prof),
+                                opts(),
                             )
                             .map_err(|t| format!("trap: {t}"))?;
                         let mut health = (jsonl.written(), None::<String>);
@@ -994,7 +1012,7 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                         run
                     }
                     None => machine
-                        .run_with(&mode, &mut TeeSink(&mut ring, &mut prof))
+                        .run_with(&mode, &mut TeeSink(&mut ring, &mut prof), opts())
                         .map_err(|t| format!("trap: {t}"))?,
                 };
                 if cli.stats {
@@ -1012,10 +1030,12 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                 report
             } else if prof.active() {
                 machine
-                    .run_with(&mode, &mut prof)
+                    .run_with(&mode, &mut prof, opts())
                     .map_err(|t| format!("trap: {t}"))?
             } else {
-                machine.run(&mode).map_err(|t| format!("trap: {t}"))?
+                machine
+                    .run_with(&mode, &mut NullSink, opts())
+                    .map_err(|t| format!("trap: {t}"))?
             };
             if cli.json {
                 let mut rr = uhm::report::run_report("raul", run_config(cli), &report.metrics);
@@ -1154,9 +1174,13 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             let mut plane = CounterPlane::new(&program);
             let mut prof = ProfSinks::new(cli, &program);
             let report = if prof.active() {
-                machine.run_with(&mode, &mut TeeSink(&mut plane, &mut prof))
+                machine.run_with(
+                    &mode,
+                    &mut TeeSink(&mut plane, &mut prof),
+                    RunOptions::default(),
+                )
             } else {
-                machine.run_with(&mode, &mut plane)
+                machine.run_with(&mode, &mut plane, RunOptions::default())
             }
             .map_err(|t| format!("trap: {t}"))?;
 
@@ -1296,15 +1320,17 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                 .run(&mode)
                 .map_err(|t| format!("clean run trapped: {t}"))?;
             let config = fault_config(cli);
-            machine.set_faults(Some(config));
+            let mut retry = RetryPolicy::default();
             if let Some(n) = cli.degrade_after {
-                machine.set_retry(RetryPolicy {
-                    degrade_after: n,
-                    ..RetryPolicy::default()
-                });
+                retry.degrade_after = n;
             }
+            let opts = RunOptions {
+                faults: Some(config),
+                retry,
+                ..RunOptions::default()
+            };
             let mut ring = RingSink::new(4096);
-            let result = machine.run_with(&mode, &mut ring);
+            let result = machine.run_with(&mode, &mut ring, opts);
             let counts = ring.counts();
             let mut cfg = run_config(cli);
             if let Json::Obj(fields) = &mut cfg {
@@ -1478,21 +1504,7 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                 println!("{}", pr.render());
             } else {
                 for r in &run.results {
-                    let detail = match &r.outcome {
-                        uhm::TenantOutcome::Completed(rep) => {
-                            format!(
-                                "{} instructions, {} cycles",
-                                rep.metrics.instructions,
-                                rep.metrics.cycles.total()
-                            )
-                        }
-                        uhm::TenantOutcome::Trapped(trap) => format!("trap: {trap}"),
-                        uhm::TenantOutcome::Panicked(msg) => format!("panic: {msg}"),
-                        uhm::TenantOutcome::TimedOut(trap) => format!("timed out: {trap}"),
-                        uhm::TenantOutcome::Shed(msg) | uhm::TenantOutcome::Quarantined(msg) => {
-                            msg.clone()
-                        }
-                    };
+                    let detail = outcome_detail(&r.outcome);
                     println!(
                         "{:>12}  worker {}  {:>9} ns  {:>9}  {detail}",
                         r.name,
@@ -1512,9 +1524,10 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                 );
                 if supervision_requested(cli) {
                     println!(
-                        "supervision: {} timed out, {} shed, {} quarantined, \
+                        "supervision: {} timed out, {} rejected, {} shed, {} quarantined, \
                          {} retries, {} worker crashes",
                         run.outcome_count("timed_out"),
+                        run.outcome_count("rejected"),
                         run.outcome_count("shed"),
                         run.outcome_count("quarantined"),
                         run.retries,
@@ -1539,8 +1552,8 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                     tracers.len()
                 );
             }
-            // Only *failures* fail the command: a timed-out, shed or
-            // quarantined tenant is the supervisor doing its job, and
+            // Only *failures* fail the command: a timed-out, rejected,
+            // shed or quarantined tenant is the supervisor doing its job, and
             // is reported (above) rather than escalated.
             let failed = run.outcome_count("trapped") + run.outcome_count("panicked");
             if failed > 0 {
@@ -1835,6 +1848,24 @@ mod tests {
             CliError::Config(m) => assert!(m.contains("unit"), "{m}"),
             CliError::Run(m) => panic!("expected a config error, got Run({m})"),
         }
+        oversized_geometry_is_a_config_error("run");
+    }
+
+    /// `command` refuses geometry flags whose buffers exceed the ceiling
+    /// or overflow, before anything is allocated.
+    fn oversized_geometry_is_a_config_error(command: &str) {
+        for flags in [
+            "--mode dtb --dtb-entries 100000000000",
+            "--mode icache --dtb-entries 100000000000",
+            "--mode two-level --dtb-entries 18446744073709551615",
+        ] {
+            let cli = parse_args(&args(&format!("{command} g.raul {flags}"))).unwrap();
+            let src = "proc main() begin int i := 0; while i < 10 do i := i + 1; write i; end";
+            match execute(&cli, src).unwrap_err() {
+                CliError::Config(m) => assert!(m.contains("ceiling"), "{flags}: {m}"),
+                CliError::Run(m) => panic!("{command} {flags}: expected a config error: {m}"),
+            }
+        }
     }
 
     #[test]
@@ -1955,6 +1986,7 @@ mod tests {
         let cli = parse_args(&args("pool g.raul --dtb-unit-words 2")).unwrap();
         let err = execute(&cli, "proc main() begin write 1; end").unwrap_err();
         assert!(matches!(err, CliError::Config(_)), "{err:?}");
+        oversized_geometry_is_a_config_error("pool");
     }
 
     #[test]
@@ -2037,5 +2069,6 @@ mod tests {
         let cli = parse_args(&args("serve g.raul --dtb-unit-words 2")).unwrap();
         let err = execute(&cli, "proc main() begin write 1; end").unwrap_err();
         assert!(matches!(err, CliError::Config(_)), "{err:?}");
+        oversized_geometry_is_a_config_error("serve");
     }
 }

@@ -5,8 +5,12 @@
 //! aggressive injection of every fault class.
 
 use dir::encode::SchemeKind;
-use telemetry::{FaultKind, RingSink};
-use uhm::{CostModel, DtbConfig, FaultConfig, FaultStats, Limits, Machine, Mode, RetryPolicy};
+use dir::exec::Trap;
+use telemetry::{FaultKind, NullSink, RingSink};
+use uhm::{
+    CostModel, DtbConfig, FaultConfig, FaultStats, Limits, Machine, Mode, Report, RetryPolicy,
+    RunOptions,
+};
 
 fn sample_programs() -> Vec<(&'static str, dir::Program)> {
     hlr::programs::ALL
@@ -29,6 +33,28 @@ fn bounded(program: &dir::Program, scheme: SchemeKind) -> Machine {
     Machine::with(program, scheme, CostModel::default(), limits)
 }
 
+/// Run options with the fault plane attached.
+fn faulty(faults: FaultConfig) -> RunOptions {
+    RunOptions {
+        faults: Some(faults),
+        ..RunOptions::default()
+    }
+}
+
+/// Runs `m` on a 64-entry DTB with `faults` and the fault-recovery
+/// policy `retry`.
+fn run_dtb64(m: &Machine, faults: FaultConfig, retry: RetryPolicy) -> Result<Report, Trap> {
+    let opts = RunOptions {
+        retry,
+        ..faulty(faults)
+    };
+    m.run_with(
+        &Mode::Dtb(DtbConfig::with_capacity(64)),
+        &mut NullSink,
+        opts,
+    )
+}
+
 /// All execution levels agree at zero fault rate: HLR evaluation, DIR
 /// execution, and the DTB machine with an inert fault plane attached
 /// produce identical output.
@@ -39,9 +65,8 @@ fn levels_agree_with_an_inert_fault_plane() {
         let program = dir::compiler::compile(&hir);
         let reference = hlr::eval::run(&hir).expect("samples are trap-free");
         assert_eq!(dir::exec::run(&program).unwrap(), reference, "{}", s.name);
-        let mut m = Machine::new(&program, SchemeKind::Huffman);
-        m.set_faults(Some(FaultConfig::inert(7)));
-        let r = m.run(&Mode::Dtb(DtbConfig::with_capacity(64))).unwrap();
+        let m = Machine::new(&program, SchemeKind::Huffman);
+        let r = run_dtb64(&m, FaultConfig::inert(7), RetryPolicy::default()).unwrap();
         assert_eq!(r.output, reference, "{}", s.name);
     }
 }
@@ -58,12 +83,11 @@ fn zero_rate_injection_is_invisible() {
                 l2: DtbConfig::with_capacity(256),
             },
         ] {
-            let clean = Machine::new(&program, SchemeKind::Huffman)
-                .run(&mode)
+            let m = Machine::new(&program, SchemeKind::Huffman);
+            let clean = m.run(&mode).unwrap();
+            let inert = m
+                .run_with(&mode, &mut NullSink, faulty(FaultConfig::inert(0xDEAD)))
                 .unwrap();
-            let mut m = Machine::new(&program, SchemeKind::Huffman);
-            m.set_faults(Some(FaultConfig::inert(0xDEAD)));
-            let inert = m.run(&mode).unwrap();
             assert_eq!(inert.output, clean.output, "{name} {mode:?}");
             let mut metrics = inert.metrics;
             assert_eq!(
@@ -85,10 +109,9 @@ fn dtb_corruption_recovers_across_the_corpus() {
     for (name, program) in sample_programs() {
         let want = dir::exec::run(&program).unwrap();
         for kind in [FaultKind::DtbWord, FaultKind::DtbTag] {
-            let mut m = bounded(&program, SchemeKind::Huffman);
-            m.set_faults(Some(FaultConfig::only(0xFA14, kind, 1e-3)));
-            let r = m
-                .run(&Mode::Dtb(DtbConfig::with_capacity(64)))
+            let m = bounded(&program, SchemeKind::Huffman);
+            let faults = FaultConfig::only(0xFA14, kind, 1e-3);
+            let r = run_dtb64(&m, faults, RetryPolicy::default())
                 .unwrap_or_else(|t| panic!("{name} under {kind:?}: {t}"));
             assert_eq!(r.output, want, "{name} under {kind:?}");
             total_recoveries += r.metrics.recoveries;
@@ -105,11 +128,11 @@ fn dtb_corruption_recovers_across_the_corpus() {
 #[test]
 fn telemetry_corroborates_recovery_counts() {
     let program = dir::compiler::compile(&hlr::programs::SIEVE.compile().unwrap());
-    let mut m = bounded(&program, SchemeKind::Huffman);
-    m.set_faults(Some(FaultConfig::only(0xFA14, FaultKind::DtbWord, 1e-2)));
+    let m = bounded(&program, SchemeKind::Huffman);
+    let opts = faulty(FaultConfig::only(0xFA14, FaultKind::DtbWord, 1e-2));
     let mut ring = RingSink::new(8192);
     let r = m
-        .run_with(&Mode::Dtb(DtbConfig::with_capacity(64)), &mut ring)
+        .run_with(&Mode::Dtb(DtbConfig::with_capacity(64)), &mut ring, opts)
         .unwrap();
     let counts = ring.counts();
     let faults = r.metrics.faults.unwrap();
@@ -125,13 +148,12 @@ fn telemetry_corroborates_recovery_counts() {
 fn degradation_preserves_semantics() {
     let program = dir::compiler::compile(&hlr::programs::FIB_ITER.compile().unwrap());
     let want = dir::exec::run(&program).unwrap();
-    let mut m = bounded(&program, SchemeKind::Packed);
-    m.set_faults(Some(FaultConfig::only(3, FaultKind::DtbWord, 1.0)));
-    m.set_retry(RetryPolicy {
+    let m = bounded(&program, SchemeKind::Packed);
+    let retry = RetryPolicy {
         degrade_after: 1,
         max_fetch_retries: 8,
-    });
-    let r = m.run(&Mode::Dtb(DtbConfig::with_capacity(64))).unwrap();
+    };
+    let r = run_dtb64(&m, FaultConfig::only(3, FaultKind::DtbWord, 1.0), retry).unwrap();
     assert_eq!(r.output, want);
     assert!(r.metrics.degraded_instructions > 0);
     assert!(r.metrics.recoveries > 0);
@@ -155,9 +177,8 @@ fn aggressive_injection_never_panics() {
                 max_steps: 500_000,
                 ..Limits::default()
             };
-            let mut m = Machine::with(&program, SchemeKind::Huffman, CostModel::default(), limits);
-            m.set_faults(Some(config));
-            match m.run(&Mode::Dtb(DtbConfig::with_capacity(64))) {
+            let m = Machine::with(&program, SchemeKind::Huffman, CostModel::default(), limits);
+            match run_dtb64(&m, config, RetryPolicy::default()) {
                 Ok(_) => {}
                 Err(trap) => {
                     // Any typed trap is acceptable; reaching here at all
@@ -174,15 +195,11 @@ fn aggressive_injection_never_panics() {
 #[test]
 fn exhausted_fetch_retries_trap() {
     let program = dir::compiler::compile(&hlr::programs::FIB_ITER.compile().unwrap());
-    let mut m = bounded(&program, SchemeKind::Huffman);
-    m.set_faults(Some(FaultConfig::only(1, FaultKind::FetchDrop, 1.0)));
-    m.set_retry(RetryPolicy {
+    let m = bounded(&program, SchemeKind::Huffman);
+    let retry = RetryPolicy {
         degrade_after: 3,
         max_fetch_retries: 2,
-    });
-    let err = m.run(&Mode::Dtb(DtbConfig::with_capacity(64))).unwrap_err();
-    assert!(
-        matches!(err, dir::exec::Trap::FetchFailed { .. }),
-        "got {err}"
-    );
+    };
+    let err = run_dtb64(&m, FaultConfig::only(1, FaultKind::FetchDrop, 1.0), retry).unwrap_err();
+    assert!(matches!(err, Trap::FetchFailed { .. }), "got {err}");
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dir::encode::SchemeKind;
 use uhm::pool::MachinePool;
-use uhm::{DtbConfig, FaultConfig, Machine, Mode, TenantOutcome};
+use uhm::{DtbConfig, FaultConfig, Machine, Mode, RequestOutcome};
 
 fn seeded_machine(seed: u64, scheme: SchemeKind) -> Arc<Machine> {
     let ast = hlr::generate::program(seed, &hlr::generate::Config::default());
@@ -53,7 +53,7 @@ fn seeded_pool(workers: usize, tenants: usize) -> MachinePool {
     pool
 }
 
-fn outcomes(run: &uhm::PoolRun) -> Vec<&TenantOutcome> {
+fn outcomes(run: &uhm::PoolRun) -> Vec<&RequestOutcome> {
     run.results.iter().map(|r| &r.outcome).collect()
 }
 
@@ -122,7 +122,10 @@ fn panicking_tenant_does_not_poison_the_pool() {
 
     assert_eq!(run.results.len(), 10);
     assert_eq!(run.completed(), 9);
-    assert!(matches!(run.results[9].outcome, TenantOutcome::Panicked(_)));
+    assert!(matches!(
+        run.results[9].outcome,
+        RequestOutcome::Panicked(_)
+    ));
     assert_eq!(&outcomes(&run)[..9], &outcomes(&reference)[..]);
 }
 

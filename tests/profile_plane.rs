@@ -15,8 +15,8 @@
 
 use dir::encode::SchemeKind;
 use profile::{CounterPlane, FlameBuilder, SpanTracer};
-use telemetry::{Event, Json, TraceSink};
-use uhm::{DtbConfig, FaultConfig, Machine, Mode};
+use telemetry::{Event, Json, NullSink, TraceSink};
+use uhm::{DtbConfig, FaultConfig, Machine, Mode, RunOptions};
 
 /// A workload with procedure calls, loops and recursion, so every
 /// attribution axis (region, opcode, tier, pair) is exercised.
@@ -66,7 +66,9 @@ fn profiled_runs_are_bit_identical_in_every_mode() {
             tracer: SpanTracer::new(&program),
             flame: FlameBuilder::new(&program),
         };
-        let profiled = machine.run_with(&mode, &mut sinks).unwrap();
+        let profiled = machine
+            .run_with(&mode, &mut sinks, RunOptions::default())
+            .unwrap();
         // Output and the FULL metrics struct: instructions, decoded,
         // word traffic, the 11-component cycle breakdown, DTB/cache
         // stats, recoveries — everything the model computes.
@@ -90,20 +92,25 @@ fn profiled_fault_runs_are_bit_identical() {
     // part of Metrics, so full equality covers them too.
     let program = sample_program();
     for seed in [7u64, 0xFA14] {
-        let mut machine = Machine::new(&program, SchemeKind::Huffman);
+        let machine = Machine::new(&program, SchemeKind::Huffman);
         // Recoverable fault kinds only (DTB corruption and fetch drops):
         // the run completes through the verify/recover path, so there is
         // a full metrics struct on both sides to compare.
-        machine.set_faults(Some(FaultConfig {
-            dtb_word_rate: 5e-3,
-            dtb_tag_rate: 5e-3,
-            drop_fetch_rate: 1e-3,
-            ..FaultConfig::inert(seed)
-        }));
+        let opts = RunOptions {
+            faults: Some(FaultConfig {
+                dtb_word_rate: 5e-3,
+                dtb_tag_rate: 5e-3,
+                drop_fetch_rate: 1e-3,
+                ..FaultConfig::inert(seed)
+            }),
+            ..RunOptions::default()
+        };
         let mode = Mode::Dtb(DtbConfig::with_capacity(16));
-        let plain = machine.run(&mode).unwrap();
+        let plain = machine
+            .run_with(&mode, &mut NullSink, opts.clone())
+            .unwrap();
         let mut plane = CounterPlane::new(&program);
-        let profiled = machine.run_with(&mode, &mut plane).unwrap();
+        let profiled = machine.run_with(&mode, &mut plane, opts).unwrap();
         assert_eq!(
             plain.output, profiled.output,
             "seed {seed}: output diverged"
@@ -152,7 +159,11 @@ fn span_trace_is_a_valid_chrome_trace_event_document() {
     let machine = Machine::new(&program, SchemeKind::Huffman);
     let mut tracer = SpanTracer::new(&program);
     machine
-        .run_with(&Mode::Dtb(DtbConfig::with_capacity(32)), &mut tracer)
+        .run_with(
+            &Mode::Dtb(DtbConfig::with_capacity(32)),
+            &mut tracer,
+            RunOptions::default(),
+        )
         .unwrap();
     let text = tracer.finish();
     let doc = Json::parse(&text).expect("trace output parses as JSON");
@@ -197,7 +208,9 @@ fn flamegraph_output_is_well_formed_collapsed_stacks() {
     let program = sample_program();
     let machine = Machine::new(&program, SchemeKind::Huffman);
     let mut flame = FlameBuilder::new(&program);
-    machine.run_with(&Mode::Interpreter, &mut flame).unwrap();
+    machine
+        .run_with(&Mode::Interpreter, &mut flame, RunOptions::default())
+        .unwrap();
     let collapsed = flame.collapsed();
     assert!(!collapsed.is_empty());
     let mut total = 0u64;

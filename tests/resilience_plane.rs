@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use dir::encode::SchemeKind;
 use uhm::resilience::{BackoffPolicy, ChaosConfig, Supervisor};
-use uhm::{Budget, DtbConfig, Machine, MachinePool, Mode, TenantOutcome};
+use uhm::{Budget, DtbConfig, Machine, MachinePool, Mode, RequestOutcome};
 
 /// Property: for a broad sweep of policies, seeds and keys, every
 /// backoff schedule is monotonically non-decreasing, every delay stays
@@ -130,20 +130,13 @@ fn supervised_pool_survives_chaos_bit_identically() {
     std::panic::set_hook(hook);
 
     assert_eq!(run.results.len(), 9, "no tenant is silently lost");
-    let accounted: usize = [
-        "completed",
-        "trapped",
-        "panicked",
-        "timed_out",
-        "shed",
-        "quarantined",
-    ]
-    .iter()
-    .map(|s| run.outcome_count(s))
-    .sum();
+    let accounted: usize = RequestOutcome::STATUSES
+        .iter()
+        .map(|s| run.outcome_count(s))
+        .sum();
     assert_eq!(accounted, 9, "every outcome is accounted");
     for r in &run.results {
-        if matches!(r.outcome, TenantOutcome::Completed(_)) {
+        if matches!(r.outcome, RequestOutcome::Completed(_)) {
             let reference = baseline.results.iter().find(|q| q.tenant == r.tenant);
             assert_eq!(
                 Some(&r.outcome),

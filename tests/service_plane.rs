@@ -11,8 +11,9 @@ use std::sync::Arc;
 
 use dir::encode::SchemeKind;
 use uhm::resilience::AdmissionPolicy;
+use uhm::resilience::Supervisor;
 use uhm::service::{Service, ServiceConfig};
-use uhm::{DtbConfig, Machine, Mode, RequestOutcome, TenantOutcome};
+use uhm::{DtbConfig, Machine, MachinePool, Mode, RequestOutcome};
 
 fn machine_for(source: &str) -> Arc<Machine> {
     let hir = hlr::compile(source).expect("test sources compile");
@@ -59,9 +60,11 @@ fn full_accounting_across_the_rate_sweep() {
     for step in &run.steps {
         assert_eq!(step.results.len(), 14);
         assert_eq!(step.lost(), 0, "no request may vanish");
-        let statuses = ["completed", "trapped", "panicked", "rejected", "shed"];
-        let accounted: usize = statuses.iter().map(|s| step.outcome_count(s)).sum();
-        assert_eq!(accounted, 14, "every outcome is one of the five states");
+        let accounted: usize = RequestOutcome::STATUSES
+            .iter()
+            .map(|s| step.outcome_count(s))
+            .sum();
+        assert_eq!(accounted, 14, "every outcome is one of the seven states");
     }
     assert_eq!(run.lost(), 0);
     assert_eq!(run.total_requests(), 56);
@@ -93,7 +96,7 @@ fn service_outputs_are_bit_identical_to_direct_pool_execution() {
     assert_eq!(direct.results.len(), 12);
     for (svc, pool) in step.results.iter().zip(&direct.results) {
         assert_eq!(svc.name, pool.name, "same submission order");
-        let (RequestOutcome::Completed(a), TenantOutcome::Completed(b)) =
+        let (RequestOutcome::Completed(a), RequestOutcome::Completed(b)) =
             (&svc.outcome, &pool.outcome)
         else {
             panic!("both paths complete {}", svc.name);
@@ -281,6 +284,8 @@ fn admission_rejects_or_right_sizes_before_execution() {
          end \
          write a + b + c + d; end",
     );
+    // A one-entry DTB cannot hold the loop, so right-sizing fires.
+    let tiny = Mode::Dtb(DtbConfig::with_capacity(1));
     let reject = |policy: AdmissionPolicy| {
         let mut service = Service::new(ServiceConfig {
             workers: 1,
@@ -288,13 +293,24 @@ fn admission_rejects_or_right_sizes_before_execution() {
             seed: 2,
             ..ServiceConfig::default()
         });
-        service.submit("t", "big", Arc::clone(&big), dtb());
+        service.submit("t", "big", Arc::clone(&big), tiny.clone());
         service.run_at(10)
     };
-    let step = reject(AdmissionPolicy {
+    // The supervised pool applies the same gate to the same program.
+    let pooled = |policy: AdmissionPolicy| {
+        let mut pool = MachinePool::new(1);
+        pool.push("big", Arc::clone(&big), tiny.clone());
+        pool.set_supervisor(Some(Supervisor {
+            admission: policy,
+            ..Supervisor::default()
+        }));
+        pool.run().results.remove(0).outcome
+    };
+    let policy = AdmissionPolicy {
         max_pressure_words: Some(1),
         right_size: false,
-    });
+    };
+    let step = reject(policy);
     match &step.results[0].outcome {
         RequestOutcome::Rejected(m) => {
             assert!(m.starts_with("admission:"), "{m:?}");
@@ -303,14 +319,19 @@ fn admission_rejects_or_right_sizes_before_execution() {
         other => panic!("expected a static rejection, got {other:?}"),
     }
     assert_eq!(step.served(), 0, "a rejected request never executes");
+    assert_eq!(pooled(policy), step.results[0].outcome);
 
-    let step = reject(AdmissionPolicy {
+    let policy = AdmissionPolicy {
         max_pressure_words: None,
         right_size: true,
-    });
-    assert_eq!(
-        step.results[0].outcome.status(),
-        "completed",
-        "right-sizing admits the program on a recommended geometry"
-    );
+    };
+    let step = reject(policy);
+    // Right-sizing admits the program on the analyzer's recommended
+    // geometry, through the service and the pool alike.
+    let capacity = analyze::bound(big.program()).recommended.capacity();
+    let want = big
+        .run(&Mode::Dtb(DtbConfig::with_capacity(capacity)))
+        .unwrap();
+    assert_eq!(step.results[0].outcome.report(), Some(&want));
+    assert_eq!(pooled(policy).report(), Some(&want));
 }

@@ -10,8 +10,8 @@
 use std::process::Command;
 
 use dir::encode::SchemeKind;
-use telemetry::{Json, Kind, Report, RingSink};
-use uhm::{DtbConfig, Machine, Mode};
+use telemetry::{Json, Kind, NullSink, Report, RingSink};
+use uhm::{DtbConfig, Machine, Mode, RunOptions};
 
 fn sample_machine() -> (dir::program::Program, Mode) {
     let program = dir::compiler::compile(&hlr::programs::QUEENS.compile().unwrap());
@@ -23,7 +23,9 @@ fn ring_sink_counts_agree_with_metrics() {
     let (program, mode) = sample_machine();
     let machine = Machine::new(&program, SchemeKind::PairHuffman);
     let mut sink = RingSink::new(256);
-    let report = machine.run_with(&mode, &mut sink).unwrap();
+    let report = machine
+        .run_with(&mode, &mut sink, RunOptions::default())
+        .unwrap();
     let c = sink.counts();
     let m = &report.metrics;
     let dtb = m.dtb.expect("dtb mode records dtb stats");
@@ -56,7 +58,9 @@ fn untraced_run_is_equivalent() {
     let (program, mode) = sample_machine();
     let machine = Machine::new(&program, SchemeKind::PairHuffman);
     let mut sink = RingSink::new(64);
-    let traced = machine.run_with(&mode, &mut sink).unwrap();
+    let traced = machine
+        .run_with(&mode, &mut sink, RunOptions::default())
+        .unwrap();
     let plain = machine.run(&mode).unwrap();
     assert_eq!(plain.output, traced.output);
     assert_eq!(plain.metrics.instructions, traced.metrics.instructions);
@@ -71,9 +75,12 @@ fn untraced_run_is_equivalent() {
 #[test]
 fn window_samples_partition_the_run() {
     let (program, mode) = sample_machine();
-    let mut machine = Machine::new(&program, SchemeKind::PairHuffman);
-    machine.set_window(Some(500));
-    let report = machine.run(&mode).unwrap();
+    let machine = Machine::new(&program, SchemeKind::PairHuffman);
+    let opts = RunOptions {
+        window: Some(500),
+        ..RunOptions::default()
+    };
+    let report = machine.run_with(&mode, &mut NullSink, opts).unwrap();
     let windows = report.metrics.windows.as_ref().expect("windowing was on");
     assert!(!windows.is_empty());
     let total: u64 = windows.iter().map(|w| w.instructions).sum();
@@ -246,14 +253,9 @@ fn raul_chaos_json_accounts_every_supervised_outcome() {
             .and_then(Json::as_i64)
             .unwrap()
     };
-    // The six-state outcome taxonomy partitions the tenants even with
+    // The seven-state outcome taxonomy partitions the tenants even with
     // chaos injected — nothing is silently lost.
-    let accounted = agg("completed")
-        + agg("trapped")
-        + agg("panicked")
-        + agg("timed_out")
-        + agg("shed")
-        + agg("quarantined");
+    let accounted: i64 = uhm::RequestOutcome::STATUSES.iter().map(|s| agg(s)).sum();
     assert_eq!(accounted, agg("tenants"));
     assert_eq!(section(&pr, "tenants").as_arr().unwrap().len(), 6);
     // Supervision counters ride along.
