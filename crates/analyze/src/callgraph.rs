@@ -1,4 +1,4 @@
-//! Pass 3a: whole-program call graph.
+//! Pass 3: whole-program call graph.
 //!
 //! Builds the procedure-level call graph from the static `Call` sites,
 //! then reports procedures unreachable from the prelude (dead code the

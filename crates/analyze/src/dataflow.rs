@@ -25,10 +25,9 @@
 //! (applied at loop heads after `WIDEN_AFTER` joins) keeps loop counters'
 //! stationary bounds while forcing the moving bound to converge.
 //!
-//! The pass only runs on images that are clean after passes 1–4: facts
-//! ride on the [`Verified`](crate::Verified) witness, and the absint
-//! invariants (no underflow, consistent depths, in-range slots) are its
-//! preconditions. Every assumption is still guarded defensively — an
+//! The pass only runs on images the load proof (passes 1–2) accepts: the
+//! absint invariants (no underflow, consistent depths, in-range slots) are
+//! its preconditions. Every assumption is still guarded defensively — an
 //! inconsistency aborts the region with no facts rather than panicking.
 //! Soundness of the published bitmap is closed dynamically by the
 //! conformance auditor, which evaluates every discharged guard and reports

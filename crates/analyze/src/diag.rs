@@ -4,8 +4,10 @@
 //! CLI key on), a fixed [`Severity`] derived from the code, an optional DIR
 //! address, and the owning region's name. Codes are grouped by pass:
 //! `AN1xx` codec validation, `AN2xx` abstract interpretation, `AN3xx` call
-//! graph, `AN4xx` cross-level consistency, `AN5xx` DTB pressure, `AN6xx`
-//! interprocedural dataflow.
+//! graph, `AN5xx` DTB pressure, `AN6xx` interprocedural dataflow. Only the
+//! load proof's `AN1xx` and `AN2xx` codes carry [`Severity::Error`]. The
+//! `AN4xx` block is retired: the cross-level stack balance it checked is a
+//! property of the instruction set, proved by a test.
 
 /// How bad a finding is. Only [`Severity::Error`] blocks verification;
 /// warnings and notes ride along in the report.
@@ -64,12 +66,6 @@ pub enum DiagCode {
     /// The call graph contains a cycle (recursion depth is unbounded
     /// statically; the dynamic depth limit still applies).
     RecursionDetected,
-    /// A PSDER translation template's stack effect disagrees with the DIR
-    /// instruction's semantics.
-    TemplateImbalance,
-    /// The analyzer's own stack model disagrees with the PSDER level's
-    /// expected effect table (an analyzer/ISA drift guard).
-    ModelMismatch,
     /// The hottest loop's translation working set exceeds the default DTB.
     DtbPressure,
     /// Interval analysis proved a conditional branch is never taken.
@@ -86,7 +82,7 @@ impl DiagCode {
     /// codes (the exhaustive `match` in [`DiagCode::id`] makes the
     /// compiler flag a missing arm, and the count test flags a missing
     /// entry here).
-    pub const ALL: [DiagCode; 21] = [
+    pub const ALL: [DiagCode; 19] = [
         DiagCode::CodecDefect,
         DiagCode::ImageMismatch,
         DiagCode::ImageUndecodable,
@@ -102,8 +98,6 @@ impl DiagCode {
         DiagCode::BadCallee,
         DiagCode::UnreachableProcedure,
         DiagCode::RecursionDetected,
-        DiagCode::TemplateImbalance,
-        DiagCode::ModelMismatch,
         DiagCode::DtbPressure,
         DiagCode::BranchNeverTaken,
         DiagCode::BranchAlwaysTaken,
@@ -128,8 +122,6 @@ impl DiagCode {
             DiagCode::BadCallee => "AN210",
             DiagCode::UnreachableProcedure => "AN301",
             DiagCode::RecursionDetected => "AN302",
-            DiagCode::TemplateImbalance => "AN401",
-            DiagCode::ModelMismatch => "AN402",
             DiagCode::DtbPressure => "AN501",
             DiagCode::BranchNeverTaken => "AN601",
             DiagCode::BranchAlwaysTaken => "AN602",
@@ -151,9 +143,7 @@ impl DiagCode {
             | DiagCode::UninitializedLocal
             | DiagCode::SlotOutOfRange
             | DiagCode::FallsThroughRegion
-            | DiagCode::BadCallee
-            | DiagCode::TemplateImbalance
-            | DiagCode::ModelMismatch => Severity::Error,
+            | DiagCode::BadCallee => Severity::Error,
             DiagCode::MaybeUninitializedLocal
             | DiagCode::UnreachableProcedure
             | DiagCode::DtbPressure
@@ -248,6 +238,20 @@ mod tests {
         assert_eq!(DiagCode::BranchNeverTaken.severity(), Severity::Info);
     }
 
+    /// `verify` runs only the load proof, so it accepts exactly what
+    /// `analyze` calls clean only while no later pass can emit an error.
+    #[test]
+    fn only_load_proof_codes_are_errors() {
+        for code in DiagCode::ALL {
+            if code.severity() == Severity::Error {
+                assert!(
+                    code.id().starts_with("AN1") || code.id().starts_with("AN2"),
+                    "{code}: an error outside the load proof"
+                );
+            }
+        }
+    }
+
     #[test]
     fn every_code_matches_the_anxyz_grammar() {
         for code in DiagCode::ALL {
@@ -259,8 +263,8 @@ mod tests {
                 digits.chars().all(|c| c.is_ascii_digit()),
                 "{id}: suffix must be numeric"
             );
-            // The leading digit names the owning pass (1..=6 today); a
-            // zero would collide with nothing and means a typo.
+            // The leading digit names the owning pass family; a zero
+            // would collide with nothing and means a typo.
             assert!(!digits.starts_with('0'), "{id}: pass digit must be nonzero");
         }
     }

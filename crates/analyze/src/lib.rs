@@ -8,20 +8,22 @@
 //! load an image that fails them. Execution stays fully checked: a proof
 //! gates what may run, it never switches a runtime check off.
 //!
-//! [`analyze`] runs six passes over an encoded [`Image`] and its
-//! [`Program`]:
+//! The passes split in two around one shared prefix, the **load proof**:
 //!
 //! 1. **Codec validation** — decoder-side tables (canonical-Huffman
 //!    codebooks, field widths, context regions, offset index) are checked
 //!    structurally, and the image is decoded once against the program it
 //!    claims to encode ([`dir::encode::Image::validate_codec`]).
 //! 2. **Abstract interpretation** — per-region operand-stack depth bounds,
-//!    locals-initialized-before-use, branch containment and slot ranges
-//!    ([`absint`]), plus the whole-program call graph with reachability
-//!    and recursion facts ([`callgraph`]).
-//! 3. **Cross-level consistency** — every opcode the program contains is
-//!    rechecked against the PSDER translation templates and the semantic
-//!    routine library ([`psder::verify::check_program`]).
+//!    locals-initialized-before-use, branch containment, slot ranges and
+//!    callee indices ([`absint`]).
+//!
+//! These are the only passes that can emit an error, and they are all
+//! [`verify`] runs. [`analyze`] runs the same prefix, then the analysis
+//! passes, which report warnings, notes and analysis output only:
+//!
+//! 3. **Call graph** — whole-program reachability, recursion and the
+//!    maximum call chain ([`callgraph`]).
 //! 4. **DTB pressure** — a static translation working-set bound per region
 //!    and per loop body, with a recommended DTB geometry ([`pressure`]).
 //! 5. **Interprocedural dataflow** — interval value ranges and constant
@@ -29,16 +31,22 @@
 //!    argument/return summaries, discharging *per-site* facts (divisor
 //!    nonzero, index in bounds, decided branches, unreachable code) into
 //!    a [`SiteFacts`] bitmap ([`dataflow`]). Facts are only computed for
-//!    images that are clean after passes 1–4.
+//!    images the load proof accepts.
 //! 6. **Region formation** — natural-loop detection with nesting depths,
 //!    ranking hot-region candidates and their fact coverage
 //!    ([`regionform`]).
 //!
-//! [`verify`] turns a clean analysis into a [`Verified`] witness, the only
-//! way to construct a `uhm::Machine` through `Machine::load`. The witness
-//! owns the image, the program it was proved against, *and* the per-site
-//! fact bitmap, so a loaded machine always runs the exact code that was
-//! proved, and the facts always describe that code.
+//! No load pass rechecks the PSDER level: the stack balance of the
+//! translation templates and semantic routines, and its agreement with the
+//! abstract stack model, are properties of the instruction set, proved once
+//! by a seeded test over every decodable instruction shape
+//! (`psder::verify::check_all`).
+//!
+//! [`verify`] turns a clean load proof into a [`Verified`] witness, the
+//! only way to construct a `uhm::Machine` through `Machine::load`. The
+//! witness owns the image and the program it was proved against, so a
+//! loaded machine always runs the exact code that was proved. When it
+//! rejects, `verify` returns exactly the report [`analyze`] would.
 //!
 //! ```
 //! use dir::encode::SchemeKind;
@@ -62,8 +70,6 @@ pub mod pressure;
 pub mod regionform;
 pub mod report;
 
-mod consistency;
-
 pub use absint::RegionSummary;
 pub use callgraph::CallGraph;
 pub use dataflow::{FactsReport, Interval, RegionFacts};
@@ -76,10 +82,21 @@ use dir::encode::Image;
 use dir::facts::SiteFacts;
 use dir::program::Program;
 
-/// Runs all six analysis passes over `image` and the `program` it claims
-/// to encode, returning the full typed report (never failing: defects are
-/// diagnostics, not errors).
-pub fn analyze(program: &Program, image: &Image) -> AnalysisReport {
+/// What the load proof (passes 1–2) found: every error an image can
+/// carry, plus the abstract interpreter's per-region summaries.
+struct Proof {
+    diags: Vec<Diagnostic>,
+    regions: Vec<RegionSummary>,
+}
+
+impl Proof {
+    fn is_clean(&self) -> bool {
+        !self.diags.iter().any(|d| d.severity() == Severity::Error)
+    }
+}
+
+/// Passes 1–2, the prefix [`verify`] and [`analyze`] share.
+fn prove(program: &Program, image: &Image) -> Proof {
     let mut diags = Vec::new();
 
     // Pass 1: codec validation, then one full decode pinned against the
@@ -105,22 +122,27 @@ pub fn analyze(program: &Program, image: &Image) -> AnalysisReport {
         }
     }
 
-    // Pass 2: abstract interpretation + call graph.
+    // Pass 2: abstract interpretation.
     let regions = absint::analyze_regions(program, &mut diags);
-    let callgraph = callgraph::build(program, &mut diags);
+    Proof { diags, regions }
+}
 
-    // Pass 3: cross-level consistency.
-    consistency::check(program, &mut diags);
+/// Passes 3–6 over a load proof, completing the report.
+fn finish(program: &Program, image: &Image, proof: Proof) -> AnalysisReport {
+    let clean = proof.is_clean();
+    let Proof { mut diags, regions } = proof;
+
+    // Pass 3: call graph.
+    let callgraph = callgraph::build(program, &mut diags);
 
     // Pass 4: DTB pressure.
     let pressure = pressure::estimate(program, &mut diags);
 
     // Pass 5: interprocedural dataflow. Facts are only discharged for
-    // images that are clean so far — everything the pass assumes (depth
+    // images the load proof accepts — everything the pass assumes (depth
     // consistency, slot ranges, branch containment, decode pinning) is
-    // exactly what passes 1–4 prove.
-    let clean_so_far = !diags.iter().any(|d| d.severity() == Severity::Error);
-    let (site_facts, facts) = if clean_so_far {
+    // exactly what passes 1–2 prove.
+    let (site_facts, facts) = if clean {
         dataflow::analyze(program, &mut diags)
     } else {
         (
@@ -145,7 +167,14 @@ pub fn analyze(program: &Program, image: &Image) -> AnalysisReport {
     }
 }
 
-/// Proof that an image passed whole-image verification, together with the
+/// Runs the load proof and all four analysis passes over `image` and the
+/// `program` it claims to encode, returning the full typed report (never
+/// failing: defects are diagnostics, not errors).
+pub fn analyze(program: &Program, image: &Image) -> AnalysisReport {
+    finish(program, image, prove(program, image))
+}
+
+/// Proof that an image passed load-time verification, together with the
 /// program it was proved against. The only constructor is [`verify`]; the
 /// pair cannot be taken apart and reassembled, so a machine loaded from a
 /// witness always runs the exact code that was proved.
@@ -153,7 +182,6 @@ pub fn analyze(program: &Program, image: &Image) -> AnalysisReport {
 pub struct Verified<T> {
     value: T,
     program: Program,
-    facts: SiteFacts,
 }
 
 impl<T> Verified<T> {
@@ -166,32 +194,25 @@ impl<T> Verified<T> {
     pub fn program(&self) -> &Program {
         &self.program
     }
-
-    /// The per-site fact bitmap the dataflow pass discharged. It is
-    /// analysis output and the input of the soundness auditor
-    /// (`dir::exec::run_audit_with`); no executor skips a check on it.
-    pub fn facts(&self) -> &SiteFacts {
-        &self.facts
-    }
 }
 
-/// Verifies `image` against `program`: runs [`analyze`] and returns the
-/// witness when no finding is an error.
+/// Verifies `image` against `program`: runs the load proof (passes 1–2)
+/// and returns the witness when no finding is an error.
 ///
 /// # Errors
 ///
-/// Returns the full report (boxed — it is large) when any error-severity
-/// diagnostic was found; warnings and notes do not block.
+/// Returns the full report (boxed — it is large), exactly the one
+/// [`analyze`] returns, when any error-severity diagnostic was found;
+/// warnings and notes do not block.
 pub fn verify(program: &Program, image: Image) -> Result<Verified<Image>, Box<AnalysisReport>> {
-    let report = analyze(program, &image);
-    if report.is_clean() {
+    let proof = prove(program, &image);
+    if proof.is_clean() {
         Ok(Verified {
             value: image,
             program: program.clone(),
-            facts: report.site_facts,
         })
     } else {
-        Err(Box::new(report))
+        Err(Box::new(finish(program, &image, proof)))
     }
 }
 
@@ -220,6 +241,31 @@ mod tests {
             let (fused, _) = dir::fuse::fuse(&p);
             let report = analyze(&fused, &SchemeKind::PairHuffman.encode(&fused));
             assert!(report.is_clean(), "{} fused: {}", s.name, report.render());
+        }
+    }
+
+    /// The abstract stack model, the PSDER effect table and the
+    /// translation templates agree on every decodable instruction shape:
+    /// every opcode, every ALU op in every `Alu` field, random operands and
+    /// fall-through addresses. This is why no load pass rechecks them.
+    #[test]
+    fn stack_model_matches_the_psder_level_on_every_instruction() {
+        use psder::verify::{expected_effect, isa_sample, sequence_effect};
+        let lib = psder::routines::RoutineLib::new();
+        let mut rng = hlr::rng::Rng::new(0x15A_BA1A);
+        let sample = isa_sample(8, || rng.next_u64());
+        let opcodes: std::collections::BTreeSet<u8> =
+            sample.iter().map(|(i, _)| i.opcode() as u8).collect();
+        assert_eq!(opcodes.len(), dir::isa::OPCODE_COUNT);
+        for (inst, next) in sample {
+            let psder_net = expected_effect(inst);
+            let sequence = psder::translator::translate(inst, next);
+            assert_eq!(sequence_effect(&lib, &sequence), psder_net, "{inst:?}");
+            // `Call` and `Return` are frame-mediated: absint models them
+            // with procedure metadata, not with this table.
+            if let Some((pops, pushes)) = absint::basic_effect(&inst) {
+                assert_eq!(pushes as i32 - pops as i32, psder_net, "{inst:?}");
+            }
         }
     }
 

@@ -7,9 +7,10 @@ use crate::diag::{Diagnostic, Severity};
 use crate::pressure::PressureReport;
 use crate::regionform::RegionCandidate;
 use dir::facts::SiteFacts;
+use telemetry::Json;
 
 /// Everything the six passes found and proved about one image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisReport {
     /// Scheme label of the analyzed image.
     pub scheme: String,
@@ -22,7 +23,7 @@ pub struct AnalysisReport {
     /// The DTB pressure estimate.
     pub pressure: PressureReport,
     /// The per-site fact bitmap the dataflow pass discharged
-    /// (empty when passes 1–4 found errors).
+    /// (empty when the load proof found errors).
     pub site_facts: SiteFacts,
     /// Fact coverage: site and discharge counts, per pass and per region.
     pub facts: FactsReport,
@@ -44,6 +45,63 @@ impl AnalysisReport {
     /// `true` when no finding is an error — the image may be verified.
     pub fn is_clean(&self) -> bool {
         self.count(Severity::Error) == 0
+    }
+
+    /// The image's row in a `Kind::Analyze` report's `images` section:
+    /// identity, counts, the dataflow fact coverage, the ranked
+    /// hot-region table, and every diagnostic with its stable code.
+    pub fn to_json(&self, name: &str) -> Json {
+        let facts = &self.facts;
+        let facts = Json::obj(vec![
+            ("div_sites", facts.div_sites.into()),
+            ("div_proved", facts.div_proved.into()),
+            ("idx_sites", facts.idx_sites.into()),
+            ("idx_proved", facts.idx_proved.into()),
+            ("depth_exact", facts.depth_exact.into()),
+            ("branches_never", facts.branches_never.into()),
+            ("branches_always", facts.branches_always.into()),
+            ("unreachable_insts", facts.unreachable_insts.into()),
+        ]);
+        let hot_regions = self
+            .hot_regions
+            .iter()
+            .map(|c| {
+                Json::obj(vec![
+                    ("region", c.region.as_str().into()),
+                    ("start", c.start.into()),
+                    ("end", c.end.into()),
+                    ("depth", c.depth.into()),
+                    ("insts", c.insts.into()),
+                    ("sites", c.sites().into()),
+                    ("proved", c.proved().into()),
+                    ("discharge", c.discharge().into()),
+                ])
+            })
+            .collect();
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj(vec![
+                    ("code", d.code.id().into()),
+                    ("severity", d.severity().to_string().as_str().into()),
+                    ("at", d.at.map_or(Json::Null, Json::from)),
+                    ("region", d.region.as_deref().map_or(Json::Null, Json::from)),
+                    ("message", d.message.as_str().into()),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("name", name.into()),
+            ("scheme", self.scheme.as_str().into()),
+            ("clean", self.is_clean().into()),
+            ("errors", self.count(Severity::Error).into()),
+            ("warnings", self.count(Severity::Warning).into()),
+            ("notes", self.count(Severity::Info).into()),
+            ("facts", facts),
+            ("hot_regions", Json::Arr(hot_regions)),
+            ("diagnostics", Json::Arr(diagnostics)),
+        ])
     }
 
     /// Renders the human-readable report the CLI prints.

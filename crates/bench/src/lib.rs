@@ -3,8 +3,7 @@
 //! Each binary under `src/bin/` either regenerates one table or figure
 //! of Rau (1978) or gates one of the cross-cutting planes
 //! (`fault_campaign`, `perf_gate`, `pool_throughput`, `analyze_gate`,
-//! `elide_gate`, `profile_gate`, `chaos_campaign`, `conformance_sweep`,
-//! `service_load`) against a committed baseline via `--smoke` — see
+//! `profile_gate`, `chaos_campaign`, `conformance_sweep`, `service_load`) against a committed baseline via `--smoke` — see
 //! DESIGN.md's experiment index. Every binary prints a plain-text
 //! table to stdout and the same data as one versioned
 //! [`telemetry::Report`] line via `--json`. This library holds the

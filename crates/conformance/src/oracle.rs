@@ -294,37 +294,37 @@ pub fn run_case(
     // The guard at every site the dataflow pass discharged is evaluated
     // as usual; a guard that fires refutes the static proof.
     let image = cfg.scheme.encode(&compiled);
-    match analyze::verify(&compiled, image) {
-        Ok(verified) => {
-            let (audit_dir, audit) = dir::exec::run_audit_with(
-                &compiled,
-                verified.facts(),
-                dir::exec::Limits::default(),
-                false,
-            );
-            if !audit.is_sound() {
-                divergences.push(Divergence {
-                    engine: "dir-audit",
-                    against: "analyze-dataflow",
-                    detail: format!(
-                        "discharged guards fired: {} div, {} idx at sites {:?}",
-                        audit.div_violations, audit.idx_violations, audit.sites
-                    ),
-                });
-            }
-            if audit_dir != dir_run {
-                divergences.push(Divergence {
-                    engine: "dir-audit",
-                    against: "dir-exec",
-                    detail: "audit mode changed output or stats".into(),
-                });
-            }
+    let analysis = analyze::analyze(&compiled, &image);
+    if analysis.is_clean() {
+        let (audit_dir, audit) = dir::exec::run_audit_with(
+            &compiled,
+            &analysis.site_facts,
+            dir::exec::Limits::default(),
+            false,
+        );
+        if !audit.is_sound() {
+            divergences.push(Divergence {
+                engine: "dir-audit",
+                against: "analyze-dataflow",
+                detail: format!(
+                    "discharged guards fired: {} div, {} idx at sites {:?}",
+                    audit.div_violations, audit.idx_violations, audit.sites
+                ),
+            });
         }
-        Err(report) => divergences.push(Divergence {
+        if audit_dir != dir_run {
+            divergences.push(Divergence {
+                engine: "dir-audit",
+                against: "dir-exec",
+                detail: "audit mode changed output or stats".into(),
+            });
+        }
+    } else {
+        divergences.push(Divergence {
             engine: "analyze-verify",
             against: "dir-validate",
-            detail: format!("verifier rejected a valid program: {report:?}"),
-        }),
+            detail: format!("verifier rejected a valid program: {analysis:?}"),
+        });
     }
 
     // ---- Observation identity: profiling must not perturb ------------

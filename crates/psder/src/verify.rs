@@ -5,11 +5,12 @@
 //! instruction's PSDER sequence finishes, the operand stack must hold
 //! exactly what the DIR instruction's own stack semantics dictate.
 //! Mismatches here are the classic interpreter bug class (an operand left
-//! behind corrupts every later computation); this module proves the
-//! invariant statically for the whole routine library and all translation
-//! templates, and the test suite runs it as a gate.
+//! behind corrupts every later computation). The balance is a property of
+//! the instruction set, not of any one image: the test suite proves it as
+//! a seeded property over every opcode, every ALU operation and random
+//! operands ([`isa_sample`], [`check_all`]), so no load pass rechecks it.
 
-use dir::isa::{Inst, Opcode};
+use dir::isa::{AluOp, FieldKind, Inst, Opcode, ALU_OPS, OPCODES};
 
 use crate::micro::MicroOp;
 use crate::routines::RoutineLib;
@@ -60,9 +61,9 @@ pub struct RoutineEffect {
 /// consumption and excluding the value produced by a `Call` (pushed by the
 /// callee's `Return`, not by this sequence).
 ///
-/// This is the PSDER side of the cross-level contract the whole-image
-/// verifier checks: the analyze crate compares each opcode's *abstract DIR
-/// stack model* against this template effect, so it is public.
+/// This is the PSDER side of the cross-level contract: the analyze crate's
+/// tests hold its *abstract DIR stack model* to this table, so it is
+/// public.
 pub fn expected_effect(inst: Inst) -> i32 {
     match inst.opcode() {
         // Consume their stack inputs, push one result.
@@ -124,98 +125,61 @@ pub fn sequence_effect(lib: &RoutineLib, sequence: &[ShortInstr]) -> i32 {
     net
 }
 
-/// Checks stack balance of every opcode's translation template against its
-/// DIR stack semantics.
+/// A seeded sample of every instruction shape a decoder can produce, each
+/// paired with a fall-through address `next`.
+///
+/// For every opcode in [`OPCODES`] it builds `draws` instructions for each
+/// of the 13 [`ALU_OPS`] in the opcode's `Alu` field (`draws` in all for an
+/// opcode without one), drawing every other field and `next` from
+/// `random`. Each is built through [`Inst::from_parts`], the constructor
+/// every decoder uses, so the sample ranges over everything a hostile
+/// image can decode to.
+pub fn isa_sample(draws: usize, mut random: impl FnMut() -> u64) -> Vec<(Inst, u32)> {
+    let mut sample = Vec::new();
+    for opcode in OPCODES {
+        let kinds = opcode.field_kinds();
+        let alus: &[AluOp] = if kinds.contains(&FieldKind::Alu) {
+            &ALU_OPS
+        } else {
+            &[AluOp::Add]
+        };
+        for &alu in alus {
+            for _ in 0..draws {
+                let fields: Vec<u64> = kinds
+                    .iter()
+                    .map(|&kind| match kind {
+                        FieldKind::Alu => alu as u64,
+                        FieldKind::Imm => random(),
+                        _ => random() >> 32,
+                    })
+                    .collect();
+                let inst = Inst::from_parts(opcode, &fields).expect("fields are in range");
+                sample.push((inst, (random() >> 32) as u32));
+            }
+        }
+    }
+    sample
+}
+
+/// Checks that the translation sequence of every instruction in `sample`
+/// nets exactly [`expected_effect`] on the operand stack.
 ///
 /// # Errors
 ///
 /// Returns every violation found (empty means the PSDER level is balanced).
-pub fn check_all(lib: &RoutineLib) -> Result<(), Vec<BalanceError>> {
-    let reps: Vec<Inst> = vec![
-        Inst::PushConst(1),
-        Inst::PushLocal(0),
-        Inst::PushGlobal(0),
-        Inst::StoreLocal(0),
-        Inst::StoreGlobal(0),
-        Inst::LoadArrLocal { base: 0, len: 1 },
-        Inst::LoadArrGlobal { base: 0, len: 1 },
-        Inst::StoreArrLocal { base: 0, len: 1 },
-        Inst::StoreArrGlobal { base: 0, len: 1 },
-        Inst::Pop,
-        Inst::Bin(dir::AluOp::Add),
-        Inst::Neg,
-        Inst::Not,
-        Inst::Jump(0),
-        Inst::JumpIfFalse(0),
-        Inst::JumpIfTrue(0),
-        Inst::Call(0),
-        Inst::Return,
-        Inst::Halt,
-        Inst::Write,
-        Inst::BinLocals {
-            op: dir::AluOp::Add,
-            a: 0,
-            b: 0,
-            dst: 0,
-        },
-        Inst::IncLocal { slot: 0, imm: 1 },
-        Inst::SetLocalConst { slot: 0, imm: 0 },
-        Inst::CmpConstBr {
-            op: dir::AluOp::Lt,
-            slot: 0,
-            imm: 0,
-            target: 0,
-        },
-        Inst::CmpLocalsBr {
-            op: dir::AluOp::Lt,
-            a: 0,
-            b: 0,
-            target: 0,
-        },
-    ];
-    check_insts(lib, reps.into_iter())
-}
-
-/// Checks stack balance of the translation sequence of **every instruction
-/// actually present in `code`** — the whole-image generalization of
-/// [`check_all`], used as the analyze plane's cross-level consistency pass.
-/// Where [`check_all`] proves the template library sound on one
-/// representative per opcode, this proves it on the operand shapes the
-/// program really contains.
-///
-/// # Errors
-///
-/// Returns every violation found, one per distinct offending instruction.
-pub fn check_program(lib: &RoutineLib, code: &[Inst]) -> Result<(), Vec<BalanceError>> {
-    let mut seen: Vec<Inst> = Vec::new();
-    let distinct = code.iter().copied().filter(|&inst| {
-        if seen.contains(&inst) {
-            false
-        } else {
-            seen.push(inst);
-            true
-        }
-    });
-    check_insts(lib, distinct)
-}
-
-fn check_insts(
-    lib: &RoutineLib,
-    insts: impl Iterator<Item = Inst>,
-) -> Result<(), Vec<BalanceError>> {
-    let mut errors = Vec::new();
-    for inst in insts {
-        let sequence = translate(inst, 1);
-        let got = sequence_effect(lib, &sequence);
-        let expected = expected_effect(inst);
-        if got != expected {
-            errors.push(BalanceError {
+pub fn check_all(lib: &RoutineLib, sample: &[(Inst, u32)]) -> Result<(), Vec<BalanceError>> {
+    let errors: Vec<BalanceError> = sample
+        .iter()
+        .filter_map(|&(inst, next)| {
+            let got = sequence_effect(lib, &translate(inst, next));
+            let expected = expected_effect(inst);
+            (got != expected).then_some(BalanceError {
                 inst,
                 expected,
                 got,
-            });
-        }
-    }
+            })
+        })
+        .collect();
     if errors.is_empty() {
         Ok(())
     } else {
@@ -226,11 +190,41 @@ fn check_insts(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dir::isa::OPCODE_COUNT;
+
+    /// Seed and per-shape draw count of the ISA stack-balance property.
+    const SEED: u64 = 0x15A_BA1A;
+    const DRAWS: usize = 8;
+
+    /// The ALU operation in an instruction's `Alu` field, if it has one.
+    fn alu_of(inst: Inst) -> Option<u64> {
+        let at = inst
+            .opcode()
+            .field_kinds()
+            .iter()
+            .position(|&k| k == FieldKind::Alu)?;
+        Some(inst.fields()[at])
+    }
 
     #[test]
-    fn the_entire_psder_level_is_stack_balanced() {
-        let lib = RoutineLib::new();
-        if let Err(errors) = check_all(&lib) {
+    fn every_decodable_instruction_is_stack_balanced() {
+        let mut rng = hlr::rng::Rng::new(SEED);
+        let sample = isa_sample(DRAWS, || rng.next_u64());
+        let mut shapes = std::collections::BTreeSet::new();
+        for &(inst, _) in &sample {
+            shapes.insert((inst.opcode() as u8, alu_of(inst)));
+        }
+        let alu_opcodes = OPCODES
+            .iter()
+            .filter(|op| op.field_kinds().contains(&FieldKind::Alu))
+            .count();
+        assert_eq!(alu_opcodes, 4, "Bin, BinLocals, CmpConstBr, CmpLocalsBr");
+        assert_eq!(
+            shapes.len(),
+            OPCODE_COUNT - alu_opcodes + alu_opcodes * ALU_OPS.len(),
+            "every opcode, with every ALU op in every Alu field"
+        );
+        if let Err(errors) = check_all(&RoutineLib::new(), &sample) {
             for e in &errors {
                 eprintln!("{e}");
             }
@@ -254,17 +248,6 @@ mod tests {
         assert_eq!(call.net, -1); // pops proc+next, pushes entry
         assert!(call.pops_args);
         assert_eq!(routine_effect(&lib, RoutineId::DirRet).net, 1);
-    }
-
-    #[test]
-    fn whole_programs_check_clean() {
-        let lib = RoutineLib::new();
-        for s in hlr::programs::ALL {
-            let p = dir::compiler::compile(&s.compile().unwrap());
-            check_program(&lib, &p.code).unwrap_or_else(|e| panic!("{}: {e:?}", s.name));
-            let (fused, _) = dir::fuse::fuse(&p);
-            check_program(&lib, &fused.code).unwrap_or_else(|e| panic!("{} fused: {e:?}", s.name));
-        }
     }
 
     #[test]

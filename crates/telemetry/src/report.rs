@@ -41,8 +41,8 @@ pub enum Kind {
     Run,
     /// A batch of tenants on a worker pool (`raul pool`, `raul chaos`).
     Pool,
-    /// Load-time verification of encoded images (`raul analyze`,
-    /// `analyze_gate`, `elide_gate`).
+    /// Load-time verification and analysis of encoded images
+    /// (`raul analyze`, `analyze_gate`).
     Analyze,
     /// Cycle attribution of one run or a pool (`raul profile`).
     Profile,

@@ -9,9 +9,10 @@
 #   4. every `--bin <name>` in a command example is a real binary,
 #   5. every long `--flag` mentioned in the docs appears in the rust
 #      sources (so renamed/removed CLI flags can't linger in prose),
-#   6. every analyzer diagnostic code defined in
-#      crates/analyze/src/diag.rs is documented in README.md or
-#      ARCHITECTURE.md (new ANxyz codes must land with their table row),
+#   6. the analyzer diagnostic codes defined in
+#      crates/analyze/src/diag.rs and the ones README.md and
+#      ARCHITECTURE.md document are the same set: a new ANxyz code must
+#      land with its table row, and a retired one must leave the docs,
 #   7. the README "Report schemas" section states the same
 #      `schema_version` as telemetry's SCHEMA_VERSION and names every
 #      report `Kind` (so the schema table cannot drift from the code).
@@ -115,16 +116,24 @@ for doc in "${DOCS[@]}"; do
     done < <(grep -oP -- '--[a-z][a-z0-9-]+(?![a-z0-9:/-])' "$doc" | sort -u)
 done
 
-# --- 6: analyzer diagnostic codes must be documented ------------------
+# --- 6: analyzer diagnostic codes match the docs, both ways ----------
 # The single source of truth is the `id()` table in diag.rs; every code
-# string it returns must appear somewhere in README or ARCHITECTURE.
+# string it returns must appear somewhere in README or ARCHITECTURE, and
+# every code those two documents name must be one it returns.
+defined=$(grep -oE '"AN[0-9]{3}"' crates/analyze/src/diag.rs | tr -d '"' | sort -u)
 while IFS= read -r code; do
     [ -n "$code" ] || continue
     if ! grep -q "$code" README.md ARCHITECTURE.md; then
         err "crates/analyze/src/diag.rs" \
             "diagnostic code $code is not documented in README.md or ARCHITECTURE.md"
     fi
-done < <(grep -oE '"AN[0-9]{3}"' crates/analyze/src/diag.rs | tr -d '"' | sort -u)
+done <<<"$defined"
+while IFS=: read -r doc code; do
+    [ -n "$code" ] || continue
+    if ! grep -qx "$code" <<<"$defined"; then
+        err "$doc" "documents diagnostic code $code, which crates/analyze/src/diag.rs does not define"
+    fi
+done < <(grep -oE 'AN[0-9]{3}' README.md ARCHITECTURE.md | sort -u)
 
 # --- 7: the README schema table matches the report envelope ----------
 REPORT_RS=crates/telemetry/src/report.rs

@@ -79,10 +79,10 @@
 //!                                        thrashing
 //!
 //! `analyze` verifies the encoded image (codec tables, stack discipline,
-//! branch containment, cross-level consistency, DTB pressure, dataflow
-//! fact discharge) without executing it; it honours --scheme, --fold and
-//! --fuse, prints the typed diagnostic report, and exits 1 when
-//! verification rejects the image. --facts adds the per-region
+//! branch containment) and analyzes it (call graph, DTB pressure, dataflow
+//! fact discharge, loop regions) without executing it; it honours
+//! --scheme, --fold and --fuse, prints the typed diagnostic report, and
+//! exits 1 when verification rejects the image. --facts adds the per-region
 //! fact table, --regions the full ranked hot-region
 //! (natural-loop) table, and --deny-warnings makes a clean-but-warned
 //! image exit 1 (a clean image with no warnings still exits 0).
@@ -775,85 +775,6 @@ fn print_stats(m: &uhm::Metrics) {
     }
 }
 
-/// One per-image verdict entry of a [`Kind::Analyze`] report's `images`:
-/// identity, counts, the dataflow fact coverage, the ranked hot-region
-/// table, and every diagnostic with its stable code.
-fn analysis_json(name: &str, report: &analyze::AnalysisReport) -> Json {
-    let facts = Json::obj(vec![
-        ("div_sites", (report.facts.div_sites as i64).into()),
-        ("div_proved", (report.facts.div_proved as i64).into()),
-        ("idx_sites", (report.facts.idx_sites as i64).into()),
-        ("idx_proved", (report.facts.idx_proved as i64).into()),
-        ("depth_exact", (report.facts.depth_exact as i64).into()),
-        (
-            "branches_never",
-            (report.facts.branches_never as i64).into(),
-        ),
-        (
-            "branches_always",
-            (report.facts.branches_always as i64).into(),
-        ),
-        (
-            "unreachable_insts",
-            (report.facts.unreachable_insts as i64).into(),
-        ),
-    ]);
-    let hot_regions: Vec<Json> = report
-        .hot_regions
-        .iter()
-        .map(|c| {
-            Json::obj(vec![
-                ("region", c.region.as_str().into()),
-                ("start", i64::from(c.start).into()),
-                ("end", i64::from(c.end).into()),
-                ("depth", (c.depth as i64).into()),
-                ("insts", (c.insts as i64).into()),
-                ("sites", (c.sites() as i64).into()),
-                ("proved", (c.proved() as i64).into()),
-                ("discharge", c.discharge().into()),
-            ])
-        })
-        .collect();
-    let diagnostics: Vec<Json> = report
-        .diagnostics
-        .iter()
-        .map(|d| {
-            Json::obj(vec![
-                ("code", d.code.id().into()),
-                ("severity", d.severity().to_string().as_str().into()),
-                ("at", d.at.map_or(Json::Null, |a| Json::Int(i64::from(a)))),
-                (
-                    "region",
-                    d.region
-                        .as_deref()
-                        .map_or(Json::Null, |r| Json::Str(r.to_string())),
-                ),
-                ("message", d.message.as_str().into()),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("name", name.into()),
-        ("scheme", report.scheme.as_str().into()),
-        ("clean", report.is_clean().into()),
-        (
-            "errors",
-            (report.count(analyze::Severity::Error) as i64).into(),
-        ),
-        (
-            "warnings",
-            (report.count(analyze::Severity::Warning) as i64).into(),
-        ),
-        (
-            "notes",
-            (report.count(analyze::Severity::Info) as i64).into(),
-        ),
-        ("facts", facts),
-        ("hot_regions", Json::Arr(hot_regions)),
-        ("diagnostics", Json::Arr(diagnostics)),
-    ])
-}
-
 /// Builds the service-plane configuration for `raul serve` / `raul load`
 /// from the CLI flags.
 fn service_config(cli: &Cli) -> ServiceConfig {
@@ -1110,7 +1031,7 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
                         ("fuse", cli.fuse.into()),
                     ]),
                     [
-                        ("images", Json::Arr(vec![analysis_json(&cli.path, &report)])),
+                        ("images", Json::Arr(vec![report.to_json(&cli.path)])),
                         ("aggregate", aggregate),
                     ],
                 );
@@ -1794,7 +1715,7 @@ mod tests {
         let program = dir::compiler::compile(&hlr::compile(src).unwrap());
         let image = SchemeKind::Packed.encode(&program);
         let report = analyze::analyze(&program, &image);
-        let entry = analysis_json("t.raul", &report);
+        let entry = report.to_json("t.raul");
         assert_eq!(entry.get("scheme").and_then(Json::as_str), Some("packed"));
         assert_eq!(entry.get("clean"), Some(&Json::Bool(true)));
         assert_eq!(entry.get("errors").and_then(Json::as_i64), Some(0));
