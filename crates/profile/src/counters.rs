@@ -1,5 +1,6 @@
 //! The always-on counter plane: per-region, per-opcode and per-tier
-//! attribution at retire granularity.
+//! attribution at retire granularity, and the per-instruction execution
+//! profile with its coverage curve.
 //!
 //! [`CounterPlane`] is a [`TraceSink`] designed to stay attached to
 //! production runs: it reacts to exactly three event kinds (`Retire`,
@@ -16,7 +17,6 @@ use dir::program::Program;
 use telemetry::{Event, Json, Tier, TraceSink};
 
 use crate::map::ProcMap;
-use crate::profile::Profile;
 
 /// Retained samples per timeline before the sampling stride doubles.
 const TIMELINE_CAP: usize = 4096;
@@ -218,19 +218,53 @@ impl CounterPlane {
         rows
     }
 
-    /// The per-instruction execution profile accumulated so far — the
-    /// same shape [`Profile::from_trace`] builds from a recorded trace,
-    /// but without ever materializing the trace.
-    pub fn profile(&self) -> Profile {
-        Profile {
-            counts: self.rows.iter().map(|r| r.retires).collect(),
-            total: self.retired(),
-        }
+    /// Attribution of static instruction `addr` (zero when out of range).
+    pub fn at(&self, addr: u32) -> Attribution {
+        self.rows
+            .get(addr as usize)
+            .map_or(Attribution::default(), |r| Attribution {
+                retires: r.retires,
+                cycles: r.cycles,
+            })
     }
 
-    /// Modeled cycles attributed to static instruction `addr`.
-    pub fn cycles_at(&self, addr: u32) -> u64 {
-        self.rows.get(addr as usize).map_or(0, |r| r.cycles)
+    /// Static instructions that retired at least once.
+    pub fn touched(&self) -> usize {
+        self.rows.iter().filter(|r| r.retires > 0).count()
+    }
+
+    /// The `n` hottest instructions as `(index, retires)`, descending by
+    /// count; ties break by ascending instruction index, so the listing
+    /// is stable run to run.
+    pub fn hottest(&self, n: usize) -> Vec<(u32, u64)> {
+        let mut pairs: Vec<(u32, u64)> = self
+            .rows
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.retires > 0)
+            .map(|(i, r)| (i as u32, r.retires))
+            .collect();
+        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        pairs.truncate(n);
+        pairs
+    }
+
+    /// For each `k` in `ks`, the fraction of dynamic execution covered
+    /// by the hottest `k` static instructions — the locality skew a DTB
+    /// of capacity `k` can exploit at best (with perfect replacement),
+    /// and the paper's empirical case for a small DTB. Zero everywhere
+    /// on an empty run. The rows are sorted once per call, however many
+    /// points the curve has.
+    pub fn coverage(&self, ks: &[usize]) -> Vec<f64> {
+        let total = self.retired();
+        if total == 0 {
+            return vec![0.0; ks.len()];
+        }
+        let mut counts: Vec<u64> = self.rows.iter().map(|r| r.retires).collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        ks.iter()
+            .map(|&k| counts.iter().take(k).sum::<u64>() as f64 / total as f64)
+            .collect()
     }
 
     /// Total DTB evictions observed.
@@ -287,8 +321,7 @@ impl CounterPlane {
                 ])
             })
             .collect();
-        let prof = self.profile();
-        let hottest: Vec<Json> = prof
+        let hottest: Vec<Json> = self
             .hottest(16)
             .into_iter()
             .map(|(addr, count)| {
@@ -303,23 +336,20 @@ impl CounterPlane {
                         Json::from(format!("{:?}", OPCODES[op]))
                     }),
                     ("retires", Json::from(count)),
-                    ("cycles", Json::from(self.cycles_at(addr))),
+                    ("cycles", Json::from(self.at(addr).cycles)),
                 ])
             })
             .collect();
-        let mut coverage = Vec::new();
-        let mut k = 1usize;
-        while k < prof.counts.len().max(1) {
-            coverage.push(Json::obj([
-                ("k", Json::from(k)),
-                ("coverage", Json::from(prof.coverage(k))),
-            ]));
-            k *= 2;
-        }
-        coverage.push(Json::obj([
-            ("k", Json::from(prof.counts.len())),
-            ("coverage", Json::from(prof.coverage(prof.counts.len()))),
-        ]));
+        let len = self.rows.len();
+        let mut ks: Vec<usize> = std::iter::successors(Some(1usize), |k| Some(k * 2))
+            .take_while(|&k| k < len.max(1))
+            .collect();
+        ks.push(len);
+        let coverage: Vec<Json> = ks
+            .iter()
+            .zip(self.coverage(&ks))
+            .map(|(&k, c)| Json::obj([("k", Json::from(k)), ("coverage", Json::from(c))]))
+            .collect();
         Json::obj([
             ("regions", Json::Arr(regions)),
             ("opcodes", Json::Arr(opcodes)),
@@ -466,7 +496,8 @@ mod tests {
     #[test]
     fn profile_matches_the_reference_trace() {
         // The machine's counter plane must agree, address by address,
-        // with the profile of the reference executor's recorded trace.
+        // with counts tallied from the reference executor's recorded
+        // trace.
         let program = dir::compiler::compile(&hlr::compile(LOOP).unwrap());
         let machine = Machine::new(&program, SchemeKind::Packed);
         let mut plane = CounterPlane::new(&program);
@@ -474,8 +505,122 @@ mod tests {
             .run_with(&Mode::Interpreter, &mut plane, RunOptions::default())
             .unwrap();
         let (_, stats) = dir::exec::run_with(&program, dir::exec::Limits::default(), true).unwrap();
-        let from_trace = Profile::from_trace(&program, &stats.trace.unwrap());
-        assert_eq!(plane.profile(), from_trace);
+        let mut tally = vec![0u64; program.len()];
+        for addr in stats.trace.unwrap() {
+            tally[addr as usize] += 1;
+        }
+        let retires: Vec<u64> = (0..program.len() as u32)
+            .map(|a| plane.at(a).retires)
+            .collect();
+        assert_eq!(retires, tally);
+        assert_eq!(plane.retired(), tally.iter().sum::<u64>());
+    }
+
+    /// A plane over a `counts.len()`-instruction program, fed
+    /// `counts[a]` `Retire` events at each address `a`.
+    fn plane_with_counts(counts: &[u64]) -> CounterPlane {
+        let program = Program {
+            code: vec![dir::Inst::Halt; counts.len()],
+            procs: Vec::new(),
+            entry_proc: 0,
+            globals_size: 0,
+        };
+        let mut plane = CounterPlane::new(&program);
+        for (addr, &n) in counts.iter().enumerate() {
+            for _ in 0..n {
+                plane.emit(Event::Retire {
+                    addr: addr as u32,
+                    tier: Tier::Interp,
+                    cycles: 1,
+                });
+            }
+        }
+        plane
+    }
+
+    #[test]
+    fn hottest_breaks_count_ties_by_ascending_index() {
+        // Regression: `hottest` once depended on the (unstable) sort
+        // order for equal counts, so tied instructions could come back
+        // in any order and profile listings diffed across runs.
+        let plane = plane_with_counts(&[5, 7, 5, 7, 0, 5]);
+        assert_eq!(
+            plane.hottest(10),
+            vec![(1, 7), (3, 7), (0, 5), (2, 5), (5, 5)]
+        );
+        // Truncation keeps the deterministic prefix.
+        assert_eq!(plane.hottest(3), vec![(1, 7), (3, 7), (0, 5)]);
+        assert_eq!(plane.touched(), 5);
+    }
+
+    #[test]
+    fn coverage_is_bounded_monotone_and_saturates() {
+        // Property: on random retire streams, coverage never decreases
+        // as k grows, stays in [0, 1], is 0 at k = 0 and 1 from the
+        // program length on.
+        let mut rng = hlr::rng::Rng::new(0x636f_7665);
+        for case in 0..32 {
+            let len = rng.range_usize(1, 40);
+            let steps = rng.range_usize(1, 400);
+            let mut counts = vec![0u64; len];
+            for _ in 0..steps {
+                counts[rng.range_usize(0, len)] += 1;
+            }
+            let plane = plane_with_counts(&counts);
+            let ks: Vec<usize> = (0..=len * 2).collect();
+            let curve = plane.coverage(&ks);
+            assert_eq!(curve[0], 0.0, "case {case}");
+            for (k, pair) in curve.windows(2).enumerate() {
+                assert!(
+                    (0.0..=1.0 + 1e-12).contains(&pair[1]),
+                    "case {case}: coverage({}) = {} out of range",
+                    k + 1,
+                    pair[1]
+                );
+                assert!(pair[1] >= pair[0] - 1e-12, "case {case}: dips at {}", k + 1);
+            }
+            for &c in &curve[len..] {
+                assert!((c - 1.0).abs() < 1e-12, "case {case}: saturates at {c}");
+            }
+        }
+        // A flat profile (straight-line code) covers linearly.
+        let flat = plane_with_counts(&[1; 40]);
+        assert_eq!(flat.touched(), 40);
+        assert_eq!(flat.coverage(&[20]), vec![0.5]);
+    }
+
+    #[test]
+    fn empty_run_has_zero_coverage() {
+        let plane = plane_with_counts(&[0; 6]);
+        assert_eq!(plane.retired(), 0);
+        assert_eq!(plane.touched(), 0);
+        assert!(plane.hottest(4).is_empty());
+        assert_eq!(plane.coverage(&[0, 1, 6, 60]), vec![0.0; 4]);
+    }
+
+    #[test]
+    fn loop_bodies_dominate_and_bound_the_dtb_hit_ratio() {
+        let (plane, _) = plane_for(LOOP, &Mode::Interpreter);
+        // The hottest instruction executes once per iteration, and a
+        // handful of instructions cover almost everything.
+        assert!(plane.hottest(1)[0].1 >= 100);
+        assert!(plane.coverage(&[12])[0] > 0.9);
+        // A DTB's hit ratio can never exceed the coverage of its
+        // capacity (perfect replacement bound).
+        let program = dir::compiler::compile(&hlr::programs::QUEENS.compile().unwrap());
+        let machine = Machine::new(&program, SchemeKind::Packed);
+        let mut plane = CounterPlane::new(&program);
+        machine
+            .run_with(&Mode::Interpreter, &mut plane, RunOptions::default())
+            .unwrap();
+        let caps = [8usize, 32];
+        for (cap, bound) in caps.into_iter().zip(plane.coverage(&caps)) {
+            let r = machine
+                .run(&Mode::Dtb(DtbConfig::with_capacity(cap)))
+                .unwrap();
+            let h = r.metrics.dtb.unwrap().hit_ratio();
+            assert!(h <= bound + 1e-9, "cap {cap}: hit ratio {h} > {bound}");
+        }
     }
 
     #[test]

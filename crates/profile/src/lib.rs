@@ -9,21 +9,20 @@
 //! test in `tests/profile_plane.rs` holds the line, and the
 //! `profile_gate` bench bounds the host-side overhead at ≤ 5 %).
 //!
-//! Four surfaces, one event stream:
+//! Three surfaces, one event stream:
 //!
 //! * [`CounterPlane`] — the always-on counter plane: per-DIR-region,
-//!   per-opcode and per-tier (INTERP / PSDER) retire + cycle
-//!   attribution, opcode-pair frequencies, and sampled DTB
-//!   occupancy/eviction timelines, rendered into a
-//!   [`telemetry::Kind::Profile`] report by [`report::profile_report`];
+//!   per-opcode, per-tier (INTERP / PSDER) and per-instruction retire +
+//!   cycle attribution, the hottest instructions and the coverage curve
+//!   (the empirical justification for a small DTB), opcode-pair
+//!   frequencies, and sampled DTB occupancy/eviction timelines, rendered
+//!   into a [`telemetry::Kind::Profile`] report by
+//!   [`report::profile_report`];
 //! * [`SpanTracer`] — hierarchical span tracing on the modeled clock,
 //!   exported as Chrome `trace_event` JSON loadable in Perfetto
 //!   (`raul ... --trace-out trace.json`);
 //! * [`FlameBuilder`] — collapsed-stack flamegraph output from the
-//!   reconstructed procedure call stack (`--flame-out`);
-//! * [`Profile`] — the classic per-instruction execution profile and
-//!   coverage curves (grown out of the old `uhm::profile` module), the
-//!   empirical justification for a small DTB.
+//!   reconstructed procedure call stack (`--flame-out`).
 //!
 //! Pool-wide aggregation ([`report::pool_profile_json`]) folds a
 //! [`uhm::pool::PoolRun`] into per-worker [`telemetry::LogHistogram`]
@@ -35,14 +34,11 @@
 pub mod counters;
 pub mod flame;
 pub mod map;
-#[allow(clippy::module_inception)]
-pub mod profile;
 pub mod report;
 pub mod span;
 
 pub use counters::{Attribution, CounterPlane};
 pub use flame::FlameBuilder;
 pub use map::{CallStack, ProcMap, StackStep};
-pub use profile::Profile;
 pub use report::{pool_profile_json, profile_report};
 pub use span::SpanTracer;

@@ -165,12 +165,39 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Fans one event stream out to two sinks (e.g. a ring for counts plus a
-/// JSONL file for offline analysis).
-#[derive(Debug)]
-pub struct TeeSink<'a, A: TraceSink, B: TraceSink>(pub &'a mut A, pub &'a mut B);
+/// A borrowed sink observes like the sink it borrows, so composites such
+/// as [`TeeSink`] can hold sinks their caller keeps ownership of.
+impl<S: TraceSink> TraceSink for &mut S {
+    const ENABLED: bool = S::ENABLED;
+    const CLASSIFY_MISSES: bool = S::CLASSIFY_MISSES;
 
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<'_, A, B> {
+    #[inline]
+    fn emit(&mut self, event: Event) {
+        (**self).emit(event);
+    }
+}
+
+/// An optional sink: `None` drops every event. The constants are the
+/// inner sink's, fixed at compile time, so a composite that may or may
+/// not carry a sink keeps one type — and one machine run — either way.
+impl<S: TraceSink> TraceSink for Option<S> {
+    const ENABLED: bool = S::ENABLED;
+    const CLASSIFY_MISSES: bool = S::CLASSIFY_MISSES;
+
+    #[inline]
+    fn emit(&mut self, event: Event) {
+        if let Some(sink) = self {
+            sink.emit(event);
+        }
+    }
+}
+
+/// Fans one event stream out to two sinks (e.g. a ring for counts plus a
+/// JSONL file for offline analysis). Nest tees to attach more.
+#[derive(Debug)]
+pub struct TeeSink<A: TraceSink, B: TraceSink>(pub A, pub B);
+
+impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
     const CLASSIFY_MISSES: bool = A::CLASSIFY_MISSES || B::CLASSIFY_MISSES;
 
@@ -262,5 +289,18 @@ mod tests {
         tee.emit(hit(2));
         assert_eq!(ring.counts().dtb_hits, 2);
         assert_eq!(jsonl.written(), 2);
+    }
+
+    #[test]
+    fn optional_sinks_keep_the_inner_constants() {
+        const { assert!(<Option<RingSink>>::ENABLED && <Option<RingSink>>::CLASSIFY_MISSES) };
+        const { assert!(!<Option<NullSink>>::ENABLED) };
+        let mut absent: Option<RingSink> = None;
+        absent.emit(hit(1)); // dropped
+        let mut present = Some(RingSink::new(4));
+        let mut tee = TeeSink(&mut absent, &mut present);
+        tee.emit(hit(2));
+        assert!(absent.is_none());
+        assert_eq!(present.map(|r| r.counts().dtb_hits), Some(1));
     }
 }

@@ -77,7 +77,7 @@ pub use resilience::{
 pub use service::{
     Request, RequestOutcome, RequestResult, Service, ServiceConfig, ServiceRun, StepRun,
 };
-pub use window::WindowSample;
+pub use window::{WindowSample, WindowSampler};
 
 // Re-exported so downstream crates can drive `Machine::run_with` without
 // naming the telemetry crate themselves.

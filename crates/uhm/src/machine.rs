@@ -27,7 +27,6 @@ use crate::config::{Budget, CostModel, Limits, RetryPolicy, BUDGET_CHECK_INTERVA
 use crate::dtb::{check_words, ConfigError, Dtb, DtbConfig, Handle};
 use crate::fault::{FaultConfig, FaultInjector};
 use crate::metrics::{CycleBreakdown, Metrics, Report};
-use crate::window::WindowSample;
 
 /// The machine configuration to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,14 +96,12 @@ pub enum SharedArtifacts {
 
 /// Per-run options for [`Machine::run_with`]: every setting that may
 /// vary between runs of one shared machine. The default is a plain run —
-/// no sampling, no fault plane, an unlimited budget, the machine's own
-/// shared artifacts — which is what [`Machine::run`] passes.
+/// no fault plane, an unlimited budget, the machine's own shared
+/// artifacts — which is what [`Machine::run`] passes. Observation is the
+/// sink's business, not an option: windowed sampling is the
+/// [`WindowSampler`](crate::WindowSampler) sink.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Windowed time-series sampling: one [`WindowSample`] is closed
-    /// every `n` dynamic instructions and collected in
-    /// [`Metrics::windows`]. `None` and `Some(0)` disable sampling.
-    pub window: Option<u64>,
     /// The fault plane: the run consults a seeded [`FaultInjector`] built
     /// from this configuration and verifies every DTB line on dispatch.
     /// `None` keeps the fault plane entirely out of the pipeline.
@@ -308,7 +305,6 @@ impl Machine {
         opts: RunOptions,
     ) -> Result<Report, Trap> {
         let RunOptions {
-            window,
             faults,
             retry,
             budget,
@@ -352,7 +348,6 @@ impl Machine {
                 _ => None,
             },
             sink,
-            window: window.filter(|&n| n > 0).map(WindowState::new),
             faults: faults.map(FaultInjector::new),
             retry,
             // A mutable level-2 copy of the encoded stream, so injected
@@ -376,59 +371,10 @@ impl Machine {
         metrics.dtb = run.dtb.as_ref().map(super::dtb::Dtb::stats);
         metrics.dtb2 = run.dtb2.as_ref().map(super::dtb::Dtb::stats);
         metrics.icache = run.icache.as_ref().map(memsim::SetAssocCache::stats);
-        if let Some(mut w) = run.window {
-            w.close(&metrics, run.dtb.as_ref());
-            metrics.windows = Some(w.samples);
-        }
         Ok(Report {
             output: run.engine.into_output(),
             metrics,
         })
-    }
-}
-
-/// In-flight state of the windowed sampler: baselines at the current
-/// window's start plus the samples closed so far.
-struct WindowState {
-    every: u64,
-    start: u64,
-    base_cycles: CycleBreakdown,
-    base_hits: u64,
-    base_misses: u64,
-    samples: Vec<WindowSample>,
-}
-
-impl WindowState {
-    fn new(every: u64) -> WindowState {
-        WindowState {
-            every,
-            start: 0,
-            base_cycles: CycleBreakdown::default(),
-            base_hits: 0,
-            base_misses: 0,
-            samples: Vec::new(),
-        }
-    }
-
-    /// Closes the current window if `metrics` has advanced past it (or
-    /// unconditionally at end of run for the final partial window).
-    fn close(&mut self, metrics: &Metrics, dtb: Option<&Dtb>) {
-        if metrics.instructions == self.start {
-            return; // empty window: nothing to record
-        }
-        let (hits, misses) = dtb.map_or((0, 0), |d| (d.stats().hits, d.stats().misses));
-        self.samples.push(WindowSample {
-            start: self.start,
-            instructions: metrics.instructions - self.start,
-            dtb_hits: hits - self.base_hits,
-            dtb_misses: misses - self.base_misses,
-            occupancy: dtb.map_or(0, Dtb::occupancy),
-            cycles: metrics.cycles.since(&self.base_cycles),
-        });
-        self.start = metrics.instructions;
-        self.base_cycles = metrics.cycles;
-        self.base_hits = hits;
-        self.base_misses = misses;
     }
 }
 
@@ -440,7 +386,6 @@ struct Run<'m, S: TraceSink> {
     dtb2: Option<Dtb>,
     icache: Option<SetAssocCache<()>>,
     sink: &'m mut S,
-    window: Option<WindowState>,
     faults: Option<FaultInjector>,
     /// Fault-recovery policy of this run (fault plane only).
     retry: RetryPolicy,
@@ -838,11 +783,6 @@ impl<'m, S: TraceSink> Run<'m, S> {
                     tier: self.tier,
                     cycles: delta.min(u64::from(u32::MAX)) as u32,
                 });
-            }
-            if let Some(w) = self.window.as_mut() {
-                if self.metrics.instructions - w.start >= w.every {
-                    w.close(&self.metrics, self.dtb.as_ref());
-                }
             }
             match next {
                 Next::Goto(addr) => pc = addr,

@@ -34,24 +34,6 @@ pub struct CycleBreakdown {
 }
 
 impl CycleBreakdown {
-    /// Cycles accumulated since `base` (field-wise difference). `base`
-    /// must be an earlier snapshot of the same run.
-    pub fn since(&self, base: &CycleBreakdown) -> CycleBreakdown {
-        CycleBreakdown {
-            fetch_l2: self.fetch_l2 - base.fetch_l2,
-            fetch_dtb: self.fetch_dtb - base.fetch_dtb,
-            fetch_cache: self.fetch_cache - base.fetch_cache,
-            lookup: self.lookup - base.lookup,
-            lookup2: self.lookup2 - base.lookup2,
-            promote: self.promote - base.promote,
-            decode: self.decode - base.decode,
-            generate: self.generate - base.generate,
-            store: self.store - base.store,
-            steering: self.steering - base.steering,
-            semantic: self.semantic - base.semantic,
-        }
-    }
-
     /// Total cycles.
     pub fn total(&self) -> u64 {
         self.fetch_l2
@@ -100,9 +82,6 @@ pub struct Metrics {
     pub fetch_retries: u64,
     /// Fault-injection totals, when a fault plane was attached.
     pub faults: Option<FaultStats>,
-    /// Per-window time-series samples, when requested (see
-    /// [`RunOptions::window`](crate::RunOptions::window)).
-    pub windows: Option<Vec<crate::window::WindowSample>>,
 }
 
 impl Metrics {

@@ -131,16 +131,16 @@ pub fn window_json(w: &WindowSample) -> Json {
         ("hit_rate", w.hit_rate().into()),
         ("occupancy", w.occupancy.into()),
         ("time_per_instruction", w.time_per_instruction().into()),
-        ("cycles", cycles_json(&w.cycles)),
+        ("cycles", w.cycles.into()),
     ])
 }
 
 /// Builds the canonical [`Kind::Run`] report for a finished run: `tool`
 /// names the emitting binary, `config` describes the run's inputs
-/// (free-form, tool-specific). Windows are included when the run sampled
-/// them.
+/// (free-form, tool-specific). A caller that sampled windows pushes
+/// them as a `windows` section of [`window_json`] rows.
 pub fn run_report(tool: &str, config: Json, metrics: &Metrics) -> Report {
-    let mut report = Report::new(
+    Report::new(
         Kind::Run,
         tool,
         config,
@@ -148,11 +148,7 @@ pub fn run_report(tool: &str, config: Json, metrics: &Metrics) -> Report {
             ("metrics", metrics_json(metrics)),
             ("derived", derived_json(metrics)),
         ],
-    );
-    if let Some(ws) = &metrics.windows {
-        report.push("windows", Json::Arr(ws.iter().map(window_json).collect()));
-    }
-    report
+    )
 }
 
 /// Serializes trace-sink health for a report's `trace_health` section:
@@ -433,21 +429,19 @@ mod tests {
     }
 
     #[test]
-    fn windows_serialize_when_present() {
-        let mut m = sample_metrics();
-        m.windows = Some(vec![WindowSample {
+    fn windows_serialize_with_total_cycles() {
+        let w0 = window_json(&WindowSample {
             start: 0,
             instructions: 50,
             dtb_hits: 40,
             dtb_misses: 10,
             occupancy: 7,
-            ..WindowSample::default()
-        }]);
-        let report = run_report("raul", Json::obj(vec![]), &m);
-        let arr = report.section("windows").unwrap();
-        let w0 = &arr.as_arr().unwrap()[0];
+            cycles: 200,
+        });
         assert_eq!(w0.get("occupancy").unwrap().as_i64(), Some(7));
         assert_eq!(w0.get("hit_rate").unwrap().as_f64(), Some(0.8));
+        assert_eq!(w0.get("cycles").unwrap().as_i64(), Some(200));
+        assert_eq!(w0.get("time_per_instruction").unwrap().as_f64(), Some(4.0));
     }
 
     #[test]

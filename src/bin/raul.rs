@@ -29,6 +29,7 @@
 //!   --stats                              print cycle metrics and IU partition
 //!   --json                               emit a versioned report on stdout
 //!   --window N                           sample metrics every N instructions
+//!                                        (run, profile and faults)
 //!   --events FILE                        stream trace events as JSONL to FILE
 //!   --trace-out FILE                     write a Chrome trace_event JSON file
 //!                                        (load in Perfetto / chrome://tracing)
@@ -91,7 +92,7 @@
 //! `profile` runs the program under the always-on counter plane and
 //! reports per-procedure / per-opcode / per-tier cycle attribution,
 //! opcode-pair frequencies and the coverage curve. It honours the run
-//! options (mode, scheme, DTB geometry), accepts --trace-out and
+//! options (mode, scheme, DTB geometry), accepts --window, --trace-out and
 //! --flame-out, and with --json emits a versioned profile report. Adding
 //! --tenants M [--workers N] also profiles a pool of M tenant copies and
 //! attaches the pool aggregation (mergeable per-worker latency
@@ -108,14 +109,18 @@
 
 use std::process::ExitCode;
 
+use std::sync::Arc;
+
 use dir::encode::{DecodeMode, SchemeKind};
 use profile::{CounterPlane, FlameBuilder, SpanTracer};
-use telemetry::{
-    Event, Json, JsonlSink, Kind, NullSink, Report, RingSink, TeeSink, Tier, TraceSink,
-};
+use telemetry::{EventCounts, Json, JsonlSink, Kind, Report, RingSink, TeeSink, Tier, TraceSink};
+use uhm::report::{trace_health_json, window_json};
 use uhm::resilience::{AdmissionPolicy, ChaosConfig, Supervisor};
 use uhm::service::{RequestOutcome, Service, ServiceConfig, ServiceRun};
-use uhm::{Budget, DtbConfig, FaultConfig, Machine, Mode, RetryPolicy, RunOptions};
+use uhm::{
+    Budget, CostModel, DtbConfig, FaultConfig, Limits, Machine, MachinePool, Mode, PoolRun,
+    RetryPolicy, RunOptions, WindowSampler,
+};
 
 /// A CLI failure, split by exit status: configuration errors (bad
 /// machine geometry) exit 2, runtime failures (compile errors, traps,
@@ -214,7 +219,8 @@ enum ModeArg {
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut it = args.iter();
-    let command = match it.next().map(String::as_str) {
+    let name = it.next().map(String::as_str);
+    let command = match name {
         Some("check") => Command::Check,
         Some("run") => Command::Run,
         Some("disasm") => Command::Disasm,
@@ -488,6 +494,15 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    // A tenant run has no single instruction axis to window.
+    let tenant_run = matches!(
+        command,
+        Command::Pool | Command::Chaos | Command::Serve | Command::Load
+    );
+    if tenant_run && cli.window.is_some() {
+        let name = name.unwrap_or_default();
+        return Err(format!("--window does not apply to `{name}`"));
+    }
     Ok(cli)
 }
 
@@ -635,30 +650,58 @@ fn run_config(cli: &Cli) -> Json {
     ])
 }
 
-/// The optional deep-profiling sinks a run can attach (`--trace-out`
-/// builds a [`SpanTracer`], `--flame-out` a [`FlameBuilder`]). Both keep
-/// `CLASSIFY_MISSES` off, so attaching them never changes the run's
-/// modeled metrics.
-struct ProfSinks {
+/// The machine an executing subcommand runs: the flags' scheme and
+/// decoder on the default cost model. `faults` bounds the step count,
+/// because corrupted control flow can loop; every command but `run` and
+/// `faults` may share the machine across tenants, so it freezes the
+/// translations once for all of them.
+fn machine_for(cli: &Cli, program: &dir::Program) -> Machine {
+    let limits = match cli.command {
+        Command::Faults => Limits {
+            max_steps: 5_000_000,
+            ..Limits::default()
+        },
+        _ => Limits::default(),
+    };
+    let mut machine = Machine::with(program, cli.scheme, CostModel::default(), limits);
+    machine.set_decoder(cli.decoder);
+    if !matches!(cli.command, Command::Run | Command::Faults) {
+        machine.freeze_translations();
+    }
+    machine
+}
+
+/// A pool of `tenants` copies of `machine`, all under `mode`.
+fn tenant_pool(cli: &Cli, machine: &Arc<Machine>, mode: &Mode, tenants: usize) -> MachinePool {
+    let mut pool = MachinePool::new(cli.workers);
+    for t in 0..tenants {
+        pool.push(format!("tenant-{t}"), Arc::clone(machine), mode.clone());
+    }
+    pool
+}
+
+/// The sinks a run attaches that keep `CLASSIFY_MISSES` off, so
+/// attaching them never changes the run's modeled metrics: `--window`
+/// builds a [`WindowSampler`], `--trace-out` a [`SpanTracer`] and
+/// `--flame-out` a [`FlameBuilder`].
+struct Observers {
+    window: Option<WindowSampler>,
     tracer: Option<SpanTracer>,
     flame: Option<FlameBuilder>,
 }
 
-impl ProfSinks {
-    fn new(cli: &Cli, program: &dir::Program) -> ProfSinks {
-        ProfSinks {
+impl Observers {
+    fn new(cli: &Cli, program: &dir::Program) -> Observers {
+        Observers {
+            window: cli.window.map(WindowSampler::new),
             tracer: cli.trace_out.as_ref().map(|_| SpanTracer::new(program)),
             flame: cli.flame_out.as_ref().map(|_| FlameBuilder::new(program)),
         }
     }
 
-    fn active(&self) -> bool {
-        self.tracer.is_some() || self.flame.is_some()
-    }
-
-    /// Span-tracer health as a `(retained, dropped)` pair, when tracing.
-    fn tracer_health(&self) -> Option<(u64, u64)> {
-        self.tracer.as_ref().map(|t| (t.len() as u64, t.dropped()))
+    /// Every observer present, as one sink.
+    fn sink(&mut self) -> impl TraceSink + '_ {
+        TeeSink(&mut self.window, TeeSink(&mut self.tracer, &mut self.flame))
     }
 
     /// Writes the requested artifact files and prints where they went.
@@ -688,25 +731,18 @@ impl ProfSinks {
     }
 }
 
-impl TraceSink for ProfSinks {
-    // Profiling observes; it must not switch on the shadow miss
-    // classifier and perturb the metrics it is attributing.
-    const CLASSIFY_MISSES: bool = false;
-
-    fn emit(&mut self, event: Event) {
-        if let Some(t) = &mut self.tracer {
-            t.emit(event);
-        }
-        if let Some(f) = &mut self.flame {
-            f.emit(event);
-        }
+/// Adds the sampled windows, if any, as `report`'s `windows` section.
+fn push_windows(report: &mut Report, window: Option<WindowSampler>) {
+    if let Some(sampler) = window {
+        let rows = sampler.finish().iter().map(window_json).collect();
+        report.push("windows", Json::Arr(rows));
     }
 }
 
-/// Merges per-tenant span traces into one multi-track Chrome trace_event
-/// document (each tenant is its own pid, so Perfetto shows one process
-/// track per tenant).
-fn merged_pool_trace(tracers: &mut [SpanTracer]) -> Json {
+/// Writes per-tenant span traces to `path` as one multi-track Chrome
+/// trace_event document (each tenant is its own pid, so Perfetto shows
+/// one process track per tenant).
+fn write_pool_trace(path: &str, tracers: &mut [SpanTracer]) -> Result<(), CliError> {
     let mut events = Vec::new();
     let mut dropped = 0u64;
     for t in tracers.iter_mut() {
@@ -716,7 +752,7 @@ fn merged_pool_trace(tracers: &mut [SpanTracer]) -> Json {
         }
         dropped += t.dropped();
     }
-    Json::obj(vec![
+    let doc = Json::obj(vec![
         ("traceEvents", Json::Arr(events)),
         ("displayTimeUnit", "ns".into()),
         (
@@ -728,12 +764,27 @@ fn merged_pool_trace(tracers: &mut [SpanTracer]) -> Json {
                 ("dropped_events", dropped.into()),
             ]),
         ),
-    ])
+    ]);
+    std::fs::write(path, doc.render())
+        .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
+    eprintln!(
+        "trace: wrote {path} ({} tenant tracks; load in Perfetto)",
+        tracers.len()
+    );
+    Ok(())
 }
 
-/// Prints the human-readable `--stats` block: totals, the
-/// IU1/IU2/memory cycle partition, and any DTB/i-cache ratios.
-fn print_stats(m: &uhm::Metrics) {
+/// Prints the human-readable `--stats` block: the event counts, totals,
+/// the IU1/IU2/memory cycle partition, and any DTB/i-cache ratios.
+fn print_stats(m: &uhm::Metrics, events: EventCounts) {
+    eprintln!(
+        "events: {} total ({} hits, {} misses, {} evictions, {} translates)",
+        events.total(),
+        events.dtb_hits,
+        events.dtb_misses,
+        events.evictions,
+        events.translations
+    );
     eprintln!(
         "instructions: {}  cycles: {}  T: {:.2}",
         m.instructions,
@@ -892,658 +943,632 @@ fn execute(cli: &Cli, source: &str) -> Result<(), CliError> {
             );
             Ok(())
         }
-        Command::Run => {
-            let program = build_program(cli, source)?;
-            let mut machine = Machine::new(&program, cli.scheme);
-            machine.set_decoder(cli.decoder);
-            let mode = machine_mode(cli)?;
-            let opts = || RunOptions {
-                window: cli.window,
-                ..RunOptions::default()
-            };
-            let mut prof = ProfSinks::new(cli, &program);
-            // Any observability flag switches to an enabled sink so the
-            // miss taxonomy and event counts are collected.
-            let traced = cli.json || cli.stats || cli.events.is_some();
-            let mut ring_health: Option<(u64, u64)> = None;
-            let mut file_health: Option<(u64, Option<String>)> = None;
-            let report = if traced {
-                let mut ring = RingSink::new(4096);
-                let report = match &cli.events {
-                    Some(path) => {
-                        let file = std::fs::File::create(path)
-                            .map_err(|e| format!("cannot create {path}: {e}"))?;
-                        let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
-                        let run = machine
-                            .run_with(
-                                &mode,
-                                &mut TeeSink(&mut TeeSink(&mut ring, &mut jsonl), &mut prof),
-                                opts(),
-                            )
-                            .map_err(|t| format!("trap: {t}"))?;
-                        let mut health = (jsonl.written(), None::<String>);
-                        if let Err(e) = jsonl.finish() {
-                            // Surfaced in the report's trace_health (and as
-                            // a warning) rather than failing the run: the
-                            // execution itself succeeded.
-                            eprintln!("raul: warning: writing {path}: {e}");
-                            health.1 = Some(e.to_string());
-                        }
-                        file_health = Some(health);
-                        run
-                    }
-                    None => machine
-                        .run_with(&mode, &mut TeeSink(&mut ring, &mut prof), opts())
-                        .map_err(|t| format!("trap: {t}"))?,
-                };
-                if cli.stats {
-                    let c = ring.counts();
-                    eprintln!(
-                        "events: {} total ({} hits, {} misses, {} evictions, {} translates)",
-                        c.total(),
-                        c.dtb_hits,
-                        c.dtb_misses,
-                        c.evictions,
-                        c.translations
-                    );
-                }
-                ring_health = Some((ring.len() as u64, ring.dropped()));
-                report
-            } else if prof.active() {
-                machine
-                    .run_with(&mode, &mut prof, opts())
-                    .map_err(|t| format!("trap: {t}"))?
-            } else {
-                machine
-                    .run_with(&mode, &mut NullSink, opts())
-                    .map_err(|t| format!("trap: {t}"))?
-            };
-            if cli.json {
-                let mut rr = uhm::report::run_report("raul", run_config(cli), &report.metrics);
-                rr.push(
-                    "output",
-                    Json::Arr(report.output.iter().map(|&v| Json::Int(v)).collect()),
-                );
-                rr.push(
-                    "trace_health",
-                    uhm::report::trace_health_json(ring_health, file_health),
-                );
-                println!("{}", rr.render());
-            } else {
-                for v in &report.output {
-                    println!("{v}");
-                }
-            }
-            if cli.stats {
-                print_stats(&report.metrics);
-            }
-            prof.write_artifacts(cli)?;
-            Ok(())
-        }
+        Command::Run => run_command(cli, source),
         Command::Disasm => {
             let program = build_program(cli, source)?;
             print!("{}", dir::asm::disassemble(&program));
             Ok(())
         }
-        Command::Encode => {
-            let program = build_program(cli, source)?;
-            println!(
-                "{:>12} {:>10} {:>12} {:>10} {:>12}",
-                "scheme", "prog bits", "bits/instr", "decode d", "side bits"
-            );
-            for kind in SchemeKind::all() {
-                let image = kind.encode(&program);
-                println!(
-                    "{:>12} {:>10} {:>12.1} {:>10.1} {:>12}",
-                    kind.label(),
-                    image.program_bits(),
-                    image.mean_inst_bits(),
-                    image.mean_decode_cost(),
-                    image.side_table_bits
-                );
-            }
-            Ok(())
-        }
-        Command::Analyze => {
-            let program = build_program(cli, source)?;
-            let image = cli.scheme.encode(&program);
-            let report = analyze::analyze(&program, &image);
-            if cli.json {
-                let aggregate = Json::obj(vec![
-                    ("images", 1i64.into()),
-                    ("clean", i64::from(report.is_clean()).into()),
-                    (
-                        "errors",
-                        (report.count(analyze::Severity::Error) as i64).into(),
-                    ),
-                    (
-                        "warnings",
-                        (report.count(analyze::Severity::Warning) as i64).into(),
-                    ),
-                ]);
-                let ar = Report::new(
-                    Kind::Analyze,
-                    "raul-analyze",
-                    Json::obj(vec![
-                        ("file", cli.path.as_str().into()),
-                        ("scheme", cli.scheme.label().into()),
-                        ("fold", cli.fold.into()),
-                        ("fuse", cli.fuse.into()),
-                    ]),
-                    [
-                        ("images", Json::Arr(vec![report.to_json(&cli.path)])),
-                        ("aggregate", aggregate),
-                    ],
-                );
-                println!("{}", ar.render());
-            } else {
-                print!("{}", report.render());
-                if cli.facts {
-                    println!("per-region facts:");
-                    for r in &report.facts.per_region {
-                        println!(
-                            "  {:<12} {} div {}/{}, idx {}/{}",
-                            r.name,
-                            if r.analyzed { "analyzed" } else { "skipped " },
-                            r.div_proved,
-                            r.div_sites,
-                            r.idx_proved,
-                            r.idx_sites
-                        );
-                    }
-                }
-                if cli.regions {
-                    println!("hot regions ({} candidates):", report.hot_regions.len());
-                    for (i, c) in report.hot_regions.iter().enumerate() {
-                        println!(
-                            "  #{:<3} {:<12} [{:>4}..{:>4}] depth {}, {} insts, \
-                             {}/{} sites proved ({:.0}% discharged)",
-                            i + 1,
-                            c.region,
-                            c.start,
-                            c.end,
-                            c.depth,
-                            c.insts,
-                            c.proved(),
-                            c.sites(),
-                            c.discharge() * 100.0
-                        );
-                    }
-                }
-            }
-            if !report.is_clean() {
-                return Err(CliError::Run(format!(
-                    "verification rejected {} ({} errors)",
-                    cli.path,
-                    report.count(analyze::Severity::Error)
-                )));
-            }
-            let warnings = report.count(analyze::Severity::Warning);
-            if cli.deny_warnings && warnings > 0 {
-                return Err(CliError::Run(format!(
-                    "--deny-warnings: {} verified clean but carries {} warnings",
-                    cli.path, warnings
-                )));
-            }
-            Ok(())
-        }
-        Command::Profile => {
-            let program = build_program(cli, source)?;
-            let mut machine = Machine::new(&program, cli.scheme);
-            machine.set_decoder(cli.decoder);
-            let mode = machine_mode(cli)?;
-            let mut plane = CounterPlane::new(&program);
-            let mut prof = ProfSinks::new(cli, &program);
-            let report = if prof.active() {
-                machine.run_with(
-                    &mode,
-                    &mut TeeSink(&mut plane, &mut prof),
-                    RunOptions::default(),
-                )
-            } else {
-                machine.run_with(&mode, &mut plane, RunOptions::default())
-            }
-            .map_err(|t| format!("trap: {t}"))?;
+        Command::Encode => encode_command(cli, source),
+        Command::Analyze => analyze_command(cli, source),
+        Command::Profile => profile_command(cli, source),
+        Command::Faults => faults_command(cli, source),
+        Command::Pool | Command::Chaos => pool_command(cli, source),
+        Command::Serve | Command::Load => service_command(cli, source),
+    }
+}
 
-            // --tenants M additionally profiles M pooled copies of the
-            // same image and attaches the pool aggregation (mergeable
-            // per-worker latency histograms, utilization, queue depth).
-            let pool_section = match cli.tenants {
-                Some(tenants) => {
-                    let mut shared = Machine::new(&program, cli.scheme);
-                    shared.set_decoder(cli.decoder);
-                    shared.freeze_translations();
-                    let shared = std::sync::Arc::new(shared);
-                    let mut pool = uhm::MachinePool::new(cli.workers);
-                    for t in 0..tenants {
-                        pool.push(
-                            format!("tenant-{t}"),
-                            std::sync::Arc::clone(&shared),
-                            mode.clone(),
-                        );
-                    }
-                    Some(profile::pool_profile_json(&pool.run()))
-                }
-                None => None,
-            };
-            let trace_health = prof
-                .tracer_health()
-                .map(|rh| uhm::report::trace_health_json(Some(rh), None));
-
-            if cli.json {
-                let mut pr = profile::profile_report(
-                    "raul-profile",
-                    run_config(cli),
-                    &plane,
-                    &report.metrics,
-                );
-                if let Some(pool) = pool_section {
-                    pr.push("pool", pool);
-                }
-                if let Some(health) = trace_health {
-                    pr.push("trace_health", health);
-                }
-                println!("{}", pr.render());
-                prof.write_artifacts(cli)?;
-                return Ok(());
-            }
-
-            let p = plane.profile();
-            println!(
-                "{} static, {} dynamic, {} touched",
-                program.len(),
-                p.total,
-                p.touched()
-            );
-            let total_cycles = plane.cycles().max(1) as f64;
-            println!("by tier:");
-            for t in Tier::ALL {
-                let a = plane.by_tier()[t.index()];
-                if a.retires == 0 {
-                    continue;
-                }
-                println!(
-                    "  {:>10}: {:>9} retires  {:>9} cycles ({:.1}%)",
-                    t.label(),
-                    a.retires,
-                    a.cycles,
-                    a.cycles as f64 / total_cycles * 100.0
-                );
-            }
-            println!("by procedure:");
-            for (name, a) in plane.by_region() {
-                if a.retires == 0 {
-                    continue;
-                }
-                println!(
-                    "  {name:>10}: {:>9} retires  {:>9} cycles ({:.1}%)",
-                    a.retires,
-                    a.cycles,
-                    a.cycles as f64 / total_cycles * 100.0
-                );
-            }
-            println!("hottest:");
-            for (addr, count) in p.hottest(10) {
-                println!(
-                    "  {addr:>5} {count:>9}x {:>9} cycles  {}",
-                    plane.cycles_at(addr),
-                    dir::asm::format_inst(&program.code[addr as usize])
-                );
-            }
-            println!("hottest opcode pairs:");
-            for (from, to, count) in plane.hottest_pairs(8) {
-                println!(
-                    "  {:>10} -> {:<10} {count:>9}x",
-                    format!("{:?}", dir::isa::OPCODES[from]),
-                    format!("{:?}", dir::isa::OPCODES[to])
-                );
-            }
-            println!("coverage:");
-            for k in [4usize, 8, 16, 32, 64, 128] {
-                println!(
-                    "  hottest {k:>3} instructions cover {:>5.1}% of execution",
-                    100.0 * p.coverage(k)
-                );
-            }
-            if let Some(pool) = &pool_section {
-                let pct = pool.get("latency_percentiles_ns");
-                let get = |k: &str| {
-                    pct.and_then(|p| p.get(k))
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0)
-                };
-                println!(
-                    "pool: {}/{} tenants completed; latency p50/p95/p99/p99.9: \
-                     {:.0}/{:.0}/{:.0}/{:.0} ns",
-                    pool.get("completed").and_then(Json::as_i64).unwrap_or(0),
-                    pool.get("tenants").and_then(Json::as_i64).unwrap_or(0),
-                    get("p50"),
-                    get("p95"),
-                    get("p99"),
-                    get("p999")
-                );
-            }
-            prof.write_artifacts(cli)?;
-            Ok(())
+/// `raul run`: one run under the observers, plus the flight recorder
+/// and the JSONL stream when a diagnostic flag asks for them.
+fn run_command(cli: &Cli, source: &str) -> Result<(), CliError> {
+    let program = build_program(cli, source)?;
+    let machine = machine_for(cli, &program);
+    let mode = machine_mode(cli)?;
+    let mut obs = Observers::new(cli, &program);
+    let mut ring = RingSink::new(4096);
+    let mut jsonl = match &cli.events {
+        Some(path) => {
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            Some(JsonlSink::new(std::io::BufWriter::new(file)))
         }
-        Command::Faults => {
-            let program = build_program(cli, source)?;
-            // Corrupted control flow can loop: bound the faulty run.
-            let limits = uhm::Limits {
-                max_steps: 5_000_000,
-                ..uhm::Limits::default()
-            };
-            let mut machine =
-                Machine::with(&program, cli.scheme, uhm::CostModel::default(), limits);
-            machine.set_decoder(cli.decoder);
-            let mode = machine_mode(cli)?;
-            let clean = machine
-                .run(&mode)
-                .map_err(|t| format!("clean run trapped: {t}"))?;
-            let config = fault_config(cli);
-            let mut retry = RetryPolicy::default();
-            if let Some(n) = cli.degrade_after {
-                retry.degrade_after = n;
-            }
-            let opts = RunOptions {
-                faults: Some(config),
-                retry,
-                ..RunOptions::default()
-            };
-            let mut ring = RingSink::new(4096);
-            let result = machine.run_with(&mode, &mut ring, opts);
-            let counts = ring.counts();
-            let mut cfg = run_config(cli);
-            if let Json::Obj(fields) = &mut cfg {
-                let fault_fields = Json::obj(vec![
-                    ("seed", cli.seed.into()),
-                    ("dir_bit_rate", config.dir_bit_rate.into()),
-                    ("dtb_word_rate", config.dtb_word_rate.into()),
-                    ("dtb_tag_rate", config.dtb_tag_rate.into()),
-                    ("drop_fetch_rate", config.drop_fetch_rate.into()),
-                ]);
-                fields.push(("faults".into(), fault_fields));
-            }
-            match result {
-                Ok(report) => {
-                    let m = &report.metrics;
-                    let faults = m.faults.unwrap_or_default();
-                    let matches = report.output == clean.output;
-                    let overhead = if clean.metrics.cycles.total() > 0 {
-                        m.cycles.total() as f64 / clean.metrics.cycles.total() as f64 - 1.0
-                    } else {
-                        0.0
-                    };
-                    let degraded_fraction = if m.instructions > 0 {
-                        m.degraded_instructions as f64 / m.instructions as f64
-                    } else {
-                        0.0
-                    };
-                    if cli.json {
-                        let mut rr = uhm::report::run_report("raul-faults", cfg, m);
-                        rr.push(
-                            "output",
-                            Json::obj(vec![
-                                ("outcome", "ok".into()),
-                                ("output_matches_clean", matches.into()),
-                                ("recoveries", m.recoveries.into()),
-                                ("degraded_instructions", m.degraded_instructions.into()),
-                                ("degraded_fraction", degraded_fraction.into()),
-                                ("cycle_overhead", overhead.into()),
-                                ("events_faults_injected", counts.faults_injected.into()),
-                                ("events_recovery_misses", counts.recovery_misses.into()),
-                            ]),
-                        );
-                        println!("{}", rr.render());
-                    } else {
-                        println!(
-                            "outcome: ok ({})",
-                            if matches {
-                                "output matches the clean run"
-                            } else {
-                                "OUTPUT DIVERGED from the clean run"
-                            }
-                        );
-                        println!(
-                            "faults injected: {} ({} dir bits, {} dtb words, {} tags, {} drops)",
-                            faults.total(),
-                            faults.dir_bits_flipped,
-                            faults.dtb_words_corrupted,
-                            faults.dtb_tags_poisoned,
-                            faults.fetches_dropped
-                        );
-                        println!(
-                            "recoveries: {}  degraded: {} instructions ({:.2}%)  fetch retries: {}",
-                            m.recoveries,
-                            m.degraded_instructions,
-                            degraded_fraction * 100.0,
-                            m.fetch_retries
-                        );
-                        println!("cycle overhead vs clean: {:+.2}%", overhead * 100.0);
-                    }
-                }
-                Err(trap) => {
-                    // A typed trap under injection is a reported outcome,
-                    // not a CLI failure: the machine detected the damage.
-                    // A trapped run has no metrics, so those sections
-                    // stay empty.
-                    if cli.json {
-                        let output = Json::obj(vec![
-                            ("outcome", "trap".into()),
-                            ("trap", trap.to_string().as_str().into()),
-                            ("events_faults_injected", counts.faults_injected.into()),
-                        ]);
-                        let rr = Report::new(
-                            Kind::Run,
-                            "raul-faults",
-                            cfg,
-                            [
-                                ("metrics", Json::obj([])),
-                                ("derived", Json::obj([])),
-                                ("output", output),
-                            ],
-                        );
-                        println!("{}", rr.render());
-                    } else {
-                        println!("outcome: trap ({trap})");
-                    }
-                }
-            }
-            Ok(())
-        }
-        Command::Pool | Command::Chaos => {
-            let program = build_program(cli, source)?;
-            let mode = machine_mode(cli)?;
-            let tenants = cli.tenants.unwrap_or(cli.workers * 2);
-            // One machine serves every tenant: the encoded image and the
-            // frozen translation snapshot are built once and shared.
-            let mut machine = Machine::new(&program, cli.scheme);
-            machine.set_decoder(cli.decoder);
-            machine.freeze_translations();
-            let machine = std::sync::Arc::new(machine);
-            let mut pool = uhm::MachinePool::new(cli.workers);
-            for t in 0..tenants {
-                pool.push(
-                    format!("tenant-{t}"),
-                    std::sync::Arc::clone(&machine),
-                    mode.clone(),
-                );
-            }
-            if faults_requested(cli) {
-                pool.set_faults(Some(fault_config(cli)));
-            }
-            if supervision_requested(cli) {
-                pool.set_supervisor(Some(supervisor_config(cli)));
-            }
-            // Injected worker crashes panic by design; silence the
-            // default hook so the report, not the backtraces, is the
-            // command's output.
-            let quiet = if cli.command == Command::Chaos {
-                pool.set_chaos(Some(chaos_config(cli)));
-                let hook = std::panic::take_hook();
-                std::panic::set_hook(Box::new(|_| {}));
-                Some(hook)
-            } else {
-                None
-            };
-            // --trace-out gives each tenant its own span tracer; the
-            // tenant index becomes the trace pid so Perfetto shows one
-            // process track per tenant.
-            let (run, mut tracers) = if cli.trace_out.is_some() {
-                let (run, tracers) = pool.run_with_sinks(|tenant| {
-                    let mut t = SpanTracer::new(&program);
-                    t.set_track(tenant as u32 + 1, 1);
-                    t
-                });
-                (run, tracers)
-            } else {
-                (pool.run(), Vec::new())
-            };
-            if let Some(hook) = quiet {
-                std::panic::set_hook(hook);
-            }
-            if cli.json {
-                let mut config = run_config(cli);
-                if let Json::Obj(fields) = &mut config {
-                    fields.push(("workers".into(), (cli.workers as i64).into()));
-                    fields.push(("tenants".into(), (tenants as i64).into()));
-                }
-                let tool = if cli.command == Command::Chaos {
-                    "raul-chaos"
-                } else {
-                    "raul-pool"
-                };
-                let mut pr = uhm::report::pool_report(tool, config, &run);
-                if !tracers.is_empty() {
-                    let retained: u64 = tracers.iter().map(|t| t.len() as u64).sum();
-                    let dropped: u64 = tracers.iter().map(SpanTracer::dropped).sum();
-                    pr.push(
-                        "trace_health",
-                        uhm::report::trace_health_json(Some((retained, dropped)), None),
-                    );
-                }
-                println!("{}", pr.render());
-            } else {
-                for r in &run.results {
-                    let detail = outcome_detail(&r.outcome);
-                    println!(
-                        "{:>12}  worker {}  {:>9} ns  {:>9}  {detail}",
-                        r.name,
-                        r.worker,
-                        r.latency_ns,
-                        r.outcome.status()
-                    );
-                }
-                let p = run.latency_percentiles();
-                println!(
-                    "pool: {}/{} completed on {} workers in {} ns ({} steals)",
-                    run.completed(),
-                    run.results.len(),
-                    run.workers,
-                    run.wall_ns,
-                    run.steals
-                );
-                if supervision_requested(cli) {
-                    println!(
-                        "supervision: {} timed out, {} rejected, {} shed, {} quarantined, \
-                         {} retries, {} worker crashes",
-                        run.outcome_count("timed_out"),
-                        run.outcome_count("rejected"),
-                        run.outcome_count("shed"),
-                        run.outcome_count("quarantined"),
-                        run.retries,
-                        run.worker_crashes
-                    );
-                }
-                println!(
-                    "latency p50/p95/p99/p99.9: {:.0}/{:.0}/{:.0}/{:.0} ns  aggregate: {:.2} Minstr/s",
-                    p.p50,
-                    p.p95,
-                    p.p99,
-                    p.p999,
-                    run.minstr_per_sec()
-                );
-            }
-            if let Some(path) = &cli.trace_out {
-                let doc = merged_pool_trace(&mut tracers);
-                std::fs::write(path, doc.render())
-                    .map_err(|e| CliError::Run(format!("cannot write {path}: {e}")))?;
-                eprintln!(
-                    "trace: wrote {path} ({} tenant tracks; load in Perfetto)",
-                    tracers.len()
-                );
-            }
-            // Only *failures* fail the command: a timed-out, rejected,
-            // shed or quarantined tenant is the supervisor doing its job, and
-            // is reported (above) rather than escalated.
-            let failed = run.outcome_count("trapped") + run.outcome_count("panicked");
-            if failed > 0 {
-                return Err(CliError::Run(format!(
-                    "{failed} of {} tenants failed",
-                    run.results.len()
-                )));
-            }
-            Ok(())
-        }
-        Command::Serve | Command::Load => {
-            let program = build_program(cli, source)?;
-            let mode = machine_mode(cli)?;
-            let mut machine = Machine::new(&program, cli.scheme);
-            machine.set_decoder(cli.decoder);
-            machine.freeze_translations();
-            let machine = std::sync::Arc::new(machine);
-            let lanes = cli.tenants.unwrap_or(2);
-            let requests = cli.requests.unwrap_or(cli.workers * 4);
-            let mut service = Service::new(service_config(cli));
-            for i in 0..requests {
-                service.submit(
-                    format!("tenant-{}", i % lanes),
-                    format!("req-{i}"),
-                    std::sync::Arc::clone(&machine),
-                    mode.clone(),
-                );
-            }
-            let rates = service_rates(cli);
-            let run = service.run_load(&rates);
-            if cli.json {
-                let tool = if cli.command == Command::Serve {
-                    "raul-serve"
-                } else {
-                    "raul-load"
-                };
-                let mut config = run_config(cli);
-                if let Json::Obj(fields) = &mut config {
-                    fields.push(("workers".into(), (cli.workers as i64).into()));
-                    fields.push(("tenants".into(), (lanes as i64).into()));
-                    fields.push(("requests".into(), (requests as i64).into()));
-                    fields.push(("seed".into(), cli.seed.into()));
-                    fields.push((
-                        "rates_per_mcycle".into(),
-                        Json::Arr(rates.iter().map(|&r| (r as i64).into()).collect()),
-                    ));
-                }
-                println!(
-                    "{}",
-                    uhm::report::service_report(tool, config, &run).render()
-                );
-            } else if cli.command == Command::Serve {
-                print_serve_step(&run);
-            } else {
-                print_load_trajectory(&run);
-            }
-            // Mirrors the pool policy: rejected and shed requests are
-            // the admission and backpressure planes working as
-            // configured; only execution failures fail the command.
-            let failed = run.outcome_count("trapped") + run.outcome_count("panicked");
-            if failed > 0 {
-                return Err(CliError::Run(format!(
-                    "{failed} of {} requests failed",
-                    run.total_requests()
-                )));
-            }
-            Ok(())
+        None => None,
+    };
+    // The diagnostic sinks switch on the miss taxonomy, so they run only
+    // when a flag that reports it asks for them.
+    let traced = cli.json || cli.stats || jsonl.is_some();
+    let report = if traced {
+        let mut sink = TeeSink(TeeSink(&mut ring, &mut jsonl), obs.sink());
+        machine.run_with(&mode, &mut sink, RunOptions::default())
+    } else {
+        machine.run_with(&mode, &mut obs.sink(), RunOptions::default())
+    }
+    .map_err(|t| format!("trap: {t}"))?;
+    let file_health = jsonl.map(|sink| finish_events(cli, sink));
+    if cli.stats {
+        print_stats(&report.metrics, ring.counts());
+    }
+    if cli.json {
+        let mut rr = uhm::report::run_report("raul", run_config(cli), &report.metrics);
+        push_windows(&mut rr, obs.window.take());
+        rr.push(
+            "output",
+            Json::Arr(report.output.iter().map(|&v| Json::Int(v)).collect()),
+        );
+        let ring_health = (ring.len() as u64, ring.dropped());
+        rr.push(
+            "trace_health",
+            trace_health_json(Some(ring_health), file_health),
+        );
+        println!("{}", rr.render());
+    } else {
+        for v in &report.output {
+            println!("{v}");
         }
     }
+    obs.write_artifacts(cli)
+}
+
+/// Flushes the `--events` stream into its `(written, error)` health. A
+/// write error is surfaced in the report's trace_health (and as a
+/// warning) rather than failing the run: the execution itself succeeded.
+fn finish_events(
+    cli: &Cli,
+    sink: JsonlSink<std::io::BufWriter<std::fs::File>>,
+) -> (u64, Option<String>) {
+    let written = sink.written();
+    let error = sink.finish().err().map(|e| {
+        let path = cli.events.as_deref().unwrap_or_default();
+        eprintln!("raul: warning: writing {path}: {e}");
+        e.to_string()
+    });
+    (written, error)
+}
+
+/// `raul encode`: the static size of the program under every scheme.
+fn encode_command(cli: &Cli, source: &str) -> Result<(), CliError> {
+    let program = build_program(cli, source)?;
+    println!(
+        "{:>12} {:>10} {:>12} {:>10} {:>12}",
+        "scheme", "prog bits", "bits/instr", "decode d", "side bits"
+    );
+    for kind in SchemeKind::all() {
+        let image = kind.encode(&program);
+        println!(
+            "{:>12} {:>10} {:>12.1} {:>10.1} {:>12}",
+            kind.label(),
+            image.program_bits(),
+            image.mean_inst_bits(),
+            image.mean_decode_cost(),
+            image.side_table_bits
+        );
+    }
+    Ok(())
+}
+
+/// `raul analyze`: verify and analyze the image without running it.
+fn analyze_command(cli: &Cli, source: &str) -> Result<(), CliError> {
+    let program = build_program(cli, source)?;
+    let image = cli.scheme.encode(&program);
+    let report = analyze::analyze(&program, &image);
+    if cli.json {
+        let aggregate = Json::obj(vec![
+            ("images", 1i64.into()),
+            ("clean", i64::from(report.is_clean()).into()),
+            (
+                "errors",
+                (report.count(analyze::Severity::Error) as i64).into(),
+            ),
+            (
+                "warnings",
+                (report.count(analyze::Severity::Warning) as i64).into(),
+            ),
+        ]);
+        let ar = Report::new(
+            Kind::Analyze,
+            "raul-analyze",
+            Json::obj(vec![
+                ("file", cli.path.as_str().into()),
+                ("scheme", cli.scheme.label().into()),
+                ("fold", cli.fold.into()),
+                ("fuse", cli.fuse.into()),
+            ]),
+            [
+                ("images", Json::Arr(vec![report.to_json(&cli.path)])),
+                ("aggregate", aggregate),
+            ],
+        );
+        println!("{}", ar.render());
+    } else {
+        print_analysis(cli, &report);
+    }
+    if !report.is_clean() {
+        return Err(CliError::Run(format!(
+            "verification rejected {} ({} errors)",
+            cli.path,
+            report.count(analyze::Severity::Error)
+        )));
+    }
+    let warnings = report.count(analyze::Severity::Warning);
+    if cli.deny_warnings && warnings > 0 {
+        return Err(CliError::Run(format!(
+            "--deny-warnings: {} verified clean but carries {} warnings",
+            cli.path, warnings
+        )));
+    }
+    Ok(())
+}
+
+/// The diagnostic report, plus the `--facts` and `--regions` tables.
+fn print_analysis(cli: &Cli, report: &analyze::AnalysisReport) {
+    print!("{}", report.render());
+    if cli.facts {
+        println!("per-region facts:");
+        for r in &report.facts.per_region {
+            println!(
+                "  {:<12} {} div {}/{}, idx {}/{}",
+                r.name,
+                if r.analyzed { "analyzed" } else { "skipped " },
+                r.div_proved,
+                r.div_sites,
+                r.idx_proved,
+                r.idx_sites
+            );
+        }
+    }
+    if cli.regions {
+        println!("hot regions ({} candidates):", report.hot_regions.len());
+        for (i, c) in report.hot_regions.iter().enumerate() {
+            println!(
+                "  #{:<3} {:<12} [{:>4}..{:>4}] depth {}, {} insts, \
+                 {}/{} sites proved ({:.0}% discharged)",
+                i + 1,
+                c.region,
+                c.start,
+                c.end,
+                c.depth,
+                c.insts,
+                c.proved(),
+                c.sites(),
+                c.discharge() * 100.0
+            );
+        }
+    }
+}
+
+/// `raul profile`: one run under the counter plane and the observers;
+/// `--tenants M` also profiles M pooled copies of the same image and
+/// attaches the pool aggregation (mergeable per-worker latency
+/// histograms, utilization, queue depth).
+fn profile_command(cli: &Cli, source: &str) -> Result<(), CliError> {
+    let program = build_program(cli, source)?;
+    let machine = Arc::new(machine_for(cli, &program));
+    let mode = machine_mode(cli)?;
+    let mut plane = CounterPlane::new(&program);
+    let mut obs = Observers::new(cli, &program);
+    let report = machine
+        .run_with(
+            &mode,
+            &mut TeeSink(&mut plane, obs.sink()),
+            RunOptions::default(),
+        )
+        .map_err(|t| format!("trap: {t}"))?;
+    let pool = cli.tenants.map(|tenants| {
+        profile::pool_profile_json(&tenant_pool(cli, &machine, &mode, tenants).run())
+    });
+    if cli.json {
+        let mut pr =
+            profile::profile_report("raul-profile", run_config(cli), &plane, &report.metrics);
+        if let Some(pool) = pool {
+            pr.push("pool", pool);
+        }
+        if let Some(t) = &obs.tracer {
+            let health = (t.len() as u64, t.dropped());
+            pr.push("trace_health", trace_health_json(Some(health), None));
+        }
+        push_windows(&mut pr, obs.window.take());
+        println!("{}", pr.render());
+    } else {
+        print_profile(&program, &plane);
+        if let Some(pool) = &pool {
+            print_pool_profile(pool);
+        }
+    }
+    obs.write_artifacts(cli)
+}
+
+/// The human-readable profile of one run.
+fn print_profile(program: &dir::Program, plane: &CounterPlane) {
+    println!(
+        "{} static, {} dynamic, {} touched",
+        program.len(),
+        plane.retired(),
+        plane.touched()
+    );
+    let total_cycles = plane.cycles().max(1) as f64;
+    let row = |name: &str, a: profile::Attribution| {
+        println!(
+            "  {name:>10}: {:>9} retires  {:>9} cycles ({:.1}%)",
+            a.retires,
+            a.cycles,
+            a.cycles as f64 / total_cycles * 100.0
+        );
+    };
+    println!("by tier:");
+    for t in Tier::ALL {
+        let a = plane.by_tier()[t.index()];
+        if a.retires > 0 {
+            row(t.label(), a);
+        }
+    }
+    println!("by procedure:");
+    for (name, a) in plane.by_region() {
+        if a.retires > 0 {
+            row(name, a);
+        }
+    }
+    println!("hottest:");
+    for (addr, count) in plane.hottest(10) {
+        println!(
+            "  {addr:>5} {count:>9}x {:>9} cycles  {}",
+            plane.at(addr).cycles,
+            dir::asm::format_inst(&program.code[addr as usize])
+        );
+    }
+    println!("hottest opcode pairs:");
+    for (from, to, count) in plane.hottest_pairs(8) {
+        println!(
+            "  {:>10} -> {:<10} {count:>9}x",
+            format!("{:?}", dir::isa::OPCODES[from]),
+            format!("{:?}", dir::isa::OPCODES[to])
+        );
+    }
+    println!("coverage:");
+    let ks = [4usize, 8, 16, 32, 64, 128];
+    for (k, c) in ks.iter().zip(plane.coverage(&ks)) {
+        println!(
+            "  hottest {k:>3} instructions cover {:>5.1}% of execution",
+            100.0 * c
+        );
+    }
+}
+
+/// One summary line of a profile's pool section.
+fn print_pool_profile(pool: &Json) {
+    let pct = pool.get("latency_percentiles_ns");
+    let get = |k: &str| {
+        pct.and_then(|p| p.get(k))
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+    };
+    println!(
+        "pool: {}/{} tenants completed; latency p50/p95/p99/p99.9: \
+         {:.0}/{:.0}/{:.0}/{:.0} ns",
+        pool.get("completed").and_then(Json::as_i64).unwrap_or(0),
+        pool.get("tenants").and_then(Json::as_i64).unwrap_or(0),
+        get("p50"),
+        get("p95"),
+        get("p99"),
+        get("p999")
+    );
+}
+
+/// `raul faults`: a clean run, then one run under seeded fault
+/// injection, compared. A typed trap under injection is a reported
+/// outcome, not a CLI failure: the machine detected the damage.
+fn faults_command(cli: &Cli, source: &str) -> Result<(), CliError> {
+    let program = build_program(cli, source)?;
+    let machine = machine_for(cli, &program);
+    let mode = machine_mode(cli)?;
+    let clean = machine
+        .run(&mode)
+        .map_err(|t| format!("clean run trapped: {t}"))?;
+    let config = fault_config(cli);
+    let mut retry = RetryPolicy::default();
+    if let Some(n) = cli.degrade_after {
+        retry.degrade_after = n;
+    }
+    let opts = RunOptions {
+        faults: Some(config),
+        retry,
+        ..RunOptions::default()
+    };
+    let mut ring = RingSink::new(4096);
+    let mut window = cli.window.map(WindowSampler::new);
+    let result = machine.run_with(&mode, &mut TeeSink(&mut ring, &mut window), opts);
+    let counts = ring.counts();
+    let mut cfg = run_config(cli);
+    if let Json::Obj(fields) = &mut cfg {
+        let fault_fields = Json::obj(vec![
+            ("seed", cli.seed.into()),
+            ("dir_bit_rate", config.dir_bit_rate.into()),
+            ("dtb_word_rate", config.dtb_word_rate.into()),
+            ("dtb_tag_rate", config.dtb_tag_rate.into()),
+            ("drop_fetch_rate", config.drop_fetch_rate.into()),
+        ]);
+        fields.push(("faults".into(), fault_fields));
+    }
+    match result {
+        Ok(report) => report_recovery(cli, cfg, &clean, &report, counts, window),
+        // A trapped run has no metrics, so those sections stay empty.
+        Err(trap) if cli.json => {
+            let output = Json::obj(vec![
+                ("outcome", "trap".into()),
+                ("trap", trap.to_string().as_str().into()),
+                ("events_faults_injected", counts.faults_injected.into()),
+            ]);
+            let sections = [
+                ("metrics", Json::obj([])),
+                ("derived", Json::obj([])),
+                ("output", output),
+            ];
+            let rr = Report::new(Kind::Run, "raul-faults", cfg, sections);
+            println!("{}", rr.render());
+        }
+        Err(trap) => println!("outcome: trap ({trap})"),
+    }
+    Ok(())
+}
+
+/// Reports a faulty run that completed against the clean run.
+fn report_recovery(
+    cli: &Cli,
+    cfg: Json,
+    clean: &uhm::Report,
+    report: &uhm::Report,
+    counts: EventCounts,
+    window: Option<WindowSampler>,
+) {
+    let m = &report.metrics;
+    let matches = report.output == clean.output;
+    let clean_cycles = clean.metrics.cycles.total();
+    let overhead = if clean_cycles > 0 {
+        m.cycles.total() as f64 / clean_cycles as f64 - 1.0
+    } else {
+        0.0
+    };
+    let degraded_fraction = if m.instructions > 0 {
+        m.degraded_instructions as f64 / m.instructions as f64
+    } else {
+        0.0
+    };
+    if cli.json {
+        let mut rr = uhm::report::run_report("raul-faults", cfg, m);
+        push_windows(&mut rr, window);
+        rr.push(
+            "output",
+            Json::obj(vec![
+                ("outcome", "ok".into()),
+                ("output_matches_clean", matches.into()),
+                ("recoveries", m.recoveries.into()),
+                ("degraded_instructions", m.degraded_instructions.into()),
+                ("degraded_fraction", degraded_fraction.into()),
+                ("cycle_overhead", overhead.into()),
+                ("events_faults_injected", counts.faults_injected.into()),
+                ("events_recovery_misses", counts.recovery_misses.into()),
+            ]),
+        );
+        println!("{}", rr.render());
+    } else {
+        print_recovery(m, matches, degraded_fraction, overhead);
+    }
+}
+
+/// The human-readable outcome of a faulty run that completed.
+fn print_recovery(m: &uhm::Metrics, matches: bool, degraded_fraction: f64, overhead: f64) {
+    println!(
+        "outcome: ok ({})",
+        if matches {
+            "output matches the clean run"
+        } else {
+            "OUTPUT DIVERGED from the clean run"
+        }
+    );
+    let faults = m.faults.unwrap_or_default();
+    println!(
+        "faults injected: {} ({} dir bits, {} dtb words, {} tags, {} drops)",
+        faults.total(),
+        faults.dir_bits_flipped,
+        faults.dtb_words_corrupted,
+        faults.dtb_tags_poisoned,
+        faults.fetches_dropped
+    );
+    println!(
+        "recoveries: {}  degraded: {} instructions ({:.2}%)  fetch retries: {}",
+        m.recoveries,
+        m.degraded_instructions,
+        degraded_fraction * 100.0,
+        m.fetch_retries
+    );
+    println!("cycle overhead vs clean: {:+.2}%", overhead * 100.0);
+}
+
+/// `raul pool` / `raul chaos`: M tenant copies on N workers, optionally
+/// under faults, supervision and (for `chaos`) injected chaos. Only
+/// *failures* fail the command: a timed-out, rejected, shed or
+/// quarantined tenant is the supervisor doing its job, and is reported
+/// rather than escalated.
+fn pool_command(cli: &Cli, source: &str) -> Result<(), CliError> {
+    let program = build_program(cli, source)?;
+    let mode = machine_mode(cli)?;
+    let tenants = cli.tenants.unwrap_or(cli.workers * 2);
+    // One machine serves every tenant: the encoded image and the frozen
+    // translation snapshot are built once and shared.
+    let machine = Arc::new(machine_for(cli, &program));
+    let mut pool = tenant_pool(cli, &machine, &mode, tenants);
+    if faults_requested(cli) {
+        pool.set_faults(Some(fault_config(cli)));
+    }
+    if supervision_requested(cli) {
+        pool.set_supervisor(Some(supervisor_config(cli)));
+    }
+    let (run, mut tracers) = run_pool(cli, &program, pool);
+    if cli.json {
+        let mut config = run_config(cli);
+        if let Json::Obj(fields) = &mut config {
+            fields.push(("workers".into(), (cli.workers as i64).into()));
+            fields.push(("tenants".into(), (tenants as i64).into()));
+        }
+        let tool = if cli.command == Command::Chaos {
+            "raul-chaos"
+        } else {
+            "raul-pool"
+        };
+        let mut pr = uhm::report::pool_report(tool, config, &run);
+        if !tracers.is_empty() {
+            let retained: u64 = tracers.iter().map(|t| t.len() as u64).sum();
+            let dropped: u64 = tracers.iter().map(SpanTracer::dropped).sum();
+            pr.push(
+                "trace_health",
+                trace_health_json(Some((retained, dropped)), None),
+            );
+        }
+        println!("{}", pr.render());
+    } else {
+        print_pool(cli, &run);
+    }
+    if let Some(path) = &cli.trace_out {
+        write_pool_trace(path, &mut tracers)?;
+    }
+    let failed = run.outcome_count("trapped") + run.outcome_count("panicked");
+    if failed > 0 {
+        return Err(CliError::Run(format!(
+            "{failed} of {} tenants failed",
+            run.results.len()
+        )));
+    }
+    Ok(())
+}
+
+/// Runs `pool`, under chaos for `raul chaos`. `--trace-out` gives each
+/// tenant its own span tracer; the tenant index becomes the trace pid so
+/// Perfetto shows one process track per tenant.
+fn run_pool(
+    cli: &Cli,
+    program: &dir::Program,
+    mut pool: MachinePool,
+) -> (PoolRun, Vec<SpanTracer>) {
+    // Injected worker crashes panic by design; silence the default hook
+    // so the report, not the backtraces, is the command's output.
+    let quiet = (cli.command == Command::Chaos).then(|| {
+        pool.set_chaos(Some(chaos_config(cli)));
+        let hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        hook
+    });
+    let run = if cli.trace_out.is_some() {
+        pool.run_with_sinks(|tenant| {
+            let mut t = SpanTracer::new(program);
+            t.set_track(tenant as u32 + 1, 1);
+            t
+        })
+    } else {
+        (pool.run(), Vec::new())
+    };
+    if let Some(hook) = quiet {
+        std::panic::set_hook(hook);
+    }
+    run
+}
+
+/// The human-readable pool run: one line per tenant, then the totals.
+fn print_pool(cli: &Cli, run: &PoolRun) {
+    for r in &run.results {
+        let detail = outcome_detail(&r.outcome);
+        println!(
+            "{:>12}  worker {}  {:>9} ns  {:>9}  {detail}",
+            r.name,
+            r.worker,
+            r.latency_ns,
+            r.outcome.status()
+        );
+    }
+    let p = run.latency_percentiles();
+    println!(
+        "pool: {}/{} completed on {} workers in {} ns ({} steals)",
+        run.completed(),
+        run.results.len(),
+        run.workers,
+        run.wall_ns,
+        run.steals
+    );
+    if supervision_requested(cli) {
+        println!(
+            "supervision: {} timed out, {} rejected, {} shed, {} quarantined, \
+             {} retries, {} worker crashes",
+            run.outcome_count("timed_out"),
+            run.outcome_count("rejected"),
+            run.outcome_count("shed"),
+            run.outcome_count("quarantined"),
+            run.retries,
+            run.worker_crashes
+        );
+    }
+    println!(
+        "latency p50/p95/p99/p99.9: {:.0}/{:.0}/{:.0}/{:.0} ns  aggregate: {:.2} Minstr/s",
+        p.p50,
+        p.p95,
+        p.p99,
+        p.p999,
+        run.minstr_per_sec()
+    );
+}
+
+/// `raul serve` / `raul load`: requests through the service front-end
+/// at one arrival rate or a sweep. Mirrors the pool policy: rejected and
+/// shed requests are the admission and backpressure planes working as
+/// configured; only execution failures fail the command.
+fn service_command(cli: &Cli, source: &str) -> Result<(), CliError> {
+    let program = build_program(cli, source)?;
+    let mode = machine_mode(cli)?;
+    let machine = Arc::new(machine_for(cli, &program));
+    let lanes = cli.tenants.unwrap_or(2);
+    let requests = cli.requests.unwrap_or(cli.workers * 4);
+    let mut service = Service::new(service_config(cli));
+    for i in 0..requests {
+        service.submit(
+            format!("tenant-{}", i % lanes),
+            format!("req-{i}"),
+            Arc::clone(&machine),
+            mode.clone(),
+        );
+    }
+    let rates = service_rates(cli);
+    let run = service.run_load(&rates);
+    if cli.json {
+        let tool = if cli.command == Command::Serve {
+            "raul-serve"
+        } else {
+            "raul-load"
+        };
+        let mut config = run_config(cli);
+        if let Json::Obj(fields) = &mut config {
+            fields.push(("workers".into(), (cli.workers as i64).into()));
+            fields.push(("tenants".into(), (lanes as i64).into()));
+            fields.push(("requests".into(), (requests as i64).into()));
+            fields.push(("seed".into(), cli.seed.into()));
+            fields.push((
+                "rates_per_mcycle".into(),
+                Json::Arr(rates.iter().map(|&r| (r as i64).into()).collect()),
+            ));
+        }
+        println!(
+            "{}",
+            uhm::report::service_report(tool, config, &run).render()
+        );
+    } else if cli.command == Command::Serve {
+        print_serve_step(&run);
+    } else {
+        print_load_trajectory(&run);
+    }
+    let failed = run.outcome_count("trapped") + run.outcome_count("panicked");
+    if failed > 0 {
+        return Err(CliError::Run(format!(
+            "{failed} of {} requests failed",
+            run.total_requests()
+        )));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {

@@ -1,11 +1,11 @@
 //! The profiling plane's two load-bearing guarantees, end to end:
 //!
 //! 1. **Bit-identity.** Attaching any profiling sink — the counter
-//!    plane, the span tracer, the flame builder, or all three teed —
-//!    changes *nothing* the machine models: program output and the full
-//!    [`uhm::Metrics`] struct (every counter, the complete cycle
-//!    breakdown, DTB/cache statistics, fault stats) are equal field for
-//!    field to an unobserved run. This holds in every machine mode and
+//!    plane, the span tracer, the flame builder, the window sampler, or
+//!    all four teed — changes *nothing* the machine models: program
+//!    output and the full [`uhm::Metrics`] struct (every counter, the
+//!    complete cycle breakdown, DTB/cache statistics, fault stats) are
+//!    equal field for field to an unobserved run. This holds in every machine mode and
 //!    under an active fault plane.
 //! 2. **Valid export.** The span tracer's output is a well-formed Chrome
 //!    `trace_event` document (the schema Perfetto and `chrome://tracing`
@@ -15,8 +15,8 @@
 
 use dir::encode::SchemeKind;
 use profile::{CounterPlane, FlameBuilder, SpanTracer};
-use telemetry::{Event, Json, NullSink, TraceSink};
-use uhm::{DtbConfig, FaultConfig, Machine, Mode, RunOptions};
+use telemetry::{Json, NullSink, TeeSink};
+use uhm::{DtbConfig, FaultConfig, Machine, Mode, RunOptions, WindowSampler};
 
 /// A workload with procedure calls, loops and recursion, so every
 /// attribution axis (region, opcode, tier, pair) is exercised.
@@ -38,34 +38,22 @@ fn all_modes() -> Vec<Mode> {
     ]
 }
 
-/// All three profiling surfaces attached at once, as `raul` tees them.
-struct FullPlane {
-    plane: CounterPlane,
-    tracer: SpanTracer,
-    flame: FlameBuilder,
-}
-
-impl TraceSink for FullPlane {
-    const CLASSIFY_MISSES: bool = false;
-
-    fn emit(&mut self, event: Event) {
-        self.plane.emit(event);
-        self.tracer.emit(event);
-        self.flame.emit(event);
-    }
-}
-
 #[test]
 fn profiled_runs_are_bit_identical_in_every_mode() {
     let program = sample_program();
     let machine = Machine::new(&program, SchemeKind::Huffman);
     for mode in all_modes() {
         let plain = machine.run(&mode).unwrap();
-        let mut sinks = FullPlane {
-            plane: CounterPlane::new(&program),
-            tracer: SpanTracer::new(&program),
-            flame: FlameBuilder::new(&program),
-        };
+        // Every profiling surface attached at once, teed as `raul` tees
+        // them.
+        let mut plane = CounterPlane::new(&program);
+        let mut tracer = SpanTracer::new(&program);
+        let mut flame = FlameBuilder::new(&program);
+        let mut window = Some(WindowSampler::new(64));
+        let mut sinks = TeeSink(
+            TeeSink(&mut plane, &mut tracer),
+            TeeSink(&mut flame, &mut window),
+        );
         let profiled = machine
             .run_with(&mode, &mut sinks, RunOptions::default())
             .unwrap();
@@ -79,9 +67,12 @@ fn profiled_runs_are_bit_identical_in_every_mode() {
         );
         // The retire invariant: the plane observed every instruction and
         // every modeled cycle, exactly once.
-        assert_eq!(sinks.plane.retired(), profiled.metrics.instructions);
-        assert_eq!(sinks.plane.cycles(), profiled.metrics.cycles.total());
-        assert_eq!(sinks.flame.total_cycles(), profiled.metrics.cycles.total());
+        let windows = window.map(WindowSampler::finish).unwrap_or_default();
+        let window_cycles: u64 = windows.iter().map(|w| w.cycles).sum();
+        assert_eq!(plane.retired(), profiled.metrics.instructions);
+        assert_eq!(plane.cycles(), profiled.metrics.cycles.total());
+        assert_eq!(flame.total_cycles(), profiled.metrics.cycles.total());
+        assert_eq!(window_cycles, profiled.metrics.cycles.total());
     }
 }
 
@@ -110,7 +101,10 @@ fn profiled_fault_runs_are_bit_identical() {
             .run_with(&mode, &mut NullSink, opts.clone())
             .unwrap();
         let mut plane = CounterPlane::new(&program);
-        let profiled = machine.run_with(&mode, &mut plane, opts).unwrap();
+        let mut window = WindowSampler::new(64);
+        let profiled = machine
+            .run_with(&mode, &mut TeeSink(&mut plane, &mut window), opts)
+            .unwrap();
         assert_eq!(
             plain.output, profiled.output,
             "seed {seed}: output diverged"

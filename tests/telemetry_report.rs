@@ -1,5 +1,6 @@
 //! Telemetry end-to-end checks: ring-sink event counts must agree with the
-//! machine's own metrics, window samples must partition the run, and the
+//! machine's own metrics, window samples must partition the run and
+//! reproduce the pinned E13 windows (`tests/golden/phases.windows`), and the
 //! `raul --json` surfaces must emit one versioned [`Report`] that
 //! round-trips through [`Report::parse`] under its kind (`raul run` a
 //! run report, `raul profile` a profile report, `raul chaos` a pool
@@ -10,8 +11,8 @@
 use std::process::Command;
 
 use dir::encode::SchemeKind;
-use telemetry::{Json, Kind, NullSink, Report, RingSink};
-use uhm::{DtbConfig, Machine, Mode, RunOptions};
+use telemetry::{Json, Kind, Report, RingSink};
+use uhm::{DtbConfig, Machine, Mode, RunOptions, WindowSampler};
 
 fn sample_machine() -> (dir::program::Program, Mode) {
     let program = dir::compiler::compile(&hlr::programs::QUEENS.compile().unwrap());
@@ -72,37 +73,96 @@ fn untraced_run_is_equivalent() {
     );
 }
 
+/// The four machine modes of the window golden, built as `raul
+/// --dtb-entries 16 --mode <name>` builds them.
+fn golden_modes() -> [(&'static str, Mode); 4] {
+    [
+        ("interp", Mode::Interpreter),
+        (
+            "icache",
+            Mode::ICache {
+                geometry: memsim::Geometry::new(4, 4),
+            },
+        ),
+        ("dtb", Mode::Dtb(DtbConfig::with_capacity(16))),
+        (
+            "two-level",
+            Mode::TwoLevelDtb {
+                l1: DtbConfig::with_capacity(16),
+                l2: DtbConfig::with_capacity(128),
+            },
+        ),
+    ]
+}
+
+fn manifest_file(path: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"))
+}
+
 #[test]
 fn window_samples_partition_the_run() {
-    let (program, mode) = sample_machine();
-    let machine = Machine::new(&program, SchemeKind::PairHuffman);
-    let opts = RunOptions {
-        window: Some(500),
-        ..RunOptions::default()
-    };
-    let report = machine.run_with(&mode, &mut NullSink, opts).unwrap();
-    let windows = report.metrics.windows.as_ref().expect("windowing was on");
-    assert!(!windows.is_empty());
-    let total: u64 = windows.iter().map(|w| w.instructions).sum();
-    assert_eq!(
-        total, report.metrics.instructions,
-        "windows partition the run"
-    );
-    let cycle_total: u64 = windows.iter().map(|w| w.cycles.total()).sum();
-    assert_eq!(cycle_total, report.metrics.cycles.total());
-    let dtb = report.metrics.dtb.unwrap();
-    let hits: u64 = windows.iter().map(|w| w.dtb_hits).sum();
-    let misses: u64 = windows.iter().map(|w| w.dtb_misses).sum();
-    assert_eq!((hits, misses), (dtb.hits, dtb.misses));
-    for w in windows {
-        // In DTB mode every instruction is one lookup.
-        assert_eq!(w.dtb_hits + w.dtb_misses, w.instructions);
-        assert!((0.0..=1.0).contains(&w.hit_rate()));
-        assert!(w.occupancy <= 32);
-    }
-    // Consecutive windows tile the instruction axis.
-    for pair in windows.windows(2) {
-        assert_eq!(pair[0].start + pair[0].instructions, pair[1].start);
+    // E13's workload at `--window 4000`, in every mode: the sampler
+    // sink leaves the metrics bit-identical, its windows partition the
+    // run, and every window matches the pinned golden field for field.
+    let golden = manifest_file("tests/golden/phases.windows");
+    let source = manifest_file("examples/programs/phases.raul");
+    let program = dir::compiler::compile(&hlr::compile(&source).unwrap());
+    let machine = Machine::new(&program, SchemeKind::Huffman);
+    for (name, mode) in golden_modes() {
+        let mut sampler = WindowSampler::new(4000);
+        let report = machine
+            .run_with(&mode, &mut sampler, RunOptions::default())
+            .unwrap();
+        let m = &report.metrics;
+        assert_eq!(*m, machine.run(&mode).unwrap().metrics, "{name}");
+        let windows = sampler.finish();
+        let total: u64 = windows.iter().map(|w| w.instructions).sum();
+        assert_eq!(total, m.instructions, "{name}: windows partition the run");
+        let cycles: u64 = windows.iter().map(|w| w.cycles).sum();
+        assert_eq!(cycles, m.cycles.total(), "{name}");
+        let hits: u64 = windows.iter().map(|w| w.dtb_hits).sum();
+        let misses: u64 = windows.iter().map(|w| w.dtb_misses).sum();
+        let dtb = m.dtb.unwrap_or_default();
+        assert_eq!((hits, misses), (dtb.hits, dtb.misses), "{name}");
+        for w in &windows {
+            if m.dtb.is_some() {
+                // In DTB modes every instruction is one lookup.
+                assert_eq!(w.dtb_hits + w.dtb_misses, w.instructions, "{name}");
+            }
+            assert!(w.occupancy <= 16, "{name}");
+        }
+        // Consecutive windows tile the instruction axis.
+        for pair in windows.windows(2) {
+            assert_eq!(pair[0].start + pair[0].instructions, pair[1].start);
+        }
+        let rows: Vec<String> = windows
+            .iter()
+            .map(|w| {
+                format!(
+                    "{name}\t{}\t{}\t{}\t{}\t{}\t{}",
+                    w.start, w.instructions, w.dtb_hits, w.dtb_misses, w.occupancy, w.cycles
+                )
+            })
+            .collect();
+        let want: Vec<&str> = golden
+            .lines()
+            .filter(|l| l.split('\t').next() == Some(name))
+            .collect();
+        assert_eq!(rows, want, "{name}: windows differ from the golden");
+        if name == "dtb" {
+            // EXPERIMENTS E13's hit-rate row.
+            let starts = [0, 8, 16, 20, 24, 32, 40, 48, 56].map(|k| k * 1000);
+            let curve: Vec<String> = starts
+                .iter()
+                .map(|&s| {
+                    let w = windows.iter().find(|w| w.start == s).unwrap();
+                    format!("{:.3}", w.hit_rate())
+                })
+                .collect();
+            let e13 = "0.973 0.974 0.974 0.716 0.629 0.628 0.579 0.624 0.718";
+            assert_eq!(curve.join(" "), e13);
+        }
     }
 }
 
@@ -202,6 +262,96 @@ fn raul_run_json_with_window_attaches_samples() {
             .get("instructions")
             .and_then(Json::as_i64)
     );
+    // Each window carries its total modeled cycles as one integer.
+    let cycles: i64 = windows
+        .iter()
+        .map(|w| w.get("cycles").and_then(Json::as_i64).unwrap())
+        .sum();
+    let metrics_cycles = section(&rr, "metrics").get("cycles").unwrap();
+    assert_eq!(
+        Some(cycles),
+        metrics_cycles.get("total").and_then(Json::as_i64)
+    );
+}
+
+/// The `windows` rows of a report, which must carry them.
+fn window_rows(report: &Report) -> &[Json] {
+    section(report, "windows").as_arr().expect("windows array")
+}
+
+/// The sum of `key` over `rows`.
+fn column(rows: &[Json], key: &str) -> i64 {
+    rows.iter()
+        .map(|w| w.get(key).and_then(Json::as_i64).unwrap())
+        .sum()
+}
+
+#[test]
+fn raul_profile_and_faults_sample_windows() {
+    let pr = raul_report(
+        &[
+            "profile",
+            "examples/programs/sumloop.raul",
+            "--window",
+            "200",
+            "--json",
+        ],
+        Kind::Profile,
+    );
+    let agg = |k: &str| section(&pr, "aggregate").get(k).and_then(Json::as_i64);
+    assert_eq!(
+        Some(column(window_rows(&pr), "instructions")),
+        agg("instructions")
+    );
+    assert_eq!(Some(column(window_rows(&pr), "cycles")), agg("cycles"));
+
+    // Under faults a recovered line counts as a miss: the windows move
+    // each recovery from the DTB's hits to its misses.
+    let fr = raul_report(
+        &[
+            "faults",
+            "examples/programs/sumloop.raul",
+            "--rate",
+            "0.02",
+            "--window",
+            "200",
+            "--json",
+        ],
+        Kind::Run,
+    );
+    let output = section(&fr, "output");
+    assert_eq!(output.get("outcome").and_then(Json::as_str), Some("ok"));
+    let metrics = section(&fr, "metrics");
+    let recoveries = metrics.get("recoveries").and_then(Json::as_i64).unwrap();
+    assert!(recoveries > 0, "the campaign recovered no line");
+    let rows = window_rows(&fr);
+    let dtb = |k: &str| {
+        metrics
+            .get("dtb")
+            .and_then(|d| d.get(k))
+            .and_then(Json::as_i64)
+    };
+    assert_eq!(
+        Some(column(rows, "instructions")),
+        metrics.get("instructions").and_then(Json::as_i64)
+    );
+    assert_eq!(Some(column(rows, "dtb_hits") + recoveries), dtb("hits"));
+    assert_eq!(Some(column(rows, "dtb_misses") - recoveries), dtb("misses"));
+}
+
+#[test]
+fn tenant_commands_reject_window_as_a_usage_error() {
+    for command in ["pool", "chaos", "serve", "load"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_raul"))
+            .args([command, "examples/programs/sumloop.raul", "--window", "200"])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .output()
+            .expect("raul binary runs");
+        assert_eq!(out.status.code(), Some(2), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--window"), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command}");
+    }
 }
 
 #[test]
