@@ -14,10 +14,10 @@ use memsim::Geometry;
 use psder::MAX_TRANSLATION_WORDS;
 use telemetry::Json;
 use uhm::{Allocation, DtbConfig, Machine, Mode};
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("alloc_ablation", &[]).json;
     // Policies with an (approximately) equal level-1 budget of short words.
     let budget_entries = 32;
     let fixed = DtbConfig {

@@ -14,7 +14,7 @@
 //! With `--json`, emits a versioned analyze report: one row per corpus
 //! image (the `raul analyze` row plus `audit_sound`) and per fixture,
 //! plus the aggregate verdicts and fact counts.
-//! With `--smoke`, exits non-zero if any of the checks above fails. The
+//! Every run exits non-zero if any of the checks above fails. The
 //! floors are *exact* gates, not tolerance-scaled: static fact counts are
 //! deterministic, so any drop is a real regression in the dataflow pass,
 //! and a floor missing from the baseline is a violation too.
@@ -28,6 +28,7 @@ use dir::facts::SiteFacts;
 use dir::program::Program;
 use telemetry::{Json, Kind, Report};
 use uhm_bench::corpus::{encoded_corpus, TIERS};
+use uhm_bench::gate::{self, Gate};
 use uhm_bench::workloads;
 
 /// Committed fact-coverage floors (the fact counts of the `aggregate`
@@ -177,30 +178,8 @@ fn ratio(proved: u32, sites: u32) -> f64 {
     }
 }
 
-/// Checks each measured fact count against its committed floor. A floor
-/// the baseline lacks or holds as a non-number is a violation, so a
-/// dropped or renamed key cannot switch its gate off.
-fn floor_violations(baseline: &Json, measured: &[(&str, f64)]) -> Vec<String> {
-    measured
-        .iter()
-        .filter_map(
-            |&(key, value)| match baseline.get(key).and_then(Json::as_f64) {
-                None => Some(format!(
-                    "fact-coverage floor {key} is missing from the baseline"
-                )),
-                Some(want) if value < want => Some(format!(
-                    "fact-coverage regression: {key} = {value:.4}, baseline floor {want:.4}"
-                )),
-                Some(_) => None,
-            },
-        )
-        .collect()
-}
-
 fn main() -> ExitCode {
-    let json = std::env::args().any(|a| a == "--json");
-    let smoke = std::env::args().any(|a| a == "--smoke");
-
+    let args = gate::args("analyze_gate", &[]);
     let entries = corpus();
     let clean = entries.iter().filter(|e| e.report.is_clean()).count();
     let fixture_reports = bad_fixtures();
@@ -213,9 +192,24 @@ fn main() -> ExitCode {
     let total = total_facts(&entries);
     let div_ratio = ratio(total.div_proved, total.div_sites);
     let idx_ratio = ratio(total.idx_proved, total.idx_sites);
-    let baseline = Json::parse(BASELINE.trim()).expect("committed baseline parses");
-    let violations = floor_violations(
-        &baseline,
+    let mut gate = Gate::new("analyze_gate", BASELINE);
+    gate.require(
+        clean == entries.len(),
+        format!("{clean}/{} corpus images verify clean", entries.len()),
+    );
+    gate.require(
+        rejected == fixture_reports.len(),
+        format!(
+            "{rejected}/{} fixtures rejected with their expected code",
+            fixture_reports.len()
+        ),
+    );
+    gate.require(
+        unsound == 0,
+        format!("{unsound} corpus images fail the fact audit"),
+    );
+    gate.floors(
+        &[],
         &[
             ("div_ratio", div_ratio),
             ("idx_ratio", idx_ratio),
@@ -224,13 +218,9 @@ fn main() -> ExitCode {
             ("depth_exact", total.depth_exact.into()),
         ],
     );
+    let pass = gate.passed();
 
-    let pass = clean == entries.len()
-        && rejected == fixture_reports.len()
-        && unsound == 0
-        && violations.is_empty();
-
-    if json {
+    if args.json {
         let mut images: Vec<Json> = entries
             .iter()
             .map(|e| {
@@ -314,9 +304,6 @@ fn main() -> ExitCode {
         for e in entries.iter().filter(|e| !e.audit_sound) {
             println!("  FAILED {}: audit unsound", e.name);
         }
-        for v in &violations {
-            println!("  {v}");
-        }
         // Surface any unexpectedly dirty corpus entry with its report.
         for e in entries.iter().filter(|e| !e.report.is_clean()) {
             println!("--- {} ---", e.name);
@@ -324,54 +311,12 @@ fn main() -> ExitCode {
         }
     }
 
-    if smoke && !pass {
-        eprintln!(
-            "analyze smoke FAIL: {}/{} clean, {}/{} fixtures rejected, {} unsound, {} floor violations",
-            clean,
-            entries.len(),
-            rejected,
-            fixture_reports.len(),
-            unsound,
-            violations.len()
-        );
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        return ExitCode::FAILURE;
-    }
-    if smoke {
-        println!(
-            "analyze smoke PASS: {} images clean, {} fixtures rejected, div {:.1}%, idx {:.1}%, audit clean",
-            clean,
-            rejected,
-            div_ratio * 100.0,
-            idx_ratio * 100.0
-        );
-    }
-    ExitCode::SUCCESS
+    gate.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a_missing_floor_is_a_violation() {
-        let baseline = Json::parse(r#"{"div_ratio": 0.95, "idx_proved": "many"}"#).unwrap();
-        let violations = floor_violations(
-            &baseline,
-            &[
-                ("div_ratio", 0.9),
-                ("idx_proved", 9.0),
-                ("depth_exact", 9.0),
-            ],
-        );
-        assert_eq!(violations.len(), 3, "{violations:?}");
-        assert!(violations[0].contains("regression: div_ratio"));
-        assert!(violations[1].contains("idx_proved is missing"));
-        assert!(violations[2].contains("depth_exact is missing"));
-        assert!(floor_violations(&baseline, &[("div_ratio", 0.95)]).is_empty());
-    }
 
     /// `verify` accepts exactly the images `analyze` calls clean, on the
     /// whole corpus and on every fixture.

@@ -13,7 +13,7 @@ use memsim::Geometry;
 use psder::MAX_TRANSLATION_WORDS;
 use telemetry::Json;
 use uhm::{Allocation, DtbConfig, Machine, Mode};
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 fn config(capacity: usize, ways: usize) -> DtbConfig {
     DtbConfig {
@@ -25,7 +25,7 @@ fn config(capacity: usize, ways: usize) -> DtbConfig {
 }
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("assoc_ablation", &[]).json;
     let capacity = 32;
     let degrees: [usize; 5] = [1, 2, 4, 8, capacity];
     if !json {

@@ -17,11 +17,11 @@
 //!    charged backoff) stays under an absolute ceiling.
 //!
 //! Every chaos decision is keyed by `(seed, tenant)`, never by schedule,
-//! so the campaign's aggregate outcome table is deterministic; `--smoke`
-//! replays the campaign and compares that table against the committed
-//! baseline (`baselines/chaos_campaign.json`) — the CI gate for the
-//! resilience plane. With `--json`, emits a versioned resilience report
-//! instead of the text table.
+//! so the campaign's aggregate outcome table is deterministic; every run
+//! checks the invariants and compares that table against the committed
+//! baseline (`baselines/chaos_campaign.json`) exactly — the CI gate for
+//! the resilience plane. With `--json`, emits a versioned resilience
+//! report instead of the text table.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin chaos_campaign`.
 
@@ -32,7 +32,7 @@ use dir::encode::SchemeKind;
 use telemetry::{Json, Kind, Report};
 use uhm::resilience::{AdmissionPolicy, BreakerPolicy, ChaosConfig, Supervisor};
 use uhm::{Budget, DtbConfig, Machine, MachinePool, Mode, PoolRun, RequestOutcome};
-use uhm_bench::json_flag;
+use uhm_bench::gate::{self, Gate};
 
 const SEED: u64 = 0xC0A5;
 /// Seeded chaos scenarios in the main matrix (the breaker and shedding
@@ -295,8 +295,8 @@ fn campaign() -> Vec<Cell> {
 }
 
 /// The campaign-wide outcome table: deterministic (every count is a pure
-/// function of seeds and policies), so `--smoke` can compare it against
-/// the committed baseline exactly.
+/// function of seeds and policies), so the gate compares it against the
+/// committed baseline exactly.
 fn outcome_table(cells: &[Cell]) -> Json {
     let sum = |f: fn(&Cell) -> u64| -> i64 { cells.iter().map(f).sum::<u64>() as i64 };
     Json::obj(vec![
@@ -392,64 +392,36 @@ fn report(cells: &[Cell]) -> Report {
     )
 }
 
-/// Committed reference outcome table; `--smoke` fails on any deviation.
+/// Committed reference outcome table; the gate fails on any deviation.
 const BASELINE: &str = include_str!("../../baselines/chaos_campaign.json");
 
-fn smoke() -> ExitCode {
+fn main() -> ExitCode {
+    let args = gate::args("chaos_campaign", &[]);
     let cells = campaign();
-    let mut failed = 0;
+    if args.json {
+        println!("{}", report(&cells).render());
+    } else {
+        print_table(&cells);
+    }
+    let mut gate = Gate::new("chaos_campaign", BASELINE);
     for c in &cells {
-        if !c.invariants_hold() {
-            failed += 1;
-            eprintln!(
-                "FAIL {:>12}: lost={} accounting={} bit_identical={} p99_bounded={}",
+        gate.require(
+            c.invariants_hold(),
+            format!(
+                "{}: lost={} accounting={} bit_identical={} p99_bounded={}",
                 c.label,
                 !c.no_lost_tenants,
                 c.full_accounting,
                 c.bit_identical_survivors,
                 c.p99_bounded
-            );
-        }
-    }
-    if failed > 0 {
-        eprintln!(
-            "chaos smoke: invariants violated in {failed}/{} scenarios",
-            cells.len()
+            ),
         );
-        return ExitCode::FAILURE;
     }
-    let table = outcome_table(&cells);
-    let baseline = match Json::parse(BASELINE) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("chaos smoke: baseline unreadable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let expected = baseline.get("outcomes").cloned().unwrap_or(Json::Null);
-    if table != expected {
-        eprintln!("chaos smoke: outcome table deviates from the committed baseline");
-        eprintln!("  expected: {}", expected.render());
-        eprintln!("  got:      {}", table.render());
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "chaos smoke PASS: {} scenarios, all four invariants held, \
-         outcome table matches baseline",
-        cells.len()
-    );
-    ExitCode::SUCCESS
+    gate.exact(&["outcomes"], &outcome_table(&cells));
+    gate.finish()
 }
 
-fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--smoke") {
-        return smoke();
-    }
-    let cells = campaign();
-    if json_flag() {
-        println!("{}", report(&cells).render());
-        return ExitCode::SUCCESS;
-    }
+fn print_table(cells: &[Cell]) {
     println!(
         "Chaos campaign ({} scenarios, fuel {FUEL} cycles, seed {SEED:#x})\n",
         cells.len()
@@ -469,7 +441,7 @@ fn main() -> ExitCode {
         "crashes",
         "inv"
     );
-    for c in &cells {
+    for c in cells {
         println!(
             "{:>12} {:>3} {:>5.2}/{:>4.2}/{:>4.2} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5} {:>7} {:>5}",
             c.label,
@@ -492,11 +464,6 @@ fn main() -> ExitCode {
     println!(
         "\nInvariants held in {held}/{} scenarios; outcome table: {}",
         cells.len(),
-        outcome_table(&cells).render()
+        outcome_table(cells).render()
     );
-    if held == cells.len() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }

@@ -20,11 +20,10 @@
 //! coverage.
 //!
 //! Run with `cargo run -p uhm-bench --release --bin conformance_sweep`.
-//! `--programs N` overrides the program count (default 240).
 //! With `--json`, emits a versioned run report whose output section
 //! carries the full coverage sets (the CI artifact).
-//! With `--smoke`, exits non-zero if any divergence survives shrinking
-//! or any coverage dimension regresses below the committed floor
+//! Every run exits non-zero if any divergence survives shrinking or any
+//! coverage dimension regresses below the committed floor
 //! (`baselines/conformance_sweep.json`).
 
 use std::process::ExitCode;
@@ -35,17 +34,18 @@ use dir::encode::SchemeKind;
 use hlr::generate::Config;
 use telemetry::Json;
 use uhm::{DtbConfig, Machine, MachinePool, Mode};
-use uhm_bench::{bench_report, json_flag};
+use uhm_bench::bench_report;
+use uhm_bench::gate::{self, Gate};
 
-/// Committed coverage floors; `--smoke` fails when any dimension of the
+/// Committed coverage floors; the gate fails when any dimension of the
 /// measured coverage falls below its floor.
 const BASELINE: &str = include_str!("../../baselines/conformance_sweep.json");
 
 /// Base seed of the sweep (stable so CI coverage is reproducible).
 const SEED: u64 = 0xC0_4F0C;
 
-/// Default number of generated programs (the issue floor is 200).
-const DEFAULT_PROGRAMS: usize = 240;
+/// Number of generated programs (the coverage floor is 200).
+const PROGRAMS: usize = 240;
 
 /// DTB capacities the sweep cycles through: tight enough for capacity
 /// and conflict misses, large enough for a hit-dominated tier-2 run.
@@ -210,19 +210,8 @@ fn pool_stage(batch: &[(u64, dir::Program, Vec<i64>)]) -> Vec<String> {
     diverged
 }
 
-fn parse_programs_flag() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--programs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_PROGRAMS)
-}
-
 fn main() -> ExitCode {
-    let json = json_flag();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let n_programs = parse_programs_flag();
+    let args = gate::args("conformance_sweep", &[]);
     let profiles = profiles();
     let schemes = SchemeKind::all();
 
@@ -230,7 +219,7 @@ fn main() -> ExitCode {
     let mut failures: Vec<Failure> = Vec::new();
     let mut pool_batch: Vec<(u64, dir::Program, Vec<i64>)> = Vec::new();
 
-    for i in 0..n_programs {
+    for i in 0..PROGRAMS {
         let seed = SEED + i as u64;
         let profile = &profiles[i % profiles.len()];
         let cfg = CaseConfig {
@@ -276,14 +265,20 @@ fn main() -> ExitCode {
     }
 
     let pool_diverged = pool_stage(&pool_batch);
-    let baseline = Json::parse(BASELINE.trim()).expect("committed baseline parses");
-    let floor = baseline
-        .get("coverage")
-        .expect("baseline has a coverage floor");
-    let violations = coverage.check_floor(floor);
-    let pass = failures.is_empty() && pool_diverged.is_empty() && violations.is_empty();
+    let mut gate = Gate::new("conformance_sweep", BASELINE);
+    gate.floors(&["coverage"], &coverage.dimensions());
+    let violations = gate.violations().to_vec();
+    gate.require(
+        failures.is_empty(),
+        format!("{} divergent programs", failures.len()),
+    );
+    gate.require(
+        pool_diverged.is_empty(),
+        format!("{} pool divergences", pool_diverged.len()),
+    );
+    let pass = gate.passed();
 
-    if json {
+    if args.json {
         let failure_rows: Vec<Json> = failures
             .iter()
             .map(|f| {
@@ -317,7 +312,7 @@ fn main() -> ExitCode {
             ("pass", pass.into()),
         ])];
         let config = Json::obj(vec![
-            ("programs", (n_programs as u64).into()),
+            ("programs", (PROGRAMS as u64).into()),
             ("profiles", (profiles.len() as u64).into()),
             ("schemes", (schemes.len() as u64).into()),
             ("capacities", (CAPACITIES.len() as u64).into()),
@@ -330,7 +325,7 @@ fn main() -> ExitCode {
         );
     } else {
         println!(
-            "conformance sweep: {n_programs} generated programs x {} profiles x {} schemes",
+            "conformance sweep: {PROGRAMS} generated programs x {} profiles x {} schemes",
             profiles.len(),
             schemes.len()
         );
@@ -366,30 +361,9 @@ fn main() -> ExitCode {
         for d in &pool_diverged {
             println!("  FAIL {d}");
         }
-        for v in &violations {
-            println!("  FAIL {v}");
-        }
         if pass {
             println!("  all engines agree on every program");
         }
     }
-
-    if smoke {
-        if !pass {
-            eprintln!(
-                "conformance smoke FAIL: {} divergent programs, {} pool divergences, \
-                 {} coverage regressions",
-                failures.len(),
-                pool_diverged.len(),
-                violations.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "conformance smoke PASS: {n_programs} programs, {} cases, zero divergences, \
-             coverage at or above baseline",
-            coverage.cases
-        );
-    }
-    ExitCode::SUCCESS
+    gate.finish()
 }

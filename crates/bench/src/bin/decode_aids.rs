@@ -16,10 +16,10 @@
 use dir::encode::SchemeKind;
 use telemetry::Json;
 use uhm::{CostModel, DtbConfig, Limits, Machine, Mode};
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("decode_aids", &[]).json;
     let scales = [100u64, 50, 25, 10];
     let dtb_cfg = DtbConfig::with_capacity(64);
     if !json {

@@ -9,11 +9,11 @@ use dir::encode::SchemeKind;
 use memsim::workset;
 use telemetry::Json;
 use uhm::sweep::capacity_sweep;
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 fn main() {
     let capacities = [4usize, 8, 16, 32, 64, 128, 256];
-    if json_flag() {
+    if gate::args("dtb_sweep", &[]).json {
         emit_json(&capacities);
         return;
     }

@@ -10,7 +10,7 @@ use dir::encode::SchemeKind;
 use dir::stats::{ImageSummary, StaticStats};
 use telemetry::Json;
 use uhm_bench::corpus::tiers;
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 const SCHEMES: [SchemeKind; 5] = [
     SchemeKind::Packed,
@@ -21,7 +21,7 @@ const SCHEMES: [SchemeKind; 5] = [
 ];
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("encoding_report", &[]).json;
     if !json {
         println!("Encoding compaction versus the byte-aligned baseline (program bits)\n");
         println!(

@@ -4,16 +4,18 @@
 //!
 //! Run with `cargo run -p uhm-bench --bin fault_campaign --release`.
 //! With `--json`, emits a versioned run report instead of the text table.
-//! With `--smoke`, runs only the DTB corruption classes at a fixed seed
-//! and rate and exits non-zero unless every single run recovers with the
-//! clean run's output — the CI gate for the integrity machinery.
+//! Every run exits non-zero unless each DTB corruption cell (every
+//! workload, both DTB classes, every rate) recovers with the clean run's
+//! output and its telemetry corroborates the machine's counters — the
+//! CI gate for the integrity machinery.
 
 use std::process::ExitCode;
 
 use dir::encode::SchemeKind;
 use telemetry::{FaultKind, Json, RingSink};
 use uhm::{CostModel, DtbConfig, FaultConfig, Limits, Machine, Mode, RunOptions};
-use uhm_bench::{bench_report, json_flag, workloads, Workload};
+use uhm_bench::gate::{self, Gate};
+use uhm_bench::{bench_report, workloads, Workload};
 
 const SEED: u64 = 0xFA14;
 const RATES: [f64; 3] = [1e-4, 1e-3, 1e-2];
@@ -101,14 +103,14 @@ fn run_cell(w: &Workload, clean: &uhm::Report, kind: FaultKind, rate: f64, seed:
     }
 }
 
-fn campaign(kinds: &[FaultKind], rates: &[f64]) -> Vec<Cell> {
+fn campaign() -> Vec<Cell> {
     let mut cells = Vec::new();
     for w in workloads() {
         let clean = machine(&w)
             .run(&Mode::Dtb(DtbConfig::with_capacity(64)))
             .expect("samples are trap-free without injection");
-        for &kind in kinds {
-            for &rate in rates {
+        for kind in KINDS {
+            for rate in RATES {
                 // A decorrelated (but deterministic) seed per cell, via one
                 // splitmix64 hop. With one shared seed — or seeds that only
                 // shift the splitmix64 stream — every low-opportunity run
@@ -138,43 +140,15 @@ fn cell_json(c: &Cell) -> Json {
     ])
 }
 
-fn smoke() -> ExitCode {
-    let kinds = [FaultKind::DtbWord, FaultKind::DtbTag];
-    let cells = campaign(&kinds, &[1e-3]);
-    let mut failed = 0;
-    for c in &cells {
-        if !c.recovered() || !c.corroborated {
-            failed += 1;
-            eprintln!(
-                "FAIL {:>14} {:>9}: outcome={} match={} corroborated={}",
-                c.workload,
-                c.kind.label(),
-                c.outcome,
-                c.output_matches,
-                c.corroborated
-            );
-        }
-    }
-    let total = cells.len();
-    if failed > 0 {
-        eprintln!("fault smoke: {failed}/{total} runs failed to recover");
-        return ExitCode::FAILURE;
-    }
-    let injected: u64 = cells.iter().map(|c| c.injected).sum();
-    let recoveries: u64 = cells.iter().map(|c| c.recoveries).sum();
-    println!(
-        "fault smoke PASS: {total} runs, {injected} faults injected, \
-         {recoveries} recoveries, recovery rate 100%"
-    );
-    ExitCode::SUCCESS
+/// The cells whose recovery is guaranteed: the DTB corruption classes.
+fn is_dtb_class(c: &Cell) -> bool {
+    matches!(c.kind, FaultKind::DtbWord | FaultKind::DtbTag)
 }
 
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--smoke") {
-        return smoke();
-    }
-    let cells = campaign(&KINDS, &RATES);
-    if json_flag() {
+    let args = gate::args("fault_campaign", &[]);
+    let cells = campaign();
+    if args.json {
         let config = Json::obj(vec![
             ("seed", SEED.into()),
             ("scheme", "huffman".into()),
@@ -190,14 +164,34 @@ fn main() -> ExitCode {
         ]);
         let rows = cells.iter().map(cell_json).collect();
         println!("{}", bench_report("fault_campaign", config, rows).render());
-        return ExitCode::SUCCESS;
+    } else {
+        print_table(&cells);
     }
+    let mut gate = Gate::without_baseline("fault_campaign");
+    for c in cells.iter().filter(|c| is_dtb_class(c)) {
+        gate.require(
+            c.recovered() && c.corroborated,
+            format!(
+                "{} {} at {:.0e}: outcome={} match={} corroborated={}",
+                c.workload,
+                c.kind.label(),
+                c.rate,
+                c.outcome,
+                c.output_matches,
+                c.corroborated
+            ),
+        );
+    }
+    gate.finish()
+}
+
+fn print_table(cells: &[Cell]) {
     println!("Fault-injection campaign (Huffman DIR, 64-entry DTB, seed {SEED:#x})\n");
     println!(
         "{:>14} {:>10} {:>8} {:>10} {:>7} {:>7} {:>9} {:>9} {:>6}",
         "workload", "kind", "rate", "outcome", "faults", "recov", "degraded", "overhead", "corr"
     );
-    for c in &cells {
+    for c in cells {
         println!(
             "{:>14} {:>10} {:>8.0e} {:>10} {:>7} {:>7} {:>8.2}% {:>+8.2}% {:>6}",
             c.workload,
@@ -211,10 +205,7 @@ fn main() -> ExitCode {
             if c.corroborated { "yes" } else { "NO" }
         );
     }
-    let dtb_cells: Vec<&Cell> = cells
-        .iter()
-        .filter(|c| matches!(c.kind, FaultKind::DtbWord | FaultKind::DtbTag))
-        .collect();
+    let dtb_cells: Vec<&Cell> = cells.iter().filter(|c| is_dtb_class(c)).collect();
     let recovered = dtb_cells.iter().filter(|c| c.recovered()).count();
     println!(
         "\nDTB corruption recovery: {recovered}/{} runs completed with the clean output.",
@@ -222,5 +213,4 @@ fn main() -> ExitCode {
     );
     println!("DIR bit flips corrupt the ground truth itself: a typed trap (or, for");
     println!("flips landing in never-re-decoded code, a clean run) is the expected outcome.");
-    ExitCode::SUCCESS
 }

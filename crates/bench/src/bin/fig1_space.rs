@@ -19,7 +19,7 @@ use dir::program::Program;
 use telemetry::Json;
 use uhm::{Machine, Mode};
 use uhm_bench::corpus::tiers;
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 /// PSDER/DER footprint of a program: every instruction expanded to its
 /// steering sequence (what storing the whole program pre-translated would
@@ -30,7 +30,7 @@ fn expanded_der_bits(p: &Program) -> u64 {
 }
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("fig1_space", &[]).json;
     if !json {
         println!("Figure 1 — the space of program representations");
         println!("(sizes in bits; T = simulated cycles per DIR instruction, pure interpreter)\n");

@@ -11,10 +11,10 @@ use dir::encode::SchemeKind;
 use telemetry::Json;
 use uhm::model::{ModeKind, Params};
 use uhm::{CostModel, DtbConfig};
-use uhm_bench::{bench_report, json_flag, run_three, workloads};
+use uhm_bench::{bench_report, gate, run_three, workloads};
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("model_check", &[]).json;
     if !json {
         println!("Analytic model vs cycle-accurate simulation (PairHuffman, 64-entry DTB)\n");
         println!(

@@ -12,23 +12,23 @@
 //!
 //! Run with `cargo run -p uhm-bench --release --bin perf_gate`.
 //! With `--json`, emits a versioned run report instead of the text table.
-//! With `--smoke`, exits non-zero if (a) the two decoders diverge on any
+//! Every run exits non-zero if (a) the two decoders diverge on any
 //! instruction of any scheme — output, consumed bits, or modeled cost —
 //! or (b) any scheme's table/tree speedup ratio regresses more than 20%
 //! below the committed baseline (`baselines/perf_gate.json`). Ratios,
 //! not absolute MB/s, so the gate is robust across CI machines.
 
-use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use dir::encode::{DecodeMode, Image, SchemeKind};
 use dir::program::Program;
 use telemetry::Json;
+use uhm_bench::bench_report;
 use uhm_bench::corpus::base_programs;
-use uhm_bench::{bench_report, json_flag};
+use uhm_bench::gate::{self, Gate};
+use uhm_bench::timing::{min_ns, min_ns_interleaved};
 
-/// Committed reference speedups; `--smoke` fails when a measured
+/// Committed reference speedups; the gate fails when a measured
 /// table/tree ratio falls below `TOLERANCE` times the baseline.
 const BASELINE: &str = include_str!("../../baselines/perf_gate.json");
 const TOLERANCE: f64 = 0.8;
@@ -85,48 +85,8 @@ fn decode_pass(images: &[Image], mode: DecodeMode) -> u64 {
     acc
 }
 
-const TARGET_NANOS: u128 = 5_000_000; // 5 ms per sampled batch
-const MAX_ITERS: u64 = 1 << 22;
+/// Interleaved samples per timed pair.
 const SAMPLES: usize = 5;
-
-/// Batch size that makes one sample of `f` take roughly [`TARGET_NANOS`].
-fn calibrate(f: &mut impl FnMut() -> u64) -> u64 {
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let dt = t.elapsed().as_nanos().max(1);
-        if dt >= TARGET_NANOS || iters >= MAX_ITERS {
-            return iters;
-        }
-        let scale = (TARGET_NANOS * 2 / dt) as u64;
-        iters = iters.saturating_mul(scale.max(2)).min(MAX_ITERS);
-    }
-}
-
-fn sample(f: &mut impl FnMut() -> u64, iters: u64) -> f64 {
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    t.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Fastest observed ns per call of `a` and of `b`, sampled alternately.
-/// Interleaving matters on shared machines: a throttling episode hits
-/// both sides instead of biasing whichever ran second, so the *ratio*
-/// of the two minima is far more stable than back-to-back runs.
-fn min_ns_interleaved(mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64) -> (f64, f64) {
-    let (ia, ib) = (calibrate(&mut a), calibrate(&mut b));
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..SAMPLES {
-        best_a = best_a.min(sample(&mut a, ia));
-        best_b = best_b.min(sample(&mut b, ib));
-    }
-    (best_a, best_b)
-}
 
 /// One scheme's measured decode throughput in both modes.
 struct DecodeRow {
@@ -139,18 +99,11 @@ struct DecodeRow {
 }
 
 fn measure_decode(c: &Corpus) -> DecodeRow {
-    // Both decoders must fold to the same accumulator before either is
-    // worth timing.
-    assert_eq!(
-        decode_pass(&c.images, DecodeMode::Tree),
-        decode_pass(&c.images, DecodeMode::Table),
-        "{} decoders diverge",
-        c.scheme
-    );
     let bytes = c.bits as f64 / 8.0;
     let (tree_ns, table_ns) = min_ns_interleaved(
         || decode_pass(&c.images, DecodeMode::Tree),
         || decode_pass(&c.images, DecodeMode::Table),
+        SAMPLES,
     );
     let mb_s = |ns: f64| bytes / (ns / 1e9) / 1e6;
     DecodeRow {
@@ -216,12 +169,9 @@ fn measure_translation(programs: &[Program]) -> Vec<TransRow> {
     let (plain, cached) = min_ns_interleaved(
         || translate_plain(programs),
         || translate_cached(programs, &mut cache),
+        SAMPLES,
     );
-    let mut f = || translate_fused(programs);
-    let fused_iters = calibrate(&mut f);
-    let fused = (0..SAMPLES)
-        .map(|_| sample(&mut f, fused_iters))
-        .fold(f64::INFINITY, f64::min);
+    let fused = min_ns(|| translate_fused(programs), SAMPLES);
     vec![
         TransRow {
             stage: "plain",
@@ -238,70 +188,53 @@ fn measure_translation(programs: &[Program]) -> Vec<TransRow> {
     ]
 }
 
-fn baseline_speedup(baseline: &Json, scheme: SchemeKind) -> f64 {
-    baseline
-        .get("speedup")
-        .and_then(|s| s.get(scheme.label()))
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| panic!("baseline missing speedup for {scheme}"))
-}
-
-/// The CI gate: divergence is a hard failure, and so is a speedup ratio
-/// regressing more than 20% below the committed baseline.
-fn smoke(programs: &[Program]) -> ExitCode {
-    let corpora = corpora(programs);
+/// Checks both decoders instruction by instruction over every corpus:
+/// output, consumed bits and modeled cost must agree. The first
+/// divergence of a scheme is its violation. Returns the number of
+/// decodes compared.
+fn check_divergence(corpora: &[Corpus], gate: &mut Gate) -> u64 {
     let mut checks = 0u64;
-    for c in &corpora {
+    'scheme: for c in corpora {
         for im in &c.images {
             for i in 0..im.len() as u32 {
                 let tree = im.decode_with(&im.bytes, i, DecodeMode::Tree);
                 let table = im.decode_with(&im.bytes, i, DecodeMode::Table);
-                if tree != table {
-                    eprintln!(
-                        "perf smoke: {} decoder divergence at instruction {i}: \
-                         tree={tree:?} table={table:?}",
-                        c.scheme
-                    );
-                    return ExitCode::FAILURE;
-                }
                 checks += 1;
+                if tree != table {
+                    gate.require(
+                        false,
+                        format!(
+                            "{} decoder divergence at instruction {i}: \
+                             tree={tree:?} table={table:?}",
+                            c.scheme
+                        ),
+                    );
+                    continue 'scheme;
+                }
             }
         }
     }
-    let baseline = Json::parse(BASELINE.trim()).expect("committed baseline parses");
-    let mut failed = false;
-    for c in &corpora {
-        let row = measure_decode(c);
-        let want = baseline_speedup(&baseline, c.scheme);
-        if row.speedup < want * TOLERANCE {
-            eprintln!(
-                "perf smoke: {} table/tree speedup {:.2}x is >20% below the \
-                 committed baseline {want:.2}x",
-                c.scheme, row.speedup
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "perf smoke PASS: {checks} decodes bit-identical across decoders, \
-         speedup ratios within 20% of baseline"
-    );
-    ExitCode::SUCCESS
+    checks
 }
 
 fn main() -> ExitCode {
+    let args = gate::args("perf_gate", &[]);
     let programs: Vec<Program> = base_programs();
-    if std::env::args().any(|a| a == "--smoke") {
-        return smoke(&programs);
+    let corpora = corpora(&programs);
+    let mut gate = Gate::new("perf_gate", BASELINE);
+    let checks = check_divergence(&corpora, &mut gate);
+    // Time only decoders that agree.
+    let decode_rows: Vec<DecodeRow> = if gate.passed() {
+        corpora.iter().map(measure_decode).collect()
+    } else {
+        Vec::new()
+    };
+    let trans_rows = measure_translation(&programs);
+    for r in &decode_rows {
+        gate.at_least(&["speedup", r.scheme.label()], r.speedup, TOLERANCE);
     }
 
-    let decode_rows: Vec<DecodeRow> = corpora(&programs).iter().map(measure_decode).collect();
-    let trans_rows = measure_translation(&programs);
-
-    if json_flag() {
+    if args.json {
         let mut rows: Vec<Json> = decode_rows
             .iter()
             .map(|r| {
@@ -329,9 +262,18 @@ fn main() -> ExitCode {
             ("tolerance", TOLERANCE.into()),
         ]);
         println!("{}", bench_report("perf_gate", config, rows).render());
-        return ExitCode::SUCCESS;
+    } else {
+        print_table(&programs, checks, &decode_rows, &trans_rows);
     }
+    gate.finish()
+}
 
+fn print_table(
+    programs: &[Program],
+    checks: u64,
+    decode_rows: &[DecodeRow],
+    trans_rows: &[TransRow],
+) {
     println!(
         "host decode throughput over {} workloads (wall clock; modeled \
          costs identical in both modes)",
@@ -341,7 +283,7 @@ fn main() -> ExitCode {
         "{:>12} {:>9} {:>8} {:>12} {:>12} {:>9}",
         "scheme", "MB", "instrs", "tree MB/s", "table MB/s", "speedup"
     );
-    for r in &decode_rows {
+    for r in decode_rows {
         println!(
             "{:>12} {:>9.3} {:>8} {:>12.1} {:>12.1} {:>8.2}x",
             r.scheme.label(),
@@ -355,8 +297,8 @@ fn main() -> ExitCode {
     println!();
     println!("DIR -> PSDER translation throughput");
     println!("{:>12} {:>12}", "stage", "Minstr/s");
-    for r in &trans_rows {
+    for r in trans_rows {
         println!("{:>12} {:>12.2}", r.stage, r.minstr_s);
     }
-    ExitCode::SUCCESS
+    println!("\n{checks} decodes compared: tree and table agree on every instruction");
 }

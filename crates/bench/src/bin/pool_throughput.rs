@@ -11,11 +11,11 @@
 //! Run with `cargo run -p uhm-bench --release --bin pool_throughput`.
 //! With `--json`, emits a versioned run report (one row per worker count,
 //! including per-tenant latency percentiles) instead of the text table.
-//! With `--smoke`, exits non-zero if (a) any tenant's pooled outcome
-//! differs from the sequential reference at any tested worker count, or
-//! (b) the measured 4-worker/1-worker aggregate throughput ratio falls
-//! below the scaling gate. The gate is 1.7x on hosts with >= 4 cores;
-//! on narrower hosts threads only time-slice, so the threshold drops to
+//! Every run exits non-zero if (a) any tenant's pooled outcome differs
+//! from the sequential reference at any measured worker count, or (b)
+//! the measured 4-worker/1-worker aggregate throughput ratio falls below
+//! the scaling gate. The gate is 1.7x on hosts with >= 4 cores; on
+//! narrower hosts threads only time-slice, so the threshold drops to
 //! 1.15x (2-3 cores) or the ratio check is skipped (1 core) — the
 //! bit-identity half of the gate always runs.
 
@@ -27,11 +27,13 @@ use telemetry::Json;
 use uhm::pool::{MachinePool, PoolRun};
 use uhm::RequestOutcome;
 use uhm::{DtbConfig, Machine, Mode};
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::gate::{self, Gate};
+use uhm_bench::{bench_report, workloads};
 
 /// Tenants in the measured pool (cycling the sample corpus).
 const TENANTS: usize = 24;
-/// Worker counts measured in full mode.
+/// Worker counts measured; the scaling gate compares the 4-worker run
+/// with the 1-worker run.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Pool runs per worker count; the fastest is reported (min-of-N, the
 /// same discipline as the perf gate).
@@ -55,9 +57,9 @@ fn machines() -> Vec<(String, Arc<Machine>)> {
         .collect()
 }
 
-fn build_pool(machines: &[(String, Arc<Machine>)], workers: usize, tenants: usize) -> MachinePool {
+fn build_pool(machines: &[(String, Arc<Machine>)], workers: usize) -> MachinePool {
     let mut pool = MachinePool::new(workers);
-    for t in 0..tenants {
+    for t in 0..TENANTS {
         let (name, machine) = &machines[t % machines.len()];
         pool.push(
             format!("{name}#{t}"),
@@ -72,28 +74,27 @@ fn outcomes(run: &PoolRun) -> Vec<&RequestOutcome> {
     run.results.iter().map(|r| &r.outcome).collect()
 }
 
-/// Runs the pool `SAMPLES` times, asserting bit-identity against the
+/// Runs the pool `SAMPLES` times, requiring bit-identity against the
 /// sequential reference on every sample, and returns the fastest run.
 fn measure(
     machines: &[(String, Arc<Machine>)],
     workers: usize,
-    tenants: usize,
     reference: &PoolRun,
-) -> Result<PoolRun, String> {
-    let pool = build_pool(machines, workers, tenants);
+    gate: &mut Gate,
+) -> PoolRun {
+    let pool = build_pool(machines, workers);
     let mut best: Option<PoolRun> = None;
     for _ in 0..SAMPLES {
         let run = pool.run();
-        if outcomes(&run) != outcomes(reference) {
-            return Err(format!(
-                "{workers}-worker pool diverged from the sequential reference"
-            ));
-        }
+        gate.require(
+            outcomes(&run) == outcomes(reference),
+            format!("{workers}-worker pool diverged from the sequential reference"),
+        );
         if best.as_ref().is_none_or(|b| run.wall_ns < b.wall_ns) {
             best = Some(run);
         }
     }
-    Ok(best.expect("SAMPLES > 0"))
+    best.expect("SAMPLES > 0")
 }
 
 /// The speedup threshold for this host, by core count: `None` means the
@@ -110,67 +111,33 @@ fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-fn smoke() -> ExitCode {
-    let machines = machines();
-    let tenants = 16; // smaller pool: the CI gate favors wall-clock
-    let reference = build_pool(&machines, 1, tenants).run_sequential();
-    let mut walls = Vec::new();
-    for workers in [1, 4] {
-        match measure(&machines, workers, tenants, &reference) {
-            Ok(run) => walls.push(run.wall_ns),
-            Err(e) => {
-                eprintln!("pool smoke: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let ratio = walls[0] as f64 / walls[1] as f64;
-    let cores = host_cores();
-    match gate_for(cores) {
-        Some(threshold) if ratio < threshold => {
-            eprintln!(
-                "pool smoke: 4-worker/1-worker throughput ratio {ratio:.2}x is below \
-                 the {threshold:.2}x gate for a {cores}-core host"
-            );
-            ExitCode::FAILURE
-        }
-        Some(threshold) => {
-            println!(
-                "pool smoke PASS: {tenants} tenants bit-identical to sequential at 1 and 4 \
-                 workers; 4-worker speedup {ratio:.2}x (gate {threshold:.2}x, {cores} cores)"
-            );
-            ExitCode::SUCCESS
-        }
-        None => {
-            println!(
-                "pool smoke PASS: {tenants} tenants bit-identical to sequential at 1 and 4 \
-                 workers; speedup gate skipped on a single-core host (ratio {ratio:.2}x)"
-            );
-            ExitCode::SUCCESS
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--smoke") {
-        return smoke();
-    }
-
+    let args = gate::args("pool_throughput", &[]);
     let machines = machines();
-    let reference = build_pool(&machines, 1, TENANTS).run_sequential();
-    let mut runs = Vec::new();
-    for workers in WORKER_COUNTS {
-        match measure(&machines, workers, TENANTS, &reference) {
-            Ok(run) => runs.push(run),
-            Err(e) => {
-                eprintln!("pool_throughput: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let reference = build_pool(&machines, 1).run_sequential();
+    let mut gate = Gate::without_baseline("pool_throughput");
+    let runs: Vec<PoolRun> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| measure(&machines, workers, &reference, &mut gate))
+        .collect();
     let base_wall = runs[0].wall_ns as f64;
+    let four = runs
+        .iter()
+        .find(|r| r.workers == 4)
+        .expect("4 workers measured");
+    let ratio = base_wall / four.wall_ns as f64;
+    let cores = host_cores();
+    if let Some(threshold) = gate_for(cores) {
+        gate.require(
+            ratio >= threshold,
+            format!(
+                "4-worker/1-worker throughput ratio {ratio:.2}x is below \
+                 the {threshold:.2}x gate for a {cores}-core host"
+            ),
+        );
+    }
 
-    if json_flag() {
+    if args.json {
         let rows: Vec<Json> = runs
             .iter()
             .map(|run| {
@@ -198,20 +165,26 @@ fn main() -> ExitCode {
             ("mode", "dtb".into()),
         ]);
         println!("{}", bench_report("pool_throughput", config, rows).render());
-        return ExitCode::SUCCESS;
+    } else {
+        print_table(machines.len(), &runs);
     }
+    gate.finish()
+}
+
+fn print_table(corpus: usize, runs: &[PoolRun]) {
+    let base_wall = runs[0].wall_ns as f64;
 
     println!(
         "aggregate pool throughput: {TENANTS} tenants over {} workloads \
          ({} host cores; modeled work identical at every worker count)",
-        machines.len(),
+        corpus,
         host_cores()
     );
     println!(
         "{:>8} {:>12} {:>12} {:>9} {:>7} {:>10} {:>10} {:>10}",
         "workers", "wall ms", "Minstr/s", "speedup", "steals", "p50 us", "p95 us", "p99 us"
     );
-    for run in &runs {
+    for run in runs {
         let p = run.latency_percentiles();
         println!(
             "{:>8} {:>12.2} {:>12.2} {:>8.2}x {:>7} {:>10.1} {:>10.1} {:>10.1}",
@@ -225,5 +198,4 @@ fn main() -> ExitCode {
             p.p99 / 1e3
         );
     }
-    ExitCode::SUCCESS
 }

@@ -21,31 +21,30 @@
 //!
 //! Run with `cargo run -p uhm-bench --release --bin profile_gate`.
 //! With `--json`, emits a versioned run report instead of the text table.
-//! With `--smoke`, exits non-zero on any identity divergence or an
-//! overhead ratio above the bound.
+//! Every run exits non-zero on any identity divergence or an overhead
+//! ratio above the bound.
 
-use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use dir::encode::SchemeKind;
 use dir::program::Program;
 use profile::CounterPlane;
 use telemetry::Json;
 use uhm::{DtbConfig, Machine, Mode, RunOptions};
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::gate::{self, Gate};
+use uhm_bench::timing::min_ns_interleaved;
+use uhm_bench::{bench_report, workloads};
 
 /// Committed reference overhead ratios, for drift context in reports.
 const BASELINE: &str = include_str!("../../baselines/profile_gate.json");
 
-/// `--smoke` fails when a profiled/unprofiled corpus wall-clock ratio
+/// The gate fails when a profiled/unprofiled corpus wall-clock ratio
 /// exceeds this bound — the counter plane's ≤ 5 % overhead budget.
 const OVERHEAD_BOUND: f64 = 1.05;
 
 const SCHEME: SchemeKind = SchemeKind::Huffman;
 
-const TARGET_NANOS: u128 = 5_000_000; // 5 ms per sampled batch
-const MAX_ITERS: u64 = 1 << 22;
+/// Interleaved samples per timed pair.
 const SAMPLES: usize = 25;
 
 fn modes() -> Vec<(&'static str, Mode)> {
@@ -53,43 +52,6 @@ fn modes() -> Vec<(&'static str, Mode)> {
         ("interp", Mode::Interpreter),
         ("dtb64", Mode::Dtb(DtbConfig::with_capacity(64))),
     ]
-}
-
-/// Batch size that makes one sample of `f` take roughly [`TARGET_NANOS`].
-fn calibrate(f: &mut impl FnMut() -> u64) -> u64 {
-    let mut iters = 1u64;
-    loop {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let dt = t.elapsed().as_nanos().max(1);
-        if dt >= TARGET_NANOS || iters >= MAX_ITERS {
-            return iters;
-        }
-        let scale = (TARGET_NANOS * 2 / dt) as u64;
-        iters = iters.saturating_mul(scale.max(2)).min(MAX_ITERS);
-    }
-}
-
-fn sample(f: &mut impl FnMut() -> u64, iters: u64) -> f64 {
-    let t = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    t.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// Fastest observed ns per call of `a` and of `b`, sampled alternately so
-/// machine noise hits both sides instead of biasing whichever ran second.
-fn min_ns_interleaved(mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64) -> (f64, f64) {
-    let (ia, ib) = (calibrate(&mut a), calibrate(&mut b));
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..SAMPLES {
-        best_a = best_a.min(sample(&mut a, ia));
-        best_b = best_b.min(sample(&mut b, ib));
-    }
-    (best_a, best_b)
 }
 
 /// One workload ready to run: the program (the counter plane needs it)
@@ -139,8 +101,8 @@ fn pass_profiled(corpus: &[Prepared], mode: &Mode) -> u64 {
 }
 
 /// Verifies bit-identity of output and the *full* metrics struct for
-/// every workload in every mode. Returns the first divergence found.
-fn check_identity(corpus: &[Prepared]) -> Result<u64, String> {
+/// every workload in every mode. Returns the number of runs checked.
+fn check_identity(corpus: &[Prepared], gate: &mut Gate) -> u64 {
     let mut checked = 0u64;
     for (label, mode) in modes() {
         for w in corpus {
@@ -150,30 +112,24 @@ fn check_identity(corpus: &[Prepared]) -> Result<u64, String> {
                 .machine
                 .run_with(&mode, &mut plane, RunOptions::default())
                 .expect("samples are trap-free");
-            if plain.output != profiled.output {
-                return Err(format!(
-                    "{label}/{}: output diverged under profiling",
-                    w.name
-                ));
-            }
-            if plain.metrics != profiled.metrics {
-                return Err(format!(
-                    "{label}/{}: modeled metrics diverged under profiling",
-                    w.name
-                ));
-            }
-            if plane.retired() != profiled.metrics.instructions
-                || plane.cycles() != profiled.metrics.cycles.total()
-            {
-                return Err(format!(
-                    "{label}/{}: counter plane totals disagree with the run",
-                    w.name
-                ));
-            }
+            let name = format!("{label}/{}", w.name);
+            gate.require(
+                plain.output == profiled.output,
+                format!("{name}: output diverged under profiling"),
+            );
+            gate.require(
+                plain.metrics == profiled.metrics,
+                format!("{name}: modeled metrics diverged under profiling"),
+            );
+            gate.require(
+                plane.retired() == profiled.metrics.instructions
+                    && plane.cycles() == profiled.metrics.cycles.total(),
+                format!("{name}: counter plane totals disagree with the run"),
+            );
             checked += 1;
         }
     }
-    Ok(checked)
+    checked
 }
 
 struct Row {
@@ -184,98 +140,70 @@ struct Row {
     baseline: f64,
 }
 
-fn measure(corpus: &[Prepared], baseline: &Json) -> Vec<Row> {
+/// One row per mode; `baseline` holds the committed ratio of each mode,
+/// in [`modes`] order.
+fn measure(corpus: &[Prepared], baseline: &[f64]) -> Vec<Row> {
     modes()
         .into_iter()
-        .map(|(label, mode)| {
+        .zip(baseline)
+        .map(|((label, mode), &baseline)| {
             let (plain_ns, profiled_ns) = min_ns_interleaved(
                 || pass_plain(corpus, &mode),
                 || pass_profiled(corpus, &mode),
+                SAMPLES,
             );
             Row {
                 mode: label,
                 plain_ns,
                 profiled_ns,
                 overhead: profiled_ns / plain_ns,
-                baseline: baseline
-                    .get("overhead")
-                    .and_then(|o| o.get(label))
-                    .and_then(Json::as_f64)
-                    .unwrap_or_else(|| panic!("baseline missing overhead for {label}")),
+                baseline,
             }
         })
         .collect()
 }
 
-/// Measurement retries in `--smoke`. Host noise can only *inflate* an
-/// interleaved min-of-samples ratio, never deflate it, so the best
-/// observed overhead across attempts is the tightest estimate of the
-/// true cost — a standard anti-flake treatment for CI perf gates.
-const SMOKE_ATTEMPTS: usize = 3;
+/// Measurements per run while over budget. Host noise can only
+/// *inflate* an interleaved min-of-samples ratio, never deflate it, so
+/// the best observed overhead across attempts is the tightest estimate
+/// of the true cost — a standard anti-flake treatment for CI perf gates.
+const ATTEMPTS: usize = 3;
 
-/// The CI gate: identity divergence is a hard failure, and so is
-/// counter-plane overhead above the ≤ 5 % budget.
-fn smoke(corpus: &[Prepared], baseline: &Json) -> ExitCode {
-    let checked = match check_identity(corpus) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("profile smoke: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut best: Vec<Row> = measure(corpus, baseline);
-    for attempt in 2..=SMOKE_ATTEMPTS {
-        if best.iter().all(|r| r.overhead <= OVERHEAD_BOUND) {
+fn main() -> ExitCode {
+    let args = gate::args("profile_gate", &[]);
+    let corpus = prepare();
+    let mut gate = Gate::new("profile_gate", BASELINE);
+    let baseline: Vec<f64> = modes()
+        .iter()
+        .map(|(label, _)| gate.number(&["overhead", label]).unwrap_or(f64::NAN))
+        .collect();
+    let checked = check_identity(&corpus, &mut gate);
+    let mut rows = measure(&corpus, &baseline);
+    for attempt in 2..=ATTEMPTS {
+        if rows.iter().all(|r| r.overhead <= OVERHEAD_BOUND) {
             break;
         }
         eprintln!(
-            "profile smoke: overhead above budget, re-measuring \
-             (attempt {attempt}/{SMOKE_ATTEMPTS})"
+            "profile_gate: overhead above budget, re-measuring (attempt {attempt}/{ATTEMPTS})"
         );
-        for (b, r) in best.iter_mut().zip(measure(corpus, baseline)) {
-            if r.overhead < b.overhead {
-                *b = r;
+        for (best, r) in rows.iter_mut().zip(measure(&corpus, &baseline)) {
+            if r.overhead < best.overhead {
+                *best = r;
             }
         }
     }
-    let mut failed = false;
-    for row in &best {
-        if row.overhead > OVERHEAD_BOUND {
-            eprintln!(
-                "profile smoke: {} counter-plane overhead {:.3}x exceeds the \
-                 {OVERHEAD_BOUND:.2}x budget (baseline {:.3}x)",
-                row.mode, row.overhead, row.baseline
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "profile smoke PASS: {checked} runs bit-identical under the counter \
-         plane, overhead within the {OVERHEAD_BOUND:.2}x budget"
-    );
-    ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let corpus = prepare();
-    let baseline = Json::parse(BASELINE.trim()).expect("committed baseline parses");
-    if std::env::args().any(|a| a == "--smoke") {
-        return smoke(&corpus, &baseline);
+    for r in &rows {
+        gate.require(
+            r.overhead <= OVERHEAD_BOUND,
+            format!(
+                "{} counter-plane overhead {:.3}x exceeds the {OVERHEAD_BOUND:.2}x budget \
+                 (baseline {:.3}x)",
+                r.mode, r.overhead, r.baseline
+            ),
+        );
     }
 
-    let checked = match check_identity(&corpus) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("profile_gate: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rows = measure(&corpus, &baseline);
-
-    if json_flag() {
+    if args.json {
         let json_rows: Vec<Json> = rows
             .iter()
             .map(|r| {
@@ -298,24 +226,27 @@ fn main() -> ExitCode {
             "{}",
             bench_report("profile_gate", config, json_rows).render()
         );
-        return ExitCode::SUCCESS;
+    } else {
+        print_table(corpus.len(), checked, &rows);
     }
+    gate.finish()
+}
 
+fn print_table(workloads: usize, checked: u64, rows: &[Row]) {
     println!(
         "counter-plane overhead over {} workloads ({checked} runs verified \
          bit-identical first)",
-        corpus.len()
+        workloads
     );
     println!(
         "{:>8} {:>14} {:>14} {:>10} {:>10}",
         "mode", "plain ns", "profiled ns", "overhead", "baseline"
     );
-    for r in &rows {
+    for r in rows {
         println!(
             "{:>8} {:>14.0} {:>14.0} {:>9.3}x {:>9.3}x",
             r.mode, r.plain_ns, r.profiled_ns, r.overhead, r.baseline
         );
     }
-    println!("budget: {OVERHEAD_BOUND:.2}x (enforced by --smoke)");
-    ExitCode::SUCCESS
+    println!("budget: {OVERHEAD_BOUND:.2}x (the gate's bound)");
 }

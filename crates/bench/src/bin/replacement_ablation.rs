@@ -12,7 +12,7 @@ use memsim::Geometry;
 use psder::MAX_TRANSLATION_WORDS;
 use telemetry::Json;
 use uhm::{Allocation, DtbConfig, Machine, Mode, Replacement};
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 fn config(capacity: usize, replacement: Replacement) -> DtbConfig {
     DtbConfig {
@@ -24,7 +24,7 @@ fn config(capacity: usize, replacement: Replacement) -> DtbConfig {
 }
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("replacement_ablation", &[]).json;
     let policies = [
         ("lru", Replacement::Lru),
         ("fifo", Replacement::Fifo),

@@ -9,9 +9,9 @@
 //! queue watermark and a per-tenant quota. Because arrivals, service
 //! times, queueing and shedding all live on the modeled clock, every
 //! step's p50/p95/p99/p99.9 and outcome table are bit-reproducible;
-//! `--smoke` recomputes the trajectory and compares it against the
-//! committed baseline (`baselines/service_load.json`) **exactly** — the
-//! CI gate for the service plane. The SLOs asserted in every run:
+//! every run compares the trajectory against the committed baseline
+//! (`baselines/service_load.json`) **exactly** — the CI gate for the
+//! service plane. The SLOs asserted in every run:
 //!
 //! 1. **Zero lost requests** — every submitted request has exactly one
 //!    recorded outcome in every step.
@@ -22,10 +22,9 @@
 //!    the ceiling guards the sweep itself against runaway queueing).
 //!
 //! With `--json`, emits a versioned service report with an `slo`
-//! section; with
-//! `--baseline`, prints the baseline file's exact contents (how
-//! `baselines/service_load.json` is regenerated after an intentional
-//! change).
+//! section; with `--baseline`, prints the baseline file's exact contents
+//! (how `baselines/service_load.json` is regenerated after an
+//! intentional change; that run prints no gate verdict and exits 0).
 //!
 //! Run with `cargo run -p uhm-bench --release --bin service_load`.
 
@@ -36,7 +35,8 @@ use dir::encode::SchemeKind;
 use telemetry::Json;
 use uhm::service::{Service, ServiceConfig, ServiceRun};
 use uhm::{DtbConfig, Machine, Mode, RequestOutcome};
-use uhm_bench::{core_workloads, json_flag};
+use uhm_bench::core_workloads;
+use uhm_bench::gate::{self, Gate};
 
 /// Seed of the arrival jitter streams and the pinned pool schedule.
 const SEED: u64 = 0x5E41;
@@ -87,7 +87,7 @@ fn service() -> Service {
 
 /// The deterministic trajectory table: the canonical per-step JSON with
 /// the host-side observables stripped — exactly what the baseline
-/// commits and `--smoke` compares.
+/// commits and the gate compares.
 fn trajectory(run: &ServiceRun) -> Json {
     Json::Arr(
         run.steps
@@ -139,14 +139,7 @@ fn slo_json(run: &ServiceRun) -> Json {
     ])
 }
 
-fn slos_hold(run: &ServiceRun) -> bool {
-    let slo = slo_json(run);
-    ["zero_lost_requests", "full_accounting", "p99_bounded"]
-        .iter()
-        .all(|k| slo.get(k).and_then(Json::as_bool) == Some(true))
-}
-
-/// Committed reference trajectory; `--smoke` fails on any deviation.
+/// Committed reference trajectory; the gate fails on any deviation.
 const BASELINE: &str = include_str!("../../baselines/service_load.json");
 
 /// The baseline file's contents for the current sweep (regenerate with
@@ -159,50 +152,33 @@ fn baseline_json(run: &ServiceRun) -> Json {
     ])
 }
 
-fn smoke() -> ExitCode {
-    let run = service().run_load(&RATES);
-    if !slos_hold(&run) {
-        eprintln!("service smoke: SLO violated: {}", slo_json(&run).render());
-        return ExitCode::FAILURE;
-    }
-    let got = trajectory(&run);
-    let baseline = match Json::parse(BASELINE) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("service smoke: baseline unreadable: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let expected = baseline.get("trajectory").cloned().unwrap_or(Json::Null);
-    if got != expected {
-        eprintln!("service smoke: trajectory deviates from the committed baseline");
-        eprintln!("  expected: {}", expected.render());
-        eprintln!("  got:      {}", got.render());
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "service smoke PASS: {} steps x {REQUESTS} requests, all SLOs held, \
-         trajectory matches baseline",
-        run.steps.len()
-    );
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
-    if std::env::args().any(|a| a == "--smoke") {
-        return smoke();
-    }
+    let args = gate::args("service_load", &["--baseline"]);
     let run = service().run_load(&RATES);
-    if std::env::args().any(|a| a == "--baseline") {
+    let slo = slo_json(&run);
+    if args.baseline {
         println!("{}", baseline_json(&run).render());
         return ExitCode::SUCCESS;
     }
-    if json_flag() {
+    if args.json {
         let mut report = uhm::report::service_report("service_load", config_json(), &run);
-        report.push("slo", slo_json(&run));
+        report.push("slo", slo.clone());
         println!("{}", report.render());
-        return ExitCode::SUCCESS;
+    } else {
+        print_table(&run, &slo);
     }
+    let mut gate = Gate::new("service_load", BASELINE);
+    for key in ["zero_lost_requests", "full_accounting", "p99_bounded"] {
+        gate.require(
+            slo.get(key).and_then(Json::as_bool) == Some(true),
+            format!("SLO {key} violated"),
+        );
+    }
+    gate.exact(&["trajectory"], &trajectory(&run));
+    gate.finish()
+}
+
+fn print_table(run: &ServiceRun, slo: &Json) {
     println!(
         "Service load trajectory ({REQUESTS} requests/step, {WORKERS} workers, \
          watermark {QUEUE_WATERMARK}, quota {TENANT_QUOTA}, seed {SEED:#x})\n"
@@ -227,10 +203,5 @@ fn main() -> ExitCode {
             p.p999
         );
     }
-    println!("\nSLOs: {}", slo_json(&run).render());
-    if slos_hold(&run) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    println!("\nSLOs: {}", slo.render());
 }

@@ -6,10 +6,10 @@
 //! With `--json`, emits a versioned run report instead of the text table.
 
 use telemetry::Json;
-use uhm_bench::{bench_report, json_flag};
+use uhm_bench::{bench_report, gate};
 
 fn main() {
-    if json_flag() {
+    if gate::args("table1", &[]).json {
         let rows: Vec<Json> = dir::formats::table1()
             .into_iter()
             .map(|row| {

@@ -18,7 +18,7 @@ use dir::encode::SchemeKind;
 use telemetry::Json;
 use uhm::model::{grid, printed, published, Params};
 use uhm::DtbConfig;
-use uhm_bench::{bench_report, json_flag, print_row, print_rule, run_three, workloads};
+use uhm_bench::{bench_report, gate, print_row, print_rule, run_three, workloads};
 
 /// The measured panel as JSON rows (shared with `table3` in shape).
 fn measured_rows() -> Vec<Json> {
@@ -51,7 +51,7 @@ fn measured_rows() -> Vec<Json> {
 }
 
 fn main() {
-    if json_flag() {
+    if gate::args("table2", &[]).json {
         let config = Json::obj(vec![
             ("scheme", "pair".into()),
             ("dtb_entries", 64u64.into()),

@@ -12,10 +12,10 @@ use dir::encode::SchemeKind;
 use telemetry::Json;
 use uhm::model::{grid, printed, published, Params};
 use uhm::DtbConfig;
-use uhm_bench::{bench_report, json_flag, print_row, print_rule, run_three, workloads};
+use uhm_bench::{bench_report, gate, print_row, print_rule, run_three, workloads};
 
 fn main() {
-    if json_flag() {
+    if gate::args("table3", &[]).json {
         let rows: Vec<Json> = workloads()
             .iter()
             .map(|w| {

@@ -12,10 +12,10 @@
 use dir::encode::SchemeKind;
 use telemetry::Json;
 use uhm::{DtbConfig, Machine, Mode};
-use uhm_bench::{bench_report, json_flag, workloads};
+use uhm_bench::{bench_report, gate, workloads};
 
 fn main() {
-    let json = json_flag();
+    let json = gate::args("two_level", &[]).json;
     let l1_caps = [4usize, 8, 16, 32];
     if !json {
         println!("Two-level dynamic translation (L2 store: 512 entries at tau_dtb2 = 5)\n");

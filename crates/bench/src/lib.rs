@@ -3,13 +3,16 @@
 //! Each binary under `src/bin/` either regenerates one table or figure
 //! of Rau (1978) or gates one of the cross-cutting planes
 //! (`fault_campaign`, `perf_gate`, `pool_throughput`, `analyze_gate`,
-//! `profile_gate`, `chaos_campaign`, `conformance_sweep`, `service_load`) against a committed baseline via `--smoke` — see
-//! DESIGN.md's experiment index. Every binary prints a plain-text
-//! table to stdout and the same data as one versioned
-//! [`telemetry::Report`] line via `--json`. This library holds the
-//! workload plumbing they share.
+//! `profile_gate`, `chaos_campaign`, `conformance_sweep`, `service_load`)
+//! against its committed baseline or bounds on every run — see DESIGN.md's
+//! experiment index. Every binary prints a plain-text table to stdout and
+//! the same data as one versioned [`telemetry::Report`] line via `--json`;
+//! a gate's verdict goes to stderr and its exit code ([`gate`]). This
+//! library holds the flag parser, the gate and the workload plumbing
+//! they share.
 
 pub mod corpus;
+pub mod gate;
 pub mod timing;
 
 use dir::encode::SchemeKind;
@@ -77,12 +80,6 @@ pub fn run_three(
         })
         .expect("samples are trap-free");
     (interp, dtb_report, icache)
-}
-
-/// True when the binary was invoked with `--json`: emit a versioned
-/// [`telemetry::Report`] instead of the plain-text table.
-pub fn json_flag() -> bool {
-    std::env::args().any(|a| a == "--json")
 }
 
 /// Builds the canonical [`Kind::Run`] report the table, figure and gate

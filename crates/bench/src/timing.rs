@@ -5,7 +5,9 @@
 //! is auto-calibrated to a batch size large enough to time reliably,
 //! sampled several times, and summarized as min/mean ns per iteration.
 //! With `--json` the collected timings render as a versioned
-//! [`Kind::Run`] report instead of the text table.
+//! [`Kind::Run`] report instead of the text table. The host-time gates
+//! (`perf_gate`, `profile_gate`) time with [`min_ns`] and
+//! [`min_ns_interleaved`].
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -36,13 +38,75 @@ const BATCH_TARGET_NANOS: u128 = 10_000_000; // 10 ms per sampled batch
 const MAX_ITERS: u64 = 1 << 24;
 const SAMPLES: usize = 5;
 
+/// Gate batches are shorter: a gate times many pairs.
+const GATE_TARGET_NANOS: u128 = 5_000_000; // 5 ms per sampled batch
+const GATE_MAX_ITERS: u64 = 1 << 22;
+
+/// Batch size that makes one sample of `f` take at least `target` ns,
+/// capped at `max_iters`.
+fn calibrate<T>(f: &mut impl FnMut() -> T, target: u128, max_iters: u64) -> u64 {
+    let mut iters: u64 = 1;
+    loop {
+        let t = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
+        }
+        let dt = t.elapsed().as_nanos().max(1);
+        if dt >= target || iters >= max_iters {
+            return iters;
+        }
+        // Scale towards the target with headroom, at least doubling.
+        let scale = (target * 2 / dt) as u64;
+        iters = iters.saturating_mul(scale.max(2)).min(max_iters);
+    }
+}
+
+/// ns per call of `f` over one batch of `iters` calls.
+fn sample<T>(f: &mut impl FnMut() -> T, iters: u64) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    t.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Fastest observed ns per call of `f` over `samples` batches of about
+/// 5 ms.
+pub fn min_ns<T>(mut f: impl FnMut() -> T, samples: usize) -> f64 {
+    let iters = calibrate(&mut f, GATE_TARGET_NANOS, GATE_MAX_ITERS);
+    (0..samples)
+        .map(|_| sample(&mut f, iters))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Fastest observed ns per call of `a` and of `b` over `samples`
+/// alternating batches. Interleaving matters on shared machines: a
+/// throttling episode hits both sides instead of biasing whichever ran
+/// second, so the *ratio* of the two minima is far more stable than
+/// back-to-back runs.
+pub fn min_ns_interleaved<T, U>(
+    mut a: impl FnMut() -> T,
+    mut b: impl FnMut() -> U,
+    samples: usize,
+) -> (f64, f64) {
+    let ia = calibrate(&mut a, GATE_TARGET_NANOS, GATE_MAX_ITERS);
+    let ib = calibrate(&mut b, GATE_TARGET_NANOS, GATE_MAX_ITERS);
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..samples {
+        best_a = best_a.min(sample(&mut a, ia));
+        best_b = best_b.min(sample(&mut b, ib));
+    }
+    (best_a, best_b)
+}
+
 impl Harness {
-    /// Creates a harness for the bench binary `tool`; reads `--json`
-    /// from the process arguments.
+    /// Creates a harness for the bench binary `tool`, parsing its
+    /// arguments with [`crate::gate::args`]: `--json`, plus the `--bench`
+    /// that `cargo bench` passes.
     pub fn new(tool: &'static str) -> Harness {
         Harness {
             tool,
-            json: std::env::args().any(|a| a == "--json"),
+            json: crate::gate::args(tool, &["--bench"]).json,
             results: Vec::new(),
         }
     }
@@ -50,29 +114,8 @@ impl Harness {
     /// Times `f`, printing one result line immediately (unless in
     /// `--json` mode, where results are held for [`Harness::finish`]).
     pub fn bench<T>(&mut self, name: &str, mut f: impl FnMut() -> T) {
-        // Calibrate: grow the batch until it takes long enough to time.
-        let mut iters: u64 = 1;
-        loop {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            let dt = t.elapsed().as_nanos().max(1);
-            if dt >= BATCH_TARGET_NANOS || iters >= MAX_ITERS {
-                break;
-            }
-            // Scale towards the target with headroom, at least doubling.
-            let scale = (BATCH_TARGET_NANOS * 2 / dt) as u64;
-            iters = iters.saturating_mul(scale.max(2)).min(MAX_ITERS);
-        }
-        let mut per_iter = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let t = Instant::now();
-            for _ in 0..iters {
-                black_box(f());
-            }
-            per_iter.push(t.elapsed().as_nanos() as f64 / iters as f64);
-        }
+        let iters = calibrate(&mut f, BATCH_TARGET_NANOS, MAX_ITERS);
+        let per_iter: Vec<f64> = (0..SAMPLES).map(|_| sample(&mut f, iters)).collect();
         let mean_ns = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
         let min_ns = per_iter.iter().copied().fold(f64::INFINITY, f64::min);
         if !self.json {

@@ -6,16 +6,20 @@ use std::process::Command;
 
 use telemetry::{Json, Kind, Report};
 
-fn report_of(exe: &str) -> Report {
+/// Runs `exe --json` and parses its stdout. A gate binary writes its
+/// report whatever its verdict, and its exit code is that verdict. The
+/// host-timing gates (`gate`) may exit 1 on a busy host or an
+/// unoptimized build, which is the CI gate steps' concern, not this
+/// schema test's; a divergence from the reference still fails here. Any
+/// other exit is a failure.
+fn report_of(exe: &str, gate: bool) -> Report {
     let out = Command::new(exe)
         .arg("--json")
         .output()
         .expect("bench binary runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let timing_only = gate && out.status.code() == Some(1) && !stderr.contains("diverg");
+    assert!(out.status.success() || timing_only, "{stderr}");
     let text = String::from_utf8(out.stdout).unwrap();
     Report::parse(text.trim(), Kind::Run).expect("stdout is one run report")
 }
@@ -30,7 +34,7 @@ fn rows_of(report: &Report) -> &[Json] {
 
 #[test]
 fn dtb_sweep_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_dtb_sweep"));
+    let rr = report_of(env!("CARGO_BIN_EXE_dtb_sweep"), false);
     assert_eq!(rr.tool, "dtb_sweep");
     let rows = rows_of(&rr);
     assert!(!rows.is_empty());
@@ -49,7 +53,7 @@ fn dtb_sweep_emits_a_run_report() {
 
 #[test]
 fn table1_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_table1"));
+    let rr = report_of(env!("CARGO_BIN_EXE_table1"), false);
     assert_eq!(rr.tool, "table1");
     let rows = rows_of(&rr);
     // PSDER, PDP-11 and 360-RX representations at minimum.
@@ -61,7 +65,7 @@ fn table1_emits_a_run_report() {
 
 #[test]
 fn perf_gate_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_perf_gate"));
+    let rr = report_of(env!("CARGO_BIN_EXE_perf_gate"), true);
     assert_eq!(rr.tool, "perf_gate");
     for key in ["lut_bits", "workloads", "tolerance"] {
         assert!(rr.config.get(key).is_some(), "config.{key} missing");
@@ -94,7 +98,7 @@ fn perf_gate_emits_a_run_report() {
 
 #[test]
 fn pool_throughput_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_pool_throughput"));
+    let rr = report_of(env!("CARGO_BIN_EXE_pool_throughput"), true);
     assert_eq!(rr.tool, "pool_throughput");
     for key in ["tenants", "corpus", "host_cores"] {
         assert!(rr.config.get(key).is_some(), "config.{key} missing");
@@ -120,7 +124,7 @@ fn pool_throughput_emits_a_run_report() {
 
 #[test]
 fn model_check_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_model_check"));
+    let rr = report_of(env!("CARGO_BIN_EXE_model_check"), false);
     assert_eq!(rr.tool, "model_check");
     let max_err = rr
         .config

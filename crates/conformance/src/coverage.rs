@@ -131,29 +131,20 @@ impl Coverage {
         ])
     }
 
-    /// Checks this coverage against a committed floor (the `coverage`
-    /// object of `baselines/conformance_sweep.json`). Returns one
-    /// violation message per dimension that regressed below its floor.
-    pub fn check_floor(&self, floor: &Json) -> Vec<String> {
-        let mut violations = Vec::new();
-        let mut gate = |key: &str, measured: u64| {
-            if let Some(want) = floor.get(key).and_then(Json::as_i64) {
-                if (measured as i64) < want {
-                    violations.push(format!(
-                        "coverage regression: {key} = {measured}, baseline floor {want}"
-                    ));
-                }
-            }
-        };
-        gate("programs", self.programs);
-        gate("static_opcodes", self.static_opcodes.len() as u64);
-        gate("dynamic_opcodes", self.dynamic_opcodes.len() as u64);
-        gate("opcode_pairs", self.opcode_pairs.len() as u64);
-        gate("schemes", self.schemes.len() as u64);
-        gate("tiers", self.tiers.len() as u64);
-        gate("miss_classes", self.miss_classes.len() as u64);
-        gate("trap_classes", self.trap_classes.len() as u64);
-        violations
+    /// The eight gated dimensions, keyed as in the `coverage` floor of
+    /// `baselines/conformance_sweep.json`: the program count and the size
+    /// of each coverage set.
+    pub fn dimensions(&self) -> [(&'static str, f64); 8] {
+        [
+            ("programs", self.programs as f64),
+            ("static_opcodes", self.static_opcodes.len() as f64),
+            ("dynamic_opcodes", self.dynamic_opcodes.len() as f64),
+            ("opcode_pairs", self.opcode_pairs.len() as f64),
+            ("schemes", self.schemes.len() as f64),
+            ("tiers", self.tiers.len() as f64),
+            ("miss_classes", self.miss_classes.len() as f64),
+            ("trap_classes", self.trap_classes.len() as f64),
+        ]
     }
 }
 
@@ -192,17 +183,14 @@ mod tests {
     }
 
     #[test]
-    fn floor_check_flags_regressions_only() {
+    fn dimensions_count_the_sets() {
         let mut cov = Coverage::new();
         cov.record_static(&sample());
         cov.programs = 10;
-        let floor = Json::obj(vec![
-            ("programs", 5i64.into()),
-            ("static_opcodes", 100i64.into()),
-        ]);
-        let v = cov.check_floor(&floor);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("static_opcodes"));
+        let dims = cov.dimensions();
+        assert_eq!(dims[0], ("programs", 10.0));
+        assert_eq!(dims[1], ("static_opcodes", cov.static_opcodes.len() as f64));
+        assert!(dims[4..].iter().all(|&(_, n)| n == 0.0));
     }
 
     #[test]
