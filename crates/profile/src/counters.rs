@@ -89,18 +89,29 @@ pub struct Attribution {
 }
 
 /// The per-address hot-path row: everything one retire touches lives in
-/// one indexed load — count, cycle accumulator, and the (static) opcode
-/// needed for the pair histogram. Region and opcode attribution are
-/// *derived* from these rows at report time instead of being updated per
-/// retire, which keeps the emit path to three array touches.
+/// one indexed load — the tier accumulators and the (static) opcode
+/// needed for the pair histogram. Region, opcode, tier and per-address
+/// totals are *derived* from these rows at report time instead of being
+/// updated per retire, which keeps the emit path to two array touches
+/// and one counter.
 #[derive(Debug, Clone, Copy, Default)]
 struct AddrRow {
-    retires: u64,
-    cycles: u64,
+    /// Retires and cycles of this address, split by tier.
+    tiers: [Attribution; Tier::COUNT],
     opcode: u8,
     /// `opcode * OPCODE_COUNT`, precomputed so the pair-histogram index
     /// is one add instead of a multiply on the retire path.
     pair_base: u16,
+}
+
+impl AddrRow {
+    fn total(&self) -> Attribution {
+        let [a, b] = self.tiers;
+        Attribution {
+            retires: a.retires + b.retires,
+            cycles: a.cycles + b.cycles,
+        }
+    }
 }
 
 /// The always-on attribution sink.
@@ -108,7 +119,11 @@ struct AddrRow {
 pub struct CounterPlane {
     map: ProcMap,
     rows: Vec<AddrRow>,
-    tiers: [Attribution; Tier::COUNT],
+    /// Retires at addresses outside the program (a plane built for a
+    /// different program), by tier, so the tier totals stay exact.
+    stray: [Attribution; Tier::COUNT],
+    /// Total retires, the x axis of the DTB timelines.
+    retired: u64,
     /// `(OPCODE_COUNT + 1) × OPCODE_COUNT` adjacency counts; the extra
     /// row is the start-of-run sentinel so the hot path needs no branch
     /// on "was there a previous retire". Saturating `u32` cells keep the
@@ -140,7 +155,8 @@ impl CounterPlane {
         CounterPlane {
             map: ProcMap::new(program),
             rows,
-            tiers: [Attribution::default(); Tier::COUNT],
+            stray: [Attribution::default(); Tier::COUNT],
+            retired: 0,
             pairs: vec![0; (OPCODE_COUNT + 1) * OPCODE_COUNT],
             prev_base: (OPCODE_COUNT * OPCODE_COUNT) as u16,
             occupancy: Timeline::new(),
@@ -149,17 +165,15 @@ impl CounterPlane {
         }
     }
 
-    /// Total retired DIR instructions observed (the tier rows partition
-    /// the retire stream, so their sum is the total — no extra counter
-    /// is maintained on the hot path).
+    /// Total retired DIR instructions observed.
     pub fn retired(&self) -> u64 {
-        self.tiers.iter().map(|t| t.retires).sum()
+        self.retired
     }
 
     /// Total modeled cycles observed (sum of per-retire deltas — equals
     /// the run's `CycleBreakdown::total()` by the retire invariant).
     pub fn cycles(&self) -> u64 {
-        self.tiers.iter().map(|t| t.cycles).sum()
+        self.by_tier().iter().map(|t| t.cycles).sum()
     }
 
     /// Per-region attribution as `(name, attribution)` rows, region 0
@@ -169,8 +183,9 @@ impl CounterPlane {
         let mut regions = vec![Attribution::default(); self.map.regions()];
         for (addr, row) in self.rows.iter().enumerate() {
             let r = &mut regions[self.map.region_of(addr as u32)];
-            r.retires += row.retires;
-            r.cycles += row.cycles;
+            let t = row.total();
+            r.retires += t.retires;
+            r.cycles += t.cycles;
         }
         regions
             .into_iter()
@@ -185,15 +200,23 @@ impl CounterPlane {
         let mut opcodes = [Attribution::default(); OPCODE_COUNT];
         for row in &self.rows {
             let o = &mut opcodes[row.opcode as usize];
-            o.retires += row.retires;
-            o.cycles += row.cycles;
+            let t = row.total();
+            o.retires += t.retires;
+            o.cycles += t.cycles;
         }
         opcodes
     }
 
     /// Per-tier attribution indexed by [`Tier::index`].
     pub fn by_tier(&self) -> [Attribution; Tier::COUNT] {
-        self.tiers
+        let mut tiers = self.stray;
+        for row in &self.rows {
+            for (t, r) in tiers.iter_mut().zip(&row.tiers) {
+                t.retires += r.retires;
+                t.cycles += r.cycles;
+            }
+        }
+        tiers
     }
 
     /// The dynamic count of the ordered opcode pair `(from, to)` —
@@ -222,15 +245,12 @@ impl CounterPlane {
     pub fn at(&self, addr: u32) -> Attribution {
         self.rows
             .get(addr as usize)
-            .map_or(Attribution::default(), |r| Attribution {
-                retires: r.retires,
-                cycles: r.cycles,
-            })
+            .map_or(Attribution::default(), AddrRow::total)
     }
 
     /// Static instructions that retired at least once.
     pub fn touched(&self) -> usize {
-        self.rows.iter().filter(|r| r.retires > 0).count()
+        self.rows.iter().filter(|r| r.total().retires > 0).count()
     }
 
     /// The `n` hottest instructions as `(index, retires)`, descending by
@@ -241,8 +261,8 @@ impl CounterPlane {
             .rows
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.retires > 0)
-            .map(|(i, r)| (i as u32, r.retires))
+            .map(|(i, r)| (i as u32, r.total().retires))
+            .filter(|&(_, retires)| retires > 0)
             .collect();
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         pairs.truncate(n);
@@ -260,7 +280,7 @@ impl CounterPlane {
         if total == 0 {
             return vec![0.0; ks.len()];
         }
-        let mut counts: Vec<u64> = self.rows.iter().map(|r| r.retires).collect();
+        let mut counts: Vec<u64> = self.rows.iter().map(|r| r.total().retires).collect();
         counts.sort_unstable_by(|a, b| b.cmp(a));
         ks.iter()
             .map(|&k| counts.iter().take(k).sum::<u64>() as f64 / total as f64)
@@ -299,10 +319,11 @@ impl CounterPlane {
                 ])
             })
             .collect();
+        let totals = self.by_tier();
         let tiers: Vec<Json> = Tier::ALL
             .iter()
             .map(|t| {
-                let a = self.tiers[t.index()];
+                let a = totals[t.index()];
                 Json::obj([
                     ("tier", Json::from(t.label())),
                     ("retires", Json::from(a.retires)),
@@ -378,20 +399,23 @@ impl TraceSink for CounterPlane {
         match event {
             Event::Retire { addr, tier, cycles } => {
                 let cycles = u64::from(cycles);
-                let t = &mut self.tiers[tier.index()];
-                t.retires += 1;
-                t.cycles += cycles;
-                // Three touches total: the address row (count, cycles,
-                // opcode and pair base share a load), the tier row above,
-                // and one pair bump. Region and opcode attribution are
-                // derived from the rows at report time, not per retire.
+                self.retired += 1;
+                // Two touches total: the address row (its tier cell,
+                // opcode and pair base share a load) and one pair bump.
+                // Region, opcode and tier attribution are derived from
+                // the rows at report time, not per retire.
                 if let Some(row) = self.rows.get_mut(addr as usize) {
-                    row.retires += 1;
-                    row.cycles += cycles;
+                    let t = &mut row.tiers[tier.index()];
+                    t.retires += 1;
+                    t.cycles += cycles;
                     let (op, base) = (row.opcode, row.pair_base);
                     let cell = &mut self.pairs[self.prev_base as usize + op as usize];
                     *cell = cell.saturating_add(1);
                     self.prev_base = base;
+                } else {
+                    let t = &mut self.stray[tier.index()];
+                    t.retires += 1;
+                    t.cycles += cycles;
                 }
             }
             Event::DtbFill { occupancy, .. } => self.on_fill(occupancy),

@@ -3,7 +3,9 @@
 //! The engine holds the architectural state the paper's UHM exposes to its
 //! two instruction units — operand stack, return-address stack, frame
 //! storage, global area, register file and output — and knows how to apply
-//! one micro-word (IU1) or one short instruction (IU2). It deliberately
+//! one micro-word (IU1), one short instruction (IU2) or one compiled
+//! [`Line`] — all three through one per-op function, so they cannot
+//! disagree. It deliberately
 //! performs **no fetch, no decode and no cycle accounting**: those policies
 //! are what distinguish the interpreter, DTB and i-cache machines, and they
 //! live in the `uhm` crate. This split keeps the semantics testable in
@@ -12,8 +14,9 @@
 use dir::exec::Trap;
 use dir::program::Program;
 
+use crate::line::{Edge, Flow, Line, Op};
 use crate::micro::{MicroOp, MicroWord, Reg, REG_COUNT};
-use crate::short::{InterpMode, PopMode, PushMode, RoutineId, ShortInstr};
+use crate::short::{RoutineId, ShortInstr};
 
 /// Per-procedure metadata the engine needs at run time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +47,7 @@ pub enum ShortEffect {
 }
 
 /// The architectural state of the universal host machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Engine {
     /// Operand stack (shared by IU2 pushes/pops and the routines).
     stack: Vec<i64>,
@@ -159,37 +162,15 @@ impl Engine {
     /// Traps on stack underflow or invalid slots (which translator-produced
     /// code never exhibits).
     pub fn exec_short(&mut self, inst: ShortInstr) -> Result<ShortEffect, Trap> {
-        match inst {
-            ShortInstr::Push(mode) => {
-                let v = match mode {
-                    PushMode::Imm(v) => v,
-                    PushMode::Local(s) => *self.frame_slot(s as i64)?,
-                    PushMode::Global(s) => *self.global_slot(s as i64)?,
-                };
-                self.stack.push(v);
-                Ok(ShortEffect::Continue)
-            }
-            ShortInstr::Pop(mode) => {
-                let v = self.pop()?;
-                match mode {
-                    PopMode::Discard => {}
-                    PopMode::Local(s) => *self.frame_slot(s as i64)? = v,
-                    PopMode::Global(s) => *self.global_slot(s as i64)? = v,
-                }
-                Ok(ShortEffect::Continue)
-            }
-            ShortInstr::Call(id) => Ok(ShortEffect::CallRoutine(id)),
-            ShortInstr::Interp(mode) => {
-                let addr = match mode {
-                    InterpMode::Imm(a) => a,
-                    InterpMode::Stack => {
-                        let v = self.pop()?;
-                        u32::try_from(v).map_err(|_| Trap::Malformed("bad DIR address"))?
-                    }
-                };
-                Ok(ShortEffect::Interp(addr))
-            }
-        }
+        let op = match Op::lower(inst) {
+            Ok(op) => op,
+            Err(id) => return Ok(ShortEffect::CallRoutine(id)),
+        };
+        Ok(match self.step(op)? {
+            Flow::Goto(addr) => ShortEffect::Interp(addr),
+            // Only a micro-op halts.
+            Flow::Continue | Flow::Halt => ShortEffect::Continue,
+        })
     }
 
     /// Applies one long-format micro-word (IU1).
@@ -200,103 +181,203 @@ impl Engine {
     /// depth exhaustion) and malformed-state traps.
     pub fn exec_word(&mut self, word: &MicroWord) -> Result<MicroEffect, Trap> {
         for &op in word.ops() {
-            match op {
-                MicroOp::Pop(r) => {
-                    let v = self.pop()?;
-                    self.set_reg(r, v);
-                }
-                MicroOp::Push(r) => self.stack.push(self.reg(r)),
-                MicroOp::Alu { op, a, b, dst } => {
-                    let (va, vb) = (self.reg(a), self.reg(b));
-                    let v = op.apply(va, vb).map_err(|_| Trap::DivByZero)?;
-                    self.set_reg(dst, v);
-                }
-                MicroOp::NegOp { src, dst } => self.set_reg(dst, self.reg(src).wrapping_neg()),
-                MicroOp::NotOp { src, dst } => self.set_reg(dst, (self.reg(src) == 0) as i64),
-                MicroOp::SelectZero {
-                    cond,
-                    if_zero,
-                    if_nonzero,
-                    dst,
-                } => {
-                    let v = if self.reg(cond) == 0 {
-                        self.reg(if_zero)
-                    } else {
-                        self.reg(if_nonzero)
-                    };
-                    self.set_reg(dst, v);
-                }
-                MicroOp::CheckIdx { idx, len } => {
-                    let index = self.reg(idx);
-                    let len = self.reg(len);
-                    if index < 0 || index >= len {
-                        return Err(Trap::IndexOutOfBounds {
-                            index,
-                            len: len as u32,
-                        });
-                    }
-                }
-                MicroOp::LoadFrame { addr, dst } => {
-                    let v = *self.frame_slot(self.reg(addr))?;
-                    self.set_reg(dst, v);
-                }
-                MicroOp::StoreFrame { addr, src } => {
-                    let v = self.reg(src);
-                    *self.frame_slot(self.reg(addr))? = v;
-                }
-                MicroOp::LoadGlobal { addr, dst } => {
-                    let v = *self.global_slot(self.reg(addr))?;
-                    self.set_reg(dst, v);
-                }
-                MicroOp::StoreGlobal { addr, src } => {
-                    let v = self.reg(src);
-                    *self.global_slot(self.reg(addr))? = v;
-                }
-                MicroOp::Output(r) => self.output.push(self.reg(r)),
-                MicroOp::PushRa(r) => {
-                    let v = self.reg(r);
-                    let addr =
-                        u32::try_from(v).map_err(|_| Trap::Malformed("bad return address"))?;
-                    self.ra_stack.push(addr);
-                }
-                MicroOp::PopRa(dst) => {
-                    let v = self
-                        .ra_stack
-                        .pop()
-                        .ok_or(Trap::Malformed("return-address stack underflow"))?;
-                    self.set_reg(dst, v as i64);
-                }
-                MicroOp::NewFrame { proc } => {
-                    if self.frames.len() as u32 > self.max_depth {
-                        return Err(Trap::DepthLimit);
-                    }
-                    let meta = self.proc_meta(self.reg(proc))?;
-                    let base = self.slots.len();
-                    self.slots.resize(base + meta.frame_size as usize, 0);
-                    for i in (0..meta.n_args).rev() {
-                        let v = self.pop()?;
-                        self.slots[base + i as usize] = v;
-                    }
-                    self.frames.push(base);
-                }
-                MicroOp::DropFrame => {
-                    if self.frames.len() <= 1 {
-                        return Err(Trap::Malformed("return from prelude"));
-                    }
-                    let base = self
-                        .frames
-                        .pop()
-                        .ok_or(Trap::Malformed("return from prelude"))?;
-                    self.slots.truncate(base);
-                }
-                MicroOp::EntryOf { proc, dst } => {
-                    let entry = self.proc_meta(self.reg(proc))?.entry;
-                    self.set_reg(dst, entry as i64);
-                }
-                MicroOp::HaltOp => return Ok(MicroEffect::Halt),
+            if self.micro(op)? == Flow::Halt {
+                return Ok(MicroEffect::Halt);
             }
         }
         Ok(MicroEffect::Continue)
+    }
+
+    /// Runs a compiled line to its exit: the `INTERP` target, a halt, or
+    /// [`Flow::Continue`] when the line has no terminator.
+    ///
+    /// # Errors
+    ///
+    /// The trap of the first op that faults; the ops before it have taken
+    /// effect, exactly as when the words run one by one.
+    #[inline]
+    pub fn exec_line(&mut self, line: &Line) -> Result<Flow, Trap> {
+        self.exec_ops(line.ops()).map_err(|(_, trap)| trap)
+    }
+
+    /// [`Engine::exec_line`], then reports to `edge` the entry and exit of
+    /// each inlined routine control reached, in order. A routine that
+    /// traps is entered but never exits, and one after the trap is never
+    /// entered, as when the words run one by one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::exec_line`].
+    pub fn exec_line_traced(
+        &mut self,
+        line: &Line,
+        mut edge: impl FnMut(Edge),
+    ) -> Result<Flow, Trap> {
+        let result = self.exec_ops(line.ops());
+        // The ops before `trapped` completed; the op at `trapped` faulted.
+        let trapped = result.as_ref().map_or_else(|&(at, _)| at, |_| usize::MAX);
+        for call in line.meta().calls() {
+            if usize::from(call.start) > trapped {
+                break;
+            }
+            edge(Edge::Enter(call.id));
+            if usize::from(call.end) > trapped {
+                break;
+            }
+            edge(Edge::Exit(call.id, u32::from(call.words)));
+        }
+        result.map_err(|(_, trap)| trap)
+    }
+
+    /// Runs `ops` in order; on a trap, also returns the index of the op
+    /// that faulted.
+    #[inline(always)]
+    fn exec_ops(&mut self, ops: &[Op]) -> Result<Flow, (usize, Trap)> {
+        for (at, &op) in ops.iter().enumerate() {
+            match self.step(op) {
+                Ok(Flow::Continue) => {}
+                Ok(flow) => return Ok(flow),
+                Err(trap) => return Err((at, trap)),
+            }
+        }
+        Ok(Flow::Continue)
+    }
+
+    /// The semantics of one op: every executor — word by word or by
+    /// line — goes through here.
+    #[inline(always)]
+    fn step(&mut self, op: Op) -> Result<Flow, Trap> {
+        match op {
+            Op::PushImm(v) => self.stack.push(v),
+            Op::PushLocal(s) => {
+                let v = *self.frame_slot(s as i64)?;
+                self.stack.push(v);
+            }
+            Op::PushGlobal(s) => {
+                let v = *self.global_slot(s as i64)?;
+                self.stack.push(v);
+            }
+            Op::PopDiscard => {
+                self.pop()?;
+            }
+            Op::PopLocal(s) => {
+                let v = self.pop()?;
+                *self.frame_slot(s as i64)? = v;
+            }
+            Op::PopGlobal(s) => {
+                let v = self.pop()?;
+                *self.global_slot(s as i64)? = v;
+            }
+            Op::InterpImm(addr) => return Ok(Flow::Goto(addr)),
+            Op::InterpStack => {
+                let v = self.pop()?;
+                let addr = u32::try_from(v).map_err(|_| Trap::Malformed("bad DIR address"))?;
+                return Ok(Flow::Goto(addr));
+            }
+            Op::Micro(op) => return self.micro(op),
+        }
+        Ok(Flow::Continue)
+    }
+
+    /// The semantics of one micro-op: [`Flow::Halt`] or
+    /// [`Flow::Continue`].
+    #[inline(always)]
+    fn micro(&mut self, op: MicroOp) -> Result<Flow, Trap> {
+        match op {
+            MicroOp::Pop(r) => {
+                let v = self.pop()?;
+                self.set_reg(r, v);
+            }
+            MicroOp::Push(r) => self.stack.push(self.reg(r)),
+            MicroOp::Alu { op, a, b, dst } => {
+                let (va, vb) = (self.reg(a), self.reg(b));
+                let v = op.apply(va, vb).map_err(|_| Trap::DivByZero)?;
+                self.set_reg(dst, v);
+            }
+            MicroOp::NegOp { src, dst } => self.set_reg(dst, self.reg(src).wrapping_neg()),
+            MicroOp::NotOp { src, dst } => self.set_reg(dst, (self.reg(src) == 0) as i64),
+            MicroOp::SelectZero {
+                cond,
+                if_zero,
+                if_nonzero,
+                dst,
+            } => {
+                let v = if self.reg(cond) == 0 {
+                    self.reg(if_zero)
+                } else {
+                    self.reg(if_nonzero)
+                };
+                self.set_reg(dst, v);
+            }
+            MicroOp::CheckIdx { idx, len } => {
+                let index = self.reg(idx);
+                let len = self.reg(len);
+                if index < 0 || index >= len {
+                    return Err(Trap::IndexOutOfBounds {
+                        index,
+                        len: len as u32,
+                    });
+                }
+            }
+            MicroOp::LoadFrame { addr, dst } => {
+                let v = *self.frame_slot(self.reg(addr))?;
+                self.set_reg(dst, v);
+            }
+            MicroOp::StoreFrame { addr, src } => {
+                let v = self.reg(src);
+                *self.frame_slot(self.reg(addr))? = v;
+            }
+            MicroOp::LoadGlobal { addr, dst } => {
+                let v = *self.global_slot(self.reg(addr))?;
+                self.set_reg(dst, v);
+            }
+            MicroOp::StoreGlobal { addr, src } => {
+                let v = self.reg(src);
+                *self.global_slot(self.reg(addr))? = v;
+            }
+            MicroOp::Output(r) => self.output.push(self.reg(r)),
+            MicroOp::PushRa(r) => {
+                let v = self.reg(r);
+                let addr = u32::try_from(v).map_err(|_| Trap::Malformed("bad return address"))?;
+                self.ra_stack.push(addr);
+            }
+            MicroOp::PopRa(dst) => {
+                let v = self
+                    .ra_stack
+                    .pop()
+                    .ok_or(Trap::Malformed("return-address stack underflow"))?;
+                self.set_reg(dst, v as i64);
+            }
+            MicroOp::NewFrame { proc } => {
+                if self.frames.len() as u32 > self.max_depth {
+                    return Err(Trap::DepthLimit);
+                }
+                let meta = self.proc_meta(self.reg(proc))?;
+                let base = self.slots.len();
+                self.slots.resize(base + meta.frame_size as usize, 0);
+                for i in (0..meta.n_args).rev() {
+                    let v = self.pop()?;
+                    self.slots[base + i as usize] = v;
+                }
+                self.frames.push(base);
+            }
+            MicroOp::DropFrame => {
+                if self.frames.len() <= 1 {
+                    return Err(Trap::Malformed("return from prelude"));
+                }
+                let base = self
+                    .frames
+                    .pop()
+                    .ok_or(Trap::Malformed("return from prelude"))?;
+                self.slots.truncate(base);
+            }
+            MicroOp::EntryOf { proc, dst } => {
+                let entry = self.proc_meta(self.reg(proc))?.entry;
+                self.set_reg(dst, entry as i64);
+            }
+            MicroOp::HaltOp => return Ok(Flow::Halt),
+        }
+        Ok(Flow::Continue)
     }
 
     fn proc_meta(&self, index: i64) -> Result<ProcMeta, Trap> {
@@ -314,6 +395,7 @@ mod tests {
     use crate::micro::MicroOp::*;
     use crate::micro::Reg::*;
     use crate::mword;
+    use crate::short::{InterpMode, PopMode, PushMode};
     use dir::AluOp;
 
     fn engine() -> Engine {

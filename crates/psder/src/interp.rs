@@ -1,9 +1,10 @@
 //! A complete (cost-free) PSDER-level interpreter.
 //!
 //! Runs a DIR program by translating each instruction on the fly into its
-//! short-format sequence and executing it against the [`Engine`], with the
-//! semantic routines from the [`RoutineLib`]. This is the semantic
-//! reference for the `uhm` machines: they must produce byte-identical
+//! short-format sequence and executing it word by word against the
+//! [`Engine`], with the semantic routines from the [`RoutineLib`]. This is
+//! the semantic reference for the `uhm` machines, which execute compiled
+//! [`Line`](crate::line::Line)s instead: they must produce byte-identical
 //! output (the uhm test suite checks this differentially), differing only
 //! in *when* translations happen and what they cost.
 
@@ -11,7 +12,9 @@ use dir::exec::Trap;
 use dir::program::Program;
 
 use crate::engine::{Engine, MicroEffect, ShortEffect};
+use crate::line::Flow;
 use crate::routines::RoutineLib;
+use crate::short::ShortInstr;
 use crate::translator::translate;
 
 /// Resource limits for a run.
@@ -47,7 +50,7 @@ pub fn run(program: &Program) -> Result<Vec<i64>, Trap> {
 ///
 /// Returns the same [`Trap`]s as [`dir::exec::run`].
 pub fn run_with(program: &Program, limits: Limits) -> Result<Vec<i64>, Trap> {
-    let lib = RoutineLib::new();
+    let lib = RoutineLib::shared();
     let mut engine = Engine::new(program, limits.max_depth);
     let mut pc: u32 = 0;
     let mut steps: u64 = 0;
@@ -60,25 +63,42 @@ pub fn run_with(program: &Program, limits: Limits) -> Result<Vec<i64>, Trap> {
             .code
             .get(pc as usize)
             .ok_or(Trap::Malformed("pc out of range"))?;
-        let sequence = translate(inst, pc + 1);
-        let mut next: Option<u32> = None;
-        for short in sequence {
-            match engine.exec_short(short)? {
-                ShortEffect::Continue => {}
-                ShortEffect::CallRoutine(id) => {
-                    for word in lib.words(id) {
-                        if engine.exec_word(word)? == MicroEffect::Halt {
-                            return Ok(engine.into_output());
-                        }
+        match run_sequence(&mut engine, lib, &translate(inst, pc + 1))? {
+            Flow::Goto(next) => pc = next,
+            Flow::Halt => return Ok(engine.into_output()),
+            Flow::Continue => return Err(Trap::Malformed("sequence ended without INTERP")),
+        }
+    }
+}
+
+/// Runs one PSDER sequence word by word, each called routine word by
+/// word, to its exit. The sequence ends at its first `INTERP` (the
+/// target is [`Flow::Goto`]) or when a routine halts; words after that
+/// are never executed. [`Flow::Continue`] means it ran out of words
+/// without either.
+///
+/// # Errors
+///
+/// The trap of the first word that faults.
+pub fn run_sequence(
+    engine: &mut Engine,
+    lib: &RoutineLib,
+    sequence: &[ShortInstr],
+) -> Result<Flow, Trap> {
+    for &short in sequence {
+        match engine.exec_short(short)? {
+            ShortEffect::Continue => {}
+            ShortEffect::CallRoutine(id) => {
+                for word in lib.words(id) {
+                    if engine.exec_word(word)? == MicroEffect::Halt {
+                        return Ok(Flow::Halt);
                     }
                 }
-                ShortEffect::Interp(addr) => {
-                    next = Some(addr);
-                }
             }
+            ShortEffect::Interp(addr) => return Ok(Flow::Goto(addr)),
         }
-        pc = next.ok_or(Trap::Malformed("sequence ended without INTERP"))?;
     }
+    Ok(Flow::Continue)
 }
 
 #[cfg(test)]
@@ -131,6 +151,33 @@ mod tests {
                 "{src}"
             );
         }
+    }
+
+    #[test]
+    fn a_sequence_ends_at_its_first_interp() {
+        use crate::short::{InterpMode, PushMode};
+        let p = compile(&hlr::compile("proc main() begin skip; end").unwrap());
+        let lib = RoutineLib::new();
+        let mut engine = Engine::new(&p, 16);
+        let sequence = [
+            ShortInstr::Push(PushMode::Imm(5)),
+            ShortInstr::Interp(InterpMode::Imm(7)),
+            ShortInstr::Push(PushMode::Imm(6)),
+            ShortInstr::Interp(InterpMode::Imm(9)),
+        ];
+        assert_eq!(
+            run_sequence(&mut engine, &lib, &sequence).unwrap(),
+            Flow::Goto(7)
+        );
+        // The words after the first INTERP never ran.
+        assert_eq!(engine.stack_len(), 1);
+        // A compiled line obeys the same rule.
+        let mut line = crate::line::Line::EMPTY;
+        let meta = *line.compile(&lib, &sequence).unwrap();
+        assert_eq!((meta.len(), meta.short_words), (2, 2));
+        let mut threaded = Engine::new(&p, 16);
+        assert_eq!(threaded.exec_line(&line).unwrap(), Flow::Goto(7));
+        assert_eq!(threaded, engine);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! [`translator`] holds the almost-one-to-one DIR→PSDER templates used by
 //! the dynamic translator and the pure interpreter alike; [`engine`] is the
 //! shared architectural state (operand stack, return-address stack, frames,
-//! register file); [`interp`] is a cost-free reference interpreter that the
-//! `uhm` crate's cycle-accounted machines are differentially tested
+//! register file); [`line`](mod@line) compiles one translation into a flat op line
+//! with each called routine inlined, the form the `uhm` machines execute;
+//! [`interp`] is a cost-free reference interpreter that runs translations
+//! word by word, the oracle those machines are differentially tested
 //! against.
 //!
 //! # Example
@@ -26,6 +28,7 @@
 
 pub mod engine;
 pub mod interp;
+pub mod line;
 pub mod listing;
 pub mod micro;
 pub mod routines;
@@ -34,6 +37,7 @@ pub mod translator;
 pub mod verify;
 
 pub use engine::{Engine, MicroEffect, ShortEffect};
+pub use line::{Flow, Line, LineMeta, MAX_LINE_CALLS, MAX_LINE_OPS};
 pub use routines::RoutineLib;
 pub use short::{InterpMode, PopMode, PushMode, RoutineId, ShortInstr};
 pub use translator::{fuse_block, translate, FrozenTransCache, TransCache, MAX_TRANSLATION_WORDS};

@@ -6,6 +6,7 @@
 //! are the measured source of the paper's parameter `x` (average time spent
 //! in the semantic routines per DIR instruction).
 
+use crate::line::{flatten, InlinedRoutine, Op};
 use crate::micro::MicroOp::*;
 use crate::micro::MicroWord;
 use crate::micro::Reg::*;
@@ -16,6 +17,10 @@ use crate::short::{RoutineId, ROUTINE_COUNT};
 #[derive(Debug, Clone)]
 pub struct RoutineLib {
     routines: Vec<Vec<MicroWord>>,
+    /// Every routine's micro-ops as line ops, back to back.
+    flat: Vec<Op>,
+    /// Per routine: its range in `flat`, its words and whether it halts.
+    inlined: Vec<(std::ops::Range<usize>, u32, bool)>,
 }
 
 impl Default for RoutineLib {
@@ -31,12 +36,41 @@ impl RoutineLib {
         for id in RoutineId::all() {
             routines[id.index()] = build(id);
         }
-        RoutineLib { routines }
+        let mut flat = Vec::new();
+        let mut inlined = Vec::with_capacity(ROUTINE_COUNT);
+        for words in &routines {
+            let (ops, count, halts) = flatten(words);
+            inlined.push((flat.len()..flat.len() + ops.len(), count, halts));
+            flat.extend(ops);
+        }
+        RoutineLib {
+            routines,
+            flat,
+            inlined,
+        }
+    }
+
+    /// The library every machine shares: it is a constant of the ISA, so
+    /// it is built once per process.
+    pub fn shared() -> &'static RoutineLib {
+        static LIB: std::sync::OnceLock<RoutineLib> = std::sync::OnceLock::new();
+        LIB.get_or_init(RoutineLib::new)
     }
 
     /// The micro-program of `id`.
     pub fn words(&self, id: RoutineId) -> &[MicroWord] {
         &self.routines[id.index()]
+    }
+
+    /// The routine in the form a [`Line`](crate::line::Line) inlines: its
+    /// micro-ops in issue order, cut after the first `HaltOp`.
+    pub(crate) fn inlined(&self, id: RoutineId) -> InlinedRoutine<'_> {
+        let (range, words, halts) = &self.inlined[id.index()];
+        InlinedRoutine {
+            ops: &self.flat[range.clone()],
+            words: *words,
+            halts: *halts,
+        }
     }
 
     /// Cycle cost of `id` (one cycle per word): the routine's contribution

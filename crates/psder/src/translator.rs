@@ -162,7 +162,7 @@ pub fn shape(inst: Inst) -> TranslationShape {
 /// and re-missed, and the pure interpreter retranslates every instruction
 /// of a loop on every iteration. The *modeled* generation cost is charged
 /// per the paper regardless — this cache only removes the host-side
-/// allocation and template construction, returning a shared [`Arc`] slice
+/// allocation and template construction, returning the memoized slice,
 /// whose contents are identical to a fresh [`translate`] call.
 ///
 /// The sequences are `Arc`s (not `Rc`s) so a cache can be
@@ -252,15 +252,15 @@ impl TransCache {
     /// Translates `inst` with fall-through successor `next`, reusing the
     /// memoized sequence when this exact pair has been seen before.
     #[inline]
-    pub fn translate(&mut self, inst: Inst, next: u32) -> Arc<[ShortInstr]> {
+    pub fn translate(&mut self, inst: Inst, next: u32) -> &[ShortInstr] {
         match self.map.entry((inst, next)) {
             Entry::Occupied(e) => {
                 self.hits += 1;
-                Arc::clone(e.get())
+                e.into_mut()
             }
             Entry::Vacant(v) => {
                 self.misses += 1;
-                Arc::clone(v.insert(Arc::from(translate(inst, next))))
+                v.insert(Arc::from(translate(inst, next)))
             }
         }
     }
@@ -338,8 +338,8 @@ impl FrozenTransCache {
 
     /// Looks up the memoized sequence for `(inst, next)`, if present.
     #[inline]
-    pub fn get(&self, inst: Inst, next: u32) -> Option<Arc<[ShortInstr]>> {
-        self.map.get(&(inst, next)).map(Arc::clone)
+    pub fn get(&self, inst: Inst, next: u32) -> Option<&[ShortInstr]> {
+        self.map.get(&(inst, next)).map(|seq| &seq[..])
     }
 
     /// Distinct `(instruction, successor)` pairs in the snapshot.
@@ -549,7 +549,7 @@ mod tests {
         ];
         for &(inst, next) in &insts {
             let cached = cache.translate(inst, next);
-            assert_eq!(&cached[..], &translate(inst, next)[..], "{inst:?}");
+            assert_eq!(cached, &translate(inst, next)[..], "{inst:?}");
         }
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 4);
@@ -647,7 +647,7 @@ mod tests {
         for (pc, &inst) in p.code.iter().enumerate() {
             let next = pc as u32 + 1;
             let seq = frozen.get(inst, next).expect("every static pair present");
-            assert_eq!(&seq[..], &translate(inst, next)[..], "{inst:?}");
+            assert_eq!(seq, &translate(inst, next)[..], "{inst:?}");
         }
         // A pair outside the fall-through set is absent, not invented.
         assert!(frozen.get(Inst::PushConst(i64::MIN), 0).is_none());
@@ -665,7 +665,7 @@ mod tests {
             let clean = frozen.get(inst, next).unwrap();
             let bad = poisoned.get(inst, next).unwrap();
             assert_eq!(bad.len(), clean.len() - 1, "{inst:?}");
-            assert_eq!(&bad[..], &clean[..clean.len() - 1], "{inst:?}");
+            assert_eq!(bad, &clean[..clean.len() - 1], "{inst:?}");
             // The dropped word is the terminator, so no poisoned template
             // can end a dispatch cleanly.
             assert!(!matches!(bad.last(), Some(ShortInstr::Interp(_))));
@@ -675,11 +675,11 @@ mod tests {
     #[test]
     fn freeze_preserves_cached_sequences() {
         let mut cache = TransCache::new();
-        let live = cache.translate(Inst::Bin(AluOp::Mul), 5);
+        let live = cache.translate(Inst::Bin(AluOp::Mul), 5).as_ptr();
         let frozen = cache.freeze();
         assert_eq!(frozen.len(), 1);
         let shared = frozen.get(Inst::Bin(AluOp::Mul), 5).unwrap();
-        assert!(Arc::ptr_eq(&live, &shared), "freeze must not reallocate");
+        assert_eq!(live, shared.as_ptr(), "freeze must not reallocate");
     }
 
     #[test]

@@ -217,6 +217,13 @@ impl DtbStats {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Handle(usize);
 
+impl Handle {
+    /// The way the translation is resident in.
+    pub(crate) fn way(self) -> usize {
+        self.0
+    }
+}
+
 /// Shadow directory for the three-C miss taxonomy: a fully-associative
 /// LRU of the DTB's total capacity plus the set of addresses ever seen.
 /// A miss is **cold** if the address was never resident, **conflict** if
@@ -283,6 +290,8 @@ pub struct Dtb {
     /// Guard checksum per way, computed over (tag, words) at fill time
     /// and re-verified on dispatch under the fault plane.
     sums: Vec<u64>,
+    /// Whether fills compute guard checksums (see [`Dtb::enable_guards`]).
+    guards: bool,
     clock: u64,
     /// Xorshift state for the random replacement policy.
     rng: u64,
@@ -377,6 +386,7 @@ impl Dtb {
             ovf_free: (0..ovf_blocks).rev().collect(),
             chains: vec![Vec::new(); ways_total],
             sums: vec![0; ways_total],
+            guards: false,
             clock: 0,
             rng: match config.replacement {
                 Replacement::Random { seed } => seed | 1,
@@ -396,6 +406,13 @@ impl Dtb {
         if self.classifier.is_none() {
             self.classifier = Some(Classifier::new(self.config.geometry.capacity()));
         }
+    }
+
+    /// Turns on guard checksums: every fill fingerprints its line for
+    /// [`Dtb::verify`]. Off by default, since only the fault plane's
+    /// dispatch check reads them.
+    pub fn enable_guards(&mut self) {
+        self.guards = true;
     }
 
     /// Kind of the most recent miss ([`None`] until the first classified
@@ -427,7 +444,13 @@ impl Dtb {
 
     fn set_range(&self, addr: u32) -> std::ops::Range<usize> {
         let sets = self.config.geometry.sets;
-        let set = (addr as usize) % sets;
+        // The same set either way; a mask spares the hit path a division
+        // for the usual power-of-two geometries.
+        let set = if sets.is_power_of_two() {
+            addr as usize & (sets - 1)
+        } else {
+            addr as usize % sets
+        };
         let ways = self.config.geometry.ways;
         set * ways..(set + 1) * ways
     }
@@ -536,7 +559,9 @@ impl Dtb {
             debug_assert!(i < extra_blocks);
         }
         self.chains[way] = chain;
-        self.sums[way] = line_checksum(addr, words.iter().copied());
+        if self.guards {
+            self.sums[way] = line_checksum(addr, words.iter().copied());
+        }
         let in_use = self.ovf_capacity_blocks() - self.ovf_free.len();
         self.stats.overflow_peak = self.stats.overflow_peak.max(in_use);
         Some(Handle(way))
@@ -586,7 +611,9 @@ impl Dtb {
     /// and compares it to the value stored at fill time — the
     /// per-allocation-unit integrity check the dispatch path runs under
     /// the fault plane. Returns `false` for an empty way (a poisoned tag
-    /// can hand out handles to garbage).
+    /// can hand out handles to garbage), and for every line when guards
+    /// are off ([`Dtb::enable_guards`]): an unguarded line cannot be
+    /// vouched for.
     pub fn verify(&self, handle: Handle) -> bool {
         let way = handle.0;
         let Some(addr) = self.tags[way] else {
@@ -832,6 +859,7 @@ mod tests {
     #[test]
     fn verify_accepts_clean_lines_and_catches_corruption() {
         let mut dtb = Dtb::new(DtbConfig::with_capacity(16));
+        dtb.enable_guards();
         let h = dtb.fill(42, &words(4)).unwrap();
         assert!(dtb.verify(h));
         let addr = dtb.corrupt_word_in(h.0, 2, |_| ShortInstr::Push(PushMode::Imm(-77)));
@@ -843,8 +871,16 @@ mod tests {
     }
 
     #[test]
+    fn unguarded_lines_fail_verification() {
+        let mut dtb = Dtb::new(DtbConfig::with_capacity(16));
+        let h = dtb.fill(42, &words(4)).unwrap();
+        assert!(!dtb.verify(h), "no checksum was taken at fill");
+    }
+
+    #[test]
     fn poisoned_tag_fails_verification() {
         let mut dtb = Dtb::new(DtbConfig::with_capacity(16));
+        dtb.enable_guards();
         let h = dtb.fill(5, &words(3)).unwrap();
         assert!(dtb.verify(h));
         dtb.poison_tag(h.0, 3).unwrap();
@@ -881,7 +917,9 @@ mod tests {
             replacement: Replacement::Lru,
         };
         let mut dtb = Dtb::new(cfg);
+        dtb.enable_guards();
         let h = dtb.fill(3, &words(6)).unwrap();
+        assert!(dtb.verify(h));
         // Corrupt a word that lives in the overflow area (index >= unit).
         dtb.corrupt_word_in(h.0, 5, |_| ShortInstr::Push(PushMode::Imm(1234)))
             .unwrap();

@@ -7,8 +7,9 @@
 //! * [`Mode::Interpreter`] — the conventional UHM (T1): every DIR
 //!   instruction is fetched from level 2 and decoded, every time.
 //! * [`Mode::Dtb`] — the paper's proposal (T2): the INTERP instruction
-//!   presents the DIR address to the DTB; hits execute the stored PSDER
-//!   translation, misses trap to the dynamic translation routine.
+//!   presents the DIR address to the DTB; hits run the line compiled from
+//!   the stored PSDER translation, misses trap to the dynamic translation
+//!   routine.
 //! * [`Mode::ICache`] — the resource-matched baseline (T3): level-2 words
 //!   are cached, but every instruction is still decoded.
 
@@ -16,8 +17,8 @@ use dir::encode::{DecodeMode, Image, SchemeKind};
 use dir::exec::Trap;
 use dir::program::Program;
 use memsim::{Access, Geometry, SetAssocCache};
-use psder::engine::{Engine, MicroEffect, ShortEffect};
-use psder::{FrozenTransCache, RoutineLib, ShortInstr};
+use psder::line::Edge;
+use psder::{Engine, Flow, FrozenTransCache, Line, RoutineLib, ShortInstr, MAX_TRANSLATION_WORDS};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -125,7 +126,7 @@ pub struct RunOptions {
 pub struct Machine {
     program: Program,
     image: Image,
-    lib: RoutineLib,
+    lib: &'static RoutineLib,
     costs: CostModel,
     limits: Limits,
     /// Shared read-only decode templates consulted before the per-run
@@ -150,7 +151,7 @@ impl Machine {
         Machine {
             program: program.clone(),
             image: scheme.encode(program),
-            lib: RoutineLib::new(),
+            lib: RoutineLib::shared(),
             costs,
             limits,
             shared_trans: None,
@@ -188,7 +189,7 @@ impl Machine {
         Machine {
             program: verified.program().clone(),
             image: verified.get().clone(),
-            lib: RoutineLib::new(),
+            lib: RoutineLib::shared(),
             costs,
             limits,
             shared_trans: None,
@@ -337,6 +338,14 @@ impl Machine {
                 d.enable_classification();
             }
         }
+        // Guard checksums cost a pass over every filled line and only
+        // the fault plane's dispatch check reads them.
+        if faults.is_some() {
+            if let Some(d) = dtb.as_mut() {
+                d.enable_guards();
+            }
+        }
+        let lines = vec![Line::EMPTY; dtb.as_ref().map_or(0, Dtb::ways_total)];
         let mut run = Run {
             machine: self,
             engine: Engine::new(&self.program, self.limits.max_depth),
@@ -364,6 +373,8 @@ impl Machine {
                 .map(|ns| Instant::now() + std::time::Duration::from_nanos(ns)),
             tier: Tier::Interp,
             cycle_total: 0,
+            lines,
+            scratch: Line::EMPTY,
         };
         run.execute(mode)?;
         let mut metrics = run.metrics;
@@ -420,6 +431,45 @@ struct Run<'m, S: TraceSink> {
     /// cycle delta is a register subtraction instead of re-summing the
     /// whole [`CycleBreakdown`] on every instruction.
     cycle_total: u64,
+    /// The executable line of each first-level DTB way, compiled when
+    /// the way is filled and dropped when it is invalidated. The way's
+    /// stored short words stay the modeled contents and the fault
+    /// surface; a hit runs this line instead of re-reading them.
+    lines: Vec<Line>,
+    /// The line non-resident translations are compiled into.
+    scratch: Line,
+}
+
+/// One translation, copied out of a template cache or the second-level
+/// store, so the miss path can charge, store and compile it without
+/// holding a borrow of where it came from. Templates never exceed
+/// [`MAX_TRANSLATION_WORDS`].
+#[derive(Clone, Copy)]
+struct Words {
+    buf: [ShortInstr; MAX_TRANSLATION_WORDS],
+    len: usize,
+}
+
+impl Words {
+    fn copy(words: impl ExactSizeIterator<Item = ShortInstr>) -> Result<Words, Trap> {
+        let mut buf = [ShortInstr::Interp(psder::InterpMode::Stack); MAX_TRANSLATION_WORDS];
+        let len = words.len();
+        if len > MAX_TRANSLATION_WORDS {
+            return Err(Trap::Malformed("translation exceeds MAX_TRANSLATION_WORDS"));
+        }
+        for (slot, word) in buf.iter_mut().zip(words) {
+            *slot = word;
+        }
+        Ok(Words { buf, len })
+    }
+}
+
+impl std::ops::Deref for Words {
+    type Target = [ShortInstr];
+
+    fn deref(&self) -> &[ShortInstr] {
+        &self.buf[..self.len]
+    }
 }
 
 /// Where one DIR instruction's execution leads.
@@ -471,14 +521,18 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// The host-side template for `(inst, next)`: the run's resolved
     /// shared snapshot when it covers the pair, the run's private memo
     /// cache otherwise. Identical sequences either way — the split only
-    /// decides which allocation is reused.
-    fn translated(&mut self, inst: dir::Inst, next: u32) -> Arc<[ShortInstr]> {
-        if let Some(shared) = self.shared.as_deref() {
-            if let Some(sequence) = shared.get(inst, next) {
-                return sequence;
-            }
+    /// decides which allocation is reused. An associated function, so a
+    /// caller can borrow the template beside the run's other fields.
+    fn template<'a>(
+        shared: Option<&'a FrozenTransCache>,
+        trans: &'a mut psder::TransCache,
+        inst: dir::Inst,
+        next: u32,
+    ) -> &'a [ShortInstr] {
+        match shared.and_then(|shared| shared.get(inst, next)) {
+            Some(sequence) => sequence,
+            None => trans.translate(inst, next),
         }
-        self.trans.translate(inst, next)
     }
 
     /// Pure interpretation of one DIR instruction: fetch, decode and run
@@ -489,8 +543,9 @@ impl<'m, S: TraceSink> Run<'m, S> {
             self.tier = Tier::Interp;
         }
         let inst = self.fetch_decode(pc)?;
-        let sequence = self.translated(inst, pc + 1);
-        self.run_inline(&sequence)
+        let sequence = Self::template(self.shared.as_deref(), &mut self.trans, inst, pc + 1);
+        self.scratch.compile(self.machine.lib, sequence)?;
+        self.run_line(None)
     }
 
     /// Rolls the per-instruction DTB corruption dice: overwrite one word
@@ -553,6 +608,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
             return Ok(LineState::Clean(handle));
         }
         require(self.dtb.as_mut(), NO_DTB)?.invalidate(handle);
+        self.lines[handle.way()].clear();
         self.metrics.recoveries += 1;
         if S::ENABLED {
             self.sink.emit(Event::DtbMiss {
@@ -671,60 +727,62 @@ impl<'m, S: TraceSink> Run<'m, S> {
         Ok(decoded.inst)
     }
 
-    /// Executes one short instruction, running any called routine to
-    /// completion on IU1. Returns the INTERP target if this word ended the
-    /// sequence.
-    fn exec_short(&mut self, word: ShortInstr) -> Result<Option<Next>, Trap> {
-        match self.engine.exec_short(word)? {
-            ShortEffect::Continue => Ok(None),
-            ShortEffect::CallRoutine(id) => {
-                if S::ENABLED {
-                    self.sink.emit(Event::RoutineEnter {
+    /// Runs a compiled line — a first-level DTB way's, or the scratch
+    /// line when `way` is `None` — and charges its constant cost: each
+    /// short word at `τ_D` from the buffer array or at `t1` as level-1
+    /// steering code, each routine word at `t1`. A trap drops the run's
+    /// metrics, so only the two exits need exact charges.
+    fn run_line(&mut self, way: Option<usize>) -> Result<Next, Trap> {
+        let line = match way {
+            Some(way) => &self.lines[way],
+            None => &self.scratch,
+        };
+        let flow = if S::ENABLED {
+            let sink = &mut *self.sink;
+            self.engine.exec_line_traced(line, |edge| {
+                sink.emit(match edge {
+                    Edge::Enter(id) => Event::RoutineEnter {
                         id: id.index() as u16,
-                    });
-                }
-                let mut words: u32 = 0;
-                for w in self.machine.lib.words(id) {
-                    words += 1;
-                    self.metrics.routine_words += 1;
-                    self.charge(|c| &mut c.semantic, self.costs().mem.t1);
-                    if self.engine.exec_word(w)? == MicroEffect::Halt {
-                        if S::ENABLED {
-                            self.sink.emit(Event::RoutineExit {
-                                id: id.index() as u16,
-                                words,
-                            });
-                        }
-                        return Ok(Some(Next::Halt));
-                    }
-                }
-                if S::ENABLED {
-                    self.sink.emit(Event::RoutineExit {
+                    },
+                    Edge::Exit(id, words) => Event::RoutineExit {
                         id: id.index() as u16,
                         words,
-                    });
-                }
-                Ok(None)
+                    },
+                });
+            })?
+        } else {
+            self.engine.exec_line(line)?
+        };
+        let meta = line.meta();
+        let (short, routine) = (u64::from(meta.short_words), u64::from(meta.routine_words));
+        self.metrics.short_words += short;
+        self.metrics.routine_words += routine;
+        let (t1, tau_d) = (self.costs().mem.t1, self.costs().mem.tau_d);
+        match way {
+            Some(_) => self.charge(|c| &mut c.fetch_dtb, short * tau_d),
+            None => self.charge(|c| &mut c.steering, short * t1),
+        }
+        self.charge(|c| &mut c.semantic, routine * t1);
+        match flow {
+            Flow::Goto(addr) => Ok(Next::Goto(addr)),
+            Flow::Halt => Ok(Next::Halt),
+            Flow::Continue if way.is_some() => {
+                Err(Trap::Malformed("translation ended without INTERP"))
             }
-            ShortEffect::Interp(addr) => Ok(Some(Next::Goto(addr))),
+            Flow::Continue => Err(Trap::Malformed("sequence ended without INTERP")),
         }
     }
 
     /// Runs a translation that is *not* resident in the DTB (interpreter
     /// and i-cache modes, or an uncacheable overflow): IU2 steering words
-    /// execute from level-1 interpreter code at `t1` each.
+    /// execute from level-1 interpreter code at `t1` each. The sequence is
+    /// compiled into the run's scratch line first.
     fn run_inline(&mut self, sequence: &[ShortInstr]) -> Result<Next, Trap> {
         if S::ENABLED {
             self.tier = Tier::Interp;
         }
-        for &word in sequence {
-            self.metrics.short_words += 1;
-            self.charge(|c| &mut c.steering, self.costs().mem.t1);
-            if let Some(next) = self.exec_short(word)? {
-                return Ok(next);
-            }
-        }
-        Err(Trap::Malformed("sequence ended without INTERP"))
+        self.scratch.compile(self.machine.lib, sequence)?;
+        self.run_line(None)
     }
 
     fn execute(&mut self, mode: &Mode) -> Result<(), Trap> {
@@ -763,8 +821,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
 
             let next = match mode {
                 Mode::Interpreter | Mode::ICache { .. } => self.interp_one(pc)?,
-                Mode::Dtb(_) => self.step_dtb(pc)?,
-                Mode::TwoLevelDtb { .. } => self.step_two_level(pc)?,
+                Mode::Dtb(_) | Mode::TwoLevelDtb { .. } => self.step_dtb(pc)?,
             };
             if S::ENABLED {
                 // Emitted after every sub-event this instruction caused,
@@ -793,7 +850,8 @@ impl<'m, S: TraceSink> Run<'m, S> {
 
     /// One DIR instruction under the DTB: the INTERP flow of Figure 4,
     /// with the fault plane's verify/recover/degrade wrapped around the
-    /// hit path.
+    /// hit path. Under two-level translation a first-level miss probes
+    /// the second-level store before translating.
     fn step_dtb(&mut self, pc: u32) -> Result<Next, Trap> {
         // Degraded region: pure interpretation, never touching the DTB.
         if self.degraded.contains(&pc) {
@@ -808,6 +866,8 @@ impl<'m, S: TraceSink> Run<'m, S> {
         let hit = match looked {
             Some(h) => match self.verify_hit(pc, h)? {
                 LineState::Clean(h) => Some(h),
+                // Fall to the miss path: it retranslates the line, or a
+                // second-level hit repairs it by promotion.
                 LineState::Recovered => {
                     recovered = true;
                     None
@@ -816,12 +876,12 @@ impl<'m, S: TraceSink> Run<'m, S> {
             },
             None => None,
         };
-        let handle = match hit {
+        let way = match hit {
             Some(h) => {
                 if S::ENABLED {
                     self.sink.emit(Event::DtbHit { addr: pc });
                 }
-                h
+                h.way()
             }
             None => {
                 // A recovery already emitted its own miss event.
@@ -831,44 +891,30 @@ impl<'m, S: TraceSink> Run<'m, S> {
                         .unwrap_or(MissKind::Cold);
                     self.sink.emit(Event::DtbMiss { addr: pc, kind });
                 }
-                // Miss: trap to the dynamic translation routine (via
-                // DTRPOINT): fetch the DIR instruction, decode it, generate
-                // the PSDER translation, store it at the location chosen by
-                // the replacement logic.
-                let d0 = self.metrics.cycles.decode;
-                let inst = self.fetch_decode(pc)?;
-                let sequence = self.translated(inst, pc + 1);
-                let gen = sequence.len() as u64 * self.costs().gen_per_word;
-                let store = sequence.len() as u64 * self.costs().store_per_word;
-                self.charge(|c| &mut c.generate, gen * self.costs().mem.t1);
-                self.charge(|c| &mut c.store, store * self.costs().mem.t1);
+                let sequence = if self.dtb2.is_some() {
+                    self.second_level(pc)?
+                } else {
+                    self.translate_miss(pc, 1)?
+                };
+                let dtb = require(self.dtb.as_mut(), NO_DTB)?;
+                let Some(h) = dtb.fill(pc, &sequence) else {
+                    // Overflow area exhausted: execute without caching.
+                    return self.run_inline(&sequence);
+                };
                 if S::ENABLED {
-                    self.sink.emit(Event::Translate {
+                    if let Some(victim) = dtb.last_evicted() {
+                        self.sink.emit(Event::Evict { addr: pc, victim });
+                    }
+                    let occupancy = dtb.occupancy() as u32;
+                    self.sink.emit(Event::DtbFill {
                         addr: pc,
-                        decode_cycles: self.metrics.cycles.decode - d0,
-                        generate_cycles: (gen + store) * self.costs().mem.t1,
+                        occupancy,
                     });
                 }
-                let dtb = require(self.dtb.as_mut(), NO_DTB)?;
-                match dtb.fill(pc, &sequence) {
-                    Some(h) => {
-                        if S::ENABLED {
-                            if let Some(victim) = dtb.last_evicted() {
-                                self.sink.emit(Event::Evict { addr: pc, victim });
-                            }
-                            let occupancy = dtb.occupancy() as u32;
-                            self.sink.emit(Event::DtbFill {
-                                addr: pc,
-                                occupancy,
-                            });
-                        }
-                        h
-                    }
-                    None => {
-                        // Overflow area exhausted: execute without caching.
-                        return self.run_inline(&sequence);
-                    }
-                }
+                // The way's executable line is compiled from the words
+                // the line now stores.
+                self.lines[h.way()].compile(self.machine.lib, &sequence)?;
+                h.way()
             }
         };
         // Execute the PSDER translation out of the buffer array, one short
@@ -876,134 +922,59 @@ impl<'m, S: TraceSink> Run<'m, S> {
         if S::ENABLED {
             self.tier = Tier::Psder;
         }
-        let len = require(self.dtb.as_ref(), NO_DTB)?.len(handle);
-        for i in 0..len {
-            let word = require(self.dtb.as_ref(), NO_DTB)?.word(handle, i);
-            self.metrics.short_words += 1;
-            self.charge(|c| &mut c.fetch_dtb, self.costs().mem.tau_d);
-            if let Some(next) = self.exec_short(word)? {
-                return Ok(next);
-            }
-        }
-        Err(Trap::Malformed("translation ended without INTERP"))
+        self.run_line(Some(way))
     }
 
-    /// One DIR instruction under two-level dynamic translation.
-    ///
-    /// L1 miss + L2 hit promotes the translation (a copy, cheaper than
-    /// re-translating); L1 and L2 miss runs the full dynamic translation
-    /// routine and fills both levels.
-    fn step_two_level(&mut self, pc: u32) -> Result<Next, Trap> {
-        // Degraded region: pure interpretation, never touching either level.
-        if self.degraded.contains(&pc) {
-            self.metrics.degraded_instructions += 1;
-            return self.interp_one(pc);
-        }
-        self.inject_dtb_faults();
-        let (tau_d, tau2) = (self.costs().mem.tau_d, self.costs().tau_dtb2);
-        self.charge(|c| &mut c.lookup, tau_d);
-        let looked = require(self.dtb.as_mut(), NO_DTB)?.lookup(pc);
-        let mut recovered = false;
-        let l1_handle = match looked {
-            Some(h) => match self.verify_hit(pc, h)? {
-                LineState::Clean(h) => Some(h),
-                LineState::Recovered => {
-                    // Fall to the miss path: a second-level hit repairs the
-                    // line by promotion, cheaper than retranslating.
-                    recovered = true;
-                    None
-                }
-                LineState::Degraded(next) => return Ok(next),
-            },
-            None => None,
-        };
-        let handle = match l1_handle {
-            Some(h) => {
-                if S::ENABLED {
-                    self.sink.emit(Event::DtbHit { addr: pc });
-                }
-                h
-            }
-            None => {
-                // A recovery already emitted its own miss event.
-                if S::ENABLED && !recovered {
-                    let kind = require(self.dtb.as_ref(), NO_DTB)?
-                        .last_miss_kind()
-                        .unwrap_or(MissKind::Cold);
-                    self.sink.emit(Event::DtbMiss { addr: pc, kind });
-                }
-                // Probe the second-level store.
-                self.charge(|c| &mut c.lookup2, tau2);
-                let l2_hit = require(self.dtb2.as_mut(), NO_DTB2)?.lookup(pc);
-                let sequence: Arc<[ShortInstr]> = match l2_hit {
-                    Some(h2) => {
-                        // Promote: read each word from L2 (tau_dtb2) and
-                        // store it into L1 (store_per_word each).
-                        let dtb2 = require(self.dtb2.as_ref(), NO_DTB2)?;
-                        let len = dtb2.len(h2);
-                        let words: Vec<ShortInstr> = (0..len).map(|i| dtb2.word(h2, i)).collect();
-                        let promote_cost = len as u64 * (tau2 + self.costs().store_per_word);
-                        self.charge(|c| &mut c.promote, promote_cost);
-                        if S::ENABLED {
-                            self.sink.emit(Event::Promote {
-                                addr: pc,
-                                words: len,
-                            });
-                        }
-                        words.into()
-                    }
-                    None => {
-                        // Full translation, then fill L2 as well.
-                        let d0 = self.metrics.cycles.decode;
-                        let inst = self.fetch_decode(pc)?;
-                        let sequence = self.translated(inst, pc + 1);
-                        let gen = sequence.len() as u64 * self.costs().gen_per_word;
-                        let store = sequence.len() as u64 * self.costs().store_per_word * 2; // stored at both levels
-                        self.charge(|c| &mut c.generate, gen * self.costs().mem.t1);
-                        self.charge(|c| &mut c.store, store * self.costs().mem.t1);
-                        if S::ENABLED {
-                            self.sink.emit(Event::Translate {
-                                addr: pc,
-                                decode_cycles: self.metrics.cycles.decode - d0,
-                                generate_cycles: (gen + store) * self.costs().mem.t1,
-                            });
-                        }
-                        require(self.dtb2.as_mut(), NO_DTB2)?.fill(pc, &sequence);
-                        sequence
-                    }
-                };
-                let dtb = require(self.dtb.as_mut(), NO_DTB)?;
-                match dtb.fill(pc, &sequence) {
-                    Some(h) => {
-                        if S::ENABLED {
-                            if let Some(victim) = dtb.last_evicted() {
-                                self.sink.emit(Event::Evict { addr: pc, victim });
-                            }
-                            let occupancy = dtb.occupancy() as u32;
-                            self.sink.emit(Event::DtbFill {
-                                addr: pc,
-                                occupancy,
-                            });
-                        }
-                        h
-                    }
-                    None => return self.run_inline(&sequence),
-                }
-            }
-        };
+    /// A first-level miss: trap to the dynamic translation routine (via
+    /// DTRPOINT) — fetch the DIR instruction, decode it, generate the
+    /// PSDER translation and store `copies` copies of it (one per level
+    /// it will fill).
+    fn translate_miss(&mut self, pc: u32, copies: u64) -> Result<Words, Trap> {
+        let d0 = self.metrics.cycles.decode;
+        let inst = self.fetch_decode(pc)?;
+        let template = Self::template(self.shared.as_deref(), &mut self.trans, inst, pc + 1);
+        let sequence = Words::copy(template.iter().copied())?;
+        let t1 = self.costs().mem.t1;
+        let gen = sequence.len() as u64 * self.costs().gen_per_word;
+        let store = sequence.len() as u64 * self.costs().store_per_word * copies;
+        self.charge(|c| &mut c.generate, gen * t1);
+        self.charge(|c| &mut c.store, store * t1);
         if S::ENABLED {
-            self.tier = Tier::Psder;
+            self.sink.emit(Event::Translate {
+                addr: pc,
+                decode_cycles: self.metrics.cycles.decode - d0,
+                generate_cycles: (gen + store) * t1,
+            });
         }
-        let len = require(self.dtb.as_ref(), NO_DTB)?.len(handle);
-        for i in 0..len {
-            let word = require(self.dtb.as_ref(), NO_DTB)?.word(handle, i);
-            self.metrics.short_words += 1;
-            self.charge(|c| &mut c.fetch_dtb, tau_d);
-            if let Some(next) = self.exec_short(word)? {
-                return Ok(next);
-            }
+        Ok(sequence)
+    }
+
+    /// A first-level miss under two-level translation. A second-level
+    /// hit *promotes* the stored translation (a copy, cheaper than
+    /// re-translating); a second-level miss runs the full dynamic
+    /// translation routine and fills the second level too.
+    fn second_level(&mut self, pc: u32) -> Result<Words, Trap> {
+        let tau2 = self.costs().tau_dtb2;
+        self.charge(|c| &mut c.lookup2, tau2);
+        let Some(h2) = require(self.dtb2.as_mut(), NO_DTB2)?.lookup(pc) else {
+            let sequence = self.translate_miss(pc, 2)?;
+            require(self.dtb2.as_mut(), NO_DTB2)?.fill(pc, &sequence);
+            return Ok(sequence);
+        };
+        // Promote: read each word from L2 (tau_dtb2) and store it into L1
+        // (store_per_word each).
+        let dtb2 = require(self.dtb2.as_ref(), NO_DTB2)?;
+        let len = dtb2.len(h2);
+        let words = Words::copy((0..len).map(|i| dtb2.word(h2, i)))?;
+        let promote_cost = u64::from(len) * (tau2 + self.costs().store_per_word);
+        self.charge(|c| &mut c.promote, promote_cost);
+        if S::ENABLED {
+            self.sink.emit(Event::Promote {
+                addr: pc,
+                words: len,
+            });
         }
-        Err(Trap::Malformed("translation ended without INTERP"))
+        Ok(words)
     }
 }
 

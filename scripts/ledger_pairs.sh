@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Alternating parent/change runs of the host ledger on one workload: the
+# protocol a claimed host-time gain is measured with.
+#
+# Usage: scripts/ledger_pairs.sh <parent-rev> <workload> [pairs]
+#
+# Checks out <parent-rev> as a temporary git worktree, builds the ledger
+# there and in this checkout, then runs [pairs] (default 10) pairs, each
+# the parent's ledger then this checkout's, with the workload's
+# `run_seconds` from BENCHMARK.json (override with LEDGER_SECONDS). For
+# every end-to-end metric it prints each side's median and quartiles, the
+# ratio of the medians (change / parent) and in how many pairs the change
+# was better. The worktree is removed on exit.
+set -euo pipefail
+
+if [[ $# -lt 2 || $# -gt 3 ]]; then
+    echo "usage: scripts/ledger_pairs.sh <parent-rev> <workload> [pairs]" >&2
+    exit 2
+fi
+rev="$1"
+workload="$2"
+pairs="${3:-10}"
+if ! [[ "$pairs" =~ ^[1-9][0-9]*$ ]]; then
+    echo "pairs must be a positive integer, not '$pairs'" >&2
+    exit 2
+fi
+
+root="$(cd "$(dirname "$0")/.." && pwd)"
+cd "$root"
+seconds="${LEDGER_SECONDS:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
+manifest="crates/bench/src/bin/host_ledger/Cargo.toml"
+ledger="crates/bench/src/bin/host_ledger/target/release/host_ledger"
+
+tmp="$(mktemp -d)"
+cleanup() {
+    git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+
+git worktree add --detach "$tmp/parent" "$rev" >/dev/null
+echo "building the parent ($rev) and the change ..." >&2
+cargo build --quiet --release --offline --manifest-path "$tmp/parent/$manifest"
+cargo build --quiet --release --offline --manifest-path "$root/$manifest"
+
+for i in $(seq 1 "$pairs"); do
+    for side in parent change; do
+        if [[ $side == parent ]]; then bin="$tmp/parent/$ledger"; else bin="$root/$ledger"; fi
+        "$bin" --workload "$workload" --seconds "$seconds" --trace 0 | tail -1 >>"$tmp/$side.jsonl"
+    done
+    echo "pair $i/$pairs done" >&2
+done
+
+python3 - "$root/BENCHMARK.json" "$tmp/parent.jsonl" "$tmp/change.jsonl" "$workload" <<'EOF'
+import json, statistics, sys
+
+bench = json.load(open(sys.argv[1]))
+parent = [json.loads(l) for l in open(sys.argv[2])]
+change = [json.loads(l) for l in open(sys.argv[3])]
+workload = sys.argv[4]
+
+def quartiles(xs):
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+print(f"workload {workload}: {len(parent)} pairs (parent then change)")
+for side, runs in (("parent", parent), ("change", change)):
+    bad = sum(1 for r in runs if not r["correct"])
+    if bad:
+        print(f"WARNING: {bad} {side} runs were not correct")
+print(f"{'metric':<28} {'unit':<12} {'parent median [q1, q3]':<34} "
+      f"{'change median [q1, q3]':<34} {'ratio':>7} {'wins':>6}")
+for metric in bench["end_to_end"]:
+    name, better = metric["name"], metric["better"]
+    p = [r["metrics"][name]["value"] for r in parent]
+    c = [r["metrics"][name]["value"] for r in change]
+    pq, cq = quartiles(p), quartiles(c)
+    if better == "lower":
+        wins = sum(1 for a, b in zip(p, c) if b < a)
+    else:
+        wins = sum(1 for a, b in zip(p, c) if b > a)
+    ratio = cq[1] / pq[1] if pq[1] else float("nan")
+    fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
+    print(f"{name:<28} {metric['unit']:<12} {fmt(pq):<34} {fmt(cq):<34} "
+          f"{ratio:>7.3f} {wins:>3}/{len(p)}")
+EOF
