@@ -259,7 +259,7 @@ mod tests {
         assert_eq!(opcodes.len(), dir::isa::OPCODE_COUNT);
         for (inst, next) in sample {
             let psder_net = expected_effect(inst);
-            let sequence = psder::translator::translate(inst, next);
+            let sequence = psder::Template::new(inst, next);
             assert_eq!(sequence_effect(&lib, &sequence), psder_net, "{inst:?}");
             // `Call` and `Return` are frame-mediated: absint models them
             // with procedure metadata, not with this table.

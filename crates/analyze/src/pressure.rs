@@ -12,7 +12,7 @@
 
 use dir::program::Program;
 use memsim::Geometry;
-use psder::translate;
+use psder::Template;
 
 use crate::absint::regions;
 use crate::diag::{DiagCode, Diagnostic};
@@ -84,7 +84,7 @@ pub(crate) fn estimate(program: &Program, diags: &mut Vec<Diagnostic>) -> Pressu
         .code
         .iter()
         .enumerate()
-        .map(|(i, &inst)| translate(inst, i as u32 + 1).len() as u32)
+        .map(|(i, &inst)| Template::new(inst, i as u32 + 1).len() as u32)
         .collect();
     let span_words =
         |start: u32, end: u32| words_at[start as usize..end as usize].iter().sum::<u32>();

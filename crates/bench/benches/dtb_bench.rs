@@ -40,7 +40,7 @@ fn main() {
         target: 17,
     };
     h.bench("translate_template", || {
-        black_box(psder::translate(black_box(inst), 18))
+        black_box(psder::Template::new(black_box(inst), 18))
     });
 
     h.finish();

@@ -1,6 +1,6 @@
 //! **E19 — the chaos campaign (pool resilience):** drive the supervised
 //! pool through ≥100 seeded chaos scenarios — worker crashes, hung
-//! tenants, corrupted shared translation artifacts, load shedding and
+//! tenants, corrupted translations, load shedding and
 //! circuit-breaker walks — and assert the four resilience invariants in
 //! every one:
 //!
@@ -89,9 +89,10 @@ impl Cell {
 
 fn machine_for(src: &str) -> Arc<Machine> {
     let hir = hlr::compile(src).expect("campaign sources compile");
-    let mut m = Machine::new(&dir::compiler::compile(&hir), SchemeKind::Packed);
-    m.freeze_translations();
-    Arc::new(m)
+    Arc::new(Machine::new(
+        &dir::compiler::compile(&hir),
+        SchemeKind::Packed,
+    ))
 }
 
 /// The twelve-tenant fleet of the chaos matrix: small loops, two paper

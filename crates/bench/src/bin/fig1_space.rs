@@ -25,7 +25,11 @@ use uhm_bench::{bench_report, gate, workloads};
 /// steering sequence (what storing the whole program pre-translated would
 /// cost), in 24-bit short words.
 fn expanded_der_bits(p: &Program) -> u64 {
-    let words: usize = p.code.iter().map(|&i| psder::translate(i, 0).len()).sum();
+    let words: usize = p
+        .code
+        .iter()
+        .map(|&i| psder::Template::new(i, 0).len())
+        .sum();
     words as u64 * 24
 }
 

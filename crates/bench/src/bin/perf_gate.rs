@@ -3,7 +3,7 @@
 //! seed's bit-at-a-time tree walker (`--decoder tree`) and the
 //! word-batched canonical-Huffman table decoder (`--decoder table`) —
 //! in MB/s over the full sample corpus, plus DIR→PSDER translation
-//! throughput plain vs memoized vs block-fused.
+//! throughput (`psder::Template::new`, ungated).
 //!
 //! The paper's *modeled* decode costs (E6/E12) are a property of the
 //! representation, not of the host, and are identical in both modes by
@@ -18,6 +18,7 @@
 //! below the committed baseline (`baselines/perf_gate.json`). Ratios,
 //! not absolute MB/s, so the gate is robust across CI machines.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 
 use dir::encode::{DecodeMode, Image, SchemeKind};
@@ -116,76 +117,24 @@ fn measure_decode(c: &Corpus) -> DecodeRow {
     }
 }
 
-/// Translates the whole corpus instruction by instruction, fresh
-/// template construction every time (the seed's translator path).
-fn translate_plain(programs: &[Program]) -> u64 {
+/// Translates the whole corpus instruction by instruction, each
+/// template built in place by `Template::new`.
+fn translate_pass(programs: &[Program]) -> u64 {
     let mut acc = 0u64;
     for p in programs {
         for (i, &inst) in p.code.iter().enumerate() {
-            acc = acc.wrapping_add(psder::translate(inst, i as u32 + 1).len() as u64);
+            let template = psder::Template::new(black_box(inst), i as u32 + 1);
+            acc = acc.wrapping_add(black_box(template).len() as u64);
         }
     }
     acc
 }
 
-/// Same pass through a shared memo cache: after the first pass every
-/// lookup is a hit, modelling a hot DTB-miss handler.
-fn translate_cached(programs: &[Program], cache: &mut psder::TransCache) -> u64 {
-    let mut acc = 0u64;
-    for p in programs {
-        for (i, &inst) in p.code.iter().enumerate() {
-            acc = acc.wrapping_add(cache.translate(inst, i as u32 + 1).len() as u64);
-        }
-    }
-    acc
-}
-
-/// Whole-corpus superinstruction fusion: translate straight-line runs
-/// as single blocks, dropping interior fall-through terminators.
-fn translate_fused(programs: &[Program]) -> u64 {
-    let mut acc = 0u64;
-    for p in programs {
-        let mut pc = 0usize;
-        while pc < p.code.len() {
-            let (words, taken) = psder::fuse_block(&p.code[pc..], pc as u32);
-            acc = acc.wrapping_add(words.len() as u64);
-            pc += taken.max(1);
-        }
-    }
-    acc
-}
-
-/// One translation stage's measured throughput.
-struct TransRow {
-    stage: &'static str,
-    minstr_s: f64,
-}
-
-fn measure_translation(programs: &[Program]) -> Vec<TransRow> {
+/// The translator's throughput over the corpus, in Minstr/s.
+fn measure_translation(programs: &[Program]) -> f64 {
     let total: u64 = programs.iter().map(|p| p.code.len() as u64).sum();
-    let minstr_s = |ns: f64| total as f64 / (ns / 1e9) / 1e6;
-    let mut cache = psder::TransCache::new();
-    translate_cached(programs, &mut cache); // warm: measure the hit path
-    let (plain, cached) = min_ns_interleaved(
-        || translate_plain(programs),
-        || translate_cached(programs, &mut cache),
-        SAMPLES,
-    );
-    let fused = min_ns(|| translate_fused(programs), SAMPLES);
-    vec![
-        TransRow {
-            stage: "plain",
-            minstr_s: minstr_s(plain),
-        },
-        TransRow {
-            stage: "memoized",
-            minstr_s: minstr_s(cached),
-        },
-        TransRow {
-            stage: "fused",
-            minstr_s: minstr_s(fused),
-        },
-    ]
+    let ns = min_ns(|| translate_pass(programs), SAMPLES);
+    total as f64 / (ns / 1e9) / 1e6
 }
 
 /// Checks both decoders instruction by instruction over every corpus:
@@ -229,7 +178,7 @@ fn main() -> ExitCode {
     } else {
         Vec::new()
     };
-    let trans_rows = measure_translation(&programs);
+    let translate_minstr_s = measure_translation(&programs);
     for r in &decode_rows {
         gate.at_least(&["speedup", r.scheme.label()], r.speedup, TOLERANCE);
     }
@@ -249,13 +198,11 @@ fn main() -> ExitCode {
                 ])
             })
             .collect();
-        rows.extend(trans_rows.iter().map(|r| {
-            Json::obj(vec![
-                ("kind", "translate".to_string().into()),
-                ("stage", r.stage.to_string().into()),
-                ("minstr_s", r.minstr_s.into()),
-            ])
-        }));
+        rows.push(Json::obj(vec![
+            ("kind", "translate".to_string().into()),
+            ("stage", "plain".to_string().into()),
+            ("minstr_s", translate_minstr_s.into()),
+        ]));
         let config = Json::obj(vec![
             ("lut_bits", u64::from(dir::huffman::LUT_BITS).into()),
             ("workloads", (programs.len() as u64).into()),
@@ -263,7 +210,7 @@ fn main() -> ExitCode {
         ]);
         println!("{}", bench_report("perf_gate", config, rows).render());
     } else {
-        print_table(&programs, checks, &decode_rows, &trans_rows);
+        print_table(&programs, checks, &decode_rows, translate_minstr_s);
     }
     gate.finish()
 }
@@ -272,7 +219,7 @@ fn print_table(
     programs: &[Program],
     checks: u64,
     decode_rows: &[DecodeRow],
-    trans_rows: &[TransRow],
+    translate_minstr_s: f64,
 ) {
     println!(
         "host decode throughput over {} workloads (wall clock; modeled \
@@ -295,10 +242,6 @@ fn print_table(
         );
     }
     println!();
-    println!("DIR -> PSDER translation throughput");
-    println!("{:>12} {:>12}", "stage", "Minstr/s");
-    for r in trans_rows {
-        println!("{:>12} {:>12.2}", r.stage, r.minstr_s);
-    }
+    println!("DIR -> PSDER translation throughput: {translate_minstr_s:.2} Minstr/s");
     println!("\n{checks} decodes compared: tree and table agree on every instruction");
 }

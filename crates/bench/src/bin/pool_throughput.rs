@@ -6,7 +6,7 @@
 //! tenant's modeled metrics are bit-identical to a sequential run — the
 //! pool is a pure host-side construct), so the ratio isolates what the
 //! pool actually buys: parallel host execution over shared read-only
-//! decode artifacts.
+//! machines (image, decode tables, routine library).
 //!
 //! Run with `cargo run -p uhm-bench --release --bin pool_throughput`.
 //! With `--json`, emits a versioned run report (one row per worker count,
@@ -43,16 +43,14 @@ const FULL_GATE: f64 = 1.7;
 /// Relaxed ratio for 2-3 core hosts.
 const NARROW_GATE: f64 = 1.15;
 
-/// Builds the tenant machine set: one machine per workload, encoded once,
-/// with the frozen translation snapshot attached so all tenants of a
-/// workload share one decode-template table.
+/// Builds the tenant machine set: one machine per workload, encoded once
+/// and shared by all tenants of that workload.
 fn machines() -> Vec<(String, Arc<Machine>)> {
     workloads()
         .into_iter()
         .map(|w| {
-            let mut m = Machine::new(&w.base, SchemeKind::Huffman);
-            m.freeze_translations();
-            (w.name.to_string(), Arc::new(m))
+            let machine = Machine::new(&w.base, SchemeKind::Huffman);
+            (w.name.to_string(), Arc::new(machine))
         })
         .collect()
 }

@@ -55,16 +55,12 @@ const RATES: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 const P99_BOUND_CYCLES: f64 = 2e8;
 
 /// Builds the service under test: the core workloads (base tier, packed
-/// scheme, frozen translations) behind one tenant lane per workload,
+/// scheme) behind one tenant lane per workload,
 /// `REQUESTS` requests round-robin across them.
 fn service() -> Service {
     let machines: Vec<(&'static str, Arc<Machine>)> = core_workloads()
         .iter()
-        .map(|w| {
-            let mut m = Machine::new(&w.base, SchemeKind::Packed);
-            m.freeze_translations();
-            (w.name, Arc::new(m))
-        })
+        .map(|w| (w.name, Arc::new(Machine::new(&w.base, SchemeKind::Packed))))
         .collect();
     let mut service = Service::new(ServiceConfig {
         workers: WORKERS,

@@ -89,8 +89,8 @@ fn perf_gate_emits_a_run_report() {
             assert!(v > 0.0, "{key} = {v}");
         }
     }
-    // Plain, memoized and fused translation stages.
-    assert_eq!(translate.len(), 3, "three translation stages");
+    // One translation stage: templates built in place.
+    assert_eq!(translate.len(), 1, "one translation stage");
     for row in &translate {
         assert!(row.get("minstr_s").and_then(Json::as_f64).unwrap() > 0.0);
     }

@@ -145,9 +145,7 @@ mod tests {
     #[test]
     fn pool_section_histograms_merge_exactly() {
         let program = dir::compiler::compile(&hlr::compile(LOOP).unwrap());
-        let mut m = Machine::new(&program, SchemeKind::Packed);
-        m.freeze_translations();
-        let m = Arc::new(m);
+        let m = Arc::new(Machine::new(&program, SchemeKind::Packed));
         let mut pool = MachinePool::new(3);
         for t in 0..9 {
             pool.push(format!("t{t}"), Arc::clone(&m), Mode::Interpreter);

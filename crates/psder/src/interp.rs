@@ -15,7 +15,7 @@ use crate::engine::{Engine, MicroEffect, ShortEffect};
 use crate::line::Flow;
 use crate::routines::RoutineLib;
 use crate::short::ShortInstr;
-use crate::translator::translate;
+use crate::translator::Template;
 
 /// Resource limits for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub fn run_with(program: &Program, limits: Limits) -> Result<Vec<i64>, Trap> {
             .code
             .get(pc as usize)
             .ok_or(Trap::Malformed("pc out of range"))?;
-        match run_sequence(&mut engine, lib, &translate(inst, pc + 1))? {
+        match run_sequence(&mut engine, lib, &Template::new(inst, pc + 1))? {
             Flow::Goto(next) => pc = next,
             Flow::Halt => return Ok(engine.into_output()),
             Flow::Continue => return Err(Trap::Malformed("sequence ended without INTERP")),

@@ -6,8 +6,9 @@
 //! routines written in long-format horizontal microinstructions
 //! ([`micro`], [`routines`]).
 //!
-//! [`translator`] holds the almost-one-to-one DIR→PSDER templates used by
-//! the dynamic translator and the pure interpreter alike; [`engine`] is the
+//! [`translator`] holds the almost-one-to-one DIR→PSDER [`Template`]s,
+//! built in place and used by the dynamic translator and the pure
+//! interpreter alike; [`engine`] is the
 //! shared architectural state (operand stack, return-address stack, frames,
 //! register file); [`line`](mod@line) compiles one translation into a flat op line
 //! with each called routine inlined, the form the `uhm` machines execute;
@@ -40,4 +41,4 @@ pub use engine::{Engine, MicroEffect, ShortEffect};
 pub use line::{Flow, Line, LineMeta, MAX_LINE_CALLS, MAX_LINE_OPS};
 pub use routines::RoutineLib;
 pub use short::{InterpMode, PopMode, PushMode, RoutineId, ShortInstr};
-pub use translator::{fuse_block, translate, FrozenTransCache, TransCache, MAX_TRANSLATION_WORDS};
+pub use translator::{translate, Template, MAX_TRANSLATION_WORDS};

@@ -180,7 +180,7 @@ impl Line {
     /// ```
     /// use dir::{AluOp, Inst};
     /// use psder::line::{Flow, Line};
-    /// use psder::{translate, Engine, RoutineLib};
+    /// use psder::{Engine, RoutineLib, Template};
     ///
     /// let prog = dir::compiler::compile(&hlr::compile("proc main() begin skip; end")?);
     /// let lib = RoutineLib::new();
@@ -189,7 +189,7 @@ impl Line {
     /// let code = [Inst::PushConst(6), Inst::PushConst(7), Inst::Bin(AluOp::Mul)];
     /// for (pc, &inst) in code.iter().enumerate() {
     ///     let next = pc as u32 + 1;
-    ///     line.compile(&lib, &translate(inst, next))?;
+    ///     line.compile(&lib, &Template::new(inst, next))?;
     ///     assert_eq!(engine.exec_line(&line)?, Flow::Goto(next));
     /// }
     /// // MUL is CALL Bin(Mul); INTERP, with the routine's ops inlined.
@@ -309,7 +309,7 @@ mod tests {
     use crate::engine::{Engine, MicroEffect, ShortEffect};
     use crate::micro::Reg;
     use crate::routines::RoutineLib;
-    use crate::translator::translate;
+    use crate::translator::Template;
     use crate::verify::isa_sample;
     use crate::{mword, ShortInstr};
 
@@ -404,7 +404,7 @@ mod tests {
         let mut line = Line::EMPTY;
         let mut exits = [0u32; 4];
         for &(inst, next) in &sample {
-            let template = translate(inst, next);
+            let template = Template::new(inst, next);
             let truncated = &template[..template.len() - 1];
             for sequence in [&template[..], truncated] {
                 let meta = *line.compile(&lib, sequence).unwrap();
@@ -449,7 +449,7 @@ mod tests {
         let mut line = Line::EMPTY;
         let mut longest = 0;
         for (inst, next) in isa_sample(8, || rng.next_u64()) {
-            let meta = line.compile(&lib, &translate(inst, next)).unwrap();
+            let meta = line.compile(&lib, &Template::new(inst, next)).unwrap();
             longest = longest.max(meta.len());
         }
         assert_eq!(longest, 12, "a fused compare-and-branch");
@@ -459,7 +459,8 @@ mod tests {
     fn an_oversized_sequence_is_malformed() {
         let lib = RoutineLib::new();
         let mut line = Line::EMPTY;
-        line.compile(&lib, &translate(dir::Inst::Write, 1)).unwrap();
+        line.compile(&lib, &Template::new(dir::Inst::Write, 1))
+            .unwrap();
         let long = [ShortInstr::Call(RoutineId::StoreArrLocal); 3];
         let err = line.compile(&lib, &long).unwrap_err();
         assert!(matches!(err, Trap::Malformed(_)), "{err:?}");
@@ -481,7 +482,7 @@ mod tests {
         let lib = RoutineLib::new();
         let program = program();
         let mut line = Line::EMPTY;
-        line.compile(&lib, &translate(dir::Inst::Bin(dir::AluOp::Add), 4))
+        line.compile(&lib, &Template::new(dir::Inst::Bin(dir::AluOp::Add), 4))
             .unwrap();
         let mut e = Engine::new(&program, 4);
         e.exec_short(ShortInstr::Push(crate::PushMode::Imm(2)))
@@ -494,7 +495,8 @@ mod tests {
         let id = RoutineId::Bin(dir::AluOp::Add);
         assert_eq!(edges, [Edge::Enter(id), Edge::Exit(id, 2)]);
         // A halting routine exits with the words it retired.
-        line.compile(&lib, &translate(dir::Inst::Halt, 0)).unwrap();
+        line.compile(&lib, &Template::new(dir::Inst::Halt, 0))
+            .unwrap();
         edges.clear();
         assert_eq!(
             e.exec_line_traced(&line, |edge| edges.push(edge)).unwrap(),
@@ -508,7 +510,7 @@ mod tests {
             ]
         );
         // A trapping routine is entered but never exits.
-        line.compile(&lib, &translate(dir::Inst::Bin(dir::AluOp::Div), 4))
+        line.compile(&lib, &Template::new(dir::Inst::Bin(dir::AluOp::Div), 4))
             .unwrap();
         e.exec_short(ShortInstr::Push(crate::PushMode::Imm(0)))
             .unwrap();

@@ -110,7 +110,7 @@ pub fn sequence_listing(sequence: &[ShortInstr]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::translator::translate;
+    use crate::translator::Template;
 
     #[test]
     fn routine_listing_covers_everything() {
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn sequence_listing_matches_translation() {
-        let seq = translate(dir::Inst::JumpIfFalse(7), 3);
+        let seq = Template::new(dir::Inst::JumpIfFalse(7), 3);
         let text = sequence_listing(&seq);
         assert_eq!(
             text,

@@ -15,7 +15,7 @@ use dir::isa::{AluOp, FieldKind, Inst, Opcode, ALU_OPS, OPCODES};
 use crate::micro::MicroOp;
 use crate::routines::RoutineLib;
 use crate::short::{InterpMode, RoutineId, ShortInstr};
-use crate::translator::translate;
+use crate::translator::Template;
 
 /// Net operand-stack effect (pushes − pops) of one micro-op, ignoring
 /// machine-state side channels.
@@ -171,7 +171,7 @@ pub fn check_all(lib: &RoutineLib, sample: &[(Inst, u32)]) -> Result<(), Vec<Bal
     let errors: Vec<BalanceError> = sample
         .iter()
         .filter_map(|&(inst, next)| {
-            let got = sequence_effect(lib, &translate(inst, next));
+            let got = sequence_effect(lib, &Template::new(inst, next));
             let expected = expected_effect(inst);
             (got != expected).then_some(BalanceError {
                 inst,
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn sequence_effect_counts_interp_stack() {
         let lib = RoutineLib::new();
-        let seq = translate(Inst::JumpIfFalse(3), 4);
+        let seq = Template::new(Inst::JumpIfFalse(3), 4);
         // cond on stack before; 2 pushes, Select (-2), INTERP-stack (-1).
         assert_eq!(sequence_effect(&lib, &seq), -1);
     }

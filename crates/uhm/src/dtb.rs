@@ -357,7 +357,7 @@ impl Dtb {
     /// assert!(dtb.lookup(7).is_none()); // cold miss: nothing resident yet
     ///
     /// // A miss traps to the dynamic translator; its output fills a line.
-    /// let words = psder::translate(dir::Inst::PushConst(42), 8);
+    /// let words = psder::Template::new(dir::Inst::PushConst(42), 8);
     /// let handle = dtb.fill(7, &words).expect("room in an empty DTB");
     /// assert!(dtb.lookup(7).is_some()); // the translation is now resident
     /// assert_eq!(dtb.len(handle), words.len() as u32);

@@ -18,8 +18,9 @@
 //!   DTB's redundancy (the static DIR stays the ground truth);
 //! * [`pool`] — the multi-tenant plane: a [`MachinePool`]
 //!   runs independent tenant programs across a work-stealing worker set,
-//!   sharing read-only decode artifacts while keeping every tenant's
-//!   results bit-identical to a sequential run;
+//!   sharing each machine's image, decode tables and routine library
+//!   while keeping every tenant's results bit-identical to a sequential
+//!   run;
 //! * [`resilience`] — the supervision policies around the pool: execution
 //!   budgets ([`Budget`]), seeded retry/backoff, per-image circuit
 //!   breakers, pressure-bound admission control, load shedding, and the
@@ -67,7 +68,7 @@ pub mod window;
 pub use config::{Budget, CostModel, Limits, RetryPolicy, BUDGET_CHECK_INTERVAL};
 pub use dtb::{Allocation, ConfigError, Dtb, DtbConfig, DtbStats, Replacement};
 pub use fault::{FaultConfig, FaultInjector, FaultStats};
-pub use machine::{Machine, Mode, RunOptions, SharedArtifacts};
+pub use machine::{Machine, Mode, RunOptions};
 pub use metrics::{CycleBreakdown, Metrics, Report};
 pub use model::Params;
 pub use pool::{MachinePool, PoolRun, PoolTenant, TenantResult};

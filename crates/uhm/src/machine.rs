@@ -12,15 +12,18 @@
 //!   routine.
 //! * [`Mode::ICache`] — the resource-matched baseline (T3): level-2 words
 //!   are cached, but every instruction is still decoded.
+//!
+//! Every translation event — an interpreted step, a DTB miss, a degraded
+//! address — builds its [`Template`] on the stack; the DTB is the only
+//! place a translation is kept, as in the paper.
 
 use dir::encode::{DecodeMode, Image, SchemeKind};
 use dir::exec::Trap;
 use dir::program::Program;
 use memsim::{Access, Geometry, SetAssocCache};
 use psder::line::Edge;
-use psder::{Engine, Flow, FrozenTransCache, Line, RoutineLib, ShortInstr, MAX_TRANSLATION_WORDS};
+use psder::{Engine, Flow, Line, RoutineLib, ShortInstr, Template};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{Event, FaultKind, MissKind, NullSink, Tier, TraceSink};
 
@@ -76,29 +79,10 @@ impl Mode {
     }
 }
 
-/// Which shared translation artifacts a run consults (see
-/// [`Machine::set_shared_translations`]). Host-side only in every
-/// variant: outputs, traps and modeled metrics are identical regardless,
-/// which is exactly why a supervised retry can switch variants after a
-/// suspected artifact corruption without losing bit-identical results.
-#[derive(Debug, Clone, Default)]
-pub enum SharedArtifacts {
-    /// Consult the machine's own frozen snapshot (the default).
-    #[default]
-    Machine,
-    /// Ignore any shared snapshot: rebuild templates in the run-private
-    /// cache. The supervised pool's recovery path after a poisoned
-    /// artifact.
-    Bypass,
-    /// Consult this snapshot instead of the machine's own — the chaos
-    /// plane's artifact-corruption injection point.
-    Override(Arc<FrozenTransCache>),
-}
-
 /// Per-run options for [`Machine::run_with`]: every setting that may
 /// vary between runs of one shared machine. The default is a plain run —
-/// no fault plane, an unlimited budget, the machine's own shared
-/// artifacts — which is what [`Machine::run`] passes. Observation is the
+/// no fault plane, an unlimited budget, clean translations — which is
+/// what [`Machine::run`] passes. Observation is the
 /// sink's business, not an option: windowed sampling is the
 /// [`WindowSampler`](crate::WindowSampler) sink.
 #[derive(Debug, Clone, Default)]
@@ -113,15 +97,17 @@ pub struct RunOptions {
     /// Execution budget (fuel and/or wall-clock deadline). The unlimited
     /// default keeps the amortized budget check inert.
     pub budget: Budget,
-    /// Which shared translation artifacts to consult.
-    pub shared: SharedArtifacts,
+    /// The chaos plane's corrupted-translation injection: every template
+    /// the run builds drops its last word ([`Template::poisoned`]), so the
+    /// first instruction traps [`Trap::Malformed`].
+    pub poison_translations: bool,
 }
 
 /// A universal host machine bound to one encoded program.
 ///
 /// [`Machine::run`] takes `&self`, and every field is immutable run
-/// state, so one machine behind an [`Arc`] can serve any number of
-/// concurrent runs — the basis of [`crate::pool::MachinePool`].
+/// state, so one machine behind an [`Arc`](std::sync::Arc) can serve any
+/// number of concurrent runs — the basis of [`crate::pool::MachinePool`].
 #[derive(Debug)]
 pub struct Machine {
     program: Program,
@@ -129,9 +115,6 @@ pub struct Machine {
     lib: &'static RoutineLib,
     costs: CostModel,
     limits: Limits,
-    /// Shared read-only decode templates consulted before the per-run
-    /// private cache. Host-side only; modeled costs are unaffected.
-    shared_trans: Option<Arc<FrozenTransCache>>,
 }
 
 impl Machine {
@@ -154,7 +137,6 @@ impl Machine {
             lib: RoutineLib::shared(),
             costs,
             limits,
-            shared_trans: None,
         }
     }
 
@@ -192,7 +174,6 @@ impl Machine {
             lib: RoutineLib::shared(),
             costs,
             limits,
-            shared_trans: None,
         }
     }
 
@@ -204,42 +185,12 @@ impl Machine {
         self
     }
 
-    /// Attaches (or detaches) a frozen, thread-shareable snapshot of
-    /// DIR→PSDER decode templates. Runs consult the snapshot before the
-    /// per-run private [`psder::TransCache`], so tenants of a
-    /// [`MachinePool`](crate::pool::MachinePool) reuse one table instead
-    /// of rebuilding identical templates per worker. Purely host-side:
-    /// outputs, traps and every *modeled* metric are unchanged.
-    pub fn set_shared_translations(&mut self, shared: Option<Arc<FrozenTransCache>>) -> &mut Self {
-        self.shared_trans = shared;
-        self
-    }
-
-    /// Pre-translates this machine's whole program into a frozen template
-    /// snapshot and attaches it (see [`Machine::set_shared_translations`]).
-    ///
-    /// ```
-    /// use dir::encode::SchemeKind;
-    /// use uhm::{Machine, Mode};
-    ///
-    /// let hir = hlr::compile("proc main() begin int i; for i := 0 to 9 do write i; end")?;
-    /// let prog = dir::compiler::compile(&hir);
-    /// let mut machine = Machine::new(&prog, SchemeKind::Huffman);
-    /// let fresh = machine.run(&Mode::Interpreter).unwrap();
-    /// machine.freeze_translations();
-    /// let shared = machine.run(&Mode::Interpreter).unwrap();
-    /// // Host-side only: output and every modeled metric are unchanged.
-    /// assert_eq!(fresh.output, shared.output);
-    /// assert_eq!(fresh.metrics, shared.metrics);
-    /// # Ok::<(), hlr::Error>(())
-    /// ```
-    ///
-    /// Both the pool ([`crate::pool::MachinePool`]) and the service
-    /// front-end ([`crate::service::Service`]) expect frozen machines,
-    /// so one read-only snapshot serves every worker and request.
+    /// Does nothing. It used to pre-translate the program into a shared
+    /// template snapshot; templates are now built in place in a few
+    /// nanoseconds, cheaper than a snapshot lookup, so there is nothing
+    /// to freeze. Kept so callers written against it still compile.
     pub fn freeze_translations(&mut self) -> &mut Self {
-        let frozen = FrozenTransCache::for_program(&self.program.code);
-        self.set_shared_translations(Some(Arc::new(frozen)))
+        self
     }
 
     /// The DIR program this machine executes.
@@ -291,8 +242,8 @@ impl Machine {
     /// untraced run.
     ///
     /// The machine itself stays shared and immutable: a supervisor varies
-    /// only `opts` between attempts (fault seed, budget, which shared
-    /// artifacts to trust).
+    /// only `opts` between attempts (fault seed, budget, whether the
+    /// chaos plane corrupts the translations).
     ///
     /// # Errors
     ///
@@ -309,13 +260,8 @@ impl Machine {
             faults,
             retry,
             budget,
-            shared,
+            poison_translations,
         } = opts;
-        let shared = match shared {
-            SharedArtifacts::Machine => self.shared_trans.clone(),
-            SharedArtifacts::Bypass => None,
-            SharedArtifacts::Override(snapshot) => Some(snapshot),
-        };
         let mut dtb = match mode {
             Mode::Dtb(cfg) => Some(Dtb::new(*cfg)),
             Mode::TwoLevelDtb { l1, .. } => Some(Dtb::new(*l1)),
@@ -365,8 +311,7 @@ impl Machine {
             dir_bytes: faults.as_ref().map(|_| self.image.bytes.clone()),
             degraded: HashSet::new(),
             fail_counts: HashMap::new(),
-            trans: psder::TransCache::new(),
-            shared,
+            poison: poison_translations,
             fuel: budget.fuel,
             deadline: budget
                 .deadline_ns
@@ -408,14 +353,9 @@ struct Run<'m, S: TraceSink> {
     /// Consecutive integrity failures per DIR address, reset on a clean
     /// dispatch.
     fail_counts: HashMap<u32, u32>,
-    /// Memoized DIR→PSDER templates. Purely host-side: the modeled
-    /// generation/store cycles are charged per translation event exactly
-    /// as before, but repeated events reuse one shared sequence instead
-    /// of rebuilding it.
-    trans: psder::TransCache,
-    /// The shared template snapshot this run consults (already resolved
-    /// from [`RunOptions::shared`] against the machine's own snapshot).
-    shared: Option<Arc<FrozenTransCache>>,
+    /// Whether every template this run builds is poisoned
+    /// ([`RunOptions::poison_translations`]).
+    poison: bool,
     /// Modeled-cycle allowance, compared against the run's cycle total
     /// every [`BUDGET_CHECK_INTERVAL`] retires.
     fuel: Option<u64>,
@@ -438,38 +378,6 @@ struct Run<'m, S: TraceSink> {
     lines: Vec<Line>,
     /// The line non-resident translations are compiled into.
     scratch: Line,
-}
-
-/// One translation, copied out of a template cache or the second-level
-/// store, so the miss path can charge, store and compile it without
-/// holding a borrow of where it came from. Templates never exceed
-/// [`MAX_TRANSLATION_WORDS`].
-#[derive(Clone, Copy)]
-struct Words {
-    buf: [ShortInstr; MAX_TRANSLATION_WORDS],
-    len: usize,
-}
-
-impl Words {
-    fn copy(words: impl ExactSizeIterator<Item = ShortInstr>) -> Result<Words, Trap> {
-        let mut buf = [ShortInstr::Interp(psder::InterpMode::Stack); MAX_TRANSLATION_WORDS];
-        let len = words.len();
-        if len > MAX_TRANSLATION_WORDS {
-            return Err(Trap::Malformed("translation exceeds MAX_TRANSLATION_WORDS"));
-        }
-        for (slot, word) in buf.iter_mut().zip(words) {
-            *slot = word;
-        }
-        Ok(Words { buf, len })
-    }
-}
-
-impl std::ops::Deref for Words {
-    type Target = [ShortInstr];
-
-    fn deref(&self) -> &[ShortInstr] {
-        &self.buf[..self.len]
-    }
 }
 
 /// Where one DIR instruction's execution leads.
@@ -518,20 +426,14 @@ impl<'m, S: TraceSink> Run<'m, S> {
         }
     }
 
-    /// The host-side template for `(inst, next)`: the run's resolved
-    /// shared snapshot when it covers the pair, the run's private memo
-    /// cache otherwise. Identical sequences either way — the split only
-    /// decides which allocation is reused. An associated function, so a
-    /// caller can borrow the template beside the run's other fields.
-    fn template<'a>(
-        shared: Option<&'a FrozenTransCache>,
-        trans: &'a mut psder::TransCache,
-        inst: dir::Inst,
-        next: u32,
-    ) -> &'a [ShortInstr] {
-        match shared.and_then(|shared| shared.get(inst, next)) {
-            Some(sequence) => sequence,
-            None => trans.translate(inst, next),
+    /// Translates `inst` with fall-through successor `next`, poisoned
+    /// when the chaos plane asked for it.
+    fn template(&self, inst: dir::Inst, next: u32) -> Template {
+        let template = Template::new(inst, next);
+        if self.poison {
+            template.poisoned()
+        } else {
+            template
         }
     }
 
@@ -543,8 +445,8 @@ impl<'m, S: TraceSink> Run<'m, S> {
             self.tier = Tier::Interp;
         }
         let inst = self.fetch_decode(pc)?;
-        let sequence = Self::template(self.shared.as_deref(), &mut self.trans, inst, pc + 1);
-        self.scratch.compile(self.machine.lib, sequence)?;
+        let template = self.template(inst, pc + 1);
+        self.scratch.compile(self.machine.lib, &template)?;
         self.run_line(None)
     }
 
@@ -929,11 +831,10 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// DTRPOINT) — fetch the DIR instruction, decode it, generate the
     /// PSDER translation and store `copies` copies of it (one per level
     /// it will fill).
-    fn translate_miss(&mut self, pc: u32, copies: u64) -> Result<Words, Trap> {
+    fn translate_miss(&mut self, pc: u32, copies: u64) -> Result<Template, Trap> {
         let d0 = self.metrics.cycles.decode;
         let inst = self.fetch_decode(pc)?;
-        let template = Self::template(self.shared.as_deref(), &mut self.trans, inst, pc + 1);
-        let sequence = Words::copy(template.iter().copied())?;
+        let sequence = self.template(inst, pc + 1);
         let t1 = self.costs().mem.t1;
         let gen = sequence.len() as u64 * self.costs().gen_per_word;
         let store = sequence.len() as u64 * self.costs().store_per_word * copies;
@@ -953,7 +854,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// hit *promotes* the stored translation (a copy, cheaper than
     /// re-translating); a second-level miss runs the full dynamic
     /// translation routine and fills the second level too.
-    fn second_level(&mut self, pc: u32) -> Result<Words, Trap> {
+    fn second_level(&mut self, pc: u32) -> Result<Template, Trap> {
         let tau2 = self.costs().tau_dtb2;
         self.charge(|c| &mut c.lookup2, tau2);
         let Some(h2) = require(self.dtb2.as_mut(), NO_DTB2)?.lookup(pc) else {
@@ -965,7 +866,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
         // (store_per_word each).
         let dtb2 = require(self.dtb2.as_ref(), NO_DTB2)?;
         let len = dtb2.len(h2);
-        let words = Words::copy((0..len).map(|i| dtb2.word(h2, i)))?;
+        let words = Template::copy_from((0..len).map(|i| dtb2.word(h2, i)))?;
         let promote_cost = u64::from(len) * (tau2 + self.costs().store_per_word);
         self.charge(|c| &mut c.promote, promote_cost);
         if S::ENABLED {
@@ -982,6 +883,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
 mod tests {
     use super::*;
     use dir::compiler::compile;
+    use std::sync::Arc;
 
     /// Run options with the fault plane attached.
     fn faulty(faults: FaultConfig) -> RunOptions {
@@ -1185,40 +1087,29 @@ mod tests {
     #[test]
     fn poisoned_artifacts_trap_and_bypass_recovers_bit_identically() {
         let p = compile(&hlr::programs::FIB_ITER.compile().unwrap());
-        let mut m = Machine::new(&p, SchemeKind::Huffman);
-        m.freeze_translations();
+        let m = Machine::new(&p, SchemeKind::Huffman);
         let plain = m.run(&Mode::Interpreter).unwrap();
-        let poisoned = Arc::new(FrozenTransCache::for_program(&p.code).poisoned());
-        for mode in modes() {
-            let err = m
-                .run_with(
-                    &mode,
-                    &mut NullSink,
-                    RunOptions {
-                        shared: SharedArtifacts::Override(Arc::clone(&poisoned)),
-                        ..RunOptions::default()
-                    },
-                )
-                .unwrap_err();
+        let mut all = modes();
+        all.push(Mode::TwoLevelDtb {
+            l1: DtbConfig::with_capacity(8),
+            l2: DtbConfig::with_capacity(256),
+        });
+        for mode in all {
+            let poisoned = RunOptions {
+                poison_translations: true,
+                ..RunOptions::default()
+            };
+            let err = m.run_with(&mode, &mut NullSink, poisoned).unwrap_err();
             assert!(
                 matches!(err, Trap::Malformed(_)),
-                "poisoned artifacts must be caught, got {err:?} under {mode:?}"
+                "poisoned translations must be caught, got {err:?} under {mode:?}"
             );
         }
-        // Bypassing shared artifacts rebuilds templates privately:
-        // host-side only, so the result is bit-identical to the shared run.
-        let bypass = m
-            .run_with(
-                &Mode::Interpreter,
-                &mut NullSink,
-                RunOptions {
-                    shared: SharedArtifacts::Bypass,
-                    ..RunOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(bypass.output, plain.output);
-        assert_eq!(bypass.metrics, plain.metrics);
+        // Nothing of a poisoned run outlives it: a clean retry on the
+        // same machine is bit-identical to a run that was never poisoned.
+        let retry = m.run(&Mode::Interpreter).unwrap();
+        assert_eq!(retry.output, plain.output);
+        assert_eq!(retry.metrics, plain.metrics);
     }
 
     #[test]
@@ -1335,32 +1226,9 @@ mod tests {
     }
 
     #[test]
-    fn shared_translations_change_no_observable_result() {
-        // The frozen template snapshot is a host-side cache: every output,
-        // trap and modeled metric must be identical with and without it,
-        // in every mode, including two-level translation.
-        let p = compile(&hlr::programs::QUEENS.compile().unwrap());
-        let mut all = modes();
-        all.push(Mode::TwoLevelDtb {
-            l1: DtbConfig::with_capacity(8),
-            l2: DtbConfig::with_capacity(256),
-        });
-        for mode in all {
-            let plain = Machine::new(&p, SchemeKind::Huffman).run(&mode).unwrap();
-            let mut shared = Machine::new(&p, SchemeKind::Huffman);
-            shared.freeze_translations();
-            let r = shared.run(&mode).unwrap();
-            assert_eq!(r.output, plain.output, "{mode:?}");
-            assert_eq!(r.metrics, plain.metrics, "{mode:?}");
-        }
-    }
-
-    #[test]
     fn machine_is_shareable_across_threads() {
         let p = compile(&hlr::programs::FIB_ITER.compile().unwrap());
-        let mut m = Machine::new(&p, SchemeKind::Huffman);
-        m.freeze_translations();
-        let machine = Arc::new(m);
+        let machine = Arc::new(Machine::new(&p, SchemeKind::Huffman));
         let want = machine.run(&Mode::Interpreter).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {

@@ -14,9 +14,10 @@
 //!    output, traps and *modeled* metrics it would produce running alone
 //!    on a sequential machine ([`MachinePool::run_sequential`] is the
 //!    reference). Host-side sharing — one [`Machine`] behind an [`Arc`],
-//!    one frozen translation snapshot
-//!    ([`Machine::set_shared_translations`]) — never leaks into modeled
-//!    behavior (DESIGN.md §6).
+//!    so one encoded image, its decode tables and the routine library
+//!    serve every tenant of it — never leaks into modeled behavior
+//!    (DESIGN.md §6). Each run builds its own translation templates in
+//!    place, so there is no translation state to share.
 //! 2. **Deterministic faults.** A pool-level base [`FaultConfig`] is
 //!    re-seeded per tenant as `base_seed ^ tenant_index`. The tenant
 //!    index — *not* the worker id — keys the stream, because stealing
@@ -53,8 +54,8 @@
 //!   timeouts) are re-run up to the [`BackoffPolicy`] attempt cap with
 //!   seeded, jittered exponential backoff. Backoff is *charged* to the
 //!   tenant's latency, not slept, so supervised campaigns stay fast.
-//!   Retries re-seed pool-level fault streams per attempt and bypass
-//!   shared translation artifacts (which may have caused the failure).
+//!   Retries re-seed pool-level fault streams per attempt and build clean
+//!   translations.
 //! - **Circuit breaking** — consecutive failures of one image first
 //!   degrade it to pure interpretation, then quarantine it
 //!   ([`RequestOutcome::Quarantined`]). The breaker bank is shared
@@ -64,9 +65,9 @@
 //! - **Chaos** — worker crashes (the panic escapes the tenant's
 //!   isolation boundary and kills the worker thread), hung tenants
 //!   (an infinite-loop stand-in runs first; only a budget preempts it)
-//!   and corrupted shared artifacts (every decode template truncated)
-//!   are rolled statelessly per tenant index, so the injected set is
-//!   schedule-invariant. Tenants lost to a worker crash are recovered
+//!   and corrupted translations (every template the first attempt builds
+//!   is truncated) are rolled statelessly per tenant index, so the
+//!   injected set is schedule-invariant. Tenants lost to a worker crash are recovered
 //!   by a post-join sweep: *no tenant is silently lost*.
 //!
 //! Per-tenant final outcomes are deterministic functions of
@@ -81,13 +82,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dir::exec::Trap;
-use psder::FrozenTransCache;
 use std::collections::VecDeque;
 use telemetry::{NullSink, Percentiles, TraceSink};
 
 use crate::config::Budget;
 use crate::fault::FaultConfig;
-use crate::machine::{Machine, Mode, RunOptions, SharedArtifacts};
+use crate::machine::{Machine, Mode, RunOptions};
 use crate::metrics::Report;
 use crate::resilience::{
     AdmissionPolicy, BackoffPolicy, Breaker, BreakerPolicy, BreakerState, ChaosConfig, Supervisor,
@@ -97,8 +97,7 @@ use crate::service::RequestOutcome;
 /// One guest of the pool: a named program bound to a machine and mode.
 ///
 /// Tenants may share a [`Machine`] (the `Arc` is cloned, not the
-/// machine), which is how one encoded image plus one frozen translation
-/// snapshot serves many tenants.
+/// machine), which is how one encoded image serves many tenants.
 #[derive(Debug, Clone)]
 pub struct PoolTenant {
     /// Display name, e.g. the workload name.
@@ -251,9 +250,7 @@ impl PoolRun {
 ///
 /// let hir = hlr::compile("proc main() begin write 6 * 7; end")?;
 /// let prog = dir::compiler::compile(&hir);
-/// let mut machine = Machine::new(&prog, dir::encode::SchemeKind::Packed);
-/// machine.freeze_translations(); // share decode templates across tenants
-/// let machine = Arc::new(machine);
+/// let machine = Arc::new(Machine::new(&prog, dir::encode::SchemeKind::Packed));
 ///
 /// let mut pool = MachinePool::new(2);
 /// for i in 0..4 {
@@ -630,7 +627,7 @@ impl MachinePool {
     }
 
     /// One attempt: resolves chaos injections, the effective
-    /// machine/mode, fault re-seeding and artifact trust for `attempt`,
+    /// machine/mode and fault re-seeding for `attempt`,
     /// then runs under the supervisor's budget.
     fn attempt<S: TraceSink>(
         &self,
@@ -651,7 +648,7 @@ impl MachinePool {
             _ => &tenant.machine,
         };
         // A degraded image runs in pure interpretation: the cheapest
-        // mode, with no translation artifacts left to corrupt.
+        // mode, with no DTB lines left to corrupt.
         let mode = if state == BreakerState::Degraded || hung {
             Mode::Interpreter
         } else {
@@ -663,23 +660,12 @@ impl MachinePool {
             seed: base.seed ^ idx as u64 ^ (u64::from(attempt) << 32),
             ..base
         });
-        // Shared-artifact trust: attempt 0 may see chaos-corrupted
-        // artifacts; retries bypass shared artifacts entirely (they may
-        // be what failed). Host-side only — modeled results never
-        // depend on which artifacts served the run.
-        let shared = if attempt == 0 && !hung && sv.chaos.corrupts_artifacts(idx) {
-            SharedArtifacts::Override(Arc::new(
-                FrozenTransCache::for_program(&tenant.machine.program().code).poisoned(),
-            ))
-        } else if attempt == 0 {
-            SharedArtifacts::Machine
-        } else {
-            SharedArtifacts::Bypass
-        };
+        // Corrupted-translation chaos: attempt 0 may build poisoned
+        // templates; retries build clean ones.
         let opts = RunOptions {
             faults,
             budget: sv.supervisor.budget,
-            shared,
+            poison_translations: attempt == 0 && !hung && sv.chaos.corrupts_translations(idx),
             ..RunOptions::default()
         };
         let run = catch_unwind(AssertUnwindSafe(|| machine.run_with(&mode, sink, opts)));
@@ -744,8 +730,8 @@ enum Verdict {
     /// Completed: final, closes the breaker.
     Success,
     /// Worth retrying: fault-plane traps (a fresh fault stream may
-    /// miss), malformed dispatch (shared artifacts may be corrupt —
-    /// retries bypass them), budget preemption (the first attempt may
+    /// miss), malformed dispatch (the translations may have been
+    /// corrupted — retries build clean ones), budget preemption (the first attempt may
     /// have been a chaos hang) and host panics.
     Transient,
     /// Deterministic guest behavior (division by zero, bounds, limits):
@@ -840,9 +826,7 @@ mod tests {
     fn machine_for(src: &str) -> Arc<Machine> {
         let hir = hlr::compile(src).expect("test source compiles");
         let prog = dir::compiler::compile(&hir);
-        let mut m = Machine::new(&prog, SchemeKind::Packed);
-        m.freeze_translations();
-        Arc::new(m)
+        Arc::new(Machine::new(&prog, SchemeKind::Packed))
     }
 
     fn sample_pool(workers: usize) -> MachinePool {
@@ -1186,7 +1170,7 @@ mod tests {
         }));
         let run = pool.run();
         // Poisoned templates trap as malformed dispatch, never as wrong
-        // output; the retry bypasses shared artifacts and recovers.
+        // output; the retry builds clean templates and recovers.
         assert_eq!(outcomes(&chaos_off), outcomes(&run));
         assert!(run.results.iter().all(|r| r.attempts == 2));
     }

@@ -14,15 +14,15 @@
 //!   recovery inside one machine; this one governs whole-run re-execution
 //!   by the pool.)
 //! - [`BreakerPolicy`] / [`Breaker`] — a per-image circuit breaker that
-//!   first degrades a repeat offender to pure interpretation (cheap, no
-//!   shared translation artifacts to corrupt) and then quarantines it.
+//!   first degrades a repeat offender to pure interpretation (the
+//!   cheapest mode, with no DTB lines to corrupt) and then quarantines it.
 //! - [`AdmissionPolicy`] — admission control from the static DTB pressure
 //!   bounds of `uhm-analyze`: reject oversized programs up front, or
 //!   right-size their DTB to the recommended geometry.
 //! - [`Supervisor`] — the bundle of budget + retry + breaker + admission
 //!   + queue watermark the pool's tenant-attempt loop consults.
 //! - [`ChaosConfig`] — pool-level fault injection (worker crashes, hung
-//!   tenants, shared-artifact corruption), rolled statelessly per tenant
+//!   tenants, corrupted translations), rolled statelessly per tenant
 //!   so outcomes are schedule-invariant.
 //!
 //! Everything here is deterministic given its seeds. Wall-clock only
@@ -130,7 +130,7 @@ impl BackoffPolicy {
 /// The breaker counts *consecutive* non-completed outcomes of one image
 /// (one `Arc<Machine>`, however many tenants share it). At
 /// `degrade_after` failures the image is degraded to pure interpretation
-/// — the cheapest mode, with no translation artifacts left to corrupt —
+/// — the cheapest mode, with no DTB lines left to corrupt —
 /// and at `quarantine_after` it is quarantined: not run at all, the
 /// tenant reported as [`RequestOutcome::Quarantined`]. A completed run
 /// closes the breaker again.
@@ -316,11 +316,11 @@ impl Default for Supervisor {
 const CRASH_SALT: u64 = 0x63726173_68000001;
 /// Salt decorrelating hung-tenant rolls.
 const HANG_SALT: u64 = 0x68616e67_00000002;
-/// Salt decorrelating shared-artifact-corruption rolls.
+/// Salt decorrelating translation-corruption rolls.
 const CORRUPT_SALT: u64 = 0x636f7272_00000003;
 
 /// Pool-level chaos: which tenants get a worker crash, a hang, or
-/// corrupted shared translation artifacts injected.
+/// corrupted translations injected.
 ///
 /// Each kind of havoc is rolled *statelessly* per tenant index —
 /// `Rng::new(seed ^ tenant ^ SALT)` — so the set of injected faults is a
@@ -337,9 +337,10 @@ pub struct ChaosConfig {
     /// Probability that a tenant hangs on its first attempt (an infinite
     /// loop is swapped in; only a budget can preempt it).
     pub hang_rate: f64,
-    /// Probability that a tenant's first attempt sees corrupted shared
-    /// translation artifacts (every template truncated, so dispatch
-    /// traps as malformed).
+    /// Probability that a tenant's first attempt builds corrupted
+    /// translations (every template truncated, so dispatch traps as
+    /// malformed; see
+    /// [`RunOptions::poison_translations`](crate::RunOptions::poison_translations)).
     pub artifact_corruption_rate: f64,
 }
 
@@ -368,8 +369,8 @@ impl ChaosConfig {
         self.roll(tenant, HANG_SALT, self.hang_rate)
     }
 
-    /// Whether `tenant`'s first attempt sees corrupted shared artifacts.
-    pub fn corrupts_artifacts(&self, tenant: usize) -> bool {
+    /// Whether `tenant`'s first attempt builds corrupted translations.
+    pub fn corrupts_translations(&self, tenant: usize) -> bool {
         self.roll(tenant, CORRUPT_SALT, self.artifact_corruption_rate)
     }
 }
@@ -456,13 +457,13 @@ mod tests {
         for t in 0..64 {
             assert_eq!(c.crashes_worker(t), c.crashes_worker(t));
             assert_eq!(c.hangs(t), c.hangs(t));
-            assert_eq!(c.corrupts_artifacts(t), c.corrupts_artifacts(t));
+            assert_eq!(c.corrupts_translations(t), c.corrupts_translations(t));
         }
         // The three streams must not be the same coin: over 64 tenants
         // at p = 0.5 the odds of identical streams are ~2^-64.
         let crash: Vec<bool> = (0..64).map(|t| c.crashes_worker(t)).collect();
         let hang: Vec<bool> = (0..64).map(|t| c.hangs(t)).collect();
-        let corrupt: Vec<bool> = (0..64).map(|t| c.corrupts_artifacts(t)).collect();
+        let corrupt: Vec<bool> = (0..64).map(|t| c.corrupts_translations(t)).collect();
         assert_ne!(crash, hang);
         assert_ne!(hang, corrupt);
         assert!(!ChaosConfig::quiet(42).crashes_worker(0));

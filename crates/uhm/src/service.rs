@@ -688,9 +688,10 @@ mod tests {
 
     fn machine_for(src: &str) -> Arc<Machine> {
         let hir = hlr::compile(src).expect("test sources compile");
-        let mut m = Machine::new(&dir::compiler::compile(&hir), SchemeKind::Packed);
-        m.freeze_translations();
-        Arc::new(m)
+        Arc::new(Machine::new(
+            &dir::compiler::compile(&hir),
+            SchemeKind::Packed,
+        ))
     }
 
     fn looping(iters: u32) -> String {

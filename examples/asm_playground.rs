@@ -69,7 +69,7 @@ fn main() {
     );
     print!(
         "{}",
-        psder::listing::sequence_listing(&psder::translate(
+        psder::listing::sequence_listing(&psder::Template::new(
             program.code[cmp_at as usize],
             cmp_at + 1
         ))

@@ -67,7 +67,7 @@ fn main() {
     let pc = program.procs[0].entry;
     let inst = program.code[pc as usize];
     println!("\nPSDER translation of instruction {pc} ({inst:?}):");
-    for short in psder::translate(inst, pc + 1) {
+    for short in psder::Template::new(inst, pc + 1).iter() {
         println!("    {short:?}");
     }
     assert_eq!(psder::interp::run(&program).expect("runs"), reference);

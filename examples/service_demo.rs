@@ -18,10 +18,7 @@ use uhm::{DtbConfig, Machine, Mode};
 fn machine(source: &str) -> Arc<Machine> {
     let hir = hlr::compile(source).expect("valid RAUL");
     let program = dir::compiler::compile(&hir);
-    let mut m = Machine::new(&program, SchemeKind::Packed);
-    // Share one translation snapshot across every served request.
-    m.freeze_translations();
-    Arc::new(m)
+    Arc::new(Machine::new(&program, SchemeKind::Packed))
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 //! raul pool    <file> [options]          run M tenant copies on N workers
 //! raul chaos   <file> [options]          pool run under seeded chaos
 //!                                        (worker crashes, hangs, corrupted
-//!                                        shared artifacts) with supervision
+//!                                        translations) with supervision
 //! raul serve   <file> [options]          one service step: open-loop arrivals
 //!                                        through admission, fair queues and
 //!                                        backpressure onto a machine pool
@@ -59,7 +59,7 @@
 //! hangs are preempted):
 //!   --crash-rate P                       worker-crash probability (default 0.2)
 //!   --hang-rate P                        hung-tenant probability (default 0.2)
-//!   --corrupt-rate P                     shared-artifact corruption (default 0.2)
+//!   --corrupt-rate P                     translation corruption (default 0.2)
 //!
 //! service options (`serve` and `load`; plus the run options and
 //! --workers / --tenants / --seed; arrivals, queueing and latency all
@@ -652,9 +652,7 @@ fn run_config(cli: &Cli) -> Json {
 
 /// The machine an executing subcommand runs: the flags' scheme and
 /// decoder on the default cost model. `faults` bounds the step count,
-/// because corrupted control flow can loop; every command but `run` and
-/// `faults` may share the machine across tenants, so it freezes the
-/// translations once for all of them.
+/// because corrupted control flow can loop.
 fn machine_for(cli: &Cli, program: &dir::Program) -> Machine {
     let limits = match cli.command {
         Command::Faults => Limits {
@@ -665,9 +663,6 @@ fn machine_for(cli: &Cli, program: &dir::Program) -> Machine {
     };
     let mut machine = Machine::with(program, cli.scheme, CostModel::default(), limits);
     machine.set_decoder(cli.decoder);
-    if !matches!(cli.command, Command::Run | Command::Faults) {
-        machine.freeze_translations();
-    }
     machine
 }
 
@@ -1392,8 +1387,8 @@ fn pool_command(cli: &Cli, source: &str) -> Result<(), CliError> {
     let program = build_program(cli, source)?;
     let mode = machine_mode(cli)?;
     let tenants = cli.tenants.unwrap_or(cli.workers * 2);
-    // One machine serves every tenant: the encoded image and the frozen
-    // translation snapshot are built once and shared.
+    // One machine serves every tenant: the encoded image and its decode
+    // tables are built once and shared.
     let machine = Arc::new(machine_for(cli, &program));
     let mut pool = tenant_pool(cli, &machine, &mode, tenants);
     if faults_requested(cli) {

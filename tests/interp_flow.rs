@@ -99,7 +99,7 @@ fn both_interp_flavours_execute() {
     let mut has_imm = false;
     let mut has_stack = false;
     for (i, &inst) in program.code.iter().enumerate() {
-        for short in psder::translate(inst, i as u32 + 1) {
+        for short in psder::Template::new(inst, i as u32 + 1).iter() {
             match short {
                 psder::ShortInstr::Interp(psder::InterpMode::Imm(_)) => has_imm = true,
                 psder::ShortInstr::Interp(psder::InterpMode::Stack) => has_stack = true,

@@ -1,8 +1,8 @@
 //! Integration tests for the multi-tenant pool plane: a pooled run is a
 //! pure host-side optimization, so every tenant's output, traps and
 //! modeled metrics must be bit-identical to running the same machines
-//! sequentially — under any worker count, with shared machines, shared
-//! frozen translation snapshots, and deterministic fault campaigns. A
+//! sequentially — under any worker count, with shared machines and
+//! deterministic fault campaigns. A
 //! misbehaving (panicking) tenant must not take the pool down.
 
 use std::sync::Arc;
@@ -15,9 +15,7 @@ fn seeded_machine(seed: u64, scheme: SchemeKind) -> Arc<Machine> {
     let ast = hlr::generate::program(seed, &hlr::generate::Config::default());
     let hir = hlr::sema::analyze(&ast).expect("generated programs are valid");
     let program = dir::compiler::compile(&hir);
-    let mut machine = Machine::new(&program, scheme);
-    machine.freeze_translations();
-    Arc::new(machine)
+    Arc::new(Machine::new(&program, scheme))
 }
 
 fn modes() -> Vec<Mode> {

@@ -71,9 +71,10 @@ fn zero_jitter_is_pure_capped_exponential() {
 
 fn machine_for(src: &str) -> Arc<Machine> {
     let hir = hlr::compile(src).expect("test sources compile");
-    let mut m = Machine::new(&dir::compiler::compile(&hir), SchemeKind::Packed);
-    m.freeze_translations();
-    Arc::new(m)
+    Arc::new(Machine::new(
+        &dir::compiler::compile(&hir),
+        SchemeKind::Packed,
+    ))
 }
 
 fn fleet_pool(workers: usize) -> MachinePool {

@@ -18,9 +18,7 @@ use uhm::{DtbConfig, Machine, MachinePool, Mode, RequestOutcome};
 fn machine_for(source: &str) -> Arc<Machine> {
     let hir = hlr::compile(source).expect("test sources compile");
     let program = dir::compiler::compile(&hir);
-    let mut machine = Machine::new(&program, SchemeKind::Packed);
-    machine.freeze_translations();
-    Arc::new(machine)
+    Arc::new(Machine::new(&program, SchemeKind::Packed))
 }
 
 /// A loop that writes its counter: distinct `iters` gives distinct
