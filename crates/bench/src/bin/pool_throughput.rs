@@ -72,27 +72,36 @@ fn outcomes(run: &PoolRun) -> Vec<&RequestOutcome> {
     run.results.iter().map(|r| &r.outcome).collect()
 }
 
-/// Runs the pool `SAMPLES` times, requiring bit-identity against the
-/// sequential reference on every sample, and returns the fastest run.
+/// Runs every worker count's pool `SAMPLES` times, the counts taking
+/// turns so a slow phase of the host falls on all of them alike, and
+/// returns each count's fastest run; every sample must be bit-identical
+/// to the sequential reference.
 fn measure(
     machines: &[(String, Arc<Machine>)],
-    workers: usize,
     reference: &PoolRun,
     gate: &mut Gate,
-) -> PoolRun {
-    let pool = build_pool(machines, workers);
-    let mut best: Option<PoolRun> = None;
+) -> Vec<PoolRun> {
+    let pools: Vec<MachinePool> = WORKER_COUNTS
+        .iter()
+        .map(|&workers| build_pool(machines, workers))
+        .collect();
+    let mut best: Vec<Option<PoolRun>> = WORKER_COUNTS.iter().map(|_| None).collect();
     for _ in 0..SAMPLES {
-        let run = pool.run();
-        gate.require(
-            outcomes(&run) == outcomes(reference),
-            format!("{workers}-worker pool diverged from the sequential reference"),
-        );
-        if best.as_ref().is_none_or(|b| run.wall_ns < b.wall_ns) {
-            best = Some(run);
+        for (pool, best) in pools.iter().zip(&mut best) {
+            let run = pool.run();
+            gate.require(
+                outcomes(&run) == outcomes(reference),
+                format!(
+                    "{}-worker pool diverged from the sequential reference",
+                    pool.workers()
+                ),
+            );
+            if best.as_ref().is_none_or(|b| run.wall_ns < b.wall_ns) {
+                *best = Some(run);
+            }
         }
     }
-    best.expect("SAMPLES > 0")
+    best.into_iter().map(|b| b.expect("SAMPLES > 0")).collect()
 }
 
 /// The speedup threshold for this host, by core count: `None` means the
@@ -114,10 +123,7 @@ fn main() -> ExitCode {
     let machines = machines();
     let reference = build_pool(&machines, 1).run_sequential();
     let mut gate = Gate::without_baseline("pool_throughput");
-    let runs: Vec<PoolRun> = WORKER_COUNTS
-        .iter()
-        .map(|&workers| measure(&machines, workers, &reference, &mut gate))
-        .collect();
+    let runs = measure(&machines, &reference, &mut gate);
     let base_wall = runs[0].wall_ns as f64;
     let four = runs
         .iter()

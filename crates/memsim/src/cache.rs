@@ -141,11 +141,6 @@ impl<P: Copy> SetAssocCache<P> {
         self.stats
     }
 
-    /// Resets statistics (contents are kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
         let set = (key % self.geometry.sets as u64) as usize;
         let start = set * self.geometry.ways;

@@ -27,55 +27,6 @@ impl Default for MemoryCosts {
     }
 }
 
-/// Which storage level an access touched, for ledger accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Level {
-    /// Fast level-1 store (interpreter, semantic routines, DTB buffer).
-    Level1,
-    /// Slow level-2 store (the static DIR program).
-    Level2,
-    /// The associative array of a DTB or cache.
-    Associative,
-}
-
-/// Counts references per level and converts them to cycles under a cost
-/// model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReferenceCounter {
-    /// Level-1 references.
-    pub level1: u64,
-    /// Level-2 references.
-    pub level2: u64,
-    /// Associative-array references.
-    pub associative: u64,
-}
-
-impl ReferenceCounter {
-    /// Records one reference.
-    pub fn touch(&mut self, level: Level) {
-        self.touch_n(level, 1);
-    }
-
-    /// Records `n` references.
-    pub fn touch_n(&mut self, level: Level, n: u64) {
-        match level {
-            Level::Level1 => self.level1 += n,
-            Level::Level2 => self.level2 += n,
-            Level::Associative => self.associative += n,
-        }
-    }
-
-    /// Total cycles under `costs`.
-    pub fn cycles(&self, costs: &MemoryCosts) -> u64 {
-        self.level1 * costs.t1 + self.level2 * costs.t2 + self.associative * costs.tau_d
-    }
-
-    /// Total references across all levels.
-    pub fn references(&self) -> u64 {
-        self.level1 + self.level2 + self.associative
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,28 +37,5 @@ mod tests {
         assert_eq!(c.t1, 1);
         assert_eq!(c.t2, 10);
         assert_eq!(c.tau_d, 2);
-    }
-
-    #[test]
-    fn cycles_weight_levels() {
-        let mut r = ReferenceCounter::default();
-        r.touch(Level::Level1);
-        r.touch_n(Level::Level2, 3);
-        r.touch(Level::Associative);
-        let c = MemoryCosts::default();
-        assert_eq!(r.cycles(&c), 1 + 30 + 2);
-        assert_eq!(r.references(), 5);
-    }
-
-    #[test]
-    fn custom_costs_apply() {
-        let mut r = ReferenceCounter::default();
-        r.touch_n(Level::Level2, 2);
-        let c = MemoryCosts {
-            t1: 1,
-            t2: 100,
-            tau_d: 5,
-        };
-        assert_eq!(r.cycles(&c), 200);
     }
 }

@@ -23,4 +23,4 @@ pub mod hierarchy;
 pub mod workset;
 
 pub use cache::{Access, CacheStats, Geometry, SetAssocCache};
-pub use hierarchy::{Level, MemoryCosts, ReferenceCounter};
+pub use hierarchy::MemoryCosts;

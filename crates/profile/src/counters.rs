@@ -9,8 +9,11 @@
 //! [`TraceSink::CLASSIFY_MISSES`] to `false`, so attaching it does not
 //! switch on the shadow three-C miss classifier — a profiled run's
 //! modeled metrics are bit-identical to an untraced run (the differential
-//! test in `tests/profile_plane.rs` enforces this), and the extra host
-//! cost stays inside the `profile_gate` bench's ≤ 5 % budget.
+//! test in `tests/profile_plane.rs` enforces this) — and
+//! [`TraceSink::ROUTINE_EDGES`] to `false`, so the machine runs each line
+//! as an untraced run does instead of walking its routine edges for
+//! events the plane would drop. Both keep the extra host cost down
+//! against the `profile_gate` bench's ≤ 5 % budget.
 
 use dir::isa::{OPCODES, OPCODE_COUNT};
 use dir::program::Program;
@@ -393,6 +396,8 @@ impl TraceSink for CounterPlane {
     // Attribution only — never perturb the modeled metrics by switching
     // on the shadow miss classifier.
     const CLASSIFY_MISSES: bool = false;
+    // Routine edges carry nothing the plane counts.
+    const ROUTINE_EDGES: bool = false;
 
     #[inline]
     fn emit(&mut self, event: Event) {
@@ -462,6 +467,25 @@ mod tests {
         for i := 0 to 99 do s := s + i;
         write s;
     end";
+
+    #[test]
+    fn a_tee_with_an_edge_sink_still_gets_routine_edges() {
+        const { assert!(!CounterPlane::ROUTINE_EDGES) };
+        let program = dir::compiler::compile(&hlr::compile(LOOP).unwrap());
+        let machine = Machine::new(&program, SchemeKind::Packed);
+        let mode = Mode::Dtb(DtbConfig::with_capacity(16));
+        let (alone, _) = plane_for(LOOP, &mode);
+        let mut plane = CounterPlane::new(&program);
+        let mut ring = telemetry::RingSink::new(4);
+        let mut tee = telemetry::TeeSink(&mut plane, &mut ring);
+        machine
+            .run_with(&mode, &mut tee, RunOptions::default())
+            .unwrap();
+        assert!(ring.counts().routine_enters > 0);
+        assert_eq!(plane.retired(), alone.retired());
+        assert_eq!(plane.cycles(), alone.cycles());
+        assert_eq!(plane.by_opcode(), alone.by_opcode());
+    }
 
     #[test]
     fn attribution_sums_match_the_run_exactly() {

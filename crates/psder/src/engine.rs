@@ -10,9 +10,19 @@
 //! are what distinguish the interpreter, DTB and i-cache machines, and they
 //! live in the `uhm` crate. This split keeps the semantics testable in
 //! isolation and guarantees all machines compute identical results.
+//!
+//! A line's superoperators run check-then-commit: each tests every
+//! condition its [`expansion`](Op::expansion) could trap on before it
+//! touches any state, writes the registers the expansion writes, and
+//! when a test fails runs the expansion op by op through the same per-op
+//! function instead. A trap therefore always comes from the plain ops,
+//! with the partial state and the trap order of the words run one by one.
+//! A line whose ops run out returns its [`exit`](crate::LineMeta::exit):
+//! the trailing `INTERP` immediate folded at compile time.
 
 use dir::exec::Trap;
 use dir::program::Program;
+use dir::AluOp;
 
 use crate::line::{Edge, Flow, Line, Op};
 use crate::micro::{MicroOp, MicroWord, Reg, REG_COUNT};
@@ -197,7 +207,7 @@ impl Engine {
     /// effect, exactly as when the words run one by one.
     #[inline]
     pub fn exec_line(&mut self, line: &Line) -> Result<Flow, Trap> {
-        self.exec_ops(line.ops()).map_err(|(_, trap)| trap)
+        self.exec_ops(line).map_err(|(_, trap)| trap)
     }
 
     /// [`Engine::exec_line`], then reports to `edge` the entry and exit of
@@ -213,7 +223,7 @@ impl Engine {
         line: &Line,
         mut edge: impl FnMut(Edge),
     ) -> Result<Flow, Trap> {
-        let result = self.exec_ops(line.ops());
+        let result = self.exec_ops(line);
         // The ops before `trapped` completed; the op at `trapped` faulted.
         let trapped = result.as_ref().map_or_else(|&(at, _)| at, |_| usize::MAX);
         for call in line.meta().calls() {
@@ -229,18 +239,18 @@ impl Engine {
         result.map_err(|(_, trap)| trap)
     }
 
-    /// Runs `ops` in order; on a trap, also returns the index of the op
-    /// that faulted.
+    /// Runs the line's ops in order, then takes its exit; on a trap, also
+    /// returns the index of the op that faulted.
     #[inline(always)]
-    fn exec_ops(&mut self, ops: &[Op]) -> Result<Flow, (usize, Trap)> {
-        for (at, &op) in ops.iter().enumerate() {
+    fn exec_ops(&mut self, line: &Line) -> Result<Flow, (usize, Trap)> {
+        for (at, &op) in line.ops().iter().enumerate() {
             match self.step(op) {
                 Ok(Flow::Continue) => {}
                 Ok(flow) => return Ok(flow),
                 Err(trap) => return Err((at, trap)),
             }
         }
-        Ok(Flow::Continue)
+        Ok(line.meta().exit())
     }
 
     /// The semantics of one op: every executor — word by word or by
@@ -275,8 +285,146 @@ impl Engine {
                 return Ok(Flow::Goto(addr));
             }
             Op::Micro(op) => return self.micro(op),
+            // A superop's fast path yields `None` when one of its checks
+            // fails; its expansion then runs instead.
+            Op::StackBin(alu) => return self.stack_bin(alu).map_or_else(|| self.expand(op), Ok),
+            Op::Branch(z, nz) => return self.branch(z, nz).map_or_else(|| self.expand(op), Ok),
+            Op::LoadArrGlobal(base, len) => {
+                return self.load_arr(base, len).map_or_else(|| self.expand(op), Ok)
+            }
+            Op::StoreArrGlobal(base, len) => {
+                return self
+                    .store_arr(base, len)
+                    .map_or_else(|| self.expand(op), Ok)
+            }
+            Op::DirCall(proc, next) => {
+                return self
+                    .dir_call(proc, next)
+                    .map_or_else(|| self.expand(op), Ok)
+            }
+            Op::DirRet => return self.dir_ret().map_or_else(|| self.expand(op), Ok),
         }
         Ok(Flow::Continue)
+    }
+
+    /// Runs a superoperator's expansion op by op from the unchanged
+    /// state, so it traps exactly as the words do.
+    #[cold]
+    #[inline(never)]
+    fn expand(&mut self, op: Op) -> Result<Flow, Trap> {
+        for op in op.expansion() {
+            match self.step(op)? {
+                Flow::Continue => {}
+                flow => return Ok(flow),
+            }
+        }
+        Ok(Flow::Continue)
+    }
+
+    /// [`Op::StackBin`]: `Pop B; Pop A; R := A op B; Push R`.
+    #[inline(always)]
+    fn stack_bin(&mut self, op: AluOp) -> Option<Flow> {
+        let n = self.stack.len();
+        let [.., a, b] = self.stack[..] else {
+            return None;
+        };
+        let v = op.apply(a, b).ok()?;
+        self.stack[n - 2] = v;
+        self.stack.truncate(n - 1);
+        self.set_reg(Reg::A, a);
+        self.set_reg(Reg::B, b);
+        self.set_reg(Reg::R, v);
+        Some(Flow::Continue)
+    }
+
+    /// [`Op::Branch`]: `Pop D; Pop C; Pop A; R := A == 0 ? C : D`, then
+    /// `INTERP` to `R`. Both targets fit a DIR address.
+    #[inline(always)]
+    fn branch(&mut self, z: u32, nz: u32) -> Option<Flow> {
+        let cond = self.stack.pop()?;
+        let to = if cond == 0 { z } else { nz };
+        self.set_reg(Reg::A, cond);
+        self.set_reg(Reg::C, i64::from(z));
+        self.set_reg(Reg::D, i64::from(nz));
+        self.set_reg(Reg::R, i64::from(to));
+        Some(Flow::Goto(to))
+    }
+
+    /// The slot address an array access at `index` selects, when `index`
+    /// is in `0..len`.
+    #[inline(always)]
+    fn arr_index(index: i64, base: u32, len: u32) -> Option<i64> {
+        (0..i64::from(len))
+            .contains(&index)
+            .then(|| i64::from(base) + index)
+    }
+
+    /// [`Op::LoadArrGlobal`]: `Pop B; Pop A; Pop C; check C in 0..B;
+    /// A := A + C; R := global[A]; Push R`.
+    #[inline(always)]
+    fn load_arr(&mut self, base: u32, len: u32) -> Option<Flow> {
+        let &index = self.stack.last()?;
+        let addr = Self::arr_index(index, base, len)?;
+        let v = *self.global_slot(addr).ok()?;
+        *self.stack.last_mut()? = v;
+        self.set_reg(Reg::A, addr);
+        self.set_reg(Reg::B, i64::from(len));
+        self.set_reg(Reg::C, index);
+        self.set_reg(Reg::R, v);
+        Some(Flow::Continue)
+    }
+
+    /// [`Op::StoreArrGlobal`]: `Pop B; Pop A; Pop C; Pop D; check D in
+    /// 0..B; A := A + D; global[A] := C`.
+    #[inline(always)]
+    fn store_arr(&mut self, base: u32, len: u32) -> Option<Flow> {
+        let n = self.stack.len();
+        let [.., index, v] = self.stack[..] else {
+            return None;
+        };
+        let addr = Self::arr_index(index, base, len)?;
+        *self.global_slot(addr).ok()? = v;
+        self.stack.truncate(n - 2);
+        self.set_reg(Reg::A, addr);
+        self.set_reg(Reg::B, i64::from(len));
+        self.set_reg(Reg::C, v);
+        self.set_reg(Reg::D, index);
+        Some(Flow::Continue)
+    }
+
+    /// [`Op::DirCall`]: `Pop B; Pop A; push B on the return-address
+    /// stack; NewFrame A; R := entry of A`, then `INTERP` to `R`.
+    #[inline(always)]
+    fn dir_call(&mut self, proc: u32, next: u32) -> Option<Flow> {
+        if self.frames.len() as u32 > self.max_depth {
+            return None;
+        }
+        let meta = self.proc_meta(i64::from(proc)).ok()?;
+        let args = self.stack.len().checked_sub(meta.n_args as usize)?;
+        self.ra_stack.push(next);
+        let base = self.slots.len();
+        self.slots.resize(base + meta.frame_size as usize, 0);
+        self.slots[base..base + meta.n_args as usize].copy_from_slice(&self.stack[args..]);
+        self.stack.truncate(args);
+        self.frames.push(base);
+        self.set_reg(Reg::A, i64::from(proc));
+        self.set_reg(Reg::B, i64::from(next));
+        self.set_reg(Reg::R, i64::from(meta.entry));
+        Some(Flow::Goto(meta.entry))
+    }
+
+    /// [`Op::DirRet`]: `DropFrame; R := pop the return-address stack`,
+    /// then `INTERP` to `R`.
+    #[inline(always)]
+    fn dir_ret(&mut self) -> Option<Flow> {
+        if self.frames.len() <= 1 {
+            return None;
+        }
+        let to = self.ra_stack.pop()?;
+        let base = self.frames.pop()?;
+        self.slots.truncate(base);
+        self.set_reg(Reg::R, i64::from(to));
+        Some(Flow::Goto(to))
     }
 
     /// The semantics of one micro-op: [`Flow::Halt`] or

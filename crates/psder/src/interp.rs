@@ -174,7 +174,8 @@ mod tests {
         // A compiled line obeys the same rule.
         let mut line = crate::line::Line::EMPTY;
         let meta = *line.compile(&lib, &sequence).unwrap();
-        assert_eq!((meta.len(), meta.short_words), (2, 2));
+        // The INTERP folds into the line's exit: one op, two words.
+        assert_eq!((meta.len(), meta.short_words), (1, 2));
         let mut threaded = Engine::new(&p, 16);
         assert_eq!(threaded.exec_line(&line).unwrap(), Flow::Goto(7));
         assert_eq!(threaded, engine);

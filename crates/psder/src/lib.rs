@@ -11,7 +11,8 @@
 //! interpreter alike; [`engine`] is the
 //! shared architectural state (operand stack, return-address stack, frames,
 //! register file); [`line`](mod@line) compiles one translation into a flat op line
-//! with each called routine inlined, the form the `uhm` machines execute;
+//! with each called routine inlined or fused into one superoperator, the
+//! form the `uhm` machines execute;
 //! [`interp`] is a cost-free reference interpreter that runs translations
 //! word by word, the oracle those machines are differentially tested
 //! against.

@@ -28,6 +28,12 @@ pub trait TraceSink {
     /// the counter plane's overhead stays within its gate.
     const CLASSIFY_MISSES: bool = true;
 
+    /// Whether the machine should report routine entries and exits
+    /// (`RoutineEnter`/`RoutineExit`) to this sink. A sink that drops
+    /// them sets this `false`, and the machine then runs each line
+    /// without walking its routine edges.
+    const ROUTINE_EDGES: bool = true;
+
     /// Consumes one event.
     fn emit(&mut self, event: Event);
 }
@@ -170,6 +176,7 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 impl<S: TraceSink> TraceSink for &mut S {
     const ENABLED: bool = S::ENABLED;
     const CLASSIFY_MISSES: bool = S::CLASSIFY_MISSES;
+    const ROUTINE_EDGES: bool = S::ROUTINE_EDGES;
 
     #[inline]
     fn emit(&mut self, event: Event) {
@@ -183,6 +190,7 @@ impl<S: TraceSink> TraceSink for &mut S {
 impl<S: TraceSink> TraceSink for Option<S> {
     const ENABLED: bool = S::ENABLED;
     const CLASSIFY_MISSES: bool = S::CLASSIFY_MISSES;
+    const ROUTINE_EDGES: bool = S::ROUTINE_EDGES;
 
     #[inline]
     fn emit(&mut self, event: Event) {
@@ -200,6 +208,7 @@ pub struct TeeSink<A: TraceSink, B: TraceSink>(pub A, pub B);
 impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
     const CLASSIFY_MISSES: bool = A::CLASSIFY_MISSES || B::CLASSIFY_MISSES;
+    const ROUTINE_EDGES: bool = A::ROUTINE_EDGES || B::ROUTINE_EDGES;
 
     fn emit(&mut self, event: Event) {
         if A::ENABLED {
@@ -294,6 +303,7 @@ mod tests {
     #[test]
     fn optional_sinks_keep_the_inner_constants() {
         const { assert!(<Option<RingSink>>::ENABLED && <Option<RingSink>>::CLASSIFY_MISSES) };
+        const { assert!(<Option<RingSink>>::ROUTINE_EDGES) };
         const { assert!(!<Option<NullSink>>::ENABLED) };
         let mut absent: Option<RingSink> = None;
         absent.emit(hit(1)); // dropped

@@ -602,11 +602,6 @@ impl Dtb {
         }
     }
 
-    /// Resets statistics (contents kept).
-    pub fn reset_stats(&mut self) {
-        self.stats = DtbStats::default();
-    }
-
     /// Recomputes the guard checksum of the resident line behind `handle`
     /// and compares it to the value stored at fill time — the
     /// per-allocation-unit integrity check the dispatch path runs under

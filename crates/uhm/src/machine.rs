@@ -639,7 +639,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
             Some(way) => &self.lines[way],
             None => &self.scratch,
         };
-        let flow = if S::ENABLED {
+        let flow = if S::ENABLED && S::ROUTINE_EDGES {
             let sink = &mut *self.sink;
             self.engine.exec_line_traced(line, |edge| {
                 sink.emit(match edge {

@@ -1,24 +1,26 @@
 #!/usr/bin/env bash
-# Alternating parent/change runs of the host ledger on one workload: the
-# protocol a claimed host-time gain is measured with.
+# Alternating parent/change runs of the host ledger on one or more
+# workloads: the protocol a claimed host-time gain is measured with.
 #
-# Usage: scripts/ledger_pairs.sh <parent-rev> <workload> [pairs]
+# Usage: scripts/ledger_pairs.sh <parent-rev> <workload[,workload...]|all> [pairs]
 #
 # Checks out <parent-rev> as a temporary git worktree, builds the ledger
-# there and in this checkout, then runs [pairs] (default 10) pairs, each
-# the parent's ledger then this checkout's, with the workload's
-# `run_seconds` from BENCHMARK.json (override with LEDGER_SECONDS). For
-# every end-to-end metric it prints each side's median and quartiles, the
-# ratio of the medians (change / parent) and in how many pairs the change
-# was better. The worktree is removed on exit.
+# there and in this checkout (once each), then runs [pairs] (default 10)
+# pairs. A pair runs every listed workload in turn, each the parent's
+# ledger then this checkout's, with the `run_seconds` from BENCHMARK.json
+# (override with LEDGER_SECONDS). `all` lists every workload BENCHMARK.json
+# declares; an unknown name exits 2. For each workload and every
+# end-to-end metric it prints each side's median and quartiles, the ratio
+# of the medians (change / parent) and in how many pairs the change was
+# better. The worktree is removed on exit.
 set -euo pipefail
 
+usage="usage: scripts/ledger_pairs.sh <parent-rev> <workload[,workload...]|all> [pairs]"
 if [[ $# -lt 2 || $# -gt 3 ]]; then
-    echo "usage: scripts/ledger_pairs.sh <parent-rev> <workload> [pairs]" >&2
+    echo "$usage" >&2
     exit 2
 fi
 rev="$1"
-workload="$2"
 pairs="${3:-10}"
 if ! [[ "$pairs" =~ ^[1-9][0-9]*$ ]]; then
     echo "pairs must be a positive integer, not '$pairs'" >&2
@@ -28,6 +30,22 @@ fi
 root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 seconds="${LEDGER_SECONDS:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}"
+declared="$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+if [[ "$2" == all ]]; then
+    read -ra workloads <<<"$declared"
+else
+    IFS=, read -ra workloads <<<"$2"
+fi
+if [[ ${#workloads[@]} -eq 0 ]]; then
+    echo "$usage" >&2
+    exit 2
+fi
+for w in "${workloads[@]}"; do
+    if ! [[ " $declared " == *" $w "* ]]; then
+        echo "unknown workload '$w' (one of: $declared, or all)" >&2
+        exit 2
+    fi
+done
 manifest="crates/bench/src/bin/host_ledger/Cargo.toml"
 ledger="crates/bench/src/bin/host_ledger/target/release/host_ledger"
 
@@ -44,14 +62,19 @@ cargo build --quiet --release --offline --manifest-path "$tmp/parent/$manifest"
 cargo build --quiet --release --offline --manifest-path "$root/$manifest"
 
 for i in $(seq 1 "$pairs"); do
-    for side in parent change; do
-        if [[ $side == parent ]]; then bin="$tmp/parent/$ledger"; else bin="$root/$ledger"; fi
-        "$bin" --workload "$workload" --seconds "$seconds" --trace 0 | tail -1 >>"$tmp/$side.jsonl"
+    for workload in "${workloads[@]}"; do
+        for side in parent change; do
+            if [[ $side == parent ]]; then bin="$tmp/parent/$ledger"; else bin="$root/$ledger"; fi
+            # A run of one workload ends with its one JSON result line.
+            "$bin" --workload "$workload" --seconds "$seconds" --trace 0 | tail -1 \
+                >>"$tmp/$side.$workload.jsonl"
+        done
     done
     echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$root/BENCHMARK.json" "$tmp/parent.jsonl" "$tmp/change.jsonl" "$workload" <<'EOF'
+for workload in "${workloads[@]}"; do
+python3 - "$root/BENCHMARK.json" "$tmp/parent.$workload.jsonl" "$tmp/change.$workload.jsonl" "$workload" <<'EOF'
 import json, statistics, sys
 
 bench = json.load(open(sys.argv[1]))
@@ -86,3 +109,5 @@ for metric in bench["end_to_end"]:
     print(f"{name:<28} {metric['unit']:<12} {fmt(pq):<34} {fmt(cq):<34} "
           f"{ratio:>7.3f} {wins:>3}/{len(p)}")
 EOF
+echo
+done

@@ -4,10 +4,10 @@
 //! * `tests/golden/threaded.metrics` holds one line per run: the output
 //!   (or the trap) and the full `Metrics` debug form, for every sample
 //!   program, `hlr::generate` seeds 0–39 and two trapping programs, each
-//!   under {Packed, Huffman} × {frozen, unfrozen} translations × six
-//!   modes (interpreter, i-cache, two DTB sizes, overflow allocation and
-//!   two-level translation): 1,416 runs. An output longer than 16 values
-//!   is stored as its length and FNV-1a digest.
+//!   under {Packed, Huffman} × six modes (interpreter, i-cache, two DTB
+//!   sizes, overflow allocation and two-level translation): 708 runs. An
+//!   output longer than 16 values is stored as its length and FNV-1a
+//!   digest.
 //! * `tests/golden/threaded.events` holds the JSONL event stream of
 //!   traced runs, with the miss classifier on and off. Small programs are
 //!   stored line for line; the two long sample runs are stored as their
@@ -107,15 +107,10 @@ fn render_metrics() -> String {
     let mut out = String::new();
     for (name, program) in programs() {
         for scheme in [SchemeKind::Packed, SchemeKind::Huffman] {
-            for frozen in [false, true] {
-                let mut machine = Machine::new(&program, scheme);
-                if frozen {
-                    machine.freeze_translations();
-                }
-                for (mode_name, mode) in modes() {
-                    let result = result_line(machine.run(&mode));
-                    writeln!(out, "{name}\t{scheme:?}\t{frozen}\t{mode_name}\t{result}").unwrap();
-                }
+            let machine = Machine::new(&program, scheme);
+            for (mode_name, mode) in modes() {
+                let result = result_line(machine.run(&mode));
+                writeln!(out, "{name}\t{scheme:?}\t{mode_name}\t{result}").unwrap();
             }
         }
     }
@@ -211,7 +206,7 @@ fn assert_golden(got: &str, path: &str) {
 #[test]
 fn metrics_match_the_golden() {
     let got = render_metrics();
-    assert_eq!(got.lines().count(), 1416);
+    assert_eq!(got.lines().count(), 708);
     assert_golden(&got, "tests/golden/threaded.metrics");
 }
 
