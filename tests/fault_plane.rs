@@ -6,6 +6,7 @@
 
 use dir::encode::SchemeKind;
 use dir::exec::Trap;
+use profile::CounterPlane;
 use telemetry::{FaultKind, NullSink, RingSink};
 use uhm::{
     CostModel, DtbConfig, FaultConfig, FaultStats, Limits, Machine, Mode, Report, RetryPolicy,
@@ -72,30 +73,51 @@ fn levels_agree_with_an_inert_fault_plane() {
 }
 
 /// A zero-rate injector is byte-for-byte inert: output and every metric
-/// of the run match a machine with no fault plane at all.
+/// of the run match a machine with no fault plane at all, in every mode.
+/// In the DTB modes the two runs take the machine's two step functions
+/// (with and without the fault plane), so a counter plane attached to
+/// each must also attribute every retire and cycle identically.
 #[test]
 fn zero_rate_injection_is_invisible() {
     for (name, program) in sample_programs() {
         for mode in [
+            Mode::Interpreter,
             Mode::Dtb(DtbConfig::with_capacity(64)),
+            Mode::ICache {
+                geometry: memsim::Geometry::new(16, 4),
+            },
             Mode::TwoLevelDtb {
                 l1: DtbConfig::with_capacity(8),
                 l2: DtbConfig::with_capacity(256),
             },
         ] {
             let m = Machine::new(&program, SchemeKind::Huffman);
-            let clean = m.run(&mode).unwrap();
-            let inert = m
-                .run_with(&mode, &mut NullSink, faulty(FaultConfig::inert(0xDEAD)))
-                .unwrap();
-            assert_eq!(inert.output, clean.output, "{name} {mode:?}");
-            let mut metrics = inert.metrics;
-            assert_eq!(
-                metrics.faults.take(),
-                Some(FaultStats::default()),
-                "{name} {mode:?}"
+            let inert = || faulty(FaultConfig::inert(0xDEAD));
+            let same = |clean: Report, inert: Report| {
+                assert_eq!(inert.output, clean.output, "{name} {mode:?}");
+                let mut metrics = inert.metrics;
+                assert_eq!(
+                    metrics.faults.take(),
+                    Some(FaultStats::default()),
+                    "{name} {mode:?}"
+                );
+                assert_eq!(metrics, clean.metrics, "{name} {mode:?}");
+            };
+            same(
+                m.run(&mode).unwrap(),
+                m.run_with(&mode, &mut NullSink, inert()).unwrap(),
             );
-            assert_eq!(metrics, clean.metrics, "{name} {mode:?}");
+            let mut clean_plane = CounterPlane::new(&program);
+            let clean = m
+                .run_with(&mode, &mut clean_plane, RunOptions::default())
+                .unwrap();
+            let mut inert_plane = CounterPlane::new(&program);
+            same(clean, m.run_with(&mode, &mut inert_plane, inert()).unwrap());
+            assert_eq!(
+                inert_plane.to_json().render(),
+                clean_plane.to_json().render(),
+                "{name} {mode:?}: the counter plane attributed differently"
+            );
         }
     }
 }
