@@ -9,20 +9,9 @@
 //! With `--json`, emits a versioned run report instead of the text table.
 
 use dir::encode::SchemeKind;
-use memsim::Geometry;
-use psder::MAX_TRANSLATION_WORDS;
 use telemetry::Json;
-use uhm::{Allocation, DtbConfig, Machine, Mode};
+use uhm::sweep::associativity_sweep;
 use uhm_bench::{bench_report, gate, workloads};
-
-fn config(capacity: usize, ways: usize) -> DtbConfig {
-    DtbConfig {
-        geometry: Geometry::new((capacity / ways).max(1), ways),
-        unit_words: MAX_TRANSLATION_WORDS,
-        allocation: Allocation::Fixed,
-        replacement: uhm::Replacement::Lru,
-    }
-}
 
 fn main() {
     let json = gate::args("assoc_ablation", &[]).json;
@@ -49,18 +38,15 @@ fn main() {
     let mut sums = vec![0.0; degrees.len()];
     let mut count = 0usize;
     for w in workloads() {
-        let machine = Machine::new(&w.base, SchemeKind::PairHuffman);
         let mut cells = Vec::new();
         let mut points = Vec::new();
-        for (i, &ways) in degrees.iter().enumerate() {
-            let r = machine
-                .run(&Mode::Dtb(config(capacity, ways)))
-                .expect("samples are trap-free");
-            let h = r.metrics.dtb.unwrap().hit_ratio();
+        let sweep = associativity_sweep(&w.base, SchemeKind::PairHuffman, capacity, &degrees);
+        for (i, p) in sweep.iter().enumerate() {
+            let h = p.stats.hit_ratio();
             sums[i] += h;
             cells.push(format!("{h:>12.4}"));
             points.push(Json::obj(vec![
-                ("ways", (ways as u64).into()),
+                ("ways", (p.ways as u64).into()),
                 ("hit_ratio", h.into()),
             ]));
         }

@@ -153,7 +153,6 @@ fn main() -> ExitCode {
                     ("instructions", run.total_instructions().into()),
                     ("minstr_per_sec", run.minstr_per_sec().into()),
                     ("speedup", (base_wall / run.wall_ns as f64).into()),
-                    ("steals", run.steals.into()),
                     ("latency_p50_ns", p.p50.into()),
                     ("latency_p95_ns", p.p95.into()),
                     ("latency_p99_ns", p.p99.into()),
@@ -185,18 +184,17 @@ fn print_table(corpus: usize, runs: &[PoolRun]) {
         host_cores()
     );
     println!(
-        "{:>8} {:>12} {:>12} {:>9} {:>7} {:>10} {:>10} {:>10}",
-        "workers", "wall ms", "Minstr/s", "speedup", "steals", "p50 us", "p95 us", "p99 us"
+        "{:>8} {:>12} {:>12} {:>9} {:>10} {:>10} {:>10}",
+        "workers", "wall ms", "Minstr/s", "speedup", "p50 us", "p95 us", "p99 us"
     );
     for run in runs {
         let p = run.latency_percentiles();
         println!(
-            "{:>8} {:>12.2} {:>12.2} {:>8.2}x {:>7} {:>10.1} {:>10.1} {:>10.1}",
+            "{:>8} {:>12.2} {:>12.2} {:>8.2}x {:>10.1} {:>10.1} {:>10.1}",
             run.workers,
             run.wall_ns as f64 / 1e6,
             run.minstr_per_sec(),
             base_wall / run.wall_ns as f64,
-            run.steals,
             p.p50 / 1e3,
             p.p95 / 1e3,
             p.p99 / 1e3

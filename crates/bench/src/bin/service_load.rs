@@ -38,7 +38,7 @@ use uhm::{DtbConfig, Machine, Mode, RequestOutcome};
 use uhm_bench::core_workloads;
 use uhm_bench::gate::{self, Gate};
 
-/// Seed of the arrival jitter streams and the pinned pool schedule.
+/// Seed of the arrival jitter streams.
 const SEED: u64 = 0x5E41;
 /// Dispatch width: simulated servers and host pool workers.
 const WORKERS: usize = 4;

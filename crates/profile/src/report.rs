@@ -37,14 +37,15 @@ pub fn profile_report(tool: &str, config: Json, plane: &CounterPlane, metrics: &
 }
 
 /// Folds a pool run into the report's optional `pool` section:
-/// per-worker latency histogram shards, their exact bucket-wise merge,
-/// merged percentile estimates, per-worker utilization, and queue-depth
-/// statistics. The shards are kept in the payload precisely because the
-/// merge is exact — a consumer can re-aggregate any worker subset and
-/// get the same numbers this builder would.
+/// per-worker latency histogram shards of the served tenants
+/// ([`uhm::RequestOutcome::served`]), their exact bucket-wise merge,
+/// merged percentile estimates and per-worker utilization. The shards
+/// are kept in the payload precisely because the merge is exact — a
+/// consumer can re-aggregate any worker subset and get the same numbers
+/// this builder would.
 pub fn pool_profile_json(run: &PoolRun) -> Json {
     let mut shards: Vec<LogHistogram> = (0..run.workers).map(|_| LogHistogram::new()).collect();
-    for r in &run.results {
+    for r in run.results.iter().filter(|r| r.outcome.served()) {
         if let Some(shard) = shards.get_mut(r.worker) {
             shard.record(r.latency_ns);
         }
@@ -66,12 +67,6 @@ pub fn pool_profile_json(run: &PoolRun) -> Json {
             ])
         })
         .collect();
-    let depth_max = run.queue_depth.iter().copied().max().unwrap_or(0);
-    let depth_mean = if run.queue_depth.is_empty() {
-        0.0
-    } else {
-        run.queue_depth.iter().sum::<u64>() as f64 / run.queue_depth.len() as f64
-    };
     Json::obj([
         ("tenants", Json::from(run.results.len())),
         ("completed", Json::from(run.completed())),
@@ -86,15 +81,6 @@ pub fn pool_profile_json(run: &PoolRun) -> Json {
                 ("p999", Json::from(merged.percentile(99.9))),
             ]),
         ),
-        (
-            "queue_depth",
-            Json::obj([
-                ("samples", Json::from(run.queue_depth.len())),
-                ("max", Json::from(depth_max)),
-                ("mean", Json::from(depth_mean)),
-            ]),
-        ),
-        ("steals", Json::from(run.steals)),
         ("wall_ns", Json::from(run.wall_ns)),
     ])
 }
@@ -185,10 +171,7 @@ mod tests {
         assert!(get("p95") <= get("p99"));
         assert!(get("p99") <= get("p999"));
 
-        // Queue depth drains to zero; utilization is sane.
-        let qd = j.get("queue_depth").unwrap();
-        assert_eq!(qd.get("samples").and_then(Json::as_i64), Some(9));
-        assert!(qd.get("max").and_then(Json::as_i64).unwrap() < 9);
+        // Utilization is sane.
         for w in j.get("workers").and_then(Json::as_arr).unwrap() {
             let u = w.get("utilization").and_then(Json::as_f64).unwrap();
             assert!((0.0..=1.0).contains(&u));

@@ -17,10 +17,10 @@
 //!   checksums, and the recovery/degradation machinery that exploits the
 //!   DTB's redundancy (the static DIR stays the ground truth);
 //! * [`pool`] — the multi-tenant plane: a [`MachinePool`]
-//!   runs independent tenant programs across a work-stealing worker set,
-//!   sharing each machine's image, decode tables and routine library
-//!   while keeping every tenant's results bit-identical to a sequential
-//!   run;
+//!   runs independent tenant programs across a worker set fed by one
+//!   in-order queue, sharing each machine's image, decode tables and
+//!   routine library while keeping every tenant's results bit-identical
+//!   to a sequential run;
 //! * [`resilience`] — the supervision policies around the pool: execution
 //!   budgets ([`Budget`]), seeded retry/backoff, per-image circuit
 //!   breakers, pressure-bound admission control, load shedding, and the

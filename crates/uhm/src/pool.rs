@@ -2,11 +2,11 @@
 //!
 //! Rau's UHM is a *host* for many guest programs; this module models the
 //! hosting side. A [`MachinePool`] runs N independent tenant programs
-//! across a configurable set of worker threads. Scheduling is
-//! work-stealing: tenants are dealt round-robin onto per-worker deques,
-//! each worker pops its own deque from the front and, when empty, steals
-//! from the *back* of a sibling's deque (classic Arora–Blumofe–Plotkin
-//! shape, hand-rolled on `std` only).
+//! across a configurable set of worker threads. Scheduling is one
+//! in-order work queue: the tenants in submission order behind a shared
+//! atomic cursor, from which whichever worker is free takes the next —
+//! the same discipline the service plane simulates on the modeled clock
+//! ([`crate::service`]).
 //!
 //! Three invariants the pool maintains, in order of importance:
 //!
@@ -20,9 +20,9 @@
 //!    place, so there is no translation state to share.
 //! 2. **Deterministic faults.** A pool-level base [`FaultConfig`] is
 //!    re-seeded per tenant as `base_seed ^ tenant_index`. The tenant
-//!    index — *not* the worker id — keys the stream, because stealing
-//!    makes worker assignment schedule-dependent; tenant-keyed seeds keep
-//!    fault campaigns replayable under any interleaving.
+//!    index — *not* the worker id — keys the stream, because which
+//!    worker takes a tenant depends on host timing; tenant-keyed seeds
+//!    keep fault campaigns replayable under any interleaving.
 //! 3. **Isolation.** A panicking tenant (e.g. one constructed over an
 //!    invalid DTB geometry) is caught with `catch_unwind`, reported as
 //!    [`RequestOutcome::Panicked`], and the remaining tenants complete.
@@ -60,7 +60,7 @@
 //!   degrade it to pure interpretation, then quarantine it
 //!   ([`RequestOutcome::Quarantined`]). The breaker bank is shared
 //!   mutable state keyed by image, so it is the one supervision feature
-//!   whose transitions are schedule-*sensitive* under work stealing;
+//!   whose transitions are schedule-*sensitive* with several workers;
 //!   campaigns that assert breaker walks pin `workers = 1`.
 //! - **Chaos** — worker crashes (the panic escapes the tenant's
 //!   isolation boundary and kills the worker thread), hung tenants
@@ -72,17 +72,16 @@
 //!
 //! Per-tenant final outcomes are deterministic functions of
 //! `(tenant, seeds, policies)` — everything except breaker transitions
-//! and the observational fields (latency, steals, queue depth) replays
-//! exactly under any worker count.
+//! and the observational fields (latency, worker) replays exactly under
+//! any worker count.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use dir::exec::Trap;
-use std::collections::VecDeque;
 use telemetry::{NullSink, Percentiles, TraceSink};
 
 use crate::config::Budget;
@@ -116,8 +115,8 @@ pub struct TenantResult {
     /// The tenant's display name.
     pub name: String,
     /// The worker thread that executed this tenant. Informational only:
-    /// work stealing makes this schedule-dependent, so nothing
-    /// deterministic may key off it.
+    /// which free worker takes a tenant depends on host timing, so
+    /// nothing deterministic may key off it.
     pub worker: usize,
     /// Host wall-clock time of this tenant's run, in nanoseconds.
     /// Supervised runs include all attempts plus the *charged* (never
@@ -142,12 +141,6 @@ pub struct PoolRun {
     pub wall_ns: u64,
     /// Number of worker threads that served the run.
     pub workers: usize,
-    /// Number of tenants obtained by stealing from a sibling's deque.
-    pub steals: u64,
-    /// Jobs still queued after each dequeue, in dequeue order — the
-    /// pool's queue-depth timeline. Schedule-dependent (like `steals`),
-    /// so purely observational: nothing deterministic may key off it.
-    pub queue_depth: Vec<u64>,
     /// Supervised retries across all tenants: the sum of
     /// `attempts - 1` over tenants that ran at least once.
     pub retries: u64,
@@ -157,15 +150,12 @@ pub struct PoolRun {
 }
 
 impl PoolRun {
-    /// p50/p95/p99/p99.9 of the per-tenant latencies in nanoseconds.
+    /// p50/p95/p99/p99.9 of the served tenants' latencies
+    /// ([`RequestOutcome::served`]) in nanoseconds. Shed and rejected
+    /// tenants never ran, so their zero latencies are left out.
     pub fn latency_percentiles(&self) -> Percentiles {
-        Percentiles::of(
-            &self
-                .results
-                .iter()
-                .map(|r| r.latency_ns as f64)
-                .collect::<Vec<_>>(),
-        )
+        let served = self.results.iter().filter(|r| r.outcome.served());
+        Percentiles::of(&served.map(|r| r.latency_ns as f64).collect::<Vec<_>>())
     }
 
     /// Host nanoseconds each worker spent executing tenants (length =
@@ -270,7 +260,6 @@ pub struct MachinePool {
     fault_base: Option<FaultConfig>,
     supervisor: Option<Supervisor>,
     chaos: Option<ChaosConfig>,
-    schedule_seed: Option<u64>,
 }
 
 impl MachinePool {
@@ -283,7 +272,6 @@ impl MachinePool {
             fault_base: None,
             supervisor: None,
             chaos: None,
-            schedule_seed: None,
         }
     }
 
@@ -329,18 +317,6 @@ impl MachinePool {
         self
     }
 
-    /// Pins the scheduling order. `Some(seed)` deals tenants in a seeded
-    /// permutation and disables work stealing, so the jobs each worker
-    /// executes — and therefore every schedule-dependent observable
-    /// (steals, per-worker assignment) — replay exactly. `None` (the
-    /// default) keeps the adaptive work-stealing schedule. The service
-    /// plane ([`crate::service::Service`]) always pins this seed so a
-    /// served request mix replays bit-identically.
-    pub fn set_schedule_seed(&mut self, seed: Option<u64>) -> &mut Self {
-        self.schedule_seed = seed;
-        self
-    }
-
     /// The number of worker threads this pool will use.
     pub fn workers(&self) -> usize {
         self.workers
@@ -352,7 +328,9 @@ impl MachinePool {
     }
 
     /// Runs every tenant across the worker set and collects the results
-    /// in tenant order.
+    /// in tenant order. Workers take tenants from one queue in
+    /// submission order: a tenant is never handed out before an earlier
+    /// one, whichever worker is free takes it.
     pub fn run(&self) -> PoolRun {
         self.run_with_sinks(|_| NullSink).0
     }
@@ -372,37 +350,26 @@ impl MachinePool {
         F: Fn(usize) -> S + Sync,
     {
         let workers = self.workers.min(self.tenants.len()).max(1);
-        // Deal tenants onto per-worker deques: round-robin in submission
-        // order, or in a seeded permutation when the schedule is pinned.
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (slot, idx) in self.deal_order().into_iter().enumerate() {
-            deques[slot % workers].lock().unwrap().push_back(idx);
-        }
-        // Stealing trades determinism for load balance; a pinned
-        // schedule keeps every worker on its own deque.
-        let steal = self.schedule_seed.is_none();
         let sv = self.supervision();
-        let steals = AtomicU64::new(0);
-        let remaining = AtomicU64::new(self.tenants.len() as u64);
-        let depth_samples: Mutex<Vec<u64>> = Mutex::new(Vec::with_capacity(self.tenants.len()));
+        // The one queue: tenants in submission order behind a shared
+        // cursor. A free worker takes the next index until none is left.
+        let cursor = AtomicUsize::new(0);
 
         let started = Instant::now();
         let mut collected: Vec<Vec<(TenantResult, S)>> = Vec::with_capacity(workers);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let deques = &deques;
-                    let steals = &steals;
-                    let remaining = &remaining;
-                    let depth_samples = &depth_samples;
+                    let cursor = &cursor;
                     let make_sink = &make_sink;
                     let sv = &sv;
                     scope.spawn(move || {
                         let mut local = Vec::new();
-                        while let Some(idx) = next_job(w, deques, steals, steal) {
-                            let depth = remaining.fetch_sub(1, Ordering::Relaxed) - 1;
-                            depth_samples.lock().unwrap().push(depth);
+                        loop {
+                            let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                            if idx >= self.tenants.len() {
+                                return local;
+                            }
                             // A chaos worker crash escapes the tenant's
                             // isolation boundary: the worker dies mid-job
                             // and every result it held is lost until the
@@ -415,7 +382,6 @@ impl MachinePool {
                             let result = self.run_tenant(idx, w, &mut sink, sv);
                             local.push((result, sink));
                         }
-                        local
                     })
                 })
                 .collect();
@@ -426,10 +392,10 @@ impl MachinePool {
 
         let mut pairs: Vec<(TenantResult, S)> = collected.into_iter().flatten().collect();
         // Recovery sweep: any tenant missing from the collected results
-        // rode a crashed worker (or sat in a dead worker's deque). Re-run
-        // each on the recovery lane (worker id = `workers`), counting the
-        // tenants whose own crash injection fired. Nothing is silently
-        // lost.
+        // rode a crashed worker (or was still queued when the last worker
+        // died). Re-run each on the recovery lane (worker id = `workers`),
+        // counting the tenants whose own crash injection fired. Nothing
+        // is silently lost.
         let mut worker_crashes = 0u64;
         let mut have = vec![false; self.tenants.len()];
         for (r, _) in &pairs {
@@ -453,8 +419,6 @@ impl MachinePool {
                 results,
                 wall_ns,
                 workers,
-                steals: steals.load(Ordering::Relaxed),
-                queue_depth: depth_samples.into_inner().unwrap(),
                 worker_crashes,
             },
             sinks,
@@ -485,25 +449,8 @@ impl MachinePool {
             retries: total_retries(&results),
             results,
             workers: 1,
-            // Sequential dequeue order is submission order, so the
-            // queue simply drains: n-1, n-2, ..., 0.
-            queue_depth: (0..self.tenants.len() as u64).rev().collect(),
-            steals: 0,
             worker_crashes,
         }
-    }
-
-    /// Submission indices in deal order: identity, or a seeded
-    /// Fisher–Yates permutation when the schedule is pinned.
-    fn deal_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.tenants.len()).collect();
-        if let Some(seed) = self.schedule_seed {
-            let mut rng = hlr::rng::Rng::new(seed);
-            for i in (1..order.len()).rev() {
-                order.swap(i, rng.range_usize(0, i + 1));
-            }
-        }
-        order
     }
 
     /// The per-run supervision context. With neither a supervisor nor
@@ -780,31 +727,6 @@ fn hang_machine() -> Machine {
     )
 }
 
-/// Pops the next tenant index for worker `w`: own deque from the front,
-/// else (when `steal` — i.e. the schedule is not pinned) steal from the
-/// back of the first non-empty sibling.
-fn next_job(
-    w: usize,
-    deques: &[Mutex<VecDeque<usize>>],
-    steals: &AtomicU64,
-    steal: bool,
-) -> Option<usize> {
-    if let Some(idx) = deques[w].lock().unwrap().pop_front() {
-        return Some(idx);
-    }
-    if !steal {
-        return None;
-    }
-    for off in 1..deques.len() {
-        let victim = (w + off) % deques.len();
-        if let Some(idx) = deques[victim].lock().unwrap().pop_back() {
-            steals.fetch_add(1, Ordering::Relaxed);
-            return Some(idx);
-        }
-    }
-    None
-}
-
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -946,10 +868,10 @@ mod tests {
     }
 
     #[test]
-    fn stealing_occurs_under_imbalance_and_changes_nothing() {
-        // All work dealt to worker 0's deque side by using 4 workers over
-        // 8 tenants with wildly uneven costs: the cheap tenants' workers
-        // finish and steal.
+    fn uneven_tenants_change_nothing() {
+        // 4 workers over 8 tenants with wildly uneven costs: the workers
+        // that drew heavy tenants are still busy while the others drain
+        // the queue.
         let heavy = machine_for(
             "proc main() begin int i := 0; \
              while i < 2000 do begin write i; i := i + 1; end end",
@@ -963,10 +885,6 @@ mod tests {
         let seq = pool.run_sequential();
         let par = pool.run();
         assert_eq!(outcomes(&seq), outcomes(&par));
-        // Steal counts are schedule-dependent; just check the counter is
-        // wired (it may legitimately be 0 on a slow machine, so only
-        // sanity-bound it).
-        assert!(par.steals <= 8);
     }
 
     #[test]
@@ -1062,8 +980,6 @@ mod tests {
             results: vec![],
             wall_ns: 0,
             workers: 2,
-            steals: 0,
-            queue_depth: vec![],
             retries: 0,
             worker_crashes: 0,
         };
@@ -1343,40 +1259,34 @@ mod tests {
     }
 
     #[test]
-    fn schedule_seed_pins_the_schedule() {
-        let mut pool = sample_pool(4);
-        let free = pool.run();
-        pool.set_schedule_seed(Some(0xC0FFEE));
-        let a = pool.run();
-        let b = pool.run();
-        // Outcomes are schedule-invariant either way...
-        assert_eq!(outcomes(&free), outcomes(&a));
-        // ...but a pinned schedule also replays every schedule-dependent
-        // observable: no steals, identical worker assignment.
-        assert_eq!(a.steals, 0);
-        assert_eq!(b.steals, 0);
-        let workers_of =
-            |run: &PoolRun| -> Vec<usize> { run.results.iter().map(|r| r.worker).collect() };
-        assert_eq!(workers_of(&a), workers_of(&b));
-    }
-
-    #[test]
-    fn queue_depth_and_utilization_are_wired() {
+    fn utilization_is_wired() {
         let run = sample_pool(2).run();
-        assert_eq!(run.queue_depth.len(), run.results.len());
-        // The queue drains: the last dequeue leaves it empty.
-        assert_eq!(run.queue_depth.iter().min(), Some(&0));
-        assert!(run
-            .queue_depth
-            .iter()
-            .all(|&d| d < run.results.len() as u64));
         let util = run.worker_utilization();
         assert_eq!(util.len(), run.workers);
         assert!(util.iter().all(|u| (0.0..=1.0).contains(u)));
         assert!(util.iter().any(|&u| u > 0.0));
-        // Sequential reference records the drain in submission order.
-        let seq = sample_pool(2).run_sequential();
-        assert_eq!(seq.queue_depth.first(), Some(&6));
-        assert_eq!(seq.queue_depth.last(), Some(&0));
+    }
+
+    #[test]
+    fn latency_percentiles_leave_out_refused_tenants() {
+        // A watermark of 4 sheds half of 8 tenants; the shed ones never
+        // ran and carry a zero latency that must not drag the p50 down.
+        let m = machine_for(
+            "proc main() begin int i := 0; while i < 50 do begin i := i + 1; end write i; end",
+        );
+        let mut pool = MachinePool::new(2);
+        for t in 0..8 {
+            pool.push(format!("t{t}"), Arc::clone(&m), Mode::Interpreter);
+        }
+        let mut sup = plain_supervisor();
+        sup.max_queue = Some(4);
+        pool.set_supervisor(Some(sup));
+        let run = pool.run();
+        assert_eq!(run.outcome_count("shed"), 4);
+        let served: Vec<f64> = run.results[..4]
+            .iter()
+            .map(|r| r.latency_ns as f64)
+            .collect();
+        assert_eq!(run.latency_percentiles(), Percentiles::of(&served));
     }
 }

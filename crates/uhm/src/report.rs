@@ -212,8 +212,8 @@ pub fn tenant_json(r: &TenantResult) -> Json {
 
 /// Builds the canonical [`Kind::Pool`] report for a finished pool run:
 /// per-tenant results in tenant order, pool aggregates (wall-clock,
-/// modeled totals, aggregate Minstr/s, steal count) and per-tenant
-/// latency percentiles in nanoseconds.
+/// modeled totals, aggregate Minstr/s, utilization) and the served
+/// tenants' latency percentiles in nanoseconds.
 pub fn pool_report(tool: &str, config: Json, run: &PoolRun) -> Report {
     let tenants = Json::Arr(run.results.iter().map(tenant_json).collect());
     let utilization = run.worker_utilization();
@@ -226,14 +226,9 @@ pub fn pool_report(tool: &str, config: Json, run: &PoolRun) -> Report {
     aggregate.extend([
         ("retries", (run.retries as i64).into()),
         ("worker_crashes", (run.worker_crashes as i64).into()),
-        ("steals", (run.steals as i64).into()),
         ("instructions", run.total_instructions().into()),
         ("cycles", run.total_cycles().into()),
         ("minstr_per_sec", run.minstr_per_sec().into()),
-        (
-            "queue_depth_max",
-            (run.queue_depth.iter().copied().max().unwrap_or(0) as i64).into(),
-        ),
         (
             "utilization",
             Json::Arr(utilization.iter().map(|&u| Json::from(u)).collect()),
@@ -299,7 +294,6 @@ pub fn step_json(s: &StepRun) -> Json {
             Json::obj(vec![
                 ("wall_ns", (s.pool.wall_ns as i64).into()),
                 ("minstr_per_sec", s.pool.minstr_per_sec().into()),
-                ("steals", (s.pool.steals as i64).into()),
             ]),
         ),
     ]);

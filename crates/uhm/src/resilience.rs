@@ -325,8 +325,9 @@ const CORRUPT_SALT: u64 = 0x636f7272_00000003;
 /// Each kind of havoc is rolled *statelessly* per tenant index —
 /// `Rng::new(seed ^ tenant ^ SALT)` — so the set of injected faults is a
 /// pure function of `(seed, tenant)` and identical under any schedule,
-/// worker count, or stealing order. That is what lets the chaos campaign
-/// compare outcome tables against a committed baseline bit-for-bit.
+/// worker count, or tenant-to-worker placement. That is what lets the
+/// chaos campaign compare outcome tables against a committed baseline
+/// bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Base seed of all three chaos streams.

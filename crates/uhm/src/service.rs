@@ -32,12 +32,13 @@
 //!   queue depths and admission thresholds are chosen by driving
 //!   simulated load, not by guessing.
 //! * **The host clock** stays observational. The requests the simulator
-//!   serves are then *actually executed* on a [`MachinePool`] (schedule
-//!   seed pinned to the service seed), so every served request's output
-//!   and modeled metrics are bit-identical to a direct pool run of the
-//!   same mix — the service layer adds policy, never semantics. The
-//!   pool's wall-clock and host latencies ride along in
-//!   [`StepRun::pool`] for throughput context.
+//!   serves are then *actually executed* on a [`MachinePool`], in
+//!   dispatch order through the pool's one in-order queue — the same
+//!   first-free-server discipline the simulation models — so every
+//!   served request's output and modeled metrics are bit-identical to a
+//!   direct pool run of the same mix: the service layer adds policy,
+//!   never semantics. The pool's wall-clock and host latencies ride
+//!   along in [`StepRun::pool`] for throughput context.
 //!
 //! # Request lifecycle
 //!
@@ -141,8 +142,7 @@ pub struct ServiceConfig {
     /// Per-tenant quota: an arriving request is shed (`"quota:"`) when
     /// its tenant's own lane has reached this depth. `None` = no quota.
     pub tenant_quota: Option<usize>,
-    /// Seed of the arrival-jitter stream; also pins the host pool's
-    /// schedule seed so served-request placement replays.
+    /// Seed of the arrival-jitter stream.
     pub seed: u64,
 }
 
@@ -283,7 +283,7 @@ pub struct StepRun {
     /// Peak total backlog across all tenant lanes during the step.
     pub queue_peak: usize,
     /// The host-side execution of the served requests: a real
-    /// [`MachinePool`] run (schedule seed pinned), whose outputs are
+    /// [`MachinePool`] run in dispatch order, whose outputs are
     /// bit-identical to direct pool execution of the same mix. Host
     /// wall-clock and latencies in here are observational only.
     pub pool: PoolRun,
@@ -343,7 +343,7 @@ impl StepRun {
 pub struct ServiceRun {
     /// The dispatch width the sweep ran with.
     pub workers: usize,
-    /// The seed of the arrival streams and the pinned pool schedule.
+    /// The seed of the arrival streams.
     pub seed: u64,
     /// Per-rate step results, in sweep order.
     pub steps: Vec<StepRun>,
@@ -616,15 +616,14 @@ impl Service {
             }
         }
 
-        // Host side: really execute the served requests, in dispatch
-        // order, on a pool with the schedule pinned to the service seed.
+        // Host side: really execute the served requests on the pool,
+        // whose one queue hands them out in dispatch order.
         let mut pool = MachinePool::new(self.config.workers);
         for &i in &dispatch_order {
             let r = &self.requests[i];
             let mode = effective[i].clone().expect("served requests have a mode");
             pool.push(r.name.clone(), Arc::clone(&r.machine), mode);
         }
-        pool.set_schedule_seed(Some(self.config.seed));
         let pool_run = pool.run();
 
         let results = slots

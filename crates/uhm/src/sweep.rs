@@ -2,9 +2,8 @@
 //! as a reusable API.
 //!
 //! Downstream users exploring a design point (how big should the DTB be
-//! for this workload? which encoding? which associativity?) get one-call
-//! sweeps returning structured rows instead of re-writing the machine
-//! loop.
+//! for this workload? which associativity?) get one-call sweeps
+//! returning structured rows instead of re-writing the machine loop.
 
 use dir::encode::SchemeKind;
 use dir::program::Program;
@@ -95,55 +94,6 @@ pub fn associativity_sweep(
         .collect()
 }
 
-/// One row of an encoding-scheme sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchemePoint {
-    /// The encoding scheme.
-    pub scheme: SchemeKind,
-    /// Static program size in bits.
-    pub program_bits: u64,
-    /// Mean measured decode cost (`d`).
-    pub mean_decode_cost: f64,
-    /// Interpreter (T1) time per instruction.
-    pub interpreter_time: f64,
-    /// DTB (T2) time per instruction at the given capacity.
-    pub dtb_time: f64,
-}
-
-/// Sweeps all encoding schemes for one program, reporting the static-size
-/// versus execution-time trade-off under both T1 and T2.
-///
-/// # Panics
-///
-/// Panics if the program traps.
-pub fn scheme_sweep(program: &Program, dtb_entries: usize) -> Vec<SchemePoint> {
-    SchemeKind::all()
-        .into_iter()
-        .map(|scheme| {
-            let machine = Machine::new(program, scheme);
-            let image = machine.image();
-            let (program_bits, mean_decode_cost) = (image.program_bits(), image.mean_decode_cost());
-            let t1 = machine
-                .run(&Mode::Interpreter)
-                .expect("trap-free")
-                .metrics
-                .time_per_instruction();
-            let t2 = machine
-                .run(&Mode::Dtb(DtbConfig::with_capacity(dtb_entries)))
-                .expect("trap-free")
-                .metrics
-                .time_per_instruction();
-            SchemePoint {
-                scheme,
-                program_bits,
-                mean_decode_cost,
-                interpreter_time: t1,
-                dtb_time: t2,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,31 +125,5 @@ mod tests {
     #[should_panic(expected = "does not divide")]
     fn associativity_sweep_rejects_bad_degree() {
         associativity_sweep(&sieve(), SchemeKind::Packed, 32, &[3]);
-    }
-
-    #[test]
-    fn scheme_sweep_shows_the_tradeoff() {
-        let points = scheme_sweep(&sieve(), 64);
-        assert_eq!(points.len(), SchemeKind::all().len());
-        let byte = &points[0];
-        let pair = &points[4];
-        assert!(pair.program_bits < byte.program_bits);
-        assert!(pair.mean_decode_cost > byte.mean_decode_cost);
-        // Under the DTB, the decode penalty of heavy encoding mostly
-        // vanishes: T2 spread is far smaller than T1 spread.
-        let t1_spread = points
-            .iter()
-            .map(|p| p.interpreter_time)
-            .fold(f64::MIN, f64::max)
-            - points
-                .iter()
-                .map(|p| p.interpreter_time)
-                .fold(f64::MAX, f64::min);
-        let t2_spread = points.iter().map(|p| p.dtb_time).fold(f64::MIN, f64::max)
-            - points.iter().map(|p| p.dtb_time).fold(f64::MAX, f64::min);
-        assert!(
-            t2_spread < t1_spread / 2.0,
-            "t1 spread {t1_spread}, t2 spread {t2_spread}"
-        );
     }
 }

@@ -6,13 +6,15 @@
 #
 # Checks out <parent-rev> as a temporary git worktree, builds the ledger
 # there and in this checkout (once each), then runs [pairs] (default 10)
-# pairs. A pair runs every listed workload in turn, each the parent's
-# ledger then this checkout's, with the `run_seconds` from BENCHMARK.json
-# (override with LEDGER_SECONDS). `all` lists every workload BENCHMARK.json
-# declares; an unknown name exits 2. For each workload and every
-# end-to-end metric it prints each side's median and quartiles, the ratio
-# of the medians (change / parent) and in how many pairs the change was
-# better. The worktree is removed on exit.
+# pairs. A pair runs every listed workload in turn, each on both ledgers,
+# with the `run_seconds` from BENCHMARK.json (override with
+# LEDGER_SECONDS). Odd pairs run the parent's ledger first, even pairs
+# this checkout's, so drift within a pair does not always favour one
+# side. `all` lists every workload BENCHMARK.json declares; an unknown
+# name exits 2. For each workload and every end-to-end metric it prints
+# each side's median and quartiles, the ratio of the medians (change /
+# parent) and in how many pairs the change was better. The worktree is
+# removed on exit.
 set -euo pipefail
 
 usage="usage: scripts/ledger_pairs.sh <parent-rev> <workload[,workload...]|all> [pairs]"
@@ -62,8 +64,9 @@ cargo build --quiet --release --offline --manifest-path "$tmp/parent/$manifest"
 cargo build --quiet --release --offline --manifest-path "$root/$manifest"
 
 for i in $(seq 1 "$pairs"); do
+    if ((i % 2)); then order="parent change"; else order="change parent"; fi
     for workload in "${workloads[@]}"; do
-        for side in parent change; do
+        for side in $order; do
             if [[ $side == parent ]]; then bin="$tmp/parent/$ledger"; else bin="$root/$ledger"; fi
             # A run of one workload ends with its one JSON result line.
             "$bin" --workload "$workload" --seconds "$seconds" --trace 0 | tail -1 \
@@ -88,7 +91,8 @@ def quartiles(xs):
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
 
-print(f"workload {workload}: {len(parent)} pairs (parent then change)")
+print(f"workload {workload}: {len(parent)} pairs "
+      f"(odd pairs parent first, even pairs change first)")
 for side, runs in (("parent", parent), ("change", change)):
     bad = sum(1 for r in runs if not r["correct"])
     if bad:

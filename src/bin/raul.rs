@@ -1480,12 +1480,11 @@ fn print_pool(cli: &Cli, run: &PoolRun) {
     }
     let p = run.latency_percentiles();
     println!(
-        "pool: {}/{} completed on {} workers in {} ns ({} steals)",
+        "pool: {}/{} completed on {} workers in {} ns",
         run.completed(),
         run.results.len(),
         run.workers,
-        run.wall_ns,
-        run.steals
+        run.wall_ns
     );
     if supervision_requested(cli) {
         println!(

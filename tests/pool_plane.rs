@@ -127,34 +127,36 @@ fn panicking_tenant_does_not_poison_the_pool() {
     assert_eq!(&outcomes(&run)[..9], &outcomes(&reference)[..]);
 }
 
-/// A scheduling seed pins the pool schedule: the deal order is a seeded
-/// permutation, stealing is disabled (steals always 0), and the
-/// tenant→worker assignment replays exactly across runs — so latency
-/// investigations and flake hunts can replay one specific schedule.
+/// The pool is one in-order queue: a tenant that holds its worker up
+/// holds back no later tenant. Tenant 0's sink factory parks (bounded
+/// wait) until tenants 1–11 have all been handed out, so the other
+/// worker must take every one of them, in submission order, and the
+/// outcomes still equal the sequential reference.
 #[test]
-fn schedule_seed_makes_the_schedule_replayable() {
-    let assignment = |seed: Option<u64>| {
-        let mut pool = seeded_pool(4, 12);
-        pool.set_schedule_seed(seed);
-        let run = pool.run();
-        assert_eq!(run.results.len(), 12);
-        if seed.is_some() {
-            assert_eq!(run.steals, 0, "stealing is off under a pinned schedule");
+fn a_parked_tenant_holds_nothing_back() {
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
+
+    let pool = seeded_pool(2, 12);
+    let handed_out = Mutex::new(Vec::new());
+    let all_out = Condvar::new();
+    let (run, _) = pool.run_with_sinks(|idx| {
+        let mut order = handed_out.lock().unwrap();
+        order.push(idx);
+        if idx == 0 {
+            // Bounded, so a scheduler that never hands out the rest
+            // fails the order check below instead of hanging.
+            drop(all_out.wait_timeout_while(order, Duration::from_secs(10), |o| o.len() < 12));
+        } else if order.len() == 12 {
+            all_out.notify_all();
         }
-        run.results
-            .iter()
-            .map(|r| (r.tenant, r.worker))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(assignment(Some(0xD1CE)), assignment(Some(0xD1CE)));
-    // Different seeds deal different permutations (with 12 tenants a
-    // collision is astronomically unlikely).
-    assert_ne!(assignment(Some(1)), assignment(Some(2)));
-    // And the pinned schedule never changes tenant outcomes.
+        telemetry::NullSink
+    });
+    let order = handed_out.into_inner().unwrap();
+    let rest: Vec<usize> = order.into_iter().filter(|&i| i != 0).collect();
+    assert_eq!(rest, (1..12).collect::<Vec<_>>(), "hand-out order");
     let reference = seeded_pool(1, 12).run_sequential();
-    let mut pinned = seeded_pool(4, 12);
-    pinned.set_schedule_seed(Some(0xD1CE));
-    assert_eq!(outcomes(&reference), outcomes(&pinned.run()));
+    assert_eq!(outcomes(&reference), outcomes(&run));
 }
 
 /// The pool report renders a valid pool-kind report that round-trips and
