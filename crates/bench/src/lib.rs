@@ -1,24 +1,26 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Each binary under `src/bin/` either regenerates one table or figure
-//! of Rau (1978) or gates one of the cross-cutting planes
-//! (`fault_campaign`, `perf_gate`, `pool_throughput`, `analyze_gate`,
-//! `profile_gate`, `chaos_campaign`, `conformance_sweep`, `service_load`)
-//! against its committed baseline or bounds on every run — see DESIGN.md's
-//! experiment index. Every binary prints a plain-text table to stdout and
-//! the same data as one versioned [`telemetry::Report`] line via `--json`;
-//! a gate's verdict goes to stderr and its exit code ([`gate`]). This
-//! library holds the flag parser, the gate and the workload plumbing
-//! they share.
+//! Three binaries under `src/bin/` regenerate the tables and figures of
+//! Rau (1978), one per group of paper sections: `representations`
+//! (Table 1, Figure 1, §3.2), `dtb_design` (§4–5) and `section7` (Tables
+//! 2 and 3, the model check, §8's cost case). Each runs every machine it
+//! needs once and reads all its tables from those runs ([`Tables`]).
+//! Eight more gate the cross-cutting planes (`fault_campaign`,
+//! `perf_gate`, `pool_throughput`, `analyze_gate`, `profile_gate`,
+//! `chaos_campaign`, `conformance_sweep`, `service_load`) against their
+//! committed baselines or bounds on every run — see DESIGN.md's
+//! experiment index. Every binary prints plain-text tables to stdout, or
+//! the same data as one versioned [`telemetry::Report`] line via
+//! `--json`; a gate's verdict goes to stderr and its exit code
+//! ([`gate`]). This library holds the flag parser, the gate and the
+//! workload plumbing they share.
 
 pub mod corpus;
 pub mod gate;
 pub mod timing;
 
-use dir::encode::SchemeKind;
 use dir::program::Program;
 use telemetry::{Json, Kind};
-use uhm::{DtbConfig, Machine, Mode, Report};
 
 /// A compiled workload at both semantic tiers.
 pub struct Workload {
@@ -55,33 +57,6 @@ pub fn core_workloads() -> Vec<Workload> {
         .collect()
 }
 
-/// Runs a program in all three machine modes under one scheme, returning
-/// `(interpreter, dtb, icache)` reports.
-///
-/// The i-cache geometry is matched to the DTB's level-1 footprint in
-/// words, honouring the paper's "roughly the same resources" comparison.
-pub fn run_three(
-    program: &Program,
-    scheme: SchemeKind,
-    dtb: DtbConfig,
-) -> (Report, Report, Report) {
-    let machine = Machine::new(program, scheme);
-    let interp = machine
-        .run(&Mode::Interpreter)
-        .expect("samples are trap-free");
-    let dtb_report = machine.run(&Mode::Dtb(dtb)).expect("samples are trap-free");
-    let cache_words = dtb.buffer_words();
-    // One cache line per level-2 word; equal word count = equal capacity.
-    let ways = 4;
-    let sets = (cache_words / ways).max(1);
-    let icache = machine
-        .run(&Mode::ICache {
-            geometry: memsim::Geometry::new(sets, ways),
-        })
-        .expect("samples are trap-free");
-    (interp, dtb_report, icache)
-}
-
 /// Builds the canonical [`Kind::Run`] report the table, figure and gate
 /// bench binaries emit under `--json`: `tool` names the binary, `config`
 /// its knobs, and `rows` (an array of objects, one per printed table row)
@@ -101,27 +76,47 @@ pub fn bench_report(tool: &str, config: Json, rows: Vec<Json>) -> telemetry::Rep
     )
 }
 
-/// Serializes one machine-run report as a row: identifying fields plus
-/// the full canonical metrics/derived sections from [`uhm::report`].
-pub fn run_row(fields: Vec<(&'static str, Json)>, report: &Report) -> Json {
-    let mut all = fields;
-    all.push(("metrics", uhm::report::metrics_json(&report.metrics)));
-    all.push(("derived", uhm::report::derived_json(&report.metrics)));
-    Json::obj(all)
+/// The tables of one reproduction binary, each value written once into
+/// both output forms side by side: the text lines and the `--json` rows,
+/// each row tagged with the experiment (DESIGN.md's index) it belongs
+/// to. [`Tables::print`] prints one of the two.
+#[derive(Debug, Default)]
+pub struct Tables {
+    lines: Vec<String>,
+    config: Vec<(&'static str, Json)>,
+    rows: Vec<Json>,
 }
 
-/// Prints a formatted row of floats.
-pub fn print_row(label: &str, values: &[f64]) {
-    print!("{label:>14}");
-    for v in values {
-        print!(" {v:>9.2}");
+impl Tables {
+    /// Appends one line of the text output.
+    pub fn line(&mut self, line: impl Into<String>) {
+        self.lines.push(line.into());
     }
-    println!();
-}
 
-/// Prints a rule line sized for `n` value columns.
-pub fn print_rule(n: usize) {
-    println!("{}", "-".repeat(14 + 10 * n));
+    /// Records experiment `id`'s settings, the report's `config.<id>`.
+    pub fn config(&mut self, id: &'static str, fields: Vec<(&'static str, Json)>) {
+        self.config.push((id, Json::obj(fields)));
+    }
+
+    /// Appends one `--json` row of experiment `id`, whose first field is
+    /// `experiment`.
+    pub fn row(&mut self, id: &'static str, fields: Vec<(&'static str, Json)>) {
+        let tag = ("experiment", Json::from(id));
+        self.rows
+            .push(Json::obj(std::iter::once(tag).chain(fields)));
+    }
+
+    /// Prints `tool`'s report if `json`, the text otherwise.
+    pub fn print(self, tool: &str, json: bool) {
+        if json {
+            let config = Json::obj(self.config);
+            println!("{}", bench_report(tool, config, self.rows).render());
+        } else {
+            for line in self.lines {
+                println!("{line}");
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -139,13 +134,5 @@ mod tests {
     #[test]
     fn core_subset_is_nonempty() {
         assert!(core_workloads().len() >= 4);
-    }
-
-    #[test]
-    fn run_three_agrees_across_modes() {
-        let w = &workloads()[2]; // fib_iter: cheap
-        let (a, b, c) = run_three(&w.base, SchemeKind::Packed, DtbConfig::with_capacity(64));
-        assert_eq!(a.output, b.output);
-        assert_eq!(b.output, c.output);
     }
 }

@@ -1,4 +1,4 @@
-//! A table/figure/gate bench binary's `--json` output must be one
+//! A reproduction or gate bench binary's `--json` output must be one
 //! parseable run-kind [`Report`] line — the acceptance surface scripts and
 //! CI rely on.
 
@@ -32,35 +32,102 @@ fn rows_of(report: &Report) -> &[Json] {
         .expect("an output array of rows")
 }
 
+/// The rows of experiment `id`.
+fn experiment<'a>(report: &'a Report, id: &str) -> Vec<&'a Json> {
+    rows_of(report)
+        .iter()
+        .filter(|r| r.get("experiment").and_then(Json::as_str) == Some(id))
+        .collect()
+}
+
+/// The `workload` row of experiment `id`.
+fn workload_row<'a>(report: &'a Report, id: &str, workload: &str) -> &'a Json {
+    experiment(report, id)
+        .into_iter()
+        .find(|r| r.get("workload").and_then(Json::as_str) == Some(workload))
+        .unwrap_or_else(|| panic!("{id} has no {workload} row"))
+}
+
+fn num(row: &Json, key: &str) -> f64 {
+    row.get(key).and_then(Json::as_f64).expect(key)
+}
+
 #[test]
-fn dtb_sweep_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_dtb_sweep"), false);
-    assert_eq!(rr.tool, "dtb_sweep");
-    let rows = rows_of(&rr);
-    assert!(!rows.is_empty());
-    for row in rows {
-        let Some(Json::Arr(sweep)) = row.get("sweep") else {
-            panic!("expected a sweep array per workload");
-        };
-        // Hit ratio is monotone in capacity for LRU on these workloads —
-        // and always a valid probability.
-        for point in sweep {
-            let h = point.get("hit_ratio").and_then(Json::as_f64).unwrap();
-            assert!((0.0..=1.0).contains(&h), "hit ratio {h}");
-        }
+fn representations_emits_a_run_report() {
+    let rr = report_of(env!("CARGO_BIN_EXE_representations"), false);
+    assert_eq!(rr.tool, "representations");
+    // Table 1: PSDER, PDP-11 and 360-RX representations at minimum.
+    let table1 = experiment(&rr, "E1");
+    assert!(table1.len() >= 3);
+    for row in table1 {
+        assert!(row.get("total_bits").and_then(Json::as_i64).unwrap() > 0);
+    }
+    for id in ["E1", "E4", "E6"] {
+        assert!(rr.config.get(id).is_some(), "config.{id} missing");
+        assert!(!experiment(&rr, id).is_empty(), "no {id} rows");
     }
 }
 
 #[test]
-fn table1_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_table1"), false);
-    assert_eq!(rr.tool, "table1");
-    let rows = rows_of(&rr);
-    // PSDER, PDP-11 and 360-RX representations at minimum.
-    assert!(rows.len() >= 3);
-    for row in rows {
-        assert!(row.get("total_bits").and_then(Json::as_i64).unwrap() > 0);
+fn dtb_design_emits_a_run_report() {
+    let rr = report_of(env!("CARGO_BIN_EXE_dtb_design"), false);
+    assert_eq!(rr.tool, "dtb_design");
+    for id in ["E7", "E8", "E9", "E10", "E11"] {
+        assert!(rr.config.get(id).is_some(), "config.{id} missing");
+        assert!(!experiment(&rr, id).is_empty(), "no {id} rows");
     }
+    for row in experiment(&rr, "E7") {
+        let Some(Json::Arr(sweep)) = row.get("sweep") else {
+            panic!("expected a sweep array per workload");
+        };
+        for point in sweep {
+            let h = num(point, "hit_ratio");
+            assert!((0.0..=1.0).contains(&h), "hit ratio {h}");
+        }
+    }
+    // On sieve, the hit ratio does not fall and T2 does not rise as the
+    // DTB grows.
+    let Some(Json::Arr(sweep)) = workload_row(&rr, "E7", "sieve").get("sweep") else {
+        panic!("sieve has no sweep");
+    };
+    let points: Vec<(f64, f64)> = sweep
+        .iter()
+        .filter(|p| [4, 16, 64, 256].contains(&p.get("entries").and_then(Json::as_i64).unwrap()))
+        .map(|p| (num(p, "hit_ratio"), num(p, "time_per_instruction")))
+        .collect();
+    assert_eq!(points.len(), 4);
+    for w in points.windows(2) {
+        assert!(w[0].0 <= w[1].0 + 1e-12, "{points:?}");
+        assert!(w[0].1 >= w[1].1 - 1e-9, "{points:?}");
+    }
+    // Every degree from 1 to 8 at 32 entries holds sieve's loop.
+    let Some(Json::Arr(degrees)) = workload_row(&rr, "E9", "sieve").get("degrees") else {
+        panic!("sieve has no degrees");
+    };
+    for ways in [1, 2, 4, 8] {
+        let point = degrees
+            .iter()
+            .find(|p| p.get("ways").and_then(Json::as_i64) == Some(ways))
+            .unwrap_or_else(|| panic!("no {ways}-way point"));
+        assert!(num(point, "hit_ratio") > 0.9, "{ways}-way: {point}");
+    }
+}
+
+#[test]
+fn section7_emits_a_run_report() {
+    let rr = report_of(env!("CARGO_BIN_EXE_section7"), false);
+    assert_eq!(rr.tool, "section7");
+    for id in ["E2", "E3", "model", "E12"] {
+        assert!(rr.config.get(id).is_some(), "config.{id} missing");
+        assert!(!experiment(&rr, id).is_empty(), "no {id} rows");
+    }
+    let max_err = rr
+        .config
+        .get("model")
+        .and_then(|c| c.get("max_abs_error_percent"))
+        .and_then(Json::as_f64)
+        .expect("config.model.max_abs_error_percent");
+    assert!(max_err.is_finite());
 }
 
 #[test]
@@ -120,16 +187,4 @@ fn pool_throughput_emits_a_run_report() {
         let p99 = row.get("latency_p99_ns").and_then(Json::as_f64).unwrap();
         assert!(p50 > 0.0 && p50 <= p99);
     }
-}
-
-#[test]
-fn model_check_emits_a_run_report() {
-    let rr = report_of(env!("CARGO_BIN_EXE_model_check"), false);
-    assert_eq!(rr.tool, "model_check");
-    let max_err = rr
-        .config
-        .get("max_abs_error_percent")
-        .and_then(Json::as_f64)
-        .expect("config.max_abs_error_percent");
-    assert!(max_err.is_finite());
 }

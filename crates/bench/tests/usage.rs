@@ -5,7 +5,7 @@ use std::process::Command;
 
 #[test]
 fn an_unknown_flag_exits_2_with_a_usage_line() {
-    let out = Command::new(env!("CARGO_BIN_EXE_table1"))
+    let out = Command::new(env!("CARGO_BIN_EXE_representations"))
         .arg("--bogus")
         .output()
         .expect("bench binary runs");
@@ -13,5 +13,8 @@ fn an_unknown_flag_exits_2_with_a_usage_line() {
     assert!(out.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--bogus"), "{stderr}");
-    assert!(stderr.contains("usage: table1 [--json]"), "{stderr}");
+    assert!(
+        stderr.contains("usage: representations [--json]"),
+        "{stderr}"
+    );
 }

@@ -6,8 +6,8 @@
 //! with arguments, as a PDP-11-style two-operand instruction, and as a
 //! System/360 RX-style instruction (with the index-register field omitted
 //! for the second operand, per the paper's footnote). This module encodes
-//! all three at the bit level so the `table1` benchmark binary can print
-//! the comparison with real sizes.
+//! all three at the bit level so the `representations` benchmark binary
+//! can print the comparison with real sizes.
 
 use crate::bitstream::BitWriter;
 

@@ -35,7 +35,6 @@
 
 pub mod asm;
 pub mod bitstream;
-pub mod cfg;
 pub mod compiler;
 pub mod encode;
 pub mod exec;

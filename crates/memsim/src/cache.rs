@@ -1,11 +1,11 @@
 //! Set-associative caches with true-LRU replacement.
 //!
-//! This is the organisation the paper prescribes both for the conventional
-//! instruction cache of the T3 baseline and for the associative address
-//! array of the dynamic translation buffer: the address is hashed to a set,
-//! the set's ways are searched associatively, and "the one selected for
-//! replacement is that which was used least recently" tracked by a
-//! replacement array (§5.2).
+//! [`SetAssocCache`] is the conventional instruction cache of the T3
+//! baseline, organised as the paper prescribes for associative arrays:
+//! the address is hashed to a set, the set's ways are searched
+//! associatively, and "the one selected for replacement is that which was
+//! used least recently" tracked by a replacement array (§5.2). The DTB's
+//! own arrays live in `uhm::Dtb`; they share only [`Geometry`].
 
 /// Geometry of a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,29 +98,24 @@ impl CacheStats {
     }
 }
 
-/// One cache entry: a key plus its payload and recency stamp.
+/// One resident key and its recency stamp.
 #[derive(Debug, Clone, Copy)]
-struct Entry<P> {
+struct Entry {
     key: u64,
-    payload: P,
     stamp: u64,
 }
 
-/// A set-associative LRU cache mapping `u64` keys to payloads.
-///
-/// The payload type parameter lets the same structure serve as a plain
-/// instruction cache (`P = ()`) and as the DTB address array (`P =`
-/// buffer-array location).
+/// A set-associative LRU cache of `u64` keys.
 #[derive(Debug, Clone)]
-pub struct SetAssocCache<P = ()> {
+pub struct SetAssocCache {
     geometry: Geometry,
     /// `sets * ways` optional entries, row-major by set.
-    entries: Vec<Option<Entry<P>>>,
+    entries: Vec<Option<Entry>>,
     clock: u64,
     stats: CacheStats,
 }
 
-impl<P: Copy> SetAssocCache<P> {
+impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(geometry: Geometry) -> Self {
         SetAssocCache {
@@ -129,11 +124,6 @@ impl<P: Copy> SetAssocCache<P> {
             clock: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The cache geometry.
-    pub fn geometry(&self) -> Geometry {
-        self.geometry
     }
 
     /// Accumulated statistics.
@@ -147,19 +137,9 @@ impl<P: Copy> SetAssocCache<P> {
         start..start + self.geometry.ways
     }
 
-    /// Looks up `key` without installing it or updating recency/statistics.
-    pub fn probe(&self, key: u64) -> Option<&P> {
-        self.entries[self.set_range(key)]
-            .iter()
-            .flatten()
-            .find(|e| e.key == key)
-            .map(|e| &e.payload)
-    }
-
-    /// Accesses `key`: on a hit the entry's recency is refreshed and its
-    /// payload returned via `on_hit`; on a miss, `make_payload` supplies the
-    /// payload to install and the LRU way of the set is replaced.
-    pub fn access_with(&mut self, key: u64, make_payload: impl FnOnce() -> P) -> (Access, P) {
+    /// Accesses `key`: on a hit the entry's recency is refreshed; on a
+    /// miss the key replaces an empty way of its set, else the LRU way.
+    pub fn access(&mut self, key: u64) -> Access {
         self.clock += 1;
         let clock = self.clock;
         let range = self.set_range(key);
@@ -168,12 +148,11 @@ impl<P: Copy> SetAssocCache<P> {
             if e.key == key {
                 e.stamp = clock;
                 self.stats.hits += 1;
-                return (Access::Hit, e.payload);
+                return Access::Hit;
             }
         }
         // Miss: pick an empty way, else the LRU way.
         self.stats.misses += 1;
-        let payload = make_payload();
         let victim = self.entries[range.clone()]
             .iter()
             .enumerate()
@@ -184,40 +163,8 @@ impl<P: Copy> SetAssocCache<P> {
         if evicted.is_some() {
             self.stats.evictions += 1;
         }
-        self.entries[victim] = Some(Entry {
-            key,
-            payload,
-            stamp: clock,
-        });
-        (Access::Miss { evicted }, payload)
-    }
-
-    /// Removes `key` if present, returning its payload.
-    pub fn invalidate(&mut self, key: u64) -> Option<P> {
-        let range = self.set_range(key);
-        for slot in &mut self.entries[range] {
-            if slot.as_ref().is_some_and(|e| e.key == key) {
-                return slot.take().map(|e| e.payload);
-            }
-        }
-        None
-    }
-
-    /// Number of resident entries.
-    pub fn occupancy(&self) -> usize {
-        self.entries.iter().flatten().count()
-    }
-
-    /// Iterates over resident keys (unspecified order).
-    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().flatten().map(|e| e.key)
-    }
-}
-
-impl SetAssocCache<()> {
-    /// Convenience access for payload-less caches.
-    pub fn access(&mut self, key: u64) -> Access {
-        self.access_with(key, || ()).0
+        self.entries[victim] = Some(Entry { key, stamp: clock });
+        Access::Miss { evicted }
     }
 }
 
@@ -271,37 +218,6 @@ mod tests {
         for k in 0..4 {
             assert_eq!(c.access(k), Access::Hit, "key {k}");
         }
-        assert_eq!(c.occupancy(), 4);
-    }
-
-    #[test]
-    fn payload_returned_on_hit_and_miss() {
-        let mut c: SetAssocCache<u32> = SetAssocCache::new(Geometry::new(1, 2));
-        let (a, p) = c.access_with(7, || 42);
-        assert!(matches!(a, Access::Miss { .. }));
-        assert_eq!(p, 42);
-        let (a, p) = c.access_with(7, || unreachable!("hit must not rebuild"));
-        assert_eq!(a, Access::Hit);
-        assert_eq!(p, 42);
-    }
-
-    #[test]
-    fn probe_does_not_disturb_state() {
-        let mut c = SetAssocCache::new(Geometry::new(1, 1));
-        c.access(5);
-        let stats = c.stats();
-        assert!(c.probe(5).is_some());
-        assert!(c.probe(6).is_none());
-        assert_eq!(c.stats(), stats);
-    }
-
-    #[test]
-    fn invalidate_removes_entry() {
-        let mut c: SetAssocCache<u8> = SetAssocCache::new(Geometry::new(2, 2));
-        c.access_with(3, || 9);
-        assert_eq!(c.invalidate(3), Some(9));
-        assert_eq!(c.invalidate(3), None);
-        assert!(c.probe(3).is_none());
     }
 
     #[test]
@@ -392,16 +308,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn keys_iterator_lists_residents() {
-        let mut c = SetAssocCache::new(Geometry::new(2, 2));
-        for k in [1, 2, 3] {
-            c.access(k);
-        }
-        let mut keys: Vec<u64> = c.keys().collect();
-        keys.sort_unstable();
-        assert_eq!(keys, vec![1, 2, 3]);
     }
 }

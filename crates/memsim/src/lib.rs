@@ -1,10 +1,11 @@
 //! # uhm-memsim — memory-hierarchy substrate
 //!
 //! The memory subsystems Rau (1978) assumes: a two-level store with the
-//! Section-7 cost parameters ([`hierarchy`]), set-associative LRU caches
-//! used both as the T3 baseline instruction cache and as the DTB address
-//! array ([`cache`]), and Denning working-set / LRU stack-distance analysis
-//! of reference traces ([`workset`]) backing the paper's locality argument.
+//! Section-7 cost parameters ([`hierarchy`]), the set-associative LRU
+//! instruction cache of the T3 baseline and the geometry the DTB shares
+//! with it ([`cache`]), and Denning working-set / LRU stack-distance
+//! analysis of reference traces ([`workset`]) backing the paper's
+//! locality argument.
 //!
 //! # Example
 //!

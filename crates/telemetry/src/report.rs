@@ -93,7 +93,7 @@ const HEADER: [&str; 4] = ["schema_version", "kind", "tool", "config"];
 pub struct Report {
     /// What the report describes.
     pub kind: Kind,
-    /// The emitting tool, e.g. `"raul"` or `"dtb_sweep"`.
+    /// The emitting tool, e.g. `"raul"` or `"dtb_design"`.
     pub tool: String,
     /// The configuration that produced the run (free-form object).
     pub config: Json,

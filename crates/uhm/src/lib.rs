@@ -62,7 +62,6 @@ pub mod pool;
 pub mod report;
 pub mod resilience;
 pub mod service;
-pub mod sweep;
 pub mod window;
 
 pub use config::{Budget, CostModel, Limits, RetryPolicy, BUDGET_CHECK_INTERVAL};

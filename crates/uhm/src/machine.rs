@@ -339,7 +339,7 @@ struct Run<'m, S: TraceSink> {
     metrics: Metrics,
     dtb: Option<Dtb>,
     dtb2: Option<Dtb>,
-    icache: Option<SetAssocCache<()>>,
+    icache: Option<SetAssocCache>,
     sink: &'m mut S,
     faults: Option<FaultInjector>,
     /// Fault-recovery policy of this run (fault plane only).

@@ -48,5 +48,5 @@ fn main() {
         );
     }
     println!("\nA DTB of capacity k can at best achieve the coverage(k) hit ratio;");
-    println!("compare with `cargo run -p uhm-bench --bin dtb_sweep --release`.");
+    println!("compare with `cargo run -p uhm-bench --bin dtb_design --release`.");
 }

@@ -5,8 +5,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-results}"
 mkdir -p "$out"
-bins=(table1 table2 table3 fig1_space encoding_report dtb_sweep model_check \
-      assoc_ablation alloc_ablation replacement_ablation two_level decode_aids)
+bins=(representations dtb_design section7)
 for b in "${bins[@]}"; do
     echo "== $b =="
     cargo run -q -p uhm-bench --bin "$b" --release | tee "$out/$b.txt"

@@ -1,17 +1,15 @@
 //! Composition tests for the optimisation pipeline: constant folding
-//! (HIR), dead-code elimination (DIR) and fusion (DIR) compose in any
-//! order the driver offers, always preserving semantics and never growing
-//! the program.
+//! (HIR) and fusion (DIR) compose, always preserving semantics and never
+//! growing the program.
 
 use dir::encode::SchemeKind;
 use uhm::{DtbConfig, Machine, Mode};
 
-/// Applies the full pipeline: fold → compile → dce → fuse.
+/// Applies the full pipeline: fold → compile → fuse.
 fn optimise(hir: &hlr::hir::Program) -> dir::Program {
     let (folded, _) = hlr::fold::fold(hir);
     let compiled = dir::compiler::compile(&folded);
-    let (pruned, _) = dir::cfg::dce(&compiled);
-    let (fused, _) = dir::fuse::fuse(&pruned);
+    let (fused, _) = dir::fuse::fuse(&compiled);
     fused
 }
 
