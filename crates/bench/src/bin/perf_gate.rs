@@ -2,8 +2,11 @@
 //! wall-clock throughput of the two decoder implementations — the
 //! seed's bit-at-a-time tree walker (`--decoder tree`) and the
 //! word-batched canonical-Huffman table decoder (`--decoder table`) —
-//! in MB/s over the full sample corpus, plus DIR→PSDER translation
-//! throughput (`psder::Template::new`, ungated).
+//! in MB/s over the full sample corpus — and, ungated, the table plane
+//! at one address at a time, as machines decode — plus DIR→PSDER
+//! translation throughput (ungated): `psder::Template::new` alone, with
+//! `Line::compile` of its words, and a stencil stamped into a line, as
+//! machines translate.
 //!
 //! The paper's *modeled* decode costs (E6/E12) are a property of the
 //! representation, not of the host, and are identical in both modes by
@@ -97,6 +100,23 @@ struct DecodeRow {
     tree_mb_s: f64,
     table_mb_s: f64,
     speedup: f64,
+    /// The table plane one address at a time (ungated).
+    table_at_mb_s: f64,
+}
+
+/// Decodes the corpus through the table plane one address at a time,
+/// the way a machine's fetch does.
+fn decode_at_pass(images: &[Image]) -> u64 {
+    let mut acc = 0u64;
+    for im in images {
+        for i in 0..im.len() as u32 {
+            let d = im
+                .decode_with(&im.bytes, black_box(i), DecodeMode::Table)
+                .expect("clean images decode");
+            acc = acc.wrapping_add(d.bits).wrapping_add(u64::from(d.cost));
+        }
+    }
+    acc
 }
 
 fn measure_decode(c: &Corpus) -> DecodeRow {
@@ -106,6 +126,7 @@ fn measure_decode(c: &Corpus) -> DecodeRow {
         || decode_pass(&c.images, DecodeMode::Table),
         SAMPLES,
     );
+    let at_ns = min_ns(|| decode_at_pass(&c.images), SAMPLES);
     let mb_s = |ns: f64| bytes / (ns / 1e9) / 1e6;
     DecodeRow {
         scheme: c.scheme,
@@ -114,27 +135,70 @@ fn measure_decode(c: &Corpus) -> DecodeRow {
         tree_mb_s: mb_s(tree_ns),
         table_mb_s: mb_s(table_ns),
         speedup: tree_ns / table_ns,
+        table_at_mb_s: mb_s(at_ns),
     }
 }
 
-/// Translates the whole corpus instruction by instruction, each
-/// template built in place by `Template::new`.
-fn translate_pass(programs: &[Program]) -> u64 {
+/// How a translation stage turns one instruction into what it yields.
+#[derive(Clone, Copy)]
+enum Stage {
+    /// `Template::new`: the short words.
+    Plain,
+    /// `Template::new`, then `Line::compile` of the words.
+    Compile,
+    /// The shape's stencil stamped into a line, as machines translate.
+    Stencil,
+}
+
+impl Stage {
+    const ALL: [Stage; 3] = [Stage::Plain, Stage::Compile, Stage::Stencil];
+
+    fn label(self) -> &'static str {
+        match self {
+            Stage::Plain => "plain",
+            Stage::Compile => "compile",
+            Stage::Stencil => "stencil",
+        }
+    }
+}
+
+/// Translates the whole corpus instruction by instruction through
+/// `stage`.
+fn translate_pass(programs: &[Program], stage: Stage, line: &mut psder::Line) -> u64 {
+    let lib = psder::RoutineLib::shared();
+    let stencils = psder::Stencils::shared();
     let mut acc = 0u64;
     for p in programs {
         for (i, &inst) in p.code.iter().enumerate() {
-            let template = psder::Template::new(black_box(inst), i as u32 + 1);
-            acc = acc.wrapping_add(black_box(template).len() as u64);
+            let (inst, next) = (black_box(inst), i as u32 + 1);
+            let n = match stage {
+                Stage::Plain => psder::Template::new(inst, next).len(),
+                Stage::Compile => {
+                    let words = psder::Template::new(inst, next);
+                    line.compile(lib, &words).expect("templates fit").len()
+                }
+                Stage::Stencil => {
+                    stencils.instance(inst, next).line_into(line);
+                    line.meta().len()
+                }
+            };
+            acc = acc.wrapping_add(black_box(n) as u64);
         }
     }
     acc
 }
 
-/// The translator's throughput over the corpus, in Minstr/s.
-fn measure_translation(programs: &[Program]) -> f64 {
+/// Each stage's throughput over the corpus, in Minstr/s.
+fn measure_translation(programs: &[Program]) -> Vec<(Stage, f64)> {
     let total: u64 = programs.iter().map(|p| p.code.len() as u64).sum();
-    let ns = min_ns(|| translate_pass(programs), SAMPLES);
-    total as f64 / (ns / 1e9) / 1e6
+    let mut line = psder::Line::EMPTY;
+    Stage::ALL
+        .into_iter()
+        .map(|stage| {
+            let ns = min_ns(|| translate_pass(programs, stage, &mut line), SAMPLES);
+            (stage, total as f64 / (ns / 1e9) / 1e6)
+        })
+        .collect()
 }
 
 /// Checks both decoders instruction by instruction over every corpus:
@@ -178,7 +242,7 @@ fn main() -> ExitCode {
     } else {
         Vec::new()
     };
-    let translate_minstr_s = measure_translation(&programs);
+    let translate = measure_translation(&programs);
     for r in &decode_rows {
         gate.at_least(&["speedup", r.scheme.label()], r.speedup, TOLERANCE);
     }
@@ -195,14 +259,17 @@ fn main() -> ExitCode {
                     ("tree_mb_s", r.tree_mb_s.into()),
                     ("table_mb_s", r.table_mb_s.into()),
                     ("speedup", r.speedup.into()),
+                    ("table_at_mb_s", r.table_at_mb_s.into()),
                 ])
             })
             .collect();
-        rows.push(Json::obj(vec![
-            ("kind", "translate".to_string().into()),
-            ("stage", "plain".to_string().into()),
-            ("minstr_s", translate_minstr_s.into()),
-        ]));
+        rows.extend(translate.iter().map(|&(stage, minstr_s)| {
+            Json::obj(vec![
+                ("kind", "translate".to_string().into()),
+                ("stage", stage.label().to_string().into()),
+                ("minstr_s", minstr_s.into()),
+            ])
+        }));
         let config = Json::obj(vec![
             ("lut_bits", u64::from(dir::huffman::LUT_BITS).into()),
             ("workloads", (programs.len() as u64).into()),
@@ -210,7 +277,7 @@ fn main() -> ExitCode {
         ]);
         println!("{}", bench_report("perf_gate", config, rows).render());
     } else {
-        print_table(&programs, checks, &decode_rows, translate_minstr_s);
+        print_table(&programs, checks, &decode_rows, &translate);
     }
     gate.finish()
 }
@@ -219,7 +286,7 @@ fn print_table(
     programs: &[Program],
     checks: u64,
     decode_rows: &[DecodeRow],
-    translate_minstr_s: f64,
+    translate: &[(Stage, f64)],
 ) {
     println!(
         "host decode throughput over {} workloads (wall clock; modeled \
@@ -227,21 +294,28 @@ fn print_table(
         programs.len()
     );
     println!(
-        "{:>12} {:>9} {:>8} {:>12} {:>12} {:>9}",
-        "scheme", "MB", "instrs", "tree MB/s", "table MB/s", "speedup"
+        "{:>12} {:>9} {:>8} {:>12} {:>12} {:>9} {:>15}",
+        "scheme", "MB", "instrs", "tree MB/s", "table MB/s", "speedup", "table@pc MB/s"
     );
     for r in decode_rows {
         println!(
-            "{:>12} {:>9.3} {:>8} {:>12.1} {:>12.1} {:>8.2}x",
+            "{:>12} {:>9.3} {:>8} {:>12.1} {:>12.1} {:>8.2}x {:>15.1}",
             r.scheme.label(),
             r.megabytes,
             r.instrs,
             r.tree_mb_s,
             r.table_mb_s,
-            r.speedup
+            r.speedup,
+            r.table_at_mb_s
         );
     }
+    println!("(table@pc: the table plane one address at a time, ungated)");
     println!();
-    println!("DIR -> PSDER translation throughput: {translate_minstr_s:.2} Minstr/s");
+    for (stage, minstr_s) in translate {
+        println!(
+            "DIR -> PSDER translation throughput ({}): {minstr_s:.2} Minstr/s",
+            stage.label()
+        );
+    }
     println!("\n{checks} decodes compared: tree and table agree on every instruction");
 }

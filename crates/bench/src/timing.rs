@@ -79,24 +79,36 @@ pub fn min_ns<T>(mut f: impl FnMut() -> T, samples: usize) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Fastest observed ns per call of `a` and of `b` over `samples`
-/// alternating batches. Interleaving matters on shared machines: a
-/// throttling episode hits both sides instead of biasing whichever ran
-/// second, so the *ratio* of the two minima is far more stable than
-/// back-to-back runs.
-pub fn min_ns_interleaved<T, U>(
+/// ns per call of `a` and of `b` in each of `samples` alternating
+/// batches, in order: one `(a, b)` pair per batch pair. Interleaving
+/// matters on shared machines: a throttling episode hits both sides of
+/// a pair instead of biasing whichever ran second.
+pub fn pairs_ns_interleaved<T, U>(
     mut a: impl FnMut() -> T,
     mut b: impl FnMut() -> U,
     samples: usize,
-) -> (f64, f64) {
+) -> Vec<(f64, f64)> {
     let ia = calibrate(&mut a, GATE_TARGET_NANOS, GATE_MAX_ITERS);
     let ib = calibrate(&mut b, GATE_TARGET_NANOS, GATE_MAX_ITERS);
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples {
-        best_a = best_a.min(sample(&mut a, ia));
-        best_b = best_b.min(sample(&mut b, ib));
-    }
-    (best_a, best_b)
+    (0..samples)
+        .map(|_| (sample(&mut a, ia), sample(&mut b, ib)))
+        .collect()
+}
+
+/// Fastest observed ns per call of `a` and of `b` over `samples`
+/// alternating batches ([`pairs_ns_interleaved`]). The two minima are
+/// taken independently, so their ratio is only as stable as the host:
+/// noise that slows one side's every batch moves it either way.
+pub fn min_ns_interleaved<T, U>(
+    a: impl FnMut() -> T,
+    b: impl FnMut() -> U,
+    samples: usize,
+) -> (f64, f64) {
+    pairs_ns_interleaved(a, b, samples)
+        .into_iter()
+        .fold((f64::INFINITY, f64::INFINITY), |(x, y), (a, b)| {
+            (x.min(a), y.min(b))
+        })
 }
 
 impl Harness {
@@ -184,5 +196,12 @@ mod tests {
         let t = &h.results()[0];
         assert!(t.min_ns > 0.0 && t.mean_ns >= t.min_ns);
         assert!(t.iters >= 1);
+    }
+
+    #[test]
+    fn interleaved_pairs_come_one_per_sample() {
+        let pairs = pairs_ns_interleaved(|| black_box(1u64) + 1, || black_box(2u64) * 3, 4);
+        assert_eq!(pairs.len(), 4);
+        assert!(pairs.iter().all(|&(a, b)| a > 0.0 && b > 0.0));
     }
 }

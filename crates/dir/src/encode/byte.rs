@@ -71,7 +71,7 @@ pub(super) fn decode(reader: &mut BitReader<'_>, mode: DecodeMode) -> Result<Dec
             Inst::from_parts(opcode, &fields)?
         }
         DecodeMode::Table => {
-            let mut buf = [0u64; super::MAX_FIELDS];
+            let mut buf = [0u64; crate::isa::MAX_FIELDS];
             for (i, kind) in kinds.iter().enumerate() {
                 buf[i] = reader.read(field_bits(*kind))?;
             }

@@ -94,7 +94,7 @@ pub(super) fn read_inst(
             Ok(Inst::from_parts(opcode, &fields)?)
         }
         DecodeMode::Table => {
-            let mut buf = [0u64; super::MAX_FIELDS];
+            let mut buf = [0u64; crate::isa::MAX_FIELDS];
             for (i, kind) in kinds.iter().enumerate() {
                 let raw = reader.read(region.widths.width(*kind))?;
                 buf[i] = match kind {

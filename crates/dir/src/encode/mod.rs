@@ -45,11 +45,6 @@ use crate::huffman::{CodebookIssue, Tree};
 use crate::isa::{DecodeError, FieldKind, Inst, FIELD_KINDS, OPCODE_COUNT};
 use crate::program::Program;
 
-/// Widest operand schema across the ISA (the fused four-field opcodes):
-/// the table decoders collect fields on the stack instead of in a heap
-/// `Vec`, so they need a capacity bound.
-pub(crate) const MAX_FIELDS: usize = 4;
-
 /// Which host implementation decodes the image. Both produce identical
 /// instructions, consumed bit counts and *modeled* decode costs — they
 /// differ only in host wall-clock. The modeled cost accounting stays a
@@ -452,9 +447,12 @@ pub(crate) enum DecoderData {
     Byte,
     Packed(FieldWidths),
     Contextual(ContextTables),
+    /// Built only by [`DecoderData::huffman`], which derives `tpls`.
     Huffman {
         tree: crate::huffman::Tree,
         tables: ContextTables,
+        /// Each region's decode template, in region order.
+        tpls: Vec<template::RegionTpl>,
     },
     Pair {
         /// One escape-coded codebook per predecessor opcode, plus a
@@ -479,6 +477,21 @@ pub(crate) enum DecoderData {
         /// One value codebook per field kind.
         values: Vec<value_huffman::ValueCode>,
     },
+}
+
+impl DecoderData {
+    /// The Huffman decoder over `tree` and `tables`, with each region's
+    /// [`RegionTpl`](template::RegionTpl) derived here, the one place it
+    /// is: the templates depend only on `tables`, which nothing changes
+    /// after this.
+    pub(crate) fn huffman(tree: crate::huffman::Tree, tables: ContextTables) -> DecoderData {
+        let tpls = tables
+            .regions
+            .iter()
+            .map(template::RegionTpl::new)
+            .collect();
+        DecoderData::Huffman { tree, tables, tpls }
+    }
 }
 
 impl Image {
@@ -582,8 +595,15 @@ impl Image {
             DecoderData::Contextual(tables) => {
                 contextual::decode(&mut reader, tables.region_of(index), mode)?
             }
-            DecoderData::Huffman { tree, tables } => {
-                huffman_scheme::decode(&mut reader, tree, tables.region_of(index), mode)?
+            DecoderData::Huffman { tree, tables, tpls } => {
+                let at = tables.position_of(index);
+                let region = &tables.regions[at];
+                match mode {
+                    DecodeMode::Tree => huffman_scheme::decode(&mut reader, tree, region, mode)?,
+                    DecodeMode::Table => {
+                        huffman_scheme::table_step(&mut reader, tree, region, &tpls[at])?
+                    }
+                }
             }
             DecoderData::Pair {
                 ctx,
@@ -641,7 +661,9 @@ impl Image {
             DecoderData::Byte => self.stream_byte(mode),
             DecoderData::Packed(widths) => self.stream_packed(widths, mode),
             DecoderData::Contextual(tables) => self.stream_contextual(tables, mode),
-            DecoderData::Huffman { tree, tables } => self.stream_huffman(tree, tables, mode),
+            DecoderData::Huffman { tree, tables, tpls } => {
+                self.stream_huffman(tree, tables, tpls, mode)
+            }
             DecoderData::Pair {
                 ctx,
                 global,
@@ -696,6 +718,7 @@ impl Image {
         &self,
         tree: &crate::huffman::Tree,
         tables: &ContextTables,
+        tpls: &[template::RegionTpl],
         mode: DecodeMode,
     ) -> Result<Vec<Decoded>, ImageError> {
         let mut cursor = 0usize;
@@ -708,7 +731,7 @@ impl Image {
                     DecodeMode::Tree,
                 )
             }),
-            DecodeMode::Table => huffman_scheme::stream_table(self, tree, tables),
+            DecodeMode::Table => huffman_scheme::stream_table(self, tree, tables, tpls),
         }
     }
 
@@ -847,7 +870,7 @@ impl Image {
             DecoderData::Byte => {}
             DecoderData::Packed(widths) => check_widths(widths, &mut out),
             DecoderData::Contextual(tables) => check_regions(tables, &mut out),
-            DecoderData::Huffman { tree, tables } => {
+            DecoderData::Huffman { tree, tables, .. } => {
                 check_tree(tree, "opcode", &mut out);
                 check_regions(tables, &mut out);
             }
@@ -999,6 +1022,12 @@ impl ContextTables {
     /// Panics if `index` belongs to no region (cannot happen for images
     /// built by [`ContextTables::build`]).
     pub fn region_of(&self, index: u32) -> &Region {
+        &self.regions[self.position_of(index)]
+    }
+
+    /// Position in [`ContextTables::regions`] of the region containing
+    /// instruction `index`; panics as [`ContextTables::region_of`] does.
+    pub(crate) fn position_of(&self, index: u32) -> usize {
         let at = self
             .regions
             .partition_point(|r| r.end <= index)
@@ -1008,7 +1037,7 @@ impl ContextTables {
             r.start <= index && index < r.end,
             "instruction {index} outside all regions"
         );
-        r
+        at
     }
 
     /// Region containing `index`, found by advancing a monotone cursor —

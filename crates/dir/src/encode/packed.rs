@@ -50,8 +50,11 @@ impl Scheme for Packed {
 }
 
 /// Decodes one instruction; cost: extract + mask (2 ops) for the opcode and
-/// for each field.
-#[inline]
+/// for each field. Always inlined into `Image::decode_with`, the
+/// per-address entry every DTB miss on a Packed image takes: left to the
+/// optimiser, it stops being inlined there once the Huffman window
+/// decoder is, and per-address Packed decode gets ~40% slower.
+#[inline(always)]
 pub(super) fn decode(
     reader: &mut BitReader<'_>,
     widths: &FieldWidths,
@@ -71,7 +74,7 @@ pub(super) fn decode(
             Inst::from_parts(opcode, &fields)?
         }
         DecodeMode::Table => {
-            let mut buf = [0u64; super::MAX_FIELDS];
+            let mut buf = [0u64; crate::isa::MAX_FIELDS];
             for (i, kind) in kinds.iter().enumerate() {
                 buf[i] = reader.read(widths.width(*kind))?;
             }

@@ -1,4 +1,5 @@
-//! Per-region decode templates for the table plane's streaming decoder.
+//! Per-region decode templates for the table plane's Huffman decoder,
+//! streamed or at any address.
 //!
 //! A contour region fixes every operand-field width, so the work of
 //! decoding one instruction collapses to: resolve the opcode (one Huffman
@@ -16,10 +17,11 @@ use crate::isa::{
 
 use super::Region;
 
-/// Widths and per-opcode field totals of one contour region, hoisted out
-/// of the streaming loop so the per-instruction path does no width
-/// arithmetic beyond a table lookup.
-pub(super) struct RegionTpl {
+/// Widths and per-opcode field totals of one contour region, derived once
+/// per image so the per-instruction path does no width arithmetic beyond
+/// a table lookup.
+#[derive(Debug, Clone)]
+pub(crate) struct RegionTpl {
     /// Field width in bits per [`FieldKind::index`].
     wd: [u32; FIELD_KINDS.len()],
     /// Sum of operand-field widths per opcode discriminant.
@@ -78,7 +80,7 @@ impl RegionTpl {
 /// [`DecodeError::FieldRange`] for an over-`u32` value (unreachable for
 /// width-measured regions, kept for parity) and [`DecodeError::BadAluOp`]
 /// for an in-width but unassigned ALU discriminant.
-#[inline]
+#[inline(always)]
 #[allow(unused_assignments)] // each arm's final `take!` advance is unread
 pub(super) fn decode_window(
     opcode: Opcode,

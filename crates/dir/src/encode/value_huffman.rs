@@ -231,7 +231,7 @@ pub(super) fn decode(
             Inst::from_parts(opcode, &fields)?
         }
         DecodeMode::Table => {
-            let mut buf = [0u64; super::MAX_FIELDS];
+            let mut buf = [0u64; crate::isa::MAX_FIELDS];
             for (i, kind) in kinds.iter().enumerate() {
                 let (coded, cost) =
                     values[kind.index()].decode(region.widths.width(*kind), reader, mode)?;

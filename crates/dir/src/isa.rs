@@ -309,6 +309,11 @@ pub enum Opcode {
 /// Number of distinct opcodes.
 pub const OPCODE_COUNT: usize = 25;
 
+/// Most operand fields any opcode has ([`Opcode::field_kinds`]): the
+/// fused four-field opcodes. The table decoders collect fields on the
+/// stack instead of in a heap `Vec`, so they need the bound.
+pub const MAX_FIELDS: usize = 4;
+
 /// All opcodes in discriminant order.
 pub const OPCODES: [Opcode; OPCODE_COUNT] = [
     Opcode::PushConst,
@@ -514,40 +519,60 @@ impl Inst {
         }
     }
 
-    /// The operand-field values of this instruction, in schema order.
-    /// Immediates are zigzag-encoded; [`AluOp`]s are discriminants.
-    pub fn fields(self) -> Vec<u64> {
+    /// The operand-field values of this instruction in schema order, as
+    /// plain numbers: slots, lengths, targets and procedures widened,
+    /// immediates as they are, an [`AluOp`] as its discriminant. Entries
+    /// past the opcode's field count are zero. Unlike [`Inst::fields`] it
+    /// allocates nothing, so per-step callers can read operands with it.
+    #[inline]
+    pub fn operands(self) -> [i64; MAX_FIELDS] {
+        let u = i64::from;
+        let alu = |op: AluOp| op as i64;
         match self {
-            Inst::PushConst(v) => vec![zigzag(v)],
+            Inst::PushConst(v) => [v, 0, 0, 0],
             Inst::PushLocal(s)
             | Inst::StoreLocal(s)
             | Inst::PushGlobal(s)
-            | Inst::StoreGlobal(s) => vec![s as u64],
+            | Inst::StoreGlobal(s)
+            | Inst::Jump(s)
+            | Inst::JumpIfFalse(s)
+            | Inst::JumpIfTrue(s)
+            | Inst::Call(s) => [u(s), 0, 0, 0],
             Inst::LoadArrLocal { base, len }
             | Inst::LoadArrGlobal { base, len }
             | Inst::StoreArrLocal { base, len }
-            | Inst::StoreArrGlobal { base, len } => vec![base as u64, len as u64],
+            | Inst::StoreArrGlobal { base, len } => [u(base), u(len), 0, 0],
             Inst::Pop | Inst::Neg | Inst::Not | Inst::Return | Inst::Halt | Inst::Write => {
-                vec![]
+                [0; MAX_FIELDS]
             }
-            Inst::Bin(op) => vec![op as u64],
-            Inst::Jump(t) | Inst::JumpIfFalse(t) | Inst::JumpIfTrue(t) => vec![t as u64],
-            Inst::Call(p) => vec![p as u64],
-            Inst::BinLocals { op, a, b, dst } => {
-                vec![op as u64, a as u64, b as u64, dst as u64]
+            Inst::Bin(op) => [alu(op), 0, 0, 0],
+            Inst::BinLocals { op, a, b, dst } => [alu(op), u(a), u(b), u(dst)],
+            Inst::IncLocal { slot, imm } | Inst::SetLocalConst { slot, imm } => {
+                [u(slot), imm, 0, 0]
             }
-            Inst::IncLocal { slot, imm } => vec![slot as u64, zigzag(imm)],
-            Inst::SetLocalConst { slot, imm } => vec![slot as u64, zigzag(imm)],
             Inst::CmpConstBr {
                 op,
                 slot,
                 imm,
                 target,
-            } => vec![op as u64, slot as u64, zigzag(imm), target as u64],
-            Inst::CmpLocalsBr { op, a, b, target } => {
-                vec![op as u64, a as u64, b as u64, target as u64]
-            }
+            } => [alu(op), u(slot), imm, u(target)],
+            Inst::CmpLocalsBr { op, a, b, target } => [alu(op), u(a), u(b), u(target)],
         }
+    }
+
+    /// The operand-field values of this instruction, in schema order, as
+    /// the encoders write them: [`Inst::operands`] with immediates
+    /// zigzag-encoded.
+    pub fn fields(self) -> Vec<u64> {
+        self.opcode()
+            .field_kinds()
+            .iter()
+            .zip(self.operands())
+            .map(|(&kind, v)| match kind {
+                FieldKind::Imm => zigzag(v),
+                _ => v as u64,
+            })
+            .collect()
     }
 
     /// Reassembles an instruction from an opcode and raw field values (the
@@ -750,6 +775,23 @@ mod tests {
             assert_eq!(fields.len(), op.field_kinds().len(), "{op:?}");
             let back = Inst::from_parts(op, &fields).unwrap();
             assert_eq!(back, inst);
+        }
+    }
+
+    #[test]
+    fn operands_are_the_unencoded_fields() {
+        for inst in representatives() {
+            let kinds = inst.opcode().field_kinds();
+            let operands = inst.operands();
+            assert!(operands[kinds.len()..].iter().all(|&v| v == 0), "{inst:?}");
+            for ((&kind, &field), &v) in kinds.iter().zip(&inst.fields()).zip(&operands) {
+                let want = if kind == FieldKind::Imm {
+                    unzigzag(field)
+                } else {
+                    field as i64
+                };
+                assert_eq!(v, want, "{inst:?} {kind:?}");
+            }
         }
     }
 

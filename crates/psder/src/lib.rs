@@ -7,12 +7,14 @@
 //! ([`micro`], [`routines`]).
 //!
 //! [`translator`] holds the almost-one-to-one DIR→PSDER [`Template`]s,
-//! built in place and used by the dynamic translator and the pure
-//! interpreter alike; [`engine`] is the
+//! built in place; [`engine`] is the
 //! shared architectural state (operand stack, return-address stack, frames,
 //! register file); [`line`](mod@line) compiles one translation into a flat op line
 //! with each called routine inlined or fused into one superoperator, the
-//! form the `uhm` machines execute;
+//! form the `uhm` machines execute; [`stencil`] runs the translator and
+//! the line compiler once per instruction shape and keeps the result with
+//! operand holes, so a machine's translation event copies a shape's
+//! stencil and patches the operands in ([`Stencils`]);
 //! [`interp`] is a cost-free reference interpreter that runs translations
 //! word by word, the oracle those machines are differentially tested
 //! against.
@@ -35,6 +37,7 @@ pub mod listing;
 pub mod micro;
 pub mod routines;
 pub mod short;
+pub mod stencil;
 pub mod translator;
 pub mod verify;
 
@@ -42,4 +45,5 @@ pub use engine::{Engine, MicroEffect, ShortEffect};
 pub use line::{Flow, Line, LineMeta, MAX_LINE_CALLS, MAX_LINE_OPS};
 pub use routines::RoutineLib;
 pub use short::{InterpMode, PopMode, PushMode, RoutineId, ShortInstr};
+pub use stencil::{Instance, Stencils};
 pub use translator::{translate, Template, MAX_TRANSLATION_WORDS};

@@ -32,6 +32,14 @@
 //! state. A trapping superop therefore leaves exactly the partial state,
 //! and raises exactly the trap, of the words run one by one.
 //!
+//! Machines rarely call [`Line::compile`] themselves: fusion and exit
+//! folding depend only on an instruction's shape, so
+//! [`stencil`](crate::stencil) compiles each shape once and a translation
+//! event copies that line and patches its operands in. Compiling from
+//! words is left to words that did not come from a decoded instruction:
+//! a two-level DTB's promoted translation and the chaos plane's poisoned
+//! one.
+//!
 //! Compilation follows the one termination rule every executor obeys: a
 //! sequence ends at its first `INTERP` or at the first `HaltOp` of a
 //! routine it calls. Words after that point are unreachable and are not
@@ -239,7 +247,7 @@ pub struct LineMeta {
     /// Routine micro-words retired.
     pub routine_words: u32,
     /// Where the line goes when its ops run out.
-    exit: Flow,
+    pub(crate) exit: Flow,
     calls: [Inlined; MAX_LINE_CALLS],
 }
 
@@ -281,8 +289,8 @@ pub enum Edge {
 /// A compiled translation in a fixed slot of [`MAX_LINE_OPS`] ops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Line {
-    ops: [Op; MAX_LINE_OPS],
-    meta: LineMeta,
+    pub(crate) ops: [Op; MAX_LINE_OPS],
+    pub(crate) meta: LineMeta,
 }
 
 impl Line {
@@ -428,11 +436,7 @@ impl Line {
 
     /// Drops the compiled translation: the line runs off its end at once.
     pub fn clear(&mut self) {
-        self.meta.len = 0;
-        self.meta.n_calls = 0;
-        self.meta.short_words = 0;
-        self.meta.routine_words = 0;
-        self.meta.exit = Flow::Continue;
+        self.meta = Line::EMPTY.meta;
     }
 }
 

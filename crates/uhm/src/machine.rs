@@ -14,15 +14,17 @@
 //!   are cached, but every instruction is still decoded.
 //!
 //! Every translation event — an interpreted step, a DTB miss, a degraded
-//! address — builds its [`Template`] on the stack; the DTB is the only
-//! place a translation is kept, as in the paper.
+//! address — stamps its executable line out of the instruction shape's
+//! stencil ([`Stencils`]); a DTB fill stores the words [`Template::new`]
+//! builds on the stack. The DTB is the only place a translation is kept,
+//! as in the paper.
 
 use dir::encode::{DecodeMode, Image, SchemeKind};
 use dir::exec::Trap;
 use dir::program::Program;
 use memsim::{Access, Geometry, SetAssocCache};
 use psder::line::Edge;
-use psder::{Engine, Flow, Line, RoutineLib, ShortInstr, Template};
+use psder::{Engine, Flow, Instance, Line, RoutineLib, Stencils, Template};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use telemetry::{Event, FaultKind, MissKind, NullSink, Tier, TraceSink};
@@ -113,6 +115,7 @@ pub struct Machine {
     program: Program,
     image: Image,
     lib: &'static RoutineLib,
+    stencils: &'static Stencils,
     costs: CostModel,
     limits: Limits,
 }
@@ -135,6 +138,7 @@ impl Machine {
             program: program.clone(),
             image: scheme.encode(program),
             lib: RoutineLib::shared(),
+            stencils: Stencils::shared(),
             costs,
             limits,
         }
@@ -172,6 +176,7 @@ impl Machine {
             program: verified.program().clone(),
             image: verified.get().clone(),
             lib: RoutineLib::shared(),
+            stencils: Stencils::shared(),
             costs,
             limits,
         }
@@ -186,9 +191,9 @@ impl Machine {
     }
 
     /// Does nothing. It used to pre-translate the program into a shared
-    /// template snapshot; templates are now built in place in a few
-    /// nanoseconds, cheaper than a snapshot lookup, so there is nothing
-    /// to freeze. Kept so callers written against it still compile.
+    /// template snapshot; a translation is now stamped out of its shape's
+    /// stencil, cheaper than a snapshot lookup, so there is nothing to
+    /// freeze. Kept so callers written against it still compile.
     pub fn freeze_translations(&mut self) -> &mut Self {
         self
     }
@@ -374,6 +379,30 @@ struct Run<'m, S: TraceSink> {
     scratch: Line,
 }
 
+/// One translation event's product: the words a DTB stores, and where
+/// the executable line comes from.
+struct Translation {
+    words: Template,
+    /// The stencil instance the line is stamped from, or `None` when the
+    /// words are not a decoded instruction's whole translation (a
+    /// promoted copy, or a poisoned one) and the line is compiled from
+    /// them.
+    stencil: Option<Instance<'static>>,
+}
+
+impl Translation {
+    /// Puts the translation's executable line into `line`.
+    fn load(&self, lib: &RoutineLib, line: &mut Line) -> Result<(), Trap> {
+        match &self.stencil {
+            Some(instance) => instance.line_into(line),
+            None => {
+                line.compile(lib, &self.words)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Where one DIR instruction's execution leads.
 enum Next {
     Goto(u32),
@@ -435,24 +464,36 @@ impl<'m, S: TraceSink> Run<'m, S> {
         }
     }
 
-    /// Translates `inst` with fall-through successor `next`, poisoned
-    /// when the chaos plane asked for it.
-    fn template(&self, inst: dir::Inst, next: u32) -> Template {
-        let template = Template::new(inst, next);
+    /// Translates `inst` with fall-through successor `next` for the DTB:
+    /// its words and the shape's stencil, or, when the chaos plane asked
+    /// for it, the poisoned words alone.
+    fn translation(&self, inst: dir::Inst, next: u32) -> Translation {
+        let words = Template::new(inst, next);
         if self.poison {
-            template.poisoned()
-        } else {
-            template
+            return Translation {
+                words: words.poisoned(),
+                stencil: None,
+            };
+        }
+        Translation {
+            words,
+            stencil: Some(self.machine.stencils.instance(inst, next)),
         }
     }
 
     /// Pure interpretation of one DIR instruction: fetch, decode and run
     /// the translation inline, bypassing every translation buffer. The
     /// interpreter mode's step, and the fallback degraded addresses take.
+    /// Only the line is stamped out; no words are built.
     fn interp_one(&mut self, pc: u32) -> Result<Next, Trap> {
         let inst = self.fetch_decode(pc)?;
-        let template = self.template(inst, pc + 1);
-        self.scratch.compile(self.machine.lib, &template)?;
+        if self.poison {
+            let template = Template::new(inst, pc + 1).poisoned();
+            self.scratch.compile(self.machine.lib, &template)?;
+        } else {
+            let instance = self.machine.stencils.instance(inst, pc + 1);
+            instance.line_into(&mut self.scratch);
+        }
         self.run_line(None)
     }
 
@@ -679,15 +720,6 @@ impl<'m, S: TraceSink> Run<'m, S> {
         }
     }
 
-    /// Runs a translation that is *not* resident in the DTB (interpreter
-    /// and i-cache modes, or an uncacheable overflow): IU2 steering words
-    /// execute from level-1 interpreter code at `t1` each. The sequence is
-    /// compiled into the run's scratch line first.
-    fn run_inline(&mut self, sequence: &[ShortInstr]) -> Result<Next, Trap> {
-        self.scratch.compile(self.machine.lib, sequence)?;
-        self.run_line(None)
-    }
-
     /// Runs the program to its halt. The step function is chosen here,
     /// once per run, by mode kind and by whether a fault plane is
     /// attached, so each loop is specialised to one of them.
@@ -805,7 +837,9 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// The rest of a DTB step after the lookup: a hit under the fault
     /// plane (verified first), and every miss. Under two-level
     /// translation a first-level miss probes the second-level store
-    /// before translating.
+    /// before translating. Kept out of the hit loop: inlined into it,
+    /// it made every hit of `dtb_hot` ~24% slower.
+    #[inline(never)]
     fn step_dtb_slow<const FAULTS: bool>(
         &mut self,
         pc: u32,
@@ -843,15 +877,17 @@ impl<'m, S: TraceSink> Run<'m, S> {
                         .unwrap_or(MissKind::Cold);
                     self.sink.emit(Event::DtbMiss { addr: pc, kind });
                 }
-                let sequence = if self.dtb2.is_some() {
+                let translation = if self.dtb2.is_some() {
                     self.second_level(pc)?
                 } else {
                     self.translate_miss(pc, 1)?
                 };
                 let dtb = require(self.dtb.as_mut(), NO_DTB)?;
-                let Some(h) = dtb.fill(pc, &sequence) else {
-                    // Overflow area exhausted: execute without caching.
-                    let next = self.run_inline(&sequence)?;
+                let Some(h) = dtb.fill(pc, &translation.words) else {
+                    // Overflow area exhausted: execute without caching,
+                    // the steering words at `t1` from level-1 code.
+                    translation.load(self.machine.lib, &mut self.scratch)?;
+                    let next = self.run_line(None)?;
                     self.retire(pc, Tier::Interp);
                     return Ok(next);
                 };
@@ -865,9 +901,9 @@ impl<'m, S: TraceSink> Run<'m, S> {
                         occupancy,
                     });
                 }
-                // The way's executable line is compiled from the words
-                // the line now stores.
-                self.lines[h.way()].compile(self.machine.lib, &sequence)?;
+                // The way's executable line is the one the words it now
+                // stores compile to.
+                translation.load(self.machine.lib, &mut self.lines[h.way()])?;
                 h.way()
             }
         };
@@ -882,13 +918,14 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// DTRPOINT) — fetch the DIR instruction, decode it, generate the
     /// PSDER translation and store `copies` copies of it (one per level
     /// it will fill).
-    fn translate_miss(&mut self, pc: u32, copies: u64) -> Result<Template, Trap> {
+    fn translate_miss(&mut self, pc: u32, copies: u64) -> Result<Translation, Trap> {
         let d0 = self.metrics.cycles.decode;
         let inst = self.fetch_decode(pc)?;
-        let sequence = self.template(inst, pc + 1);
+        let translation = self.translation(inst, pc + 1);
         let t1 = self.costs().mem.t1;
-        let gen = sequence.len() as u64 * self.costs().gen_per_word;
-        let store = sequence.len() as u64 * self.costs().store_per_word * copies;
+        let len = translation.words.len() as u64;
+        let gen = len * self.costs().gen_per_word;
+        let store = len * self.costs().store_per_word * copies;
         self.charge(|c| &mut c.generate, gen * t1);
         self.charge(|c| &mut c.store, store * t1);
         if S::ENABLED {
@@ -898,20 +935,20 @@ impl<'m, S: TraceSink> Run<'m, S> {
                 generate_cycles: (gen + store) * t1,
             });
         }
-        Ok(sequence)
+        Ok(translation)
     }
 
     /// A first-level miss under two-level translation. A second-level
     /// hit *promotes* the stored translation (a copy, cheaper than
     /// re-translating); a second-level miss runs the full dynamic
     /// translation routine and fills the second level too.
-    fn second_level(&mut self, pc: u32) -> Result<Template, Trap> {
+    fn second_level(&mut self, pc: u32) -> Result<Translation, Trap> {
         let tau2 = self.costs().tau_dtb2;
         self.charge(|c| &mut c.lookup2, tau2);
         let Some(h2) = require(self.dtb2.as_mut(), NO_DTB2)?.lookup(pc) else {
-            let sequence = self.translate_miss(pc, 2)?;
-            require(self.dtb2.as_mut(), NO_DTB2)?.fill(pc, &sequence);
-            return Ok(sequence);
+            let translation = self.translate_miss(pc, 2)?;
+            require(self.dtb2.as_mut(), NO_DTB2)?.fill(pc, &translation.words);
+            return Ok(translation);
         };
         // Promote: read each word from L2 (tau_dtb2) and store it into L1
         // (store_per_word each).
@@ -926,7 +963,12 @@ impl<'m, S: TraceSink> Run<'m, S> {
                 words: len,
             });
         }
-        Ok(words)
+        // The promoted words come from the store, not from a decoded
+        // instruction: their line is compiled from them.
+        Ok(Translation {
+            words,
+            stencil: None,
+        })
     }
 }
 

@@ -53,7 +53,7 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations the second of two calls of `f` makes on this thread; the
 /// first call initialises whatever is built lazily once per process,
-/// such as the shared routine library.
+/// such as the shared routine library and stencil table.
 fn allocations<T>(mut f: impl FnMut() -> T) -> u64 {
     std::hint::black_box(f());
     let before = ALLOCATIONS.with(Cell::get);
@@ -90,7 +90,31 @@ fn the_psder_oracle_allocates_nothing_per_step() {
 }
 
 #[test]
+fn stamping_a_stencil_allocates_nothing() {
+    // Every translation event stamps its shape's stencil; the table is
+    // built before counting starts.
+    let stencils = psder::Stencils::shared();
+    let program = looping(TRIPS);
+    let mut line = psder::Line::EMPTY;
+    let n = allocations(|| {
+        for (pc, &inst) in program.code.iter().enumerate() {
+            stencils.instance(inst, pc as u32 + 1).line_into(&mut line);
+            std::hint::black_box(&line);
+        }
+    });
+    assert_eq!(
+        n,
+        0,
+        "{n} allocations stamping {} instructions",
+        program.code.len()
+    );
+}
+
+#[test]
 fn machine_runs_allocate_nothing_per_step() {
+    // Interpreter and i-cache steps and DTB misses stamp stencils; the
+    // shared table is built before counting starts.
+    psder::Stencils::shared();
     let modes = [
         ("interp", Mode::Interpreter),
         (
