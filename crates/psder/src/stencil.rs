@@ -21,6 +21,8 @@
 //! opcode translates to. The short words themselves are not stamped:
 //! [`Template::new`] builds them with one dispatch on the opcode and no
 //! table to read, which measured cheaper than patching a stored copy.
+//! The stencil keeps only their count ([`Instance::words`]), which is
+//! what a translation buffer allocates and the modeled charges count.
 //!
 //! Fusion never depends on operand values: the immediate pairs a
 //! superoperator absorbs are all `u32` fields or `next`. The tests pin
@@ -154,10 +156,12 @@ struct Hole {
 
 /// One shape's compiled line with operand holes: the line with its
 /// constant [`LineMeta`](crate::LineMeta), the ops its operands fill,
-/// and the operand its folded exit jumps to.
+/// the operand its folded exit jumps to, and its template's length.
 #[derive(Debug, Clone)]
 struct Stencil {
     line: Line,
+    /// Short words in the shape's [`Template::new`] translation.
+    words: u8,
     holes: [Hole; MAX_HOLES],
     n_holes: u8,
     /// The operand the line's folded exit jumps to, if it has one.
@@ -178,19 +182,10 @@ impl Stencil {
     /// the shared table uses.
     fn build(lib: &RoutineLib, opcode: Opcode, alu: AluOp, sentinels: Operands) -> Stencil {
         let kinds = opcode.field_kinds();
-        let fields: Vec<u64> = kinds
-            .iter()
-            .zip(sentinels)
-            .map(|(&kind, v)| match kind {
-                FieldKind::Alu => alu as u64,
-                FieldKind::Imm => zigzag(v),
-                _ => v as u64,
-            })
-            .collect();
-        let inst = Inst::from_parts(opcode, &fields).expect("sentinels fit their fields");
-        let next = u32::try_from(sentinels[usize::from(NEXT)]).expect("the next sentinel is a u32");
+        let (inst, next) = sentinel_instance(opcode, alu, sentinels);
+        let template = Template::new(inst, next);
         let mut line = Line::EMPTY;
-        line.compile(lib, &Template::new(inst, next))
+        line.compile(lib, &template)
             .expect("every template fits a line");
         // The operand a value stands for, if it is one of this
         // instance's sentinels (an ALU field is part of the shape).
@@ -232,6 +227,7 @@ impl Stencil {
         };
         Stencil {
             line,
+            words: template.len() as u8,
             holes,
             n_holes: n_holes as u8,
             exit,
@@ -242,6 +238,28 @@ impl Stencil {
     fn holes(&self) -> &[Hole] {
         &self.holes[..usize::from(self.n_holes)]
     }
+}
+
+/// The instance of the shape (`opcode`, `alu`) whose operand `k` is
+/// `sentinels[k]`, and its `next`.
+///
+/// # Panics
+///
+/// Panics if a sentinel does not fit its field.
+fn sentinel_instance(opcode: Opcode, alu: AluOp, sentinels: Operands) -> (Inst, u32) {
+    let fields: Vec<u64> = opcode
+        .field_kinds()
+        .iter()
+        .zip(sentinels)
+        .map(|(&kind, v)| match kind {
+            FieldKind::Alu => alu as u64,
+            FieldKind::Imm => zigzag(v),
+            _ => v as u64,
+        })
+        .collect();
+    let inst = Inst::from_parts(opcode, &fields).expect("sentinels fit their fields");
+    let next = u32::try_from(sentinels[usize::from(NEXT)]).expect("the next sentinel is a u32");
+    (inst, next)
 }
 
 /// One instruction's translation, ready to be stamped out: its shape's
@@ -272,6 +290,15 @@ impl Instance<'_> {
         if let Some(k) = self.stencil.exit {
             line.meta.exit = Flow::Goto(self.operands[usize::from(k)] as u32);
         }
+    }
+
+    /// The length in short words of the instruction's [`Template::new`]
+    /// translation. Not always the line's
+    /// [`short_words`](crate::LineMeta::short_words): a line stops
+    /// counting at a routine that halts.
+    #[inline]
+    pub fn words(&self) -> usize {
+        usize::from(self.stencil.words)
     }
 }
 
@@ -382,6 +409,29 @@ mod tests {
             wide.instance(inst, next).line_into(&mut x);
             small.instance(inst, next).line_into(&mut y);
             assert_eq!((x.ops(), x.meta()), (y.ops(), y.meta()), "{inst:?}");
+        }
+    }
+
+    #[test]
+    fn instances_count_the_translators_words() {
+        let lib = RoutineLib::new();
+        let stencils = Stencils::new(&lib);
+        // Each shape's sentinel instance, then a sample of every shape.
+        let sentinel: Vec<_> = OPCODES
+            .iter()
+            .flat_map(|&opcode| {
+                let has_alu = opcode.field_kinds().first() == Some(&FieldKind::Alu);
+                let alus: &[AluOp] = if has_alu { &ALU_OPS } else { &[AluOp::Add] };
+                alus.iter()
+                    .map(move |&alu| sentinel_instance(opcode, alu, SENTINELS))
+            })
+            .collect();
+        assert_eq!(sentinel.len(), SHAPES);
+        let mut rng = hlr::rng::Rng::new(SEED);
+        let sample = isa_sample(4, || rng.next_u64());
+        for (inst, next) in sentinel.into_iter().chain(sample) {
+            let words = Template::new(inst, next).len();
+            assert_eq!(stencils.instance(inst, next).words(), words, "{inst:?}");
         }
     }
 

@@ -15,6 +15,14 @@
 //!
 //! The DIR address is hashed (modulo) to a set; the set's ways are searched
 //! associatively; the least-recently-used way is the replacement victim.
+//!
+//! A fill is two steps. [`Dtb::claim`] is the bookkeeping: it picks the
+//! victim way, takes the overflow blocks the translation's length needs
+//! and sets the way's tag, stamp and length. [`Dtb::store`] writes the
+//! words into the claimed way and takes the guard checksum.
+//! [`Dtb::fill`] is the two together. A machine whose words nobody reads
+//! later — no guards, no promotion out of this buffer — claims the way by
+//! length alone: the length is all the modeled charges count.
 
 use memsim::Geometry;
 use psder::{ShortInstr, MAX_TRANSLATION_WORDS};
@@ -174,6 +182,23 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// Most overflow blocks one translation can take: it has at most
+/// [`MAX_TRANSLATION_WORDS`] words, and the first unit is primary.
+const MAX_CHAIN: usize = MAX_TRANSLATION_WORDS - 1;
+
+/// One way's overflow chain, held inline: its block indices, in order.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chain {
+    blocks: [u32; MAX_CHAIN],
+    len: u8,
+}
+
+impl Chain {
+    fn blocks(&self) -> &[u32] {
+        &self.blocks[..usize::from(self.len)]
+    }
+}
+
 /// DTB statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DtbStats {
@@ -284,9 +309,12 @@ pub struct Dtb {
     /// Overflow area, in blocks of `unit_words`.
     ovf_data: Vec<ShortInstr>,
     /// Free overflow block indices.
-    ovf_free: Vec<usize>,
-    /// Overflow chain (block indices, in order) per way.
-    chains: Vec<Vec<usize>>,
+    ovf_free: Vec<u32>,
+    /// Overflow chain per way; empty under fixed allocation, where no
+    /// way has one.
+    chains: Vec<Chain>,
+    /// Ways holding a translation.
+    resident: usize,
     /// Guard checksum per way, computed over (tag, words) at fill time
     /// and re-verified on dispatch under the fault plane.
     sums: Vec<u64>,
@@ -372,9 +400,10 @@ impl Dtb {
     pub fn new(config: DtbConfig) -> Dtb {
         config.validate().expect("invalid DTB configuration");
         let ways_total = config.geometry.capacity();
-        let ovf_blocks = match config.allocation {
-            Allocation::Fixed => 0,
-            Allocation::Overflow { blocks } => blocks,
+        // Under fixed allocation no way has an overflow chain.
+        let (ovf_blocks, chained) = match config.allocation {
+            Allocation::Fixed => (0, 0),
+            Allocation::Overflow { blocks } => (blocks, ways_total),
         };
         Dtb {
             config,
@@ -383,8 +412,11 @@ impl Dtb {
             lengths: vec![0; ways_total],
             buffer: vec![FILL; ways_total * config.unit_words],
             ovf_data: vec![FILL; ovf_blocks * config.unit_words],
-            ovf_free: (0..ovf_blocks).rev().collect(),
-            chains: vec![Vec::new(); ways_total],
+            // Block indices fit a `u32`: the buffer is at most
+            // `MAX_BUFFER_WORDS` words.
+            ovf_free: (0..ovf_blocks as u32).rev().collect(),
+            chains: vec![Chain::default(); chained],
+            resident: 0,
             sums: vec![0; ways_total],
             guards: false,
             clock: 0,
@@ -439,7 +471,7 @@ impl Dtb {
 
     /// Resident translations.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().flatten().count()
+        self.resident
     }
 
     fn set_range(&self, addr: u32) -> std::ops::Range<usize> {
@@ -486,85 +518,149 @@ impl Dtb {
     }
 
     /// Stores the translation for `addr`, replacing the least recently
-    /// used way of its set. Returns `None` (and counts `uncached`) when the
-    /// overflow area cannot supply enough blocks — the caller must then
-    /// execute the translation without caching it.
+    /// used way of its set: [`Dtb::claim`] for its length, then
+    /// [`Dtb::store`] of its words. Returns `None` (and counts
+    /// `uncached`) when the overflow area cannot supply enough blocks —
+    /// the caller must then execute the translation without caching it.
     ///
     /// # Panics
     ///
-    /// Panics if `words` is empty or, under fixed allocation, longer than
-    /// the unit (prevented by [`DtbConfig::validate`] plus the translator's
-    /// [`MAX_TRANSLATION_WORDS`] bound).
+    /// As [`Dtb::claim`], for `words.len()`.
     pub fn fill(&mut self, addr: u32, words: &[ShortInstr]) -> Option<Handle> {
-        assert!(!words.is_empty(), "empty translation");
-        let unit = self.config.unit_words;
-        let extra_blocks = words.len().saturating_sub(unit).div_ceil(unit);
-        if self.config.allocation == Allocation::Fixed {
-            assert!(
-                words.len() <= unit,
-                "translation of {} words exceeds fixed unit of {unit}",
-                words.len()
-            );
-        }
+        let handle = self.claim(addr, words.len())?;
+        self.store(handle, words);
+        Some(handle)
+    }
 
-        // Victim: empty way, else LRU way of the set. Chosen before the
-        // space check so that the victim's overflow chain counts as
-        // reclaimable.
-        let range = self.set_range(addr);
-        let way = range
-            .clone()
-            .find(|&w| self.tags[w].is_none())
-            .unwrap_or_else(|| match self.config.replacement {
-                Replacement::Lru | Replacement::Fifo => range
-                    .clone()
-                    .min_by_key(|&w| self.stamps[w])
-                    .expect("ways > 0"),
-                Replacement::Random { .. } => {
-                    // xorshift64* step, deterministic per seed.
-                    self.rng ^= self.rng << 13;
-                    self.rng ^= self.rng >> 7;
-                    self.rng ^= self.rng << 17;
-                    range.start + (self.rng as usize) % self.config.geometry.ways
-                }
-            });
-        if extra_blocks > self.ovf_free.len() + self.chains[way].len() {
-            self.stats.uncached += 1;
-            self.last_evicted = None;
-            return None;
-        }
+    /// The bookkeeping of a fill: picks the victim way of `addr`'s set,
+    /// reclaims its overflow chain and takes the blocks a translation of
+    /// `len` words needs, and makes the way resident for `addr` with that
+    /// length. Returns `None` (and counts `uncached`) when the overflow
+    /// area cannot supply enough blocks. The way's words are whatever
+    /// [`Dtb::store`] last wrote there until it is called for this
+    /// translation; its guard checksum likewise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero, if under fixed allocation it is longer
+    /// than the unit (prevented by [`DtbConfig::validate`] plus the
+    /// translator's [`MAX_TRANSLATION_WORDS`] bound), or if under
+    /// overflow allocation it needs more than `MAX_TRANSLATION_WORDS − 1`
+    /// overflow blocks.
+    pub fn claim(&mut self, addr: u32, len: usize) -> Option<Handle> {
+        assert!(len > 0, "empty translation");
+        let unit = self.config.unit_words;
+        let way = self.victim(addr);
+        let chained = self.config.allocation != Allocation::Fixed;
+        let extra_blocks = if chained {
+            let extra = len.saturating_sub(unit).div_ceil(unit);
+            assert!(
+                extra <= MAX_CHAIN,
+                "translation of {len} words needs {extra} overflow blocks of {unit}"
+            );
+            // The victim's chain counts as reclaimable.
+            if extra > self.ovf_free.len() + self.chains[way].blocks().len() {
+                self.stats.uncached += 1;
+                self.last_evicted = None;
+                return None;
+            }
+            extra
+        } else {
+            assert!(
+                len <= unit,
+                "translation of {len} words exceeds fixed unit of {unit}"
+            );
+            0
+        };
         self.last_evicted = self.tags[way];
         if self.tags[way].is_some() {
             self.stats.evictions += 1;
-            // Free the victim's overflow chain.
-            let chain = std::mem::take(&mut self.chains[way]);
-            self.ovf_free.extend(chain);
+        } else {
+            self.resident += 1;
         }
-
+        if chained {
+            self.rechain(way, extra_blocks);
+        }
         self.clock += 1;
         self.tags[way] = Some(addr);
         self.stamps[way] = self.clock;
-        self.lengths[way] = words.len() as u32;
+        self.lengths[way] = len as u32;
+        Some(Handle(way))
+    }
 
-        // Primary unit.
-        let primary = way * unit;
+    /// Writes the words of the translation claimed at `handle` into its
+    /// primary unit and overflow blocks and, with guards on, takes its
+    /// checksum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is not as long as the claimed translation.
+    pub fn store(&mut self, handle: Handle, words: &[ShortInstr]) {
+        let way = handle.0;
+        assert_eq!(
+            words.len(),
+            self.lengths[way] as usize,
+            "stored words must fill the claimed length"
+        );
+        let unit = self.config.unit_words;
         let head = words.len().min(unit);
-        self.buffer[primary..primary + head].copy_from_slice(&words[..head]);
-        // Overflow blocks.
-        let mut chain = Vec::with_capacity(extra_blocks);
-        for (i, chunk) in words[head..].chunks(unit).enumerate() {
-            let block = self.ovf_free.pop().expect("checked availability");
-            let at = block * unit;
-            self.ovf_data[at..at + chunk.len()].copy_from_slice(chunk);
-            chain.push(block);
-            debug_assert!(i < extra_blocks);
+        self.buffer[way * unit..][..head].copy_from_slice(&words[..head]);
+        if head < words.len() {
+            let chain = &self.chains[way];
+            for (chunk, &block) in words[head..].chunks(unit).zip(chain.blocks()) {
+                let at = block as usize * unit;
+                self.ovf_data[at..at + chunk.len()].copy_from_slice(chunk);
+            }
         }
-        self.chains[way] = chain;
         if self.guards {
+            let addr = self.tags[way].expect("a claimed way is resident");
             self.sums[way] = line_checksum(addr, words.iter().copied());
         }
-        let in_use = self.ovf_capacity_blocks() - self.ovf_free.len();
-        self.stats.overflow_peak = self.stats.overflow_peak.max(in_use);
-        Some(Handle(way))
+    }
+
+    /// The way a fill of `addr` replaces: an empty way of its set, else
+    /// the one the replacement policy picks.
+    fn victim(&mut self, addr: u32) -> usize {
+        let range = self.set_range(addr);
+        if let Some(way) = range.clone().find(|&w| self.tags[w].is_none()) {
+            return way;
+        }
+        match self.config.replacement {
+            Replacement::Lru | Replacement::Fifo => {
+                range.min_by_key(|&w| self.stamps[w]).expect("ways > 0")
+            }
+            Replacement::Random { .. } => {
+                // xorshift64* step, deterministic per seed.
+                self.rng ^= self.rng << 13;
+                self.rng ^= self.rng >> 7;
+                self.rng ^= self.rng << 17;
+                range.start + (self.rng as usize) % self.config.geometry.ways
+            }
+        }
+    }
+
+    /// Frees `way`'s overflow chain and gives it `blocks` fresh ones,
+    /// which the caller has checked are free. The peak is recounted
+    /// only when blocks are taken: freeing never raises it.
+    fn rechain(&mut self, way: usize, blocks: usize) {
+        self.release(way);
+        let chain = &mut self.chains[way];
+        for slot in &mut chain.blocks[..blocks] {
+            *slot = self.ovf_free.pop().expect("checked availability");
+        }
+        chain.len = blocks as u8;
+        if blocks > 0 {
+            let in_use = self.ovf_capacity_blocks() - self.ovf_free.len();
+            self.stats.overflow_peak = self.stats.overflow_peak.max(in_use);
+        }
+    }
+
+    /// Returns `way`'s overflow chain, if it has one, to the free list.
+    fn release(&mut self, way: usize) {
+        if let Some(chain) = self.chains.get_mut(way) {
+            self.ovf_free.extend_from_slice(chain.blocks());
+            chain.len = 0;
+        }
     }
 
     fn ovf_capacity_blocks(&self) -> usize {
@@ -597,7 +693,7 @@ impl Dtb {
         if i < unit {
             self.buffer[handle.0 * unit + i]
         } else {
-            let block = self.chains[handle.0][(i - unit) / unit];
+            let block = self.chains[handle.0].blocks()[(i - unit) / unit] as usize;
             self.ovf_data[block * unit + (i - unit) % unit]
         }
     }
@@ -624,11 +720,12 @@ impl Dtb {
     /// the caller retranslates and refills.
     pub fn invalidate(&mut self, handle: Handle) {
         let way = handle.0;
-        self.tags[way] = None;
+        if self.tags[way].take().is_some() {
+            self.resident -= 1;
+        }
         self.lengths[way] = 0;
         self.sums[way] = 0;
-        let chain = std::mem::take(&mut self.chains[way]);
-        self.ovf_free.extend(chain);
+        self.release(way);
         self.stats.recoveries += 1;
     }
 
@@ -658,7 +755,7 @@ impl Dtb {
         let slot = if i < unit {
             &mut self.buffer[way * unit + i]
         } else {
-            let block = self.chains[way][(i - unit) / unit];
+            let block = self.chains[way].blocks()[(i - unit) / unit] as usize;
             &mut self.ovf_data[block * unit + (i - unit) % unit]
         };
         *slot = f(*slot);
@@ -1110,6 +1207,89 @@ mod tests {
         assert_eq!(dtb.last_evicted(), None, "empty way, no victim");
         dtb.fill(9, &words(1));
         assert_eq!(dtb.last_evicted(), Some(7));
+    }
+
+    /// Every observable a fill's bookkeeping sets: the tags, the last
+    /// victim and the statistics.
+    fn bookkeeping(dtb: &Dtb) -> (Vec<Option<u32>>, Option<u32>, DtbStats) {
+        (dtb.tags.clone(), dtb.last_evicted(), dtb.stats())
+    }
+
+    #[test]
+    fn claiming_keeps_the_books_of_filling() {
+        let allocations = [
+            (MAX_TRANSLATION_WORDS, Allocation::Fixed),
+            (2, Allocation::Overflow { blocks: 6 }),
+            (1, Allocation::Overflow { blocks: 9 }),
+        ];
+        let replacements = [
+            Replacement::Lru,
+            Replacement::Fifo,
+            Replacement::Random { seed: 0xD7B },
+        ];
+        for (unit_words, allocation) in allocations {
+            for replacement in replacements {
+                let cfg = DtbConfig {
+                    geometry: Geometry::new(2, 4),
+                    unit_words,
+                    allocation,
+                    replacement,
+                };
+                let (mut claimed, mut filled) = (Dtb::new(cfg), Dtb::new(cfg));
+                let mut rng = hlr::rng::Rng::new(0xC1A1_u64 ^ unit_words as u64);
+                for step in 0..400 {
+                    let addr = (rng.next_u64() % 23) as u32;
+                    let len = 1 + (rng.next_u64() % MAX_TRANSLATION_WORDS as u64) as usize;
+                    let hit = claimed.lookup(addr);
+                    assert_eq!(hit, filled.lookup(addr), "{cfg:?} step {step}");
+                    if hit.is_none() {
+                        let a = claimed.claim(addr, len);
+                        let b = filled.fill(addr, &words(len));
+                        assert_eq!(a, b, "{cfg:?} step {step}");
+                    }
+                    assert_eq!(bookkeeping(&claimed), bookkeeping(&filled), "{cfg:?}");
+                }
+                let stats = filled.stats();
+                assert!(stats.evictions > 0, "{cfg:?}");
+                if allocation != Allocation::Fixed {
+                    assert!(stats.uncached > 0 && stats.overflow_peak > 0, "{cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn occupancy_counts_what_a_scan_finds() {
+        let cfg = DtbConfig {
+            geometry: Geometry::new(2, 2),
+            unit_words: 2,
+            allocation: Allocation::Overflow { blocks: 3 },
+            replacement: Replacement::Lru,
+        };
+        let mut dtb = Dtb::new(cfg);
+        let scan = |dtb: &Dtb| dtb.tags.iter().flatten().count();
+        let mut rng = hlr::rng::Rng::new(0x0CC);
+        for _ in 0..300 {
+            let addr = (rng.next_u64() % 11) as u32;
+            match rng.next_u64() % 4 {
+                0 => {
+                    if let Some(h) = dtb.lookup(addr) {
+                        dtb.invalidate(h);
+                    }
+                }
+                1 => {
+                    let way = (rng.next_u64() % 4) as usize;
+                    dtb.poison_tag(way, rng.next_u64() as u32);
+                }
+                _ => {
+                    let len = 1 + (rng.next_u64() % 6) as usize;
+                    dtb.fill(addr, &words(len));
+                }
+            }
+            assert_eq!(dtb.occupancy(), scan(&dtb));
+        }
+        let stats = dtb.stats();
+        assert!(stats.evictions > 0 && stats.recoveries > 0, "{stats:?}");
     }
 
     #[test]

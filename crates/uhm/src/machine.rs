@@ -15,9 +15,14 @@
 //!
 //! Every translation event — an interpreted step, a DTB miss, a degraded
 //! address — stamps its executable line out of the instruction shape's
-//! stencil ([`Stencils`]); a DTB fill stores the words [`Template::new`]
-//! builds on the stack. The DTB is the only place a translation is kept,
-//! as in the paper.
+//! stencil ([`Stencils`]). A DTB miss claims its way by the translation's
+//! length, which is what the buffer allocates and the modeled generate
+//! and store charges count, and stamps the line into the way. The short words
+//! [`Template::new`] builds are made only where a buffer stores them for
+//! a later reader: the first level under the fault plane, whose guard
+//! checksums and injected faults read them, and the second-level store,
+//! whose hits promote them. The DTB is the only place a translation is
+//! kept, as in the paper.
 
 use dir::encode::{DecodeMode, Image, SchemeKind};
 use dir::exec::Trap;
@@ -370,33 +375,55 @@ struct Run<'m, S: TraceSink> {
     /// kept only when the sink is enabled and handed to its `Retire` by
     /// [`Run::retire`].
     pending: u64,
-    /// The executable line of each first-level DTB way, compiled when
-    /// the way is filled and dropped when it is invalidated. The way's
-    /// stored short words stay the modeled contents and the fault
-    /// surface; a hit runs this line instead of re-reading them.
+    /// The executable line of each first-level DTB way, stamped when the
+    /// way is claimed and dropped when it is invalidated. The way's
+    /// length and the charges it implies are the modeled contents; its
+    /// short words, stored only under the fault plane, are the fault
+    /// surface. A hit runs this line.
     lines: Vec<Line>,
     /// The line non-resident translations are compiled into.
     scratch: Line,
 }
 
-/// One translation event's product: the words a DTB stores, and where
-/// the executable line comes from.
-struct Translation {
-    words: Template,
-    /// The stencil instance the line is stamped from, or `None` when the
-    /// words are not a decoded instruction's whole translation (a
-    /// promoted copy, or a poisoned one) and the line is compiled from
-    /// them.
-    stencil: Option<Instance<'static>>,
+/// One translation event's product: where the executable line comes
+/// from, and the words, where a buffer stores them.
+enum Translation {
+    /// A decoded instruction's whole translation: the line is stamped
+    /// from the stencil, and the words are built only when a buffer will
+    /// store them.
+    Stamped {
+        stencil: Instance<'static>,
+        words: Option<Template>,
+    },
+    /// Words that are not a decoded instruction's whole translation — a
+    /// promoted copy, or a poisoned one: the line is compiled from them.
+    Compiled(Template),
 }
 
 impl Translation {
+    /// The translation's length in short words: what the DTB allocates
+    /// and the generate and store charges count.
+    fn len(&self) -> usize {
+        match self {
+            Translation::Stamped { stencil, .. } => stencil.words(),
+            Translation::Compiled(words) => words.len(),
+        }
+    }
+
+    /// The words, if they were built.
+    fn words(&self) -> Option<&Template> {
+        match self {
+            Translation::Stamped { words, .. } => words.as_ref(),
+            Translation::Compiled(words) => Some(words),
+        }
+    }
+
     /// Puts the translation's executable line into `line`.
     fn load(&self, lib: &RoutineLib, line: &mut Line) -> Result<(), Trap> {
-        match &self.stencil {
-            Some(instance) => instance.line_into(line),
-            None => {
-                line.compile(lib, &self.words)?;
+        match self {
+            Translation::Stamped { stencil, .. } => stencil.line_into(line),
+            Translation::Compiled(words) => {
+                line.compile(lib, words)?;
             }
         }
         Ok(())
@@ -465,19 +492,17 @@ impl<'m, S: TraceSink> Run<'m, S> {
     }
 
     /// Translates `inst` with fall-through successor `next` for the DTB:
-    /// its words and the shape's stencil, or, when the chaos plane asked
-    /// for it, the poisoned words alone.
-    fn translation(&self, inst: dir::Inst, next: u32) -> Translation {
-        let words = Template::new(inst, next);
+    /// the shape's stencil, with the words when `words` asks for them,
+    /// or, when the chaos plane asked for it, the poisoned words alone.
+    /// Inlined, as [`Run::translate_miss`] is.
+    #[inline(always)]
+    fn translation(&self, inst: dir::Inst, next: u32, words: bool) -> Translation {
         if self.poison {
-            return Translation {
-                words: words.poisoned(),
-                stencil: None,
-            };
+            return Translation::Compiled(Template::new(inst, next).poisoned());
         }
-        Translation {
-            words,
-            stencil: Some(self.machine.stencils.instance(inst, next)),
+        Translation::Stamped {
+            stencil: self.machine.stencils.instance(inst, next),
+            words: words.then(|| Template::new(inst, next)),
         }
     }
 
@@ -584,6 +609,10 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// bit of its encoded span flipped in the machine's level-2 copy; a
     /// stream that no longer decodes is terminal ([`Trap::CorruptDir`]),
     /// because the static DIR is the ground truth nothing can restore.
+    ///
+    /// Inlined into each step that calls it: as a call it made the loop
+    /// mix through a 16-entry DTB ~16% slower, and `interp_huffman` ~20%.
+    #[inline(always)]
     fn fetch_decode(&mut self, pc: u32) -> Result<dir::Inst, Trap> {
         let word_bits = self.costs().word_bits;
         let (tau_d, t2) = (self.costs().mem.tau_d, self.costs().mem.t2);
@@ -877,13 +906,15 @@ impl<'m, S: TraceSink> Run<'m, S> {
                         .unwrap_or(MissKind::Cold);
                     self.sink.emit(Event::DtbMiss { addr: pc, kind });
                 }
+                // The first level's words are read only by the fault
+                // plane: its guard checksums and injected faults.
                 let translation = if self.dtb2.is_some() {
                     self.second_level(pc)?
                 } else {
-                    self.translate_miss(pc, 1)?
+                    self.translate_miss(pc, 1, FAULTS)?
                 };
                 let dtb = require(self.dtb.as_mut(), NO_DTB)?;
-                let Some(h) = dtb.fill(pc, &translation.words) else {
+                let Some(h) = dtb.claim(pc, translation.len()) else {
                     // Overflow area exhausted: execute without caching,
                     // the steering words at `t1` from level-1 code.
                     translation.load(self.machine.lib, &mut self.scratch)?;
@@ -891,6 +922,11 @@ impl<'m, S: TraceSink> Run<'m, S> {
                     self.retire(pc, Tier::Interp);
                     return Ok(next);
                 };
+                if FAULTS {
+                    if let Some(words) = translation.words() {
+                        dtb.store(h, words);
+                    }
+                }
                 if S::ENABLED {
                     if let Some(victim) = dtb.last_evicted() {
                         self.sink.emit(Event::Evict { addr: pc, victim });
@@ -901,8 +937,6 @@ impl<'m, S: TraceSink> Run<'m, S> {
                         occupancy,
                     });
                 }
-                // The way's executable line is the one the words it now
-                // stores compile to.
                 translation.load(self.machine.lib, &mut self.lines[h.way()])?;
                 h.way()
             }
@@ -917,13 +951,19 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// A first-level miss: trap to the dynamic translation routine (via
     /// DTRPOINT) — fetch the DIR instruction, decode it, generate the
     /// PSDER translation and store `copies` copies of it (one per level
-    /// it will fill).
-    fn translate_miss(&mut self, pc: u32, copies: u64) -> Result<Translation, Trap> {
+    /// it will fill). The words are built only when `words` says a level
+    /// keeps them; the charges count the length either way.
+    ///
+    /// Inlined into the miss path, so that a translation that is only a
+    /// stencil instance never goes through memory: as a call returning
+    /// it, the loop mix through a 16-entry DTB read ~24% slower.
+    #[inline(always)]
+    fn translate_miss(&mut self, pc: u32, copies: u64, words: bool) -> Result<Translation, Trap> {
         let d0 = self.metrics.cycles.decode;
         let inst = self.fetch_decode(pc)?;
-        let translation = self.translation(inst, pc + 1);
+        let translation = self.translation(inst, pc + 1, words);
         let t1 = self.costs().mem.t1;
-        let len = translation.words.len() as u64;
+        let len = translation.len() as u64;
         let gen = len * self.costs().gen_per_word;
         let store = len * self.costs().store_per_word * copies;
         self.charge(|c| &mut c.generate, gen * t1);
@@ -946,8 +986,11 @@ impl<'m, S: TraceSink> Run<'m, S> {
         let tau2 = self.costs().tau_dtb2;
         self.charge(|c| &mut c.lookup2, tau2);
         let Some(h2) = require(self.dtb2.as_mut(), NO_DTB2)?.lookup(pc) else {
-            let translation = self.translate_miss(pc, 2)?;
-            require(self.dtb2.as_mut(), NO_DTB2)?.fill(pc, &translation.words);
+            // The second level keeps the words: its hits promote them.
+            let translation = self.translate_miss(pc, 2, true)?;
+            if let Some(words) = translation.words() {
+                require(self.dtb2.as_mut(), NO_DTB2)?.fill(pc, words);
+            }
             return Ok(translation);
         };
         // Promote: read each word from L2 (tau_dtb2) and store it into L1
@@ -965,10 +1008,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
         }
         // The promoted words come from the store, not from a decoded
         // instruction: their line is compiled from them.
-        Ok(Translation {
-            words,
-            stencil: None,
-        })
+        Ok(Translation::Compiled(words))
     }
 }
 

@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 use dir::encode::SchemeKind;
 use memsim::Geometry;
-use uhm::{DtbConfig, Machine, Mode};
+use uhm::{Allocation, DtbConfig, Machine, Mode};
 
 struct Counting;
 
@@ -126,6 +126,14 @@ fn machine_runs_allocate_nothing_per_step() {
         ("dtb256", Mode::Dtb(DtbConfig::with_capacity(256))),
         ("dtb16", Mode::Dtb(DtbConfig::with_capacity(16))),
         (
+            "dtb16_overflow",
+            Mode::Dtb(DtbConfig {
+                unit_words: 2,
+                allocation: Allocation::Overflow { blocks: 8 },
+                ..DtbConfig::with_capacity(16)
+            }),
+        ),
+        (
             "two_level",
             Mode::TwoLevelDtb {
                 l1: DtbConfig::with_capacity(8),
@@ -140,7 +148,11 @@ fn machine_runs_allocate_nothing_per_step() {
         let twice = allocations(|| long.run(mode).unwrap());
         assert_eq!(once, twice, "{name}: {once} vs {twice}");
     }
-    // The small DTB really thrashes, so its miss path is exercised.
+    // The small DTBs really thrash, so their miss paths are exercised,
+    // overflow chains included.
     let dtb = short.run(&modes[3].1).unwrap().metrics.dtb.unwrap();
     assert!(dtb.evictions > u64::from(TRIPS), "{dtb:?}");
+    let overflow = short.run(&modes[4].1).unwrap().metrics.dtb.unwrap();
+    assert!(overflow.evictions > u64::from(TRIPS), "{overflow:?}");
+    assert!(overflow.overflow_peak > 0, "{overflow:?}");
 }
