@@ -101,31 +101,55 @@ pub(crate) fn basic_effect(inst: &Inst) -> Option<(u32, u32)> {
     })
 }
 
-/// A dense bitset over frame slots.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SlotSet {
-    bits: Vec<u64>,
+/// Words of a [`SlotSet`] held inline: frames of up to 256 slots, which
+/// covers every frame the compiler emits for the sample and generated
+/// programs, cost no allocation per worklist state.
+const INLINE_WORDS: usize = 4;
+
+/// A dense bitset over frame slots, inline for frames of up to
+/// `64 * INLINE_WORDS` slots and on the heap above that.
+#[derive(Debug, Clone)]
+enum SlotSet {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Vec<u64>),
 }
 
 impl SlotSet {
     fn new(n: usize) -> SlotSet {
-        SlotSet {
-            bits: vec![0; n.div_ceil(64)],
+        let words = n.div_ceil(64);
+        if words <= INLINE_WORDS {
+            SlotSet::Inline([0; INLINE_WORDS])
+        } else {
+            SlotSet::Heap(vec![0; words])
+        }
+    }
+
+    fn words(&self) -> &[u64] {
+        match self {
+            SlotSet::Inline(w) => w,
+            SlotSet::Heap(w) => w,
+        }
+    }
+
+    fn words_mut(&mut self) -> &mut [u64] {
+        match self {
+            SlotSet::Inline(w) => w,
+            SlotSet::Heap(w) => w,
         }
     }
 
     fn set(&mut self, i: usize) {
-        self.bits[i / 64] |= 1 << (i % 64);
+        self.words_mut()[i / 64] |= 1 << (i % 64);
     }
 
     fn get(&self, i: usize) -> bool {
-        self.bits[i / 64] >> (i % 64) & 1 == 1
+        self.words()[i / 64] >> (i % 64) & 1 == 1
     }
 
     /// Intersects in place; reports whether anything changed.
     fn intersect_with(&mut self, other: &SlotSet) -> bool {
         let mut changed = false;
-        for (a, b) in self.bits.iter_mut().zip(&other.bits) {
+        for (a, b) in self.words_mut().iter_mut().zip(other.words()) {
             let next = *a & b;
             changed |= next != *a;
             *a = next;
@@ -507,4 +531,56 @@ fn analyze_region(program: &Program, region: &Region, diags: &mut Vec<Diagnostic
     }
 
     max_stack
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Inline and heap sets behave as a plain `Vec<bool>` under the same
+    /// seeded sets and intersections, on either side of the inline bound.
+    #[test]
+    fn slot_sets_match_a_bool_vector_inline_and_on_the_heap() {
+        let mut x = 0x51_07_5E_7Du64;
+        for n in [
+            0usize,
+            1,
+            63,
+            64,
+            65,
+            64 * INLINE_WORDS,
+            64 * INLINE_WORDS + 1,
+            700,
+        ] {
+            let mut a = SlotSet::new(n);
+            let mut b = SlotSet::new(n);
+            assert_eq!(
+                matches!(a, SlotSet::Inline(_)),
+                n <= 64 * INLINE_WORDS,
+                "{n}"
+            );
+            let (mut ra, mut rb) = (vec![false; n], vec![false; n]);
+            for i in 0..n {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                if x >> 63 == 1 {
+                    a.set(i);
+                    ra[i] = true;
+                }
+                if (x >> 62) & 1 == 1 {
+                    b.set(i);
+                    rb[i] = true;
+                }
+            }
+            let changed = a.intersect_with(&b);
+            let want: Vec<bool> = ra.iter().zip(&rb).map(|(&p, &q)| p && q).collect();
+            assert_eq!(changed, want != ra, "{n}");
+            assert!((0..n).all(|i| a.get(i) == want[i]), "{n}");
+            assert!(
+                !a.intersect_with(&b),
+                "{n}: a second intersection changes nothing"
+            );
+        }
+    }
 }

@@ -34,27 +34,37 @@ impl BitWriter {
         self.len
     }
 
-    /// Writes the low `width` bits of `value`, MSB-first.
+    /// Writes the low `width` bits of `value`, MSB-first, a byte at a
+    /// time: the bits that complete the partial last byte, then whole
+    /// bytes, then the head of a new partial byte.
     ///
     /// # Panics
     ///
     /// Panics if `width > 64` or if `value` does not fit in `width` bits.
+    #[inline]
     pub fn write(&mut self, value: u64, width: u32) {
         assert!(width <= 64, "width {width} > 64");
         assert!(
             width == 64 || value < (1u64 << width),
             "value {value} does not fit in {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1;
-            let byte_idx = (self.len / 8) as usize;
-            if byte_idx == self.buf.len() {
-                self.buf.push(0);
-            }
-            let bit_idx = 7 - (self.len % 8) as u32;
-            self.buf[byte_idx] |= (bit as u8) << bit_idx;
-            self.len += 1;
+        let mut left = width;
+        let used = (self.len % 8) as u32;
+        if used != 0 && left != 0 {
+            let room = 8 - used;
+            let take = room.min(left);
+            left -= take;
+            let head = (value >> left) & ((1u64 << take) - 1);
+            *self.buf.last_mut().expect("a partial byte") |= (head << (room - take)) as u8;
         }
+        while left >= 8 {
+            left -= 8;
+            self.buf.push((value >> left) as u8);
+        }
+        if left != 0 {
+            self.buf.push((value << (8 - left)) as u8);
+        }
+        self.len += u64::from(width);
     }
 
     /// Writes a single bit.
@@ -354,6 +364,81 @@ mod tests {
     fn write_rejects_oversized_value() {
         let mut w = BitWriter::new();
         w.write(8, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn write_rejects_any_value_at_width_zero() {
+        let mut w = BitWriter::new();
+        w.write(1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn write_rejects_a_top_bit_past_width_63() {
+        let mut w = BitWriter::new();
+        w.write(1 << 63, 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "width 65 > 64")]
+    fn write_rejects_widths_above_64() {
+        let mut w = BitWriter::new();
+        w.write(0, 65);
+    }
+
+    /// The bit-at-a-time writer [`BitWriter::write`] replaced, kept as
+    /// its oracle: one bit per iteration, growing the buffer a byte at a
+    /// time.
+    fn write_bitwise(buf: &mut Vec<u8>, len: &mut u64, value: u64, width: u32) {
+        for i in (0..width).rev() {
+            let bit = (value >> i) & 1;
+            let byte_idx = (*len / 8) as usize;
+            if byte_idx == buf.len() {
+                buf.push(0);
+            }
+            let bit_idx = 7 - (*len % 8) as u32;
+            buf[byte_idx] |= (bit as u8) << bit_idx;
+            *len += 1;
+        }
+    }
+
+    /// Seeded (value, width) sequences over every width 0..=64, at every
+    /// alignment: the byte-stepping writer leaves the oracle's bytes and
+    /// bit length after each write.
+    #[test]
+    fn writer_matches_the_bitwise_oracle() {
+        let mut x = 0x2545F4914F6CDD1Du64;
+        for seed_round in 0..8u32 {
+            let mut w = BitWriter::new();
+            let (mut buf, mut len) = (Vec::new(), 0u64);
+            for _ in 0..600 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let width = (x % 65) as u32;
+                let raw = x.rotate_left(seed_round * 8 + 5);
+                let value = if width == 64 {
+                    raw
+                } else {
+                    raw & ((1u64 << width) - 1)
+                };
+                w.write(value, width);
+                write_bitwise(&mut buf, &mut len, value, width);
+                assert_eq!(w.bit_len(), len);
+                assert_eq!(w.buf, buf, "after writing {value:#x} in {width} bits");
+            }
+            for width in 0..=64 {
+                let value = if width == 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << width) - 1
+                };
+                w.write(value, width);
+                write_bitwise(&mut buf, &mut len, value, width);
+            }
+            assert_eq!(w.finish(), (buf, len));
+        }
     }
 
     #[test]

@@ -29,9 +29,10 @@ impl Scheme for Contextual {
         let tables = ContextTables::build(program);
         let mut w = BitWriter::new();
         let mut offsets = Vec::with_capacity(program.code.len());
+        let mut cursor = 0usize;
         for (i, inst) in program.code.iter().enumerate() {
             offsets.push(w.bit_len());
-            let region = tables.region_of(i as u32);
+            let region = tables.region_at(&mut cursor, i as u32);
             w.write(inst.opcode() as u64, opcode_bits());
             write_fields(&mut w, inst, region);
         }

@@ -33,9 +33,10 @@ impl Scheme for HuffmanScheme {
         let tree = Tree::from_frequencies(&program.opcode_histogram());
         let mut w = BitWriter::new();
         let mut offsets = Vec::with_capacity(program.code.len());
+        let mut cursor = 0usize;
         for (i, inst) in program.code.iter().enumerate() {
             offsets.push(w.bit_len());
-            let region = tables.region_of(i as u32);
+            let region = tables.region_at(&mut cursor, i as u32);
             tree.encode(inst.opcode() as usize, &mut w);
             write_fields(&mut w, inst, region);
         }

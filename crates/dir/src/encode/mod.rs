@@ -533,8 +533,8 @@ impl Image {
             .copied()
             .unwrap_or(self.bit_len);
         let end = end.max(start + 1);
-        let first = start / word_bits as u64;
-        let last = (end - 1) / word_bits as u64;
+        let first = word_index(start, word_bits);
+        let last = word_index(end - 1, word_bits);
         (last - first + 1) as u32
     }
 
@@ -584,6 +584,22 @@ impl Image {
         index: u32,
         mode: DecodeMode,
     ) -> Result<Decoded, ImageError> {
+        self.decode_in(bytes, index, mode, |tables| tables.position_of(index))
+    }
+
+    /// [`Image::decode_with`] with the contour region found by `at`, the
+    /// position in [`ContextTables::regions`] of the region that holds
+    /// `index`: a binary search for one address, a cursor for a pass over
+    /// every address. Decodes from the offset the image records for
+    /// `index`, whatever the instructions before it consumed.
+    #[inline(always)]
+    fn decode_in(
+        &self,
+        bytes: &[u8],
+        index: u32,
+        mode: DecodeMode,
+        at: impl FnOnce(&ContextTables) -> usize,
+    ) -> Result<Decoded, ImageError> {
         let offset = *self
             .offsets
             .get(index as usize)
@@ -593,10 +609,10 @@ impl Image {
             DecoderData::Byte => byte::decode(&mut reader, mode)?,
             DecoderData::Packed(widths) => packed::decode(&mut reader, widths, mode)?,
             DecoderData::Contextual(tables) => {
-                contextual::decode(&mut reader, tables.region_of(index), mode)?
+                contextual::decode(&mut reader, &tables.regions[at(tables)], mode)?
             }
             DecoderData::Huffman { tree, tables, tpls } => {
-                let at = tables.position_of(index);
+                let at = at(tables);
                 let region = &tables.regions[at];
                 match mode {
                     DecodeMode::Tree => huffman_scheme::decode(&mut reader, tree, region, mode)?,
@@ -615,7 +631,7 @@ impl Image {
                 ctx,
                 global,
                 preds,
-                tables.region_of(index),
+                &tables.regions[at(tables)],
                 index,
                 mode,
             )?,
@@ -630,7 +646,7 @@ impl Image {
                 ctx,
                 global,
                 preds,
-                tables.region_of(index),
+                &tables.regions[at(tables)],
                 values,
                 index,
                 mode,
@@ -829,15 +845,26 @@ impl Image {
         Ok(out)
     }
 
-    /// Decodes the whole image back to the instruction sequence.
+    /// Decodes the whole image back to the instruction sequence, each
+    /// instruction from the offset the image records for it, as the
+    /// machine fetches it: [`Image::decode`] at every address, with the
+    /// contour regions walked by a cursor instead of searched per
+    /// address. The load proof pins this against the program, so every
+    /// recorded offset is proved to start the instruction it names.
     ///
     /// # Errors
     ///
     /// Returns the first decode failure.
     pub fn decode_all(&self) -> Result<Vec<Inst>, ImageError> {
-        (0..self.len() as u32)
-            .map(|i| self.decode(i).map(|d| d.inst))
-            .collect()
+        let mut code = Vec::with_capacity(self.len());
+        let mut cursor = 0usize;
+        for index in 0..self.len() as u32 {
+            let decoded = self.decode_in(&self.bytes, index, self.mode, |tables| {
+                tables.position_at(&mut cursor, index)
+            })?;
+            code.push(decoded.inst);
+        }
+        Ok(code)
     }
 
     /// Statically validates this image's decoder-side tables: Huffman
@@ -911,6 +938,23 @@ impl Image {
             .map(|i| self.decode(i).expect("self-produced image decodes").cost as u64)
             .sum();
         total as f64 / self.len() as f64
+    }
+}
+
+/// Index of the `word_bits`-sized memory word that holds bit `bit`: a
+/// shift when `word_bits` is a power of two (32 by default), a division
+/// otherwise. Every fetch counts words, so a division's latency would be
+/// paid on each interpreted step and each DTB miss.
+///
+/// # Panics
+///
+/// Panics if `word_bits` is zero.
+#[inline]
+pub fn word_index(bit: u64, word_bits: u32) -> u64 {
+    if word_bits.is_power_of_two() {
+        bit >> word_bits.trailing_zeros()
+    } else {
+        bit / u64::from(word_bits)
     }
 }
 
@@ -1043,18 +1087,25 @@ impl ContextTables {
     /// Region containing `index`, found by advancing a monotone cursor —
     /// O(1) amortized for a sequential pass, where [`Self::region_of`]'s
     /// binary search would repeat per instruction. `index` must be
-    /// non-decreasing across calls with the same cursor.
+    /// non-decreasing across calls with the same cursor; panics as
+    /// [`ContextTables::region_of`] does.
     #[inline]
     pub fn region_at(&self, cursor: &mut usize, index: u32) -> &Region {
+        &self.regions[self.position_at(cursor, index)]
+    }
+
+    /// Position of the region [`ContextTables::region_at`] returns.
+    #[inline]
+    pub(crate) fn position_at(&self, cursor: &mut usize, index: u32) -> usize {
         while index >= self.regions[*cursor].end && *cursor + 1 < self.regions.len() {
             *cursor += 1;
         }
         let r = &self.regions[*cursor];
-        debug_assert!(
+        assert!(
             r.start <= index && index < r.end,
             "instruction {index} outside all regions"
         );
-        r
+        *cursor
     }
 
     /// Total bits of all width tables plus region bounds (two 32-bit words
@@ -1256,6 +1307,45 @@ mod tests {
             total += w;
         }
         assert!(total as u64 >= image.bit_len / 32);
+    }
+
+    /// The shift [`word_index`] takes for power-of-two word sizes and the
+    /// division it takes otherwise agree with plain division, and so do
+    /// the word counts [`Image::fetch_words`] derives from them.
+    #[test]
+    fn word_index_shift_agrees_with_division() {
+        let mut bits: Vec<u64> = (0..300).collect();
+        bits.extend([1 << 20, (1 << 32) + 7, u64::MAX / 3, u64::MAX - 1, u64::MAX]);
+        for word_bits in [8u32, 16, 32, 64, 24] {
+            for &bit in &bits {
+                assert_eq!(
+                    word_index(bit, word_bits),
+                    bit / u64::from(word_bits),
+                    "bit {bit}, {word_bits}-bit words"
+                );
+            }
+        }
+        let p = compile(&hlr::programs::QUEENS.compile().unwrap());
+        for kind in SchemeKind::all() {
+            let image = kind.encode(&p);
+            for word_bits in [8u32, 16, 32, 64, 24] {
+                for i in 0..image.len() as u32 {
+                    let start = image.offsets[i as usize];
+                    let end = image
+                        .offsets
+                        .get(i as usize + 1)
+                        .copied()
+                        .unwrap_or(image.bit_len)
+                        .max(start + 1);
+                    let want = (end - 1) / u64::from(word_bits) - start / u64::from(word_bits) + 1;
+                    assert_eq!(
+                        u64::from(image.fetch_words(i, word_bits)),
+                        want,
+                        "{kind} instruction {i}, {word_bits}-bit words"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

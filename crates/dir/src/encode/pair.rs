@@ -125,9 +125,10 @@ impl Scheme for PairHuffman {
 
         let mut w = BitWriter::new();
         let mut offsets = Vec::with_capacity(program.code.len());
+        let mut cursor = 0usize;
         for (i, inst) in program.code.iter().enumerate() {
             offsets.push(w.bit_len());
-            let region = tables.region_of(i as u32);
+            let region = tables.region_at(&mut cursor, i as u32);
             ctx[preds[i] as usize].encode(inst.opcode(), &global, &mut w);
             write_fields(&mut w, inst, region);
         }

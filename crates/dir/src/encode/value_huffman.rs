@@ -148,8 +148,9 @@ impl Scheme for ValueHuffman {
 
         // Value statistics per field kind (rebased).
         let mut value_freqs: Vec<HashMap<u64, u64>> = vec![HashMap::new(); FIELD_KINDS.len()];
+        let mut cursor = 0usize;
         for (i, inst) in program.code.iter().enumerate() {
-            let region = tables.region_of(i as u32);
+            let region = tables.region_at(&mut cursor, i as u32);
             for (kind, value) in inst.opcode().field_kinds().iter().zip(inst.fields()) {
                 *value_freqs[kind.index()]
                     .entry(rebase(*kind, value, region))
@@ -160,9 +161,10 @@ impl Scheme for ValueHuffman {
 
         let mut w = BitWriter::new();
         let mut offsets = Vec::with_capacity(program.code.len());
+        let mut cursor = 0usize;
         for (i, inst) in program.code.iter().enumerate() {
             offsets.push(w.bit_len());
-            let region = tables.region_of(i as u32);
+            let region = tables.region_at(&mut cursor, i as u32);
             ctx[preds[i] as usize].encode(inst.opcode(), &global, &mut w);
             for (kind, value) in inst.opcode().field_kinds().iter().zip(inst.fields()) {
                 values[kind.index()].encode(

@@ -78,47 +78,35 @@ impl Tree {
             };
         }
         // Huffman's algorithm with a simple sorted work list (alphabets here
-        // are tiny, so O(n^2) is irrelevant).
-        #[derive(Debug)]
-        enum Node {
-            Leaf(usize),
-            Internal(Box<Node>, Box<Node>),
-        }
-        let mut work: Vec<(u64, u64, Node)> = freqs
-            .iter()
-            .enumerate()
-            .map(|(i, &f)| (f.max(1), i as u64, Node::Leaf(i)))
-            .collect();
-        let mut tiebreak = n as u64;
+        // are tiny, so O(n^2) is irrelevant). Leaves are nodes `0..n`; each
+        // merge makes the next node, whose number is also its tiebreak, and
+        // records it as its two children's parent.
+        let mut work: Vec<(u64, usize)> = freqs.iter().map(|&f| f.max(1)).zip(0..n).collect();
+        let mut parent = vec![0usize; 2 * n - 1];
+        let mut next = n;
         while work.len() > 1 {
             // Stable selection: lowest frequency, then lowest tiebreak, so
             // the tree is deterministic.
-            work.sort_by_key(|&(f, t, _)| (f, t));
-            let (f1, _, n1) = work.remove(0);
-            let (f2, _, n2) = work.remove(0);
-            work.push((
-                f1 + f2,
-                tiebreak,
-                Node::Internal(Box::new(n1), Box::new(n2)),
-            ));
-            tiebreak += 1;
+            work.sort_unstable();
+            let (f1, n1) = work.remove(0);
+            let (f2, n2) = work.remove(0);
+            parent[n1] = next;
+            parent[n2] = next;
+            work.push((f1 + f2, next));
+            next += 1;
         }
-        let root = work.pop().expect("work list non-empty").2;
 
         // Only the code *lengths* come from the tree shape; bit patterns
         // are reassigned canonically below. Lengths alone determine every
-        // modeled quantity (program bits, decode levels, Kraft sum).
-        let mut lengths = vec![0u32; n];
-        fn depths(node: &Node, depth: u32, lengths: &mut [u32]) {
-            match node {
-                Node::Leaf(sym) => lengths[*sym] = depth.max(1),
-                Node::Internal(l, r) => {
-                    depths(l, depth + 1, lengths);
-                    depths(r, depth + 1, lengths);
-                }
-            }
+        // modeled quantity (program bits, decode levels, Kraft sum). A
+        // parent is always numbered above its children, so one pass down
+        // from the root (the last node) gives every node its depth.
+        let root = 2 * n - 2;
+        let mut depth = vec![0u32; 2 * n - 1];
+        for node in (0..root).rev() {
+            depth[node] = depth[parent[node]] + 1;
         }
-        depths(&root, 0, &mut lengths);
+        let lengths: Vec<u32> = depth[..n].iter().map(|&d| d.max(1)).collect();
 
         // Canonical assignment: symbols sorted by (length, symbol) receive
         // consecutive codes, left-shifted at each length increase. Kraft

@@ -314,6 +314,34 @@ pub const OPCODE_COUNT: usize = 25;
 /// stack instead of in a heap `Vec`, so they need the bound.
 pub const MAX_FIELDS: usize = 4;
 
+/// An instruction's encoded operand fields ([`Inst::fields`]): up to
+/// [`MAX_FIELDS`] values held inline, read as a slice of exactly the
+/// opcode's field count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fields {
+    values: [u64; MAX_FIELDS],
+    len: u8,
+}
+
+impl std::ops::Deref for Fields {
+    type Target = [u64];
+
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        &self.values[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Fields {
+    type Item = u64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<u64, MAX_FIELDS>>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.values.into_iter().take(self.len as usize)
+    }
+}
+
 /// All opcodes in discriminant order.
 pub const OPCODES: [Opcode; OPCODE_COUNT] = [
     Opcode::PushConst,
@@ -522,8 +550,7 @@ impl Inst {
     /// The operand-field values of this instruction in schema order, as
     /// plain numbers: slots, lengths, targets and procedures widened,
     /// immediates as they are, an [`AluOp`] as its discriminant. Entries
-    /// past the opcode's field count are zero. Unlike [`Inst::fields`] it
-    /// allocates nothing, so per-step callers can read operands with it.
+    /// past the opcode's field count are zero.
     #[inline]
     pub fn operands(self) -> [i64; MAX_FIELDS] {
         let u = i64::from;
@@ -562,17 +589,22 @@ impl Inst {
 
     /// The operand-field values of this instruction, in schema order, as
     /// the encoders write them: [`Inst::operands`] with immediates
-    /// zigzag-encoded.
-    pub fn fields(self) -> Vec<u64> {
-        self.opcode()
-            .field_kinds()
-            .iter()
-            .zip(self.operands())
-            .map(|(&kind, v)| match kind {
+    /// zigzag-encoded. Held inline, so encoding an instruction allocates
+    /// nothing.
+    #[inline]
+    pub fn fields(self) -> Fields {
+        let kinds = self.opcode().field_kinds();
+        let mut values = [0u64; MAX_FIELDS];
+        for ((out, &kind), v) in values.iter_mut().zip(kinds).zip(self.operands()) {
+            *out = match kind {
                 FieldKind::Imm => zigzag(v),
                 _ => v as u64,
-            })
-            .collect()
+            };
+        }
+        Fields {
+            values,
+            len: kinds.len() as u8,
+        }
     }
 
     /// Reassembles an instruction from an opcode and raw field values (the
@@ -784,7 +816,7 @@ mod tests {
             let kinds = inst.opcode().field_kinds();
             let operands = inst.operands();
             assert!(operands[kinds.len()..].iter().all(|&v| v == 0), "{inst:?}");
-            for ((&kind, &field), &v) in kinds.iter().zip(&inst.fields()).zip(&operands) {
+            for ((&kind, field), &v) in kinds.iter().zip(inst.fields()).zip(&operands) {
                 let want = if kind == FieldKind::Imm {
                     unzigzag(field)
                 } else {

@@ -40,7 +40,9 @@ impl<'a> Lexer<'a> {
     }
 
     fn run(mut self) -> Result<Vec<Token>> {
-        let mut tokens = Vec::new();
+        // Formatted RAUL averages about four bytes a token, so this
+        // capacity usually holds every token without regrowing the buffer.
+        let mut tokens = Vec::with_capacity(self.src.len() / 3 + 1);
         loop {
             self.skip_trivia();
             let start = self.pos;

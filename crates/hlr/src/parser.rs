@@ -66,26 +66,36 @@ impl Parser {
         &self.tokens[self.pos].kind
     }
 
-    fn peek2(&self) -> &TokenKind {
-        let i = (self.pos + 1).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
-    }
-
     fn span(&self) -> Span {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Advances past the current token; the last token, end of input,
+    /// is never passed.
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
+    /// Moves the name out of the current token if it is an identifier,
+    /// and advances past it. The parser never looks back at a token it
+    /// has passed, so each name keeps the one `String` the lexer made.
+    fn take_name(&mut self) -> Option<String> {
+        match &mut self.tokens[self.pos].kind {
+            TokenKind::Ident(name) => {
+                let name = std::mem::take(name);
+                self.bump();
+                Some(name)
+            }
+            _ => None,
+        }
+    }
+
+    fn expect(&mut self, kind: &TokenKind) -> Result<()> {
         if self.peek() == kind {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             Err(Error::parse(
                 format!("expected {}, found {}", kind.describe(), self.peek()),
@@ -95,14 +105,12 @@ impl Parser {
     }
 
     fn ident(&mut self) -> Result<(String, Span)> {
-        match self.peek().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
-            }
-            other => Err(Error::parse(
-                format!("expected identifier, found {other}"),
-                self.span(),
+        let span = self.span();
+        match self.take_name() {
+            Some(name) => Ok((name, span)),
+            None => Err(Error::parse(
+                format!("expected identifier, found {}", self.peek()),
+                span,
             )),
         }
     }
@@ -194,14 +202,14 @@ impl Parser {
                 return Err(Error::parse("only integer arrays are supported", start));
             }
             self.bump();
-            let len = match self.peek().clone() {
+            let len = match *self.peek() {
                 TokenKind::Int(n) if n > 0 && n <= u32::MAX as i64 => {
                     self.bump();
                     n as u32
                 }
-                other => {
+                _ => {
                     return Err(Error::parse(
-                        format!("expected positive array length, found {other}"),
+                        format!("expected positive array length, found {}", self.peek()),
                         self.span(),
                     ))
                 }
@@ -250,7 +258,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt> {
         let start = self.span();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::If => {
                 self.bump();
                 let cond = self.expr()?;
@@ -344,8 +352,8 @@ impl Parser {
                     span: start.merge(end),
                 })
             }
-            TokenKind::Ident(name) => {
-                self.bump();
+            TokenKind::Ident(_) => {
+                let (name, _) = self.ident()?;
                 if self.peek() == &TokenKind::LBracket {
                     self.bump();
                     let index = self.expr()?;
@@ -529,7 +537,7 @@ impl Parser {
 
     fn primary(&mut self) -> Result<Expr> {
         let start = self.span();
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v, start))
@@ -548,17 +556,16 @@ impl Parser {
                 self.expect(&TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident(name) => {
-                if self.peek2() == &TokenKind::LParen {
-                    self.bump();
+            TokenKind::Ident(_) => {
+                let (name, _) = self.ident()?;
+                if self.peek() == &TokenKind::LParen {
                     let args = self.call_args()?;
                     Ok(Expr::Call {
                         name,
                         args,
                         span: start,
                     })
-                } else if self.peek2() == &TokenKind::LBracket {
-                    self.bump();
+                } else if self.peek() == &TokenKind::LBracket {
                     self.bump();
                     let index = self.expr()?;
                     let end = self.span();
@@ -569,12 +576,11 @@ impl Parser {
                         span: start.merge(end),
                     })
                 } else {
-                    self.bump();
                     Ok(Expr::Var(name, start))
                 }
             }
-            other => Err(Error::parse(
-                format!("expected expression, found {other}"),
+            _ => Err(Error::parse(
+                format!("expected expression, found {}", self.peek()),
                 start,
             )),
         }

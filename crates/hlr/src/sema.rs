@@ -52,17 +52,24 @@ struct Signature {
     ret: Option<Type>,
 }
 
-struct Analyzer {
-    proc_index: HashMap<String, usize>,
+/// Names are borrowed from the AST: resolution copies no name.
+struct Analyzer<'a> {
+    proc_index: HashMap<&'a str, usize>,
     signatures: Vec<Signature>,
-    globals: HashMap<String, Binding>,
+    globals: HashMap<&'a str, Binding>,
     globals_size: u32,
 }
 
 /// Per-procedure resolution state.
-struct ProcCtx {
-    /// Stack of contours; each maps name -> binding.
-    scopes: Vec<HashMap<String, Binding>>,
+struct ProcCtx<'a> {
+    /// Every binding visible in the open contours, outermost first: a
+    /// lookup scans from the innermost end, so a contour's names shadow
+    /// its enclosing contours'. A procedure has few names in scope at a
+    /// time, so the scan is shorter than hashing the name once per open
+    /// contour.
+    names: Vec<(&'a str, Binding)>,
+    /// Where each open contour's bindings start in `names`.
+    scopes: Vec<usize>,
     /// Next free frame slot.
     watermark: u32,
     /// High-water mark = frame size.
@@ -74,21 +81,38 @@ struct ProcCtx {
     max_visible_slots: u32,
 }
 
-impl ProcCtx {
+impl<'a> ProcCtx<'a> {
+    /// A context with no contour open.
+    fn new(ret: Option<Type>) -> Self {
+        ProcCtx {
+            names: Vec::new(),
+            scopes: Vec::new(),
+            watermark: 0,
+            frame_size: 0,
+            ret,
+            contour_count: 0,
+            max_visible_slots: 0,
+        }
+    }
+
     fn push_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(self.names.len());
         self.contour_count += 1;
     }
 
     fn pop_scope(&mut self) {
-        let scope = self.scopes.pop().expect("scope stack underflow");
-        let released: u32 = scope.values().map(|b| b.ty.slot_count()).sum();
+        let start = self.scopes.pop().expect("scope stack underflow");
+        let released: u32 = self.names[start..]
+            .iter()
+            .map(|(_, b)| b.ty.slot_count())
+            .sum();
+        self.names.truncate(start);
         self.watermark -= released;
     }
 
-    fn declare(&mut self, name: &str, ty: Type, span: Span) -> Result<Binding> {
-        let scope = self.scopes.last_mut().expect("no open scope");
-        if scope.contains_key(name) {
+    fn declare(&mut self, name: &'a str, ty: Type, span: Span) -> Result<Binding> {
+        let start = *self.scopes.last().expect("no open scope");
+        if self.names[start..].iter().any(|&(n, _)| n == name) {
             return Err(Error::sema(
                 format!("`{name}` is already declared in this contour"),
                 span,
@@ -102,24 +126,25 @@ impl ProcCtx {
         self.watermark += ty.slot_count();
         self.frame_size = self.frame_size.max(self.watermark);
         self.max_visible_slots = self.max_visible_slots.max(self.watermark);
-        scope.insert(name.to_string(), binding);
+        self.names.push((name, binding));
         Ok(binding)
     }
 
     fn lookup(&self, name: &str) -> Option<Binding> {
-        self.scopes
+        self.names
             .iter()
             .rev()
-            .find_map(|scope| scope.get(name).copied())
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, b)| b)
     }
 }
 
-impl Analyzer {
-    fn new(program: &ast::Program) -> Result<Self> {
+impl<'a> Analyzer<'a> {
+    fn new(program: &'a ast::Program) -> Result<Self> {
         let mut proc_index = HashMap::new();
         let mut signatures = Vec::new();
         for (i, p) in program.procs.iter().enumerate() {
-            if proc_index.insert(p.name.clone(), i).is_some() {
+            if proc_index.insert(p.name.as_str(), i).is_some() {
                 return Err(Error::sema(
                     format!("duplicate procedure `{}`", p.name),
                     p.span,
@@ -143,13 +168,13 @@ impl Analyzer {
         })
     }
 
-    fn run(mut self, program: &ast::Program) -> Result<hir::Program> {
+    fn run(mut self, program: &'a ast::Program) -> Result<hir::Program> {
         // Globals: assign slots and collect initialiser statements. The
         // initialisers may not call procedures or reference other variables
         // declared later; we enforce "only already-declared globals".
         let mut global_init = Vec::new();
         for decl in &program.globals {
-            if self.globals.contains_key(&decl.name) {
+            if self.globals.contains_key(decl.name.as_str()) {
                 return Err(Error::sema(
                     format!("duplicate global `{}`", decl.name),
                     decl.span,
@@ -163,14 +188,8 @@ impl Analyzer {
             self.globals_size += decl.ty.slot_count();
             if let Some(init) = &decl.init {
                 // Type-check the initialiser in a context with no locals.
-                let mut ctx = ProcCtx {
-                    scopes: vec![HashMap::new()],
-                    watermark: 0,
-                    frame_size: 0,
-                    ret: None,
-                    contour_count: 0,
-                    max_visible_slots: 0,
-                };
+                let mut ctx = ProcCtx::new(None);
+                ctx.push_scope();
                 let (expr, ty) = self.expr(init, &mut ctx)?;
                 if ty != decl.ty {
                     return Err(Error::sema(
@@ -186,7 +205,7 @@ impl Analyzer {
                     value: expr,
                 });
             }
-            self.globals.insert(decl.name.clone(), binding);
+            self.globals.insert(&decl.name, binding);
         }
 
         let mut procs = Vec::new();
@@ -214,15 +233,8 @@ impl Analyzer {
         })
     }
 
-    fn proc_decl(&mut self, p: &ast::ProcDecl) -> Result<hir::Proc> {
-        let mut ctx = ProcCtx {
-            scopes: Vec::new(),
-            watermark: 0,
-            frame_size: 0,
-            ret: p.ret,
-            contour_count: 0,
-            max_visible_slots: 0,
-        };
+    fn proc_decl(&self, p: &'a ast::ProcDecl) -> Result<hir::Proc> {
+        let mut ctx = ProcCtx::new(p.ret);
         ctx.push_scope();
         for param in &p.params {
             ctx.declare(&param.name, param.ty, param.span)?;
@@ -242,7 +254,7 @@ impl Analyzer {
 
     /// Lowers a block: declarations become explicit stores, statements are
     /// flattened into a `Vec<hir::Stmt>`.
-    fn block(&mut self, block: &ast::Block, ctx: &mut ProcCtx) -> Result<Vec<hir::Stmt>> {
+    fn block(&self, block: &'a ast::Block, ctx: &mut ProcCtx<'a>) -> Result<Vec<hir::Stmt>> {
         ctx.push_scope();
         let mut out = Vec::new();
         for decl in &block.decls {
@@ -279,13 +291,13 @@ impl Analyzer {
         Ok(out)
     }
 
-    fn resolve_var(&self, name: &str, ctx: &ProcCtx, span: Span) -> Result<Binding> {
+    fn resolve_var(&self, name: &str, ctx: &ProcCtx<'a>, span: Span) -> Result<Binding> {
         ctx.lookup(name)
             .or_else(|| self.globals.get(name).copied())
             .ok_or_else(|| Error::sema(format!("unknown variable `{name}`"), span))
     }
 
-    fn scalar_ref(&self, name: &str, ctx: &ProcCtx, span: Span) -> Result<(hir::VarRef, Type)> {
+    fn scalar_ref(&self, name: &str, ctx: &ProcCtx<'a>, span: Span) -> Result<(hir::VarRef, Type)> {
         let b = self.resolve_var(name, ctx, span)?;
         if !b.ty.is_scalar() {
             return Err(Error::sema(
@@ -301,7 +313,7 @@ impl Analyzer {
         Ok((var, b.ty))
     }
 
-    fn array_ref(&self, name: &str, ctx: &ProcCtx, span: Span) -> Result<hir::ArrRef> {
+    fn array_ref(&self, name: &str, ctx: &ProcCtx<'a>, span: Span) -> Result<hir::ArrRef> {
         let b = self.resolve_var(name, ctx, span)?;
         match b.ty {
             Type::IntArray(len) => Ok(hir::ArrRef {
@@ -316,7 +328,7 @@ impl Analyzer {
         }
     }
 
-    fn stmt(&mut self, stmt: &ast::Stmt, ctx: &mut ProcCtx) -> Result<hir::Stmt> {
+    fn stmt(&self, stmt: &'a ast::Stmt, ctx: &mut ProcCtx<'a>) -> Result<hir::Stmt> {
         match stmt {
             ast::Stmt::Assign { name, value, span } => {
                 let (var, ty) = self.scalar_ref(name, ctx, *span)?;
@@ -387,7 +399,7 @@ impl Analyzer {
             ast::Stmt::Block(b) => Ok(hir::Stmt::Block(self.block(b, ctx)?)),
             ast::Stmt::Call { name, args, span } => {
                 let (proc, sig) = self.resolve_proc(name, *span)?;
-                let args = self.check_args(name, &sig, args, ctx, *span)?;
+                let args = self.check_args(name, sig, args, ctx, *span)?;
                 Ok(hir::Stmt::CallStmt {
                     proc,
                     args,
@@ -422,27 +434,27 @@ impl Analyzer {
 
     /// Lowers a single statement used as a loop/branch body into a statement
     /// list, splicing blocks inline (their contour is still honoured).
-    fn stmt_as_body(&mut self, stmt: &ast::Stmt, ctx: &mut ProcCtx) -> Result<Vec<hir::Stmt>> {
+    fn stmt_as_body(&self, stmt: &'a ast::Stmt, ctx: &mut ProcCtx<'a>) -> Result<Vec<hir::Stmt>> {
         match stmt {
             ast::Stmt::Block(b) => self.block(b, ctx),
             other => Ok(vec![self.stmt(other, ctx)?]),
         }
     }
 
-    fn resolve_proc(&self, name: &str, span: Span) -> Result<(usize, Signature)> {
+    fn resolve_proc(&self, name: &str, span: Span) -> Result<(usize, &Signature)> {
         let idx = *self
             .proc_index
             .get(name)
             .ok_or_else(|| Error::sema(format!("unknown procedure `{name}`"), span))?;
-        Ok((idx, self.signatures[idx].clone()))
+        Ok((idx, &self.signatures[idx]))
     }
 
     fn check_args(
-        &mut self,
+        &self,
         name: &str,
         sig: &Signature,
-        args: &[ast::Expr],
-        ctx: &mut ProcCtx,
+        args: &'a [ast::Expr],
+        ctx: &mut ProcCtx<'a>,
         span: Span,
     ) -> Result<Vec<hir::Expr>> {
         if args.len() != sig.params.len() {
@@ -469,7 +481,7 @@ impl Analyzer {
         Ok(out)
     }
 
-    fn int_expr(&mut self, e: &ast::Expr, ctx: &mut ProcCtx) -> Result<hir::Expr> {
+    fn int_expr(&self, e: &'a ast::Expr, ctx: &mut ProcCtx<'a>) -> Result<hir::Expr> {
         let (expr, ty) = self.expr(e, ctx)?;
         if ty != Type::Int {
             return Err(Error::sema(format!("expected int, found {ty}"), e.span()));
@@ -477,7 +489,7 @@ impl Analyzer {
         Ok(expr)
     }
 
-    fn bool_expr(&mut self, e: &ast::Expr, ctx: &mut ProcCtx) -> Result<hir::Expr> {
+    fn bool_expr(&self, e: &'a ast::Expr, ctx: &mut ProcCtx<'a>) -> Result<hir::Expr> {
         let (expr, ty) = self.expr(e, ctx)?;
         if ty != Type::Bool {
             return Err(Error::sema(format!("expected bool, found {ty}"), e.span()));
@@ -485,7 +497,7 @@ impl Analyzer {
         Ok(expr)
     }
 
-    fn expr(&mut self, e: &ast::Expr, ctx: &mut ProcCtx) -> Result<(hir::Expr, Type)> {
+    fn expr(&self, e: &'a ast::Expr, ctx: &mut ProcCtx<'a>) -> Result<(hir::Expr, Type)> {
         match e {
             ast::Expr::Int(v, _) => Ok((hir::Expr::Int(*v), Type::Int)),
             ast::Expr::Bool(b, _) => Ok((hir::Expr::Bool(*b), Type::Bool)),
@@ -512,7 +524,7 @@ impl Analyzer {
                         *span,
                     )
                 })?;
-                let args = self.check_args(name, &sig, args, ctx, *span)?;
+                let args = self.check_args(name, sig, args, ctx, *span)?;
                 Ok((hir::Expr::Call { proc, args }, ret))
             }
             ast::Expr::Binary { op, lhs, rhs, span } => {

@@ -24,7 +24,7 @@
 //! whose hits promote them. The DTB is the only place a translation is
 //! kept, as in the paper.
 
-use dir::encode::{DecodeMode, Image, SchemeKind};
+use dir::encode::{word_index, DecodeMode, Image, SchemeKind};
 use dir::exec::Trap;
 use dir::program::Program;
 use memsim::{Access, Geometry, SetAssocCache};
@@ -667,7 +667,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
         match &mut self.icache {
             Some(cache) => {
                 // Cache individual level-2 words of the instruction stream.
-                let first = image.offsets[pc as usize] / word_bits as u64;
+                let first = word_index(image.offsets[pc as usize], word_bits);
                 let mut fetch = 0u64;
                 for w in 0..words as u64 {
                     fetch += match cache.access(first + w) {
