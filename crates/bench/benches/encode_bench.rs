@@ -8,8 +8,12 @@
 //! that workload uses and `verify`. Its `cold/part/*` rows time pieces
 //! on their own: the Huffman codebook and the contour tables the encoder
 //! builds, and the image clone the `verify` row includes. The
-//! `encode/*`, `decode_all/*` and `decode_one/*` groups time each scheme
-//! on a sample program. Run it with
+//! `encode/*` and `decode_all/*` groups time each scheme on a sample
+//! program. The `decode_at/*` group times one decode at an address, as a
+//! machine decodes on each interpreted step or DTB miss: each iteration
+//! decodes the next address of the sample's image in a fixed seeded
+//! shuffle of all of them, so neither the address nor the decoder's
+//! branches repeat from one iteration to the next. Run it with
 //! `cargo bench -p uhm-bench --bench encode_bench` (add `-- --json` for
 //! a report).
 
@@ -20,6 +24,19 @@ use uhm_bench::timing::Harness;
 
 /// Seed of the fixed cold program.
 const COLD_SEED: u64 = 1978;
+
+/// Seed of the `decode_at/*` address shuffle.
+const SHUFFLE_SEED: u64 = 0xDEC0DE;
+
+/// Every index below `n` once, in a Fisher–Yates shuffle from `seed`.
+fn shuffled(n: usize, seed: u64) -> Vec<u32> {
+    let mut rng = hlr::rng::Rng::new(seed);
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        order.swap(i, rng.range_usize(0, i + 1));
+    }
+    order
+}
 
 /// The pretty-printed source of the fixed cold program.
 fn cold_source() -> String {
@@ -90,9 +107,12 @@ fn main() {
 
     for scheme in SchemeKind::all() {
         let image = scheme.encode(&prog);
-        let mid = (image.len() / 2) as u32;
-        h.bench(&format!("decode_one/{}", scheme.label()), || {
-            black_box(image.decode(black_box(mid)).expect("valid index"))
+        let order = shuffled(image.len(), SHUFFLE_SEED);
+        let mut next = 0usize;
+        h.bench(&format!("decode_at/{}", scheme.label()), || {
+            let index = order[next];
+            next = if next + 1 == order.len() { 0 } else { next + 1 };
+            black_box(image.decode(black_box(index)).expect("valid index"))
         });
     }
 

@@ -6,14 +6,17 @@
 //! Wilner/Hehner compaction percentages are measured against.
 
 use crate::bitstream::{BitReader, BitWriter, BitsExhausted};
-use crate::isa::{FieldKind, Inst, Opcode};
+use crate::isa::{FieldKind, Inst, Opcode, FIELD_KINDS};
 use crate::program::Program;
 
-use super::{DecodeMode, Decoded, DecoderData, Image, ImageError, Scheme, SchemeKind};
+use super::{DecodeMode, Decoded, DecoderData, FieldWidths, Image, ImageError, Scheme, SchemeKind};
 
 /// The byte-aligned scheme (unit struct; it has no parameters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ByteAligned;
+
+/// Width in bits of the opcode field.
+pub(super) const OPCODE_BITS: u32 = 8;
 
 /// Fixed width in bits of each field kind.
 fn field_bits(kind: FieldKind) -> u32 {
@@ -22,6 +25,13 @@ fn field_bits(kind: FieldKind) -> u32 {
         FieldKind::Target => 32,
         FieldKind::Imm => 64,
         FieldKind::Alu => 8,
+    }
+}
+
+/// The fixed widths as a width table, for the scheme's field plan.
+pub(super) fn widths() -> FieldWidths {
+    FieldWidths {
+        widths: FIELD_KINDS.map(field_bits),
     }
 }
 
@@ -35,7 +45,7 @@ impl Scheme for ByteAligned {
         let mut offsets = Vec::with_capacity(program.code.len());
         for inst in &program.code {
             offsets.push(w.bit_len());
-            w.write(inst.opcode() as u64, 8);
+            w.write(inst.opcode() as u64, OPCODE_BITS);
             for (kind, value) in inst.opcode().field_kinds().iter().zip(inst.fields()) {
                 w.write(value, field_bits(*kind));
             }
@@ -48,16 +58,16 @@ impl Scheme for ByteAligned {
             offsets,
             side_table_bits: 0,
             mode: DecodeMode::default(),
-            decoder: DecoderData::Byte,
+            decoder: DecoderData::byte(),
         }
     }
 }
 
-/// Decodes one instruction; cost: one read for the opcode plus one per
-/// operand field.
+/// Decodes one instruction through the per-field reader; cost: one read
+/// for the opcode plus one per operand field.
 #[inline]
 pub(super) fn decode(reader: &mut BitReader<'_>, mode: DecodeMode) -> Result<Decoded, ImageError> {
-    let op_raw = mode.read(reader, 8)?;
+    let op_raw = mode.read(reader, OPCODE_BITS)?;
     let opcode = Opcode::from_u8(op_raw as u8).ok_or(ImageError::Decode(
         crate::isa::DecodeError::BadOpcode(op_raw as u8),
     ))?;
@@ -66,14 +76,14 @@ pub(super) fn decode(reader: &mut BitReader<'_>, mode: DecodeMode) -> Result<Dec
         DecodeMode::Tree => {
             let mut fields = Vec::with_capacity(kinds.len());
             for kind in kinds {
-                fields.push(reader.read_bitwise(field_bits(*kind))?);
+                fields.push(DecodeMode::Tree.field(reader, *kind, field_bits(*kind))?);
             }
             Inst::from_parts(opcode, &fields)?
         }
         DecodeMode::Table => {
             let mut buf = [0u64; crate::isa::MAX_FIELDS];
             for (i, kind) in kinds.iter().enumerate() {
-                buf[i] = reader.read(field_bits(*kind))?;
+                buf[i] = DecodeMode::Table.field(reader, *kind, field_bits(*kind))?;
             }
             Inst::from_parts(opcode, &buf[..kinds.len()])?
         }

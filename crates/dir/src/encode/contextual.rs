@@ -44,7 +44,7 @@ impl Scheme for Contextual {
             offsets,
             side_table_bits: tables.table_bits(),
             mode: DecodeMode::default(),
-            decoder: DecoderData::Contextual(tables),
+            decoder: DecoderData::contextual(tables),
         }
     }
 }
@@ -70,10 +70,13 @@ pub(super) fn write_fields(w: &mut BitWriter, inst: &Inst, region: &super::Regio
 }
 
 /// Reads an instruction's operand fields with the region's widths,
-/// rebasing targets, and assembles the instruction. The tree path is the
-/// seed decoder verbatim — heap-allocated fields, bit-at-a-time reads;
-/// the table path collects into a stack buffer with word-batched reads,
-/// leaving no per-instruction allocation on the fast plane.
+/// rebasing targets, and assembles the instruction: the per-field reader
+/// of every scheme with contextual operand fields. The tree path is the
+/// seed decoder — heap-allocated fields, bit-at-a-time reads; the table
+/// path collects into a stack buffer with word-batched reads. Contextual
+/// and Huffman images read through it on the table plane only where their
+/// region's field plan cannot decode from one window (see the `template`
+/// module); the pair-coded schemes always do.
 #[inline]
 pub(super) fn read_inst(
     reader: &mut BitReader<'_>,
@@ -86,7 +89,7 @@ pub(super) fn read_inst(
         DecodeMode::Tree => {
             let mut fields = Vec::with_capacity(kinds.len());
             for kind in kinds {
-                let raw = reader.read_bitwise(region.widths.width(*kind))?;
+                let raw = DecodeMode::Tree.field(reader, *kind, region.widths.width(*kind))?;
                 fields.push(match kind {
                     FieldKind::Target => raw + region.target_base as u64,
                     _ => raw,
@@ -97,7 +100,7 @@ pub(super) fn read_inst(
         DecodeMode::Table => {
             let mut buf = [0u64; crate::isa::MAX_FIELDS];
             for (i, kind) in kinds.iter().enumerate() {
-                let raw = reader.read(region.widths.width(*kind))?;
+                let raw = DecodeMode::Table.field(reader, *kind, region.widths.width(*kind))?;
                 buf[i] = match kind {
                     FieldKind::Target => raw + region.target_base as u64,
                     _ => raw,
@@ -108,8 +111,9 @@ pub(super) fn read_inst(
     }
 }
 
-/// Decodes one instruction; cost: region lookup (1) + extract/mask for the
-/// opcode (2) + width lookup/extract/mask per field (3 each).
+/// Decodes one instruction through the per-field reader; cost: region
+/// lookup (1) + extract/mask for the opcode (2) + width
+/// lookup/extract/mask per field (3 each).
 #[inline]
 pub(super) fn decode(
     reader: &mut BitReader<'_>,

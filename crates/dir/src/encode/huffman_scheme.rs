@@ -13,7 +13,6 @@ use crate::isa::Opcode;
 use crate::program::Program;
 
 use super::contextual::{read_inst, write_fields};
-use super::template::RegionTpl;
 use super::{
     ContextTables, DecodeMode, Decoded, DecoderData, Image, ImageError, Region, Scheme, SchemeKind,
 };
@@ -53,8 +52,10 @@ impl Scheme for HuffmanScheme {
     }
 }
 
-/// Decodes one instruction; cost: region lookup (1) + tree walk (2 per code
-/// bit) + width lookup/extract/mask per field (3 each).
+/// Decodes one instruction through the per-field reader; cost: region
+/// lookup (1) + tree walk (2 per code bit) + width lookup/extract/mask per
+/// field (3 each). On the table plane, the fallback of the region's field
+/// plan (see the `template` module).
 #[inline]
 pub(super) fn decode(
     reader: &mut BitReader<'_>,
@@ -71,86 +72,6 @@ pub(super) fn decode(
         inst,
         cost: 1 + 2 * code_bits + 3 * opcode.field_kinds().len() as u32,
         bits: 0,
-    })
-}
-
-/// Streaming table-plane decoder: [`table_step`] per instruction, with
-/// one reader crossing the stream once and each contour's
-/// [`RegionTpl`] taken in turn. Instructions, consumed widths, modeled
-/// costs, and errors are bit-identical to [`decode`] in `Table` mode on
-/// the same stream.
-pub(super) fn stream_table(
-    im: &Image,
-    tree: &Tree,
-    tables: &ContextTables,
-    tpls: &[RegionTpl],
-) -> Result<Vec<Decoded>, ImageError> {
-    let n = im.len() as u32;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut reader = BitReader::new(&im.bytes, im.bit_len);
-    for (region, tpl) in tables.regions.iter().zip(tpls) {
-        for _index in region.start..region.end.min(n) {
-            out.push(table_step(&mut reader, tree, region, tpl)?);
-        }
-    }
-    Ok(out)
-}
-
-/// One instruction on the table plane, streamed or at any address: one
-/// 57-bit peek resolves the opcode through the Huffman LUT *and*
-/// supplies every operand field, so the common case costs a single
-/// window probe, one `consume`, and shift extraction straight into the
-/// instruction — no per-field reads, no intermediate field buffer, no
-/// second opcode dispatch. The region's widths come precomputed in
-/// `tpl`. Long codes and instructions wider than the window fall back to
-/// the per-field reader. Instructions, consumed widths, modeled costs,
-/// and errors are bit-identical to [`decode`] in `Table` mode.
-#[inline(always)]
-pub(super) fn table_step(
-    reader: &mut BitReader<'_>,
-    tree: &Tree,
-    region: &Region,
-    tpl: &RegionTpl,
-) -> Result<Decoded, ImageError> {
-    let window = reader.peek(57);
-    Ok(match tree.lut_hit(window) {
-        Some((symbol, code_bits)) => {
-            let opcode = Opcode::from_u8(symbol as u8).ok_or(ImageError::Decode(
-                crate::isa::DecodeError::BadOpcode(symbol as u8),
-            ))?;
-            let total = code_bits + tpl.fields_total(symbol);
-            if total <= 57 {
-                // One consume covers the opcode and all fields; the
-                // peeked window already zero-masks padding, and the
-                // consume proves every extracted bit is in-stream.
-                reader.consume(total)?;
-                let inst = super::template::decode_window(opcode, window, code_bits, tpl)?;
-                Decoded {
-                    inst,
-                    cost: 1 + 2 * code_bits + tpl.field_cost(symbol),
-                    bits: total as u64,
-                }
-            } else {
-                slow_step(reader, tree, region)?
-            }
-        }
-        None => slow_step(reader, tree, region)?,
-    })
-}
-
-/// Fallback for codes longer than the LUT window or instructions wider
-/// than one peek: the ordinary per-field table decoder.
-#[cold]
-fn slow_step(
-    reader: &mut BitReader<'_>,
-    tree: &Tree,
-    region: &Region,
-) -> Result<Decoded, ImageError> {
-    let start = reader.position();
-    let d = decode(reader, tree, region, DecodeMode::Table)?;
-    Ok(Decoded {
-        bits: reader.position() - start,
-        ..d
     })
 }
 

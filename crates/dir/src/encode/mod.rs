@@ -94,6 +94,23 @@ impl DecodeMode {
         }
     }
 
+    /// Reads a `kind` field `width` bits wide through this mode's
+    /// bitstream path. A width above 64 describes no value the stream can
+    /// deliver: both modes report it as [`ImageError::FieldWidth`], at
+    /// the field where the reader meets it.
+    #[inline]
+    pub(crate) fn field(
+        self,
+        reader: &mut BitReader<'_>,
+        kind: FieldKind,
+        width: u32,
+    ) -> Result<u64, ImageError> {
+        if width > 64 {
+            return Err(ImageError::FieldWidth { kind, width });
+        }
+        Ok(self.read(reader, width)?)
+    }
+
     /// Decodes one Huffman symbol through this mode's codebook path.
     #[inline]
     pub(crate) fn huff(
@@ -224,6 +241,15 @@ pub enum ImageError {
     Exhausted,
     /// The decoded parts did not form a valid instruction.
     Decode(DecodeError),
+    /// The decoder's tables give a field more bits than any value holds
+    /// (a damaged width table; [`Image::validate_codec`] reports it as
+    /// [`CodecIssue::FieldWidth`]).
+    FieldWidth {
+        /// The field kind being read.
+        kind: FieldKind,
+        /// Its declared width in bits.
+        width: u32,
+    },
 }
 
 impl std::fmt::Display for ImageError {
@@ -232,6 +258,9 @@ impl std::fmt::Display for ImageError {
             ImageError::BadIndex(i) => write!(f, "instruction index {i} out of range"),
             ImageError::Exhausted => write!(f, "bit stream exhausted"),
             ImageError::Decode(e) => write!(f, "decode error: {e}"),
+            ImageError::FieldWidth { kind, width } => {
+                write!(f, "field {kind:?} declares impossible width {width}")
+            }
         }
     }
 }
@@ -441,18 +470,30 @@ pub struct Image {
     pub(crate) decoder: DecoderData,
 }
 
-/// Scheme-specific state needed to decode an image.
+/// Scheme-specific state needed to decode an image. Each fixed-layout
+/// variant is built only by its constructor ([`DecoderData::byte`],
+/// [`DecoderData::packed`], [`DecoderData::contextual`],
+/// [`DecoderData::huffman`]), which derives its field plans from the
+/// widths it holds, so no plan can disagree with them.
 #[derive(Debug, Clone)]
 pub(crate) enum DecoderData {
-    Byte,
-    Packed(FieldWidths),
-    Contextual(ContextTables),
-    /// Built only by [`DecoderData::huffman`], which derives `tpls`.
+    Byte {
+        plan: template::FieldPlan,
+    },
+    Packed {
+        widths: FieldWidths,
+        plan: template::FieldPlan,
+    },
+    Contextual {
+        tables: ContextTables,
+        /// Each region's field plan, in region order.
+        plans: Vec<template::FieldPlan>,
+    },
     Huffman {
         tree: crate::huffman::Tree,
         tables: ContextTables,
-        /// Each region's decode template, in region order.
-        tpls: Vec<template::RegionTpl>,
+        /// Each region's field plan, in region order.
+        plans: Vec<template::FieldPlan>,
     },
     Pair {
         /// One escape-coded codebook per predecessor opcode, plus a
@@ -480,18 +521,48 @@ pub(crate) enum DecoderData {
 }
 
 impl DecoderData {
-    /// The Huffman decoder over `tree` and `tables`, with each region's
-    /// [`RegionTpl`](template::RegionTpl) derived here, the one place it
-    /// is: the templates depend only on `tables`, which nothing changes
-    /// after this.
-    pub(crate) fn huffman(tree: crate::huffman::Tree, tables: ContextTables) -> DecoderData {
-        let tpls = tables
-            .regions
-            .iter()
-            .map(template::RegionTpl::new)
-            .collect();
-        DecoderData::Huffman { tree, tables, tpls }
+    /// The byte-aligned decoder: one plan over the fixed field widths,
+    /// charging 1 for the opcode and 1 per field.
+    pub(crate) fn byte() -> DecoderData {
+        let plan = template::FieldPlan::new(&byte::widths(), 0, 1, 1);
+        DecoderData::Byte { plan }
     }
+
+    /// The packed decoder over program-wide `widths`: one plan, targets
+    /// absolute, charging 2 for the opcode and 2 per field.
+    pub(crate) fn packed(widths: FieldWidths) -> DecoderData {
+        let plan = template::FieldPlan::new(&widths, 0, 2, 2);
+        DecoderData::Packed { widths, plan }
+    }
+
+    /// The contextual decoder over `tables`: one plan per region,
+    /// charging 3 for the region lookup and opcode and 3 per field.
+    pub(crate) fn contextual(tables: ContextTables) -> DecoderData {
+        let plans = region_plans(&tables, 3);
+        DecoderData::Contextual { tables, plans }
+    }
+
+    /// The Huffman decoder over `tree` and `tables`: one plan per region,
+    /// charging 1 for the region lookup and 3 per field; the code's walk
+    /// is charged as the code is resolved.
+    pub(crate) fn huffman(tree: crate::huffman::Tree, tables: ContextTables) -> DecoderData {
+        let plans = region_plans(&tables, 1);
+        DecoderData::Huffman {
+            tree,
+            tables,
+            plans,
+        }
+    }
+}
+
+/// Each region's plan, in region order: targets relative to the region,
+/// `op_cost` for the opcode and 3 per field.
+fn region_plans(tables: &ContextTables, op_cost: u32) -> Vec<template::FieldPlan> {
+    tables
+        .regions
+        .iter()
+        .map(|r| template::FieldPlan::new(&r.widths, r.target_base, op_cost, 3))
+        .collect()
 }
 
 impl Image {
@@ -591,35 +662,84 @@ impl Image {
     /// position in [`ContextTables::regions`] of the region that holds
     /// `index`: a binary search for one address, a cursor for a pass over
     /// every address. Decodes from the offset the image records for
-    /// `index`, whatever the instructions before it consumed.
+    /// `index`, whatever the instructions before it consumed. The table
+    /// plane first tries [`Image::decode_by_window`]; what that cannot
+    /// decode, and everything on the tree plane, goes through the
+    /// scheme's per-field reader.
     #[inline(always)]
     fn decode_in(
         &self,
         bytes: &[u8],
         index: u32,
         mode: DecodeMode,
-        at: impl FnOnce(&ContextTables) -> usize,
+        mut at: impl FnMut(&ContextTables) -> usize,
     ) -> Result<Decoded, ImageError> {
         let offset = *self
             .offsets
             .get(index as usize)
             .ok_or(ImageError::BadIndex(index))?;
-        let mut reader = crate::bitstream::BitReader::at(bytes, self.bit_len, offset);
+        if mode == DecodeMode::Table {
+            if let Some(decoded) = self.decode_by_window(bytes, offset, &mut at) {
+                return decoded;
+            }
+        }
+        self.decode_by_fields(bytes, index, offset, mode, at)
+    }
+
+    /// The instruction at bit `offset` decoded through its fixed-layout
+    /// scheme's field plan from one [`window_at`](template::window_at)
+    /// load, or `None` when the window cannot decode it: a pair-coded
+    /// scheme, an offset in the stream's last 64 bits, a Huffman code
+    /// longer than the LUT, a bad opcode, or opcode and fields wider than
+    /// the window.
+    #[inline(always)]
+    fn decode_by_window(
+        &self,
+        bytes: &[u8],
+        offset: u64,
+        at: impl FnOnce(&ContextTables) -> usize,
+    ) -> Option<Result<Decoded, ImageError>> {
+        use template::OpcodeCode::{Fixed, Huffman};
+        let (code, plan) = match &self.decoder {
+            DecoderData::Byte { plan } => (Fixed(byte::OPCODE_BITS), plan),
+            DecoderData::Packed { plan, .. } => (Fixed(packed::opcode_bits()), plan),
+            DecoderData::Contextual { tables, plans } => {
+                (Fixed(packed::opcode_bits()), &plans[at(tables)])
+            }
+            DecoderData::Huffman {
+                tree,
+                tables,
+                plans,
+            } => (Huffman(tree), &plans[at(tables)]),
+            DecoderData::Pair { .. } | DecoderData::ValueHuffman { .. } => return None,
+        };
+        let window = template::window_at(bytes, self.bit_len, offset)?;
+        template::windowed(window, code, plan)
+    }
+
+    /// The instruction at bit `offset` decoded through its scheme's
+    /// per-field reader: the tree plane's decoder, and the table plane's
+    /// for whatever [`Image::decode_by_window`] cannot decode. Always
+    /// inlined: out of line, `Image::decode_all` read 20–100% slower per
+    /// instruction over the fused sample programs, for a cause not found.
+    #[inline(always)]
+    fn decode_by_fields(
+        &self,
+        bytes: &[u8],
+        index: u32,
+        offset: u64,
+        mode: DecodeMode,
+        at: impl FnOnce(&ContextTables) -> usize,
+    ) -> Result<Decoded, ImageError> {
+        let mut reader = BitReader::at(bytes, self.bit_len, offset);
         let decoded = match &self.decoder {
-            DecoderData::Byte => byte::decode(&mut reader, mode)?,
-            DecoderData::Packed(widths) => packed::decode(&mut reader, widths, mode)?,
-            DecoderData::Contextual(tables) => {
+            DecoderData::Byte { .. } => byte::decode(&mut reader, mode)?,
+            DecoderData::Packed { widths, .. } => packed::decode(&mut reader, widths, mode)?,
+            DecoderData::Contextual { tables, .. } => {
                 contextual::decode(&mut reader, &tables.regions[at(tables)], mode)?
             }
-            DecoderData::Huffman { tree, tables, tpls } => {
-                let at = at(tables);
-                let region = &tables.regions[at];
-                match mode {
-                    DecodeMode::Tree => huffman_scheme::decode(&mut reader, tree, region, mode)?,
-                    DecodeMode::Table => {
-                        huffman_scheme::table_step(&mut reader, tree, region, &tpls[at])?
-                    }
-                }
+            DecoderData::Huffman { tree, tables, .. } => {
+                huffman_scheme::decode(&mut reader, tree, &tables.regions[at(tables)], mode)?
             }
             DecoderData::Pair {
                 ctx,
@@ -674,12 +794,16 @@ impl Image {
         // monomorphizes the loop with `mode` as a constant, folding every
         // per-field `match mode` away.
         match &self.decoder {
-            DecoderData::Byte => self.stream_byte(mode),
-            DecoderData::Packed(widths) => self.stream_packed(widths, mode),
-            DecoderData::Contextual(tables) => self.stream_contextual(tables, mode),
-            DecoderData::Huffman { tree, tables, tpls } => {
-                self.stream_huffman(tree, tables, tpls, mode)
+            DecoderData::Byte { plan } => self.stream_byte(plan, mode),
+            DecoderData::Packed { widths, plan } => self.stream_packed(widths, plan, mode),
+            DecoderData::Contextual { tables, plans } => {
+                self.stream_contextual(tables, plans, mode)
             }
+            DecoderData::Huffman {
+                tree,
+                tables,
+                plans,
+            } => self.stream_huffman(tree, tables, plans, mode),
             DecoderData::Pair {
                 ctx,
                 global,
@@ -696,27 +820,48 @@ impl Image {
         }
     }
 
-    fn stream_byte(&self, mode: DecodeMode) -> Result<Vec<Decoded>, ImageError> {
+    // The four fixed-layout streams: the tree plane reads every field;
+    // the table plane decodes each instruction's window through its plan
+    // (`template::stream`) and hands the rest to the same per-field
+    // reader.
+
+    fn stream_byte(
+        &self,
+        plan: &template::FieldPlan,
+        mode: DecodeMode,
+    ) -> Result<Vec<Decoded>, ImageError> {
         match mode {
             DecodeMode::Tree => self.stream(|r, _| byte::decode(r, DecodeMode::Tree)),
-            DecodeMode::Table => self.stream(|r, _| byte::decode(r, DecodeMode::Table)),
+            DecodeMode::Table => template::stream(
+                self,
+                std::iter::once((u32::MAX, plan, ())),
+                template::OpcodeCode::Fixed(byte::OPCODE_BITS),
+                |r, ()| byte::decode(r, DecodeMode::Table),
+            ),
         }
     }
 
     fn stream_packed(
         &self,
         widths: &FieldWidths,
+        plan: &template::FieldPlan,
         mode: DecodeMode,
     ) -> Result<Vec<Decoded>, ImageError> {
         match mode {
             DecodeMode::Tree => self.stream(|r, _| packed::decode(r, widths, DecodeMode::Tree)),
-            DecodeMode::Table => self.stream(|r, _| packed::decode(r, widths, DecodeMode::Table)),
+            DecodeMode::Table => template::stream(
+                self,
+                std::iter::once((u32::MAX, plan, ())),
+                template::OpcodeCode::Fixed(packed::opcode_bits()),
+                |r, ()| packed::decode(r, widths, DecodeMode::Table),
+            ),
         }
     }
 
     fn stream_contextual(
         &self,
         tables: &ContextTables,
+        plans: &[template::FieldPlan],
         mode: DecodeMode,
     ) -> Result<Vec<Decoded>, ImageError> {
         let mut cursor = 0usize;
@@ -724,9 +869,12 @@ impl Image {
             DecodeMode::Tree => self.stream(|r, index| {
                 contextual::decode(r, tables.region_at(&mut cursor, index), DecodeMode::Tree)
             }),
-            DecodeMode::Table => self.stream(|r, index| {
-                contextual::decode(r, tables.region_at(&mut cursor, index), DecodeMode::Table)
-            }),
+            DecodeMode::Table => template::stream(
+                self,
+                tables.regions.iter().zip(plans).map(|(r, p)| (r.end, p, r)),
+                template::OpcodeCode::Fixed(packed::opcode_bits()),
+                |r, region| contextual::decode(r, region, DecodeMode::Table),
+            ),
         }
     }
 
@@ -734,7 +882,7 @@ impl Image {
         &self,
         tree: &crate::huffman::Tree,
         tables: &ContextTables,
-        tpls: &[template::RegionTpl],
+        plans: &[template::FieldPlan],
         mode: DecodeMode,
     ) -> Result<Vec<Decoded>, ImageError> {
         let mut cursor = 0usize;
@@ -747,7 +895,12 @@ impl Image {
                     DecodeMode::Tree,
                 )
             }),
-            DecodeMode::Table => huffman_scheme::stream_table(self, tree, tables, tpls),
+            DecodeMode::Table => template::stream(
+                self,
+                tables.regions.iter().zip(plans).map(|(r, p)| (r.end, p, r)),
+                template::OpcodeCode::Huffman(tree),
+                |r, region| huffman_scheme::decode(r, tree, region, DecodeMode::Table),
+            ),
         }
     }
 
@@ -894,9 +1047,9 @@ impl Image {
             }
         }
         match &self.decoder {
-            DecoderData::Byte => {}
-            DecoderData::Packed(widths) => check_widths(widths, &mut out),
-            DecoderData::Contextual(tables) => check_regions(tables, &mut out),
+            DecoderData::Byte { .. } => {}
+            DecoderData::Packed { widths, .. } => check_widths(widths, &mut out),
+            DecoderData::Contextual { tables, .. } => check_regions(tables, &mut out),
             DecoderData::Huffman { tree, tables, .. } => {
                 check_tree(tree, "opcode", &mut out);
                 check_regions(tables, &mut out);
@@ -1122,9 +1275,11 @@ impl ContextTables {
 ///
 /// Each constructor starts from a well-formed encoding of `program` and
 /// corrupts exactly one decoder-side table, modelling side-table damage in
-/// storage. The resulting images still *decode* (the decode trie and LUT
-/// are kept intact) — the point is that [`Image::validate_codec`] must
-/// reject them before any decode is attempted.
+/// storage. The resulting images still *decode*, without a panic and
+/// identically on both planes: the decode trie and LUT are kept intact,
+/// and a field wider than 64 bits is a typed [`ImageError::FieldWidth`].
+/// The point is that [`Image::validate_codec`] must reject them before
+/// any decode is attempted.
 pub mod fixtures {
     use super::*;
 
@@ -1165,13 +1320,17 @@ pub mod fixtures {
 
     /// A packed image whose width table declares a 65-bit field — wider
     /// than any value the bitstream can deliver. Validation reports
-    /// [`CodecIssue::FieldWidth`].
+    /// [`CodecIssue::FieldWidth`]; decoding an instruction that reads the
+    /// field reports [`ImageError::FieldWidth`]. The decoder, plan
+    /// included, is rebuilt from the damaged widths.
     pub fn oversized_field_width(program: &Program) -> Image {
         let mut image = SchemeKind::Packed.encode(program);
-        match &mut image.decoder {
-            DecoderData::Packed(widths) => widths.widths[0] = 65,
+        let mut widths = match &image.decoder {
+            DecoderData::Packed { widths, .. } => *widths,
             _ => unreachable!("Packed scheme yields a Packed decoder"),
-        }
+        };
+        widths.widths[0] = 65;
+        image.decoder = DecoderData::packed(widths);
         image
     }
 
@@ -1480,6 +1639,129 @@ mod tests {
             matches!(wide.first(), Some(CodecIssue::FieldWidth { width: 65, .. })),
             "{wide:?}"
         );
+    }
+
+    /// Every fixture decodes every index on both planes without a panic,
+    /// and the planes agree, per index and streamed. The 65-bit width is
+    /// a typed error at the instructions that read the field.
+    #[test]
+    fn fixtures_decode_identically_on_both_planes() {
+        let p = compile(&hlr::programs::QUEENS.compile().unwrap());
+        let images = [
+            fixtures::truncated_codebook(&p),
+            fixtures::conflicting_codebook(&p),
+            fixtures::oversized_field_width(&p),
+        ];
+        for image in &images {
+            for i in 0..image.len() as u32 {
+                let tree = image.decode_with(&image.bytes, i, DecodeMode::Tree);
+                let table = image.decode_with(&image.bytes, i, DecodeMode::Table);
+                assert_eq!(tree, table, "{} at {i}", image.kind);
+            }
+            assert_eq!(
+                image.decode_all_with(DecodeMode::Tree),
+                image.decode_all_with(DecodeMode::Table),
+                "{} streamed",
+                image.kind
+            );
+        }
+        assert_eq!(p.code[5], Inst::StoreLocal(1));
+        assert_eq!(
+            images[2].decode(5),
+            Err(ImageError::FieldWidth {
+                kind: FieldKind::Slot,
+                width: 65
+            })
+        );
+    }
+
+    /// `program` with every third immediate replaced by `i64::MIN` or
+    /// `i64::MAX` in turn, each 64 bits once zigzagged.
+    fn with_extreme_immediates(program: &Program) -> Program {
+        let mut out = program.clone();
+        let mut seen = 0u32;
+        for inst in &mut out.code {
+            let (Inst::PushConst(imm)
+            | Inst::IncLocal { imm, .. }
+            | Inst::SetLocalConst { imm, .. }
+            | Inst::CmpConstBr { imm, .. }) = inst
+            else {
+                continue;
+            };
+            if seen.is_multiple_of(3) {
+                *imm = if seen.is_multiple_of(2) {
+                    i64::MIN
+                } else {
+                    i64::MAX
+                };
+            }
+            seen += 1;
+        }
+        out
+    }
+
+    /// On the table plane an instruction decodes from its window exactly
+    /// when the window holds it: 64 stream bits at its offset, an opcode
+    /// code no longer than the LUT, and opcode plus fields within 57
+    /// bits. Every other instruction takes the per-field reader; the
+    /// window's result equals the tree plane's.
+    #[test]
+    fn wide_instructions_take_the_reader_and_the_rest_the_window() {
+        let base = compile(&hlr::programs::QUEENS.compile().unwrap());
+        let (fused, _) = fuse(&base);
+        for p in [
+            with_extreme_immediates(&base),
+            with_extreme_immediates(&fused),
+        ] {
+            for kind in [
+                SchemeKind::ByteAligned,
+                SchemeKind::Packed,
+                SchemeKind::Contextual,
+                SchemeKind::Huffman,
+            ] {
+                let image = kind.encode(&p);
+                let (mut windowed, mut read) = (0u32, 0u32);
+                for (i, inst) in p.code.iter().enumerate() {
+                    let (offset, index) = (image.offsets[i], i as u32);
+                    let (widths, code_bits) = match &image.decoder {
+                        DecoderData::Byte { .. } => (byte::widths(), 8),
+                        DecoderData::Packed { widths, .. } => (*widths, 5),
+                        DecoderData::Contextual { tables, .. } => {
+                            (tables.region_of(index).widths, 5)
+                        }
+                        DecoderData::Huffman { tree, tables, .. } => (
+                            tables.region_of(index).widths,
+                            tree.width(inst.opcode() as usize),
+                        ),
+                        _ => unreachable!("a fixed-layout scheme"),
+                    };
+                    let fields: u32 = inst
+                        .opcode()
+                        .field_kinds()
+                        .iter()
+                        .map(|k| widths.width(*k))
+                        .sum();
+                    let fits = offset + 64 <= image.bit_len
+                        && code_bits <= crate::huffman::LUT_BITS
+                        && code_bits + fields <= 57;
+                    let got =
+                        image.decode_by_window(&image.bytes, offset, |t| t.position_of(index));
+                    assert_eq!(got.is_some(), fits, "{kind} at {i}: {inst:?}");
+                    match got {
+                        Some(d) => {
+                            let tree = image.decode_with(&image.bytes, index, DecodeMode::Tree);
+                            assert_eq!(d, tree, "{kind} at {i}");
+                            windowed += 1;
+                        }
+                        None => read += 1,
+                    }
+                }
+                assert!(
+                    windowed > 0 && read > 0,
+                    "{kind}: {windowed} from the window, {read} by the reader"
+                );
+            }
+        }
     }
 
     #[test]

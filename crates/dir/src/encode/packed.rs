@@ -3,7 +3,13 @@
 //! Fields are bit-packed and may span memory-unit boundaries; each field
 //! kind gets one program-wide width, just large enough for the largest
 //! value that actually occurs. The decoder must extract and mask each
-//! field, which costs more than the byte-aligned reads.
+//! field, which the model charges more than the byte-aligned reads.
+//!
+//! On the host's table plane one program-wide field plan (see the
+//! `template` module) decodes an instruction from one 57-bit window: a
+//! 5-bit opcode, then shifts by the plan's widths. [`decode`] is the
+//! per-field reader behind it — the tree plane's decoder, and the table
+//! plane's for what the window cannot decode.
 
 use crate::bitstream::{bits_for, BitReader, BitWriter};
 use crate::isa::{Inst, Opcode, OPCODE_COUNT};
@@ -44,16 +50,16 @@ impl Scheme for Packed {
             offsets,
             side_table_bits: widths.table_bits(),
             mode: DecodeMode::default(),
-            decoder: DecoderData::Packed(widths),
+            decoder: DecoderData::packed(widths),
         }
     }
 }
 
-/// Decodes one instruction; cost: extract + mask (2 ops) for the opcode and
-/// for each field. Always inlined into `Image::decode_with`, the
-/// per-address entry every DTB miss on a Packed image takes: left to the
-/// optimiser, it stops being inlined there once the Huffman window
-/// decoder is, and per-address Packed decode gets ~40% slower.
+/// Decodes one instruction through the per-field reader; cost: extract +
+/// mask (2 ops) for the opcode and for each field. Always inlined, so the
+/// tree plane's streamed loop gets its own copy with `mode` folded: left
+/// to the optimiser, it is not inlined there, and the streamed tree
+/// decode of a Packed image reads ~50% slower.
 #[inline(always)]
 pub(super) fn decode(
     reader: &mut BitReader<'_>,
@@ -69,14 +75,14 @@ pub(super) fn decode(
         DecodeMode::Tree => {
             let mut fields = Vec::with_capacity(kinds.len());
             for kind in kinds {
-                fields.push(reader.read_bitwise(widths.width(*kind))?);
+                fields.push(DecodeMode::Tree.field(reader, *kind, widths.width(*kind))?);
             }
             Inst::from_parts(opcode, &fields)?
         }
         DecodeMode::Table => {
             let mut buf = [0u64; crate::isa::MAX_FIELDS];
             for (i, kind) in kinds.iter().enumerate() {
-                buf[i] = reader.read(widths.width(*kind))?;
+                buf[i] = DecodeMode::Table.field(reader, *kind, widths.width(*kind))?;
             }
             Inst::from_parts(opcode, &buf[..kinds.len()])?
         }

@@ -13,8 +13,12 @@
 # side. `all` lists every workload BENCHMARK.json declares; an unknown
 # name exits 2. For each workload and every end-to-end metric it prints
 # each side's median and quartiles, the ratio of the medians (change /
-# parent) and in how many pairs the change was better. The worktree is
-# removed on exit.
+# parent), in how many pairs the change was better (a tie counts for
+# neither side) and whether a claimed gain on that metric would hold:
+# `claim` reads `met` when the change wins at least 9 in 10 of the pairs
+# and its median is better than the parent's by more than the parent's
+# interquartile range, and `not met` otherwise. The worktree is removed
+# on exit.
 set -euo pipefail
 
 usage="usage: scripts/ledger_pairs.sh <parent-rev> <workload[,workload...]|all> [pairs]"
@@ -98,7 +102,7 @@ for side, runs in (("parent", parent), ("change", change)):
     if bad:
         print(f"WARNING: {bad} {side} runs were not correct")
 print(f"{'metric':<28} {'unit':<12} {'parent median [q1, q3]':<34} "
-      f"{'change median [q1, q3]':<34} {'ratio':>7} {'wins':>6}")
+      f"{'change median [q1, q3]':<34} {'ratio':>7} {'wins':>6}  claim")
 for metric in bench["end_to_end"]:
     name, better = metric["name"], metric["better"]
     p = [r["metrics"][name]["value"] for r in parent]
@@ -106,12 +110,15 @@ for metric in bench["end_to_end"]:
     pq, cq = quartiles(p), quartiles(c)
     if better == "lower":
         wins = sum(1 for a, b in zip(p, c) if b < a)
+        gain = pq[1] - cq[1]
     else:
         wins = sum(1 for a, b in zip(p, c) if b > a)
+        gain = cq[1] - pq[1]
+    met = wins * 10 >= 9 * len(p) and gain > pq[2] - pq[0]
     ratio = cq[1] / pq[1] if pq[1] else float("nan")
     fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
     print(f"{name:<28} {metric['unit']:<12} {fmt(pq):<34} {fmt(cq):<34} "
-          f"{ratio:>7.3f} {wins:>3}/{len(p)}")
+          f"{ratio:>7.3f} {wins:>3}/{len(p)}  {'met' if met else 'not met'}")
 EOF
 echo
 done

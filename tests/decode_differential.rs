@@ -125,3 +125,68 @@ fn set_decode_mode_is_transparent() {
         assert_eq!(table, tree, "{scheme}");
     }
 }
+
+/// `program` with every third immediate replaced by `i64::MIN` or
+/// `i64::MAX` in turn: a zigzagged extreme needs 64 bits, so every
+/// instruction that carries one is wider than a 57-bit decode window.
+fn with_extreme_immediates(program: &dir::Program) -> dir::Program {
+    use dir::isa::Inst;
+    let mut out = program.clone();
+    let mut seen = 0u32;
+    for inst in &mut out.code {
+        let (Inst::PushConst(imm)
+        | Inst::IncLocal { imm, .. }
+        | Inst::SetLocalConst { imm, .. }
+        | Inst::CmpConstBr { imm, .. }) = inst
+        else {
+            continue;
+        };
+        if seen.is_multiple_of(3) {
+            *imm = if seen.is_multiple_of(2) {
+                i64::MIN
+            } else {
+                i64::MAX
+            };
+        }
+        seen += 1;
+    }
+    out
+}
+
+/// Instructions too wide for one window, and the instructions in the
+/// stream's last 64 bits, take the per-field reader on the table plane:
+/// per scheme, per index and streamed, both planes stay bit-identical
+/// and recover the program, on sample programs before and after fusion
+/// rewrote them with extreme immediates.
+#[test]
+fn extreme_immediates_decode_identically_on_both_planes() {
+    let mut programs = Vec::new();
+    for s in [&hlr::programs::QUEENS, &hlr::programs::SIEVE] {
+        let base = dir::compiler::compile(&s.compile().expect("samples compile"));
+        let (fused, _) = dir::fuse::fuse(&base);
+        programs.push((
+            format!("{} extreme", s.name),
+            with_extreme_immediates(&base),
+        ));
+        programs.push((
+            format!("{} fused extreme", s.name),
+            with_extreme_immediates(&fused),
+        ));
+    }
+    for (name, program) in &programs {
+        let extremes = program
+            .code
+            .iter()
+            .filter(|i| i.fields().iter().any(|&v| v >= 1 << 57))
+            .count();
+        assert!(extremes > 0, "{name}: no extreme immediate");
+        for scheme in [
+            SchemeKind::ByteAligned,
+            SchemeKind::Packed,
+            SchemeKind::Contextual,
+            SchemeKind::Huffman,
+        ] {
+            assert_planes_agree(name, scheme, program);
+        }
+    }
+}
