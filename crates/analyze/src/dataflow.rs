@@ -71,12 +71,6 @@ impl Interval {
         Interval { lo: v, hi: v }
     }
 
-    /// True when this is the full range.
-    #[must_use]
-    pub fn is_top(self) -> bool {
-        self == Interval::TOP
-    }
-
     /// True when the interval cannot contain zero (a discharged divisor).
     #[must_use]
     pub fn excludes_zero(self) -> bool {

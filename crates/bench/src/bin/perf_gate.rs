@@ -64,9 +64,10 @@ fn corpora(programs: &[Program]) -> Vec<Corpus> {
 }
 
 /// Decodes the whole corpus through `mode`, folding the results into an
-/// accumulator so the work cannot be optimized away. Each plane decodes
-/// the way it actually would: the tree plane per-index, exactly as the
-/// seed's `decode_all` did, the table plane through the streaming entry.
+/// accumulator so the work cannot be optimized away. The tree plane
+/// decodes per index, exactly as the seed's `decode_all` did; the table
+/// plane through `Image::decode_all_with`, which decodes every address
+/// at its recorded offset with a contour-region cursor.
 fn decode_pass(images: &[Image], mode: DecodeMode) -> u64 {
     let mut acc = 0u64;
     for im in images {

@@ -689,9 +689,9 @@ impl Image {
     /// The instruction at bit `offset` decoded through its fixed-layout
     /// scheme's field plan from one [`window_at`](template::window_at)
     /// load, or `None` when the window cannot decode it: a pair-coded
-    /// scheme, an offset in the stream's last 64 bits, a Huffman code
-    /// longer than the LUT, a bad opcode, or opcode and fields wider than
-    /// the window.
+    /// scheme, an instruction that runs past the end of the stream, a
+    /// Huffman code longer than the LUT, a bad opcode, or opcode and
+    /// fields wider than the window.
     #[inline(always)]
     fn decode_by_window(
         &self,
@@ -713,8 +713,8 @@ impl Image {
             } => (Huffman(tree), &plans[at(tables)]),
             DecoderData::Pair { .. } | DecoderData::ValueHuffman { .. } => return None,
         };
-        let window = template::window_at(bytes, self.bit_len, offset)?;
-        template::windowed(window, code, plan)
+        let (window, room) = template::window_at(bytes, self.bit_len, offset);
+        template::windowed(window, room, code, plan)
     }
 
     /// The instruction at bit `offset` decoded through its scheme's
@@ -778,246 +778,64 @@ impl Image {
         })
     }
 
-    /// Decodes the whole image sequentially through `mode` — the fast
-    /// plane's streaming entry. One reader crosses the stream once, and
-    /// contour regions advance with a cursor instead of a binary search
-    /// per instruction. Instructions, consumed widths and modeled costs
-    /// are bit-identical to per-index [`Image::decode_with`] in either
-    /// mode; the differential suite proves it.
+    /// Decodes the whole image through `mode`: [`Image::decode_with`] at
+    /// every address, each instruction from the offset the image records
+    /// for it. Instructions, consumed widths, modeled costs and errors
+    /// are those of per-index [`Image::decode_with`].
     ///
     /// # Errors
     ///
     /// Returns the first decode failure.
     pub fn decode_all_with(&self, mode: DecodeMode) -> Result<Vec<Decoded>, ImageError> {
-        // Each decoder variant streams from its own small function so the
-        // optimizer sees one loop at a time; inside each, the mode match
-        // monomorphizes the loop with `mode` as a constant, folding every
-        // per-field `match mode` away.
-        match &self.decoder {
-            DecoderData::Byte { plan } => self.stream_byte(plan, mode),
-            DecoderData::Packed { widths, plan } => self.stream_packed(widths, plan, mode),
-            DecoderData::Contextual { tables, plans } => {
-                self.stream_contextual(tables, plans, mode)
-            }
-            DecoderData::Huffman {
-                tree,
-                tables,
-                plans,
-            } => self.stream_huffman(tree, tables, plans, mode),
-            DecoderData::Pair {
-                ctx,
-                global,
-                preds,
-                tables,
-            } => self.stream_pair(ctx, global, preds, tables, mode),
-            DecoderData::ValueHuffman {
-                ctx,
-                global,
-                preds,
-                tables,
-                values,
-            } => self.stream_value(ctx, global, preds, tables, values, mode),
-        }
+        self.decode_each(mode, |decoded| decoded)
     }
 
-    // The four fixed-layout streams: the tree plane reads every field;
-    // the table plane decodes each instruction's window through its plan
-    // (`template::stream`) and hands the rest to the same per-field
-    // reader.
-
-    fn stream_byte(
-        &self,
-        plan: &template::FieldPlan,
-        mode: DecodeMode,
-    ) -> Result<Vec<Decoded>, ImageError> {
-        match mode {
-            DecodeMode::Tree => self.stream(|r, _| byte::decode(r, DecodeMode::Tree)),
-            DecodeMode::Table => template::stream(
-                self,
-                std::iter::once((u32::MAX, plan, ())),
-                template::OpcodeCode::Fixed(byte::OPCODE_BITS),
-                |r, ()| byte::decode(r, DecodeMode::Table),
-            ),
-        }
-    }
-
-    fn stream_packed(
-        &self,
-        widths: &FieldWidths,
-        plan: &template::FieldPlan,
-        mode: DecodeMode,
-    ) -> Result<Vec<Decoded>, ImageError> {
-        match mode {
-            DecodeMode::Tree => self.stream(|r, _| packed::decode(r, widths, DecodeMode::Tree)),
-            DecodeMode::Table => template::stream(
-                self,
-                std::iter::once((u32::MAX, plan, ())),
-                template::OpcodeCode::Fixed(packed::opcode_bits()),
-                |r, ()| packed::decode(r, widths, DecodeMode::Table),
-            ),
-        }
-    }
-
-    fn stream_contextual(
-        &self,
-        tables: &ContextTables,
-        plans: &[template::FieldPlan],
-        mode: DecodeMode,
-    ) -> Result<Vec<Decoded>, ImageError> {
-        let mut cursor = 0usize;
-        match mode {
-            DecodeMode::Tree => self.stream(|r, index| {
-                contextual::decode(r, tables.region_at(&mut cursor, index), DecodeMode::Tree)
-            }),
-            DecodeMode::Table => template::stream(
-                self,
-                tables.regions.iter().zip(plans).map(|(r, p)| (r.end, p, r)),
-                template::OpcodeCode::Fixed(packed::opcode_bits()),
-                |r, region| contextual::decode(r, region, DecodeMode::Table),
-            ),
-        }
-    }
-
-    fn stream_huffman(
-        &self,
-        tree: &crate::huffman::Tree,
-        tables: &ContextTables,
-        plans: &[template::FieldPlan],
-        mode: DecodeMode,
-    ) -> Result<Vec<Decoded>, ImageError> {
-        let mut cursor = 0usize;
-        match mode {
-            DecodeMode::Tree => self.stream(|r, index| {
-                huffman_scheme::decode(
-                    r,
-                    tree,
-                    tables.region_at(&mut cursor, index),
-                    DecodeMode::Tree,
-                )
-            }),
-            DecodeMode::Table => template::stream(
-                self,
-                tables.regions.iter().zip(plans).map(|(r, p)| (r.end, p, r)),
-                template::OpcodeCode::Huffman(tree),
-                |r, region| huffman_scheme::decode(r, tree, region, DecodeMode::Table),
-            ),
-        }
-    }
-
-    fn stream_pair(
-        &self,
-        ctx: &[pair::CtxCode],
-        global: &crate::huffman::Tree,
-        preds: &[u8],
-        tables: &ContextTables,
-        mode: DecodeMode,
-    ) -> Result<Vec<Decoded>, ImageError> {
-        let mut cursor = 0usize;
-        match mode {
-            DecodeMode::Tree => self.stream(|r, index| {
-                pair::decode(
-                    r,
-                    ctx,
-                    global,
-                    preds,
-                    tables.region_at(&mut cursor, index),
-                    index,
-                    DecodeMode::Tree,
-                )
-            }),
-            DecodeMode::Table => self.stream(|r, index| {
-                pair::decode(
-                    r,
-                    ctx,
-                    global,
-                    preds,
-                    tables.region_at(&mut cursor, index),
-                    index,
-                    DecodeMode::Table,
-                )
-            }),
-        }
-    }
-
-    fn stream_value(
-        &self,
-        ctx: &[pair::CtxCode],
-        global: &crate::huffman::Tree,
-        preds: &[u8],
-        tables: &ContextTables,
-        values: &[value_huffman::ValueCode],
-        mode: DecodeMode,
-    ) -> Result<Vec<Decoded>, ImageError> {
-        let mut cursor = 0usize;
-        match mode {
-            DecodeMode::Tree => self.stream(|r, index| {
-                value_huffman::decode(
-                    r,
-                    ctx,
-                    global,
-                    preds,
-                    tables.region_at(&mut cursor, index),
-                    values,
-                    index,
-                    DecodeMode::Tree,
-                )
-            }),
-            DecodeMode::Table => self.stream(|r, index| {
-                value_huffman::decode(
-                    r,
-                    ctx,
-                    global,
-                    preds,
-                    tables.region_at(&mut cursor, index),
-                    values,
-                    index,
-                    DecodeMode::Table,
-                )
-            }),
-        }
-    }
-
-    /// Shared skeleton of [`Image::decode_all_with`]: one reader walks
-    /// the stream once and `step` decodes each instruction in place.
-    /// Generic over the step closure so each decoder variant gets its own
-    /// monomorphized loop with the scheme dispatch hoisted out of it.
-    fn stream<F>(&self, mut step: F) -> Result<Vec<Decoded>, ImageError>
-    where
-        F: FnMut(&mut BitReader<'_>, u32) -> Result<Decoded, ImageError>,
-    {
-        let mut out = Vec::with_capacity(self.len());
-        let mut reader = BitReader::new(&self.bytes, self.bit_len);
-        for index in 0..self.len() as u32 {
-            let start = reader.position();
-            let decoded = step(&mut reader, index)?;
-            out.push(Decoded {
-                bits: reader.position() - start,
-                ..decoded
-            });
-        }
-        Ok(out)
-    }
-
-    /// Decodes the whole image back to the instruction sequence, each
-    /// instruction from the offset the image records for it, as the
-    /// machine fetches it: [`Image::decode`] at every address, with the
-    /// contour regions walked by a cursor instead of searched per
-    /// address. The load proof pins this against the program, so every
-    /// recorded offset is proved to start the instruction it names.
+    /// Decodes the whole image back to the instruction sequence through
+    /// the image's own [`Image::mode`], each instruction from the offset
+    /// the image records for it, as the machine fetches it. The load
+    /// proof pins this against the program, so every recorded offset is
+    /// proved to start the instruction it names.
     ///
     /// # Errors
     ///
     /// Returns the first decode failure.
     pub fn decode_all(&self) -> Result<Vec<Inst>, ImageError> {
-        let mut code = Vec::with_capacity(self.len());
+        self.decode_each(self.mode, |decoded| decoded.inst)
+    }
+
+    /// The one whole-image loop: [`Image::decode_in`] at every address in
+    /// order, with the contour regions walked by a cursor instead of
+    /// searched per address, keeping what `keep` takes of each result.
+    /// One copy of the loop per mode, so each folds `mode` into the
+    /// per-field readers: with one copy for both, the tree plane's
+    /// whole-image decode of a Huffman image read ~15% slower.
+    fn decode_each<T>(
+        &self,
+        mode: DecodeMode,
+        keep: impl Fn(Decoded) -> T,
+    ) -> Result<Vec<T>, ImageError> {
+        match mode {
+            DecodeMode::Tree => self.decode_each_in(DecodeMode::Tree, keep),
+            DecodeMode::Table => self.decode_each_in(DecodeMode::Table, keep),
+        }
+    }
+
+    /// [`Image::decode_each`]'s loop, inlined into each of its mode arms.
+    #[inline(always)]
+    fn decode_each_in<T>(
+        &self,
+        mode: DecodeMode,
+        keep: impl Fn(Decoded) -> T,
+    ) -> Result<Vec<T>, ImageError> {
+        let mut out = Vec::with_capacity(self.len());
         let mut cursor = 0usize;
         for index in 0..self.len() as u32 {
-            let decoded = self.decode_in(&self.bytes, index, self.mode, |tables| {
+            let decoded = self.decode_in(&self.bytes, index, mode, |tables| {
                 tables.position_at(&mut cursor, index)
             })?;
-            code.push(decoded.inst);
+            out.push(keep(decoded));
         }
-        Ok(code)
+        Ok(out)
     }
 
     /// Statically validates this image's decoder-side tables: Huffman
@@ -1701,14 +1519,16 @@ mod tests {
     }
 
     /// On the table plane an instruction decodes from its window exactly
-    /// when the window holds it: 64 stream bits at its offset, an opcode
+    /// when the window holds it: its code and fields in-stream, an opcode
     /// code no longer than the LUT, and opcode plus fields within 57
     /// bits. Every other instruction takes the per-field reader; the
-    /// window's result equals the tree plane's.
+    /// window's result equals the tree plane's, and instructions in an
+    /// image's last 64 bits decode from the zero-padded window too.
     #[test]
     fn wide_instructions_take_the_reader_and_the_rest_the_window() {
         let base = compile(&hlr::programs::QUEENS.compile().unwrap());
         let (fused, _) = fuse(&base);
+        let mut tails = 0u32;
         for p in [
             with_extreme_immediates(&base),
             with_extreme_immediates(&fused),
@@ -1741,7 +1561,7 @@ mod tests {
                         .iter()
                         .map(|k| widths.width(*k))
                         .sum();
-                    let fits = offset + 64 <= image.bit_len
+                    let fits = offset + u64::from(code_bits + fields) <= image.bit_len
                         && code_bits <= crate::huffman::LUT_BITS
                         && code_bits + fields <= 57;
                     let got =
@@ -1752,6 +1572,7 @@ mod tests {
                             let tree = image.decode_with(&image.bytes, index, DecodeMode::Tree);
                             assert_eq!(d, tree, "{kind} at {i}");
                             windowed += 1;
+                            tails += u32::from(offset + 64 > image.bit_len);
                         }
                         None => read += 1,
                     }
@@ -1762,6 +1583,7 @@ mod tests {
                 );
             }
         }
+        assert!(tails > 0, "no window decode in an image's last 64 bits");
     }
 
     #[test]

@@ -57,9 +57,9 @@ impl Scheme for Packed {
 
 /// Decodes one instruction through the per-field reader; cost: extract +
 /// mask (2 ops) for the opcode and for each field. Always inlined, so the
-/// tree plane's streamed loop gets its own copy with `mode` folded: left
-/// to the optimiser, it is not inlined there, and the streamed tree
-/// decode of a Packed image reads ~50% slower.
+/// tree plane's copy of the whole-image loop folds `mode` into it: left
+/// to the optimiser, it is not inlined there, and the traced tree-plane
+/// decode of a Packed image reads ~15% slower.
 #[inline(always)]
 pub(super) fn decode(
     reader: &mut BitReader<'_>,

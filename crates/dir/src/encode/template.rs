@@ -1,21 +1,21 @@
 //! Per-opcode field plans: the table plane's decoder for every
-//! fixed-layout scheme (Byte, Packed, Contextual and Huffman), streamed
-//! or at any address.
+//! fixed-layout scheme (Byte, Packed, Contextual and Huffman), at any
+//! address and so over a whole image.
 //!
 //! A fixed layout fixes every operand-field width (program-wide for Byte
 //! and Packed, per contour region for Contextual and Huffman), so the
 //! work of decoding one instruction collapses to: resolve the opcode
 //! (fixed bits, or one Huffman LUT probe), look up the plan's
 //! precomputed field total for that opcode, and shift one 57-bit window
-//! apart into operand values. At an address the window comes from one
-//! unaligned 8-byte load ([`window_at`]); streamed, from the reader's
-//! refill buffer ([`stream`]). [`decode_window`] mirrors
-//! [`Inst::from_parts`] arm for arm — same field order, same range
-//! checks, same error values — but constructs the instruction straight
-//! from the window without an intermediate field buffer or a second
-//! opcode dispatch. Whatever the window cannot decode (the stream's last
-//! 64 bits, a long Huffman code, a bad opcode, an instruction wider than
-//! the window) goes to the scheme's per-field reader, which defines every
+//! apart into operand values. The window comes from one unaligned 8-byte
+//! load at the instruction's offset, zero-padded in the stream's last 64
+//! bits ([`window_at`]). [`decode_window`] mirrors [`Inst::from_parts`]
+//! arm for arm — same field order, same range checks, same error values
+//! — but constructs the instruction straight from the window without an
+//! intermediate field buffer or a second opcode dispatch. Whatever the
+//! window cannot decode (an instruction that runs past the stream, a
+//! long Huffman code, a bad opcode, an instruction wider than the
+//! window) goes to the scheme's per-field reader, which defines every
 //! error. The differential suite holds the window bit-identical to the
 //! reference path on every scheme and corpus.
 
@@ -25,7 +25,7 @@ use crate::isa::{
     unzigzag, AluOp, DecodeError, FieldKind, Inst, Opcode, FIELD_KINDS, OPCODES, OPCODE_COUNT,
 };
 
-use super::{Decoded, FieldWidths, Image, ImageError};
+use super::{Decoded, FieldWidths, ImageError};
 
 /// Bits one window holds: what one unaligned 64-bit load can supply at
 /// any bit alignment.
@@ -80,24 +80,38 @@ pub(super) enum OpcodeCode<'a> {
     Huffman(&'a Tree),
 }
 
-/// What the window says about the instruction at its top: the opcode,
-/// its code's length, the instruction's total width and its modeled
-/// cost.
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    opcode: Opcode,
-    code_bits: u32,
-    total: u32,
-    cost: u32,
+/// The 57-bit window at bit `offset` of a stream of `bit_len` bits held
+/// in `bytes` (value in the low 57 bits, stream order from the top), and
+/// the number of stream bits from `offset` on. Where 64 stream bits lie
+/// at `offset`, one unaligned 8-byte big-endian load shifted by
+/// `offset & 7`; nearer the end, the reader's peek, so every window bit
+/// past the stream reads as zero.
+#[inline(always)]
+pub(super) fn window_at(bytes: &[u8], bit_len: u64, offset: u64) -> (u64, u64) {
+    let room = bit_len.min(bytes.len() as u64 * 8).saturating_sub(offset);
+    let at = (offset >> 3) as usize;
+    let window = match bytes.get(at..at + 8) {
+        Some(word) if room >= 64 => {
+            let word = u64::from_be_bytes(word.try_into().expect("an 8-byte slice"));
+            (word << (offset & 7)) >> (64 - WINDOW_BITS)
+        }
+        _ => BitReader::at(bytes, bit_len, offset).peek(WINDOW_BITS),
+    };
+    (window, room)
 }
 
-/// Reads the head of the instruction at the top of `window`, or `None`
-/// when the window cannot decode it: a Huffman code longer than the
-/// LUT, a bad opcode, or opcode and fields wider than the window. Reads
-/// nothing past the opcode and does not check that the window's bits
-/// are in-stream; the caller does.
+/// The instruction at the top of `window`, an address's [`window_at`]
+/// with `room` stream bits, or `None` when the per-field reader must
+/// decode it: a Huffman code longer than the LUT, a bad opcode, opcode
+/// and fields wider than the window, or an instruction that runs past
+/// the stream.
 #[inline(always)]
-fn head(window: u64, code: OpcodeCode<'_>, plan: &FieldPlan) -> Option<Head> {
+pub(super) fn windowed(
+    window: u64,
+    room: u64,
+    code: OpcodeCode<'_>,
+    plan: &FieldPlan,
+) -> Option<Result<Decoded, ImageError>> {
     let (symbol, code_bits, walk) = match code {
         OpcodeCode::Fixed(bits) => ((window >> (WINDOW_BITS - bits)) as usize, bits, 0),
         OpcodeCode::Huffman(tree) => {
@@ -107,113 +121,26 @@ fn head(window: u64, code: OpcodeCode<'_>, plan: &FieldPlan) -> Option<Head> {
     };
     let opcode = Opcode::from_u8(symbol as u8)?;
     let total = code_bits + plan.fields_total[opcode as usize];
-    (total <= WINDOW_BITS).then_some(Head {
-        opcode,
-        code_bits,
-        total,
-        cost: plan.cost[opcode as usize] + walk,
-    })
-}
-
-/// The 57-bit window at bit `offset` of a stream of `bit_len` bits held
-/// in `bytes` (value in the low 57 bits, stream order from the top):
-/// one unaligned 8-byte big-endian load shifted by `offset & 7`. `None`
-/// unless a whole 64 bits of stream lie at `offset`, so every bit of the
-/// window is a stream bit.
-#[inline(always)]
-pub(super) fn window_at(bytes: &[u8], bit_len: u64, offset: u64) -> Option<u64> {
-    let avail = bit_len.min(bytes.len() as u64 * 8);
-    if avail < 64 || offset > avail - 64 {
+    if total > WINDOW_BITS || u64::from(total) > room {
         return None;
     }
-    let at = (offset >> 3) as usize;
-    let word = u64::from_be_bytes(bytes.get(at..at + 8)?.try_into().ok()?);
-    Some((word << (offset & 7)) >> (64 - WINDOW_BITS))
+    Some(
+        decode_window(opcode, window, code_bits, plan)
+            .map(|inst| Decoded {
+                inst,
+                cost: plan.cost[opcode as usize] + walk,
+                bits: u64::from(total),
+            })
+            .map_err(ImageError::from),
+    )
 }
 
-/// The instruction at the top of `window`, an address's [`window_at`],
-/// or `None` when [`head`] refuses it and the per-field reader must
-/// decode it.
-#[inline(always)]
-pub(super) fn windowed(
-    window: u64,
-    code: OpcodeCode<'_>,
-    plan: &FieldPlan,
-) -> Option<Result<Decoded, ImageError>> {
-    let h = head(window, code, plan)?;
-    Some(build(window, h, plan))
-}
-
-/// Decodes the whole stream of `im` on the table plane. `spans` yields,
-/// in address order, the end of each run of instructions one plan
-/// decodes, that plan, and what the per-field reader `slow` needs for
-/// the run (its contour region, say). Per instruction, one 57-bit peek
-/// resolves the opcode and supplies every operand field, so the common
-/// case costs a single window probe, one `consume`, and shift extraction
-/// straight into the instruction; the rest goes to `slow`.
-/// Instructions, consumed widths, modeled costs and errors are
-/// bit-identical to `slow`'s on every instruction.
-#[inline(always)]
-pub(super) fn stream<'p, C: Copy>(
-    im: &Image,
-    spans: impl Iterator<Item = (u32, &'p FieldPlan, C)>,
-    code: OpcodeCode<'_>,
-    mut slow: impl FnMut(&mut BitReader<'_>, C) -> Result<Decoded, ImageError>,
-) -> Result<Vec<Decoded>, ImageError> {
-    let n = im.len() as u32;
-    let mut out = Vec::with_capacity(n as usize);
-    let mut reader = BitReader::new(&im.bytes, im.bit_len);
-    let mut index = 0u32;
-    for (end, plan, ctx) in spans {
-        while index < end.min(n) {
-            let window = reader.peek(WINDOW_BITS);
-            out.push(match head(window, code, plan) {
-                Some(h) => {
-                    // The peek zero-masks padding; the consume proves
-                    // every bit the instruction spans is in-stream before
-                    // any field is judged, as the per-field reader
-                    // exhausts before it builds.
-                    reader.consume(h.total)?;
-                    build(window, h, plan)?
-                }
-                None => {
-                    let start = reader.position();
-                    let d = out_of_line(&mut reader, |r| slow(r, ctx))?;
-                    Decoded {
-                        bits: reader.position() - start,
-                        ..d
-                    }
-                }
-            });
-            index += 1;
-        }
-    }
-    Ok(out)
-}
-
-/// Runs a stream's per-field reader out of line, so the window loop
-/// stays small.
-#[inline(never)]
-fn out_of_line<T>(reader: &mut BitReader<'_>, slow: impl FnOnce(&mut BitReader<'_>) -> T) -> T {
-    slow(reader)
-}
-
-/// The instruction `h` heads, built from its window.
-#[inline(always)]
-fn build(window: u64, h: Head, plan: &FieldPlan) -> Result<Decoded, ImageError> {
-    Ok(Decoded {
-        inst: decode_window(h.opcode, window, h.code_bits, plan)?,
-        cost: h.cost,
-        bits: u64::from(h.total),
-    })
-}
-
-/// Builds the instruction directly from a peeked 57-bit window (value in
+/// Builds the instruction directly from a 57-bit window (value in
 /// the low 57 bits, stream order from the top), with operand fields
 /// starting `code_bits` in. The caller must have verified that
 /// `code_bits + fields_total(opcode)` bits are in-stream and fit the
-/// window ([`head`] and its callers do) — every shift here touches only
-/// verified bits, and the window's zero-masked padding is never reached.
+/// window ([`windowed`] does) — every shift here touches only verified
+/// bits, and the window's zero padding is never reached.
 ///
 /// # Errors
 ///

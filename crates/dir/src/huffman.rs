@@ -134,11 +134,6 @@ impl Tree {
         }
     }
 
-    /// Number of symbols in the alphabet.
-    pub fn alphabet_len(&self) -> usize {
-        self.codes.len()
-    }
-
     /// The code width in bits for `symbol`.
     ///
     /// # Panics

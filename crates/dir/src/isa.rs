@@ -21,7 +21,6 @@
 //! an instruction automatically extends all encoders.
 
 use hlr::ast::BinOp;
-use hlr::ast::UnOp;
 
 /// An arithmetic/logic operation shared by the DIR ALU instructions, the
 /// fused instructions and the UHM micro-ALU.
@@ -729,14 +728,6 @@ impl Inst {
             },
             other => other,
         }
-    }
-}
-
-/// Maps an HLR unary operator to the corresponding DIR instruction.
-pub fn unop_inst(op: UnOp) -> Inst {
-    match op {
-        UnOp::Neg => Inst::Neg,
-        UnOp::Not => Inst::Not,
     }
 }
 

@@ -459,11 +459,6 @@ impl Dtb {
         self.last_evicted
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &DtbConfig {
-        &self.config
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> DtbStats {
         self.stats
@@ -673,11 +668,6 @@ impl Dtb {
     /// Length in words of the resident translation.
     pub fn len(&self, handle: Handle) -> u32 {
         self.lengths[handle.0]
-    }
-
-    /// Always false for a valid handle; present for API completeness.
-    pub fn is_empty(&self, handle: Handle) -> bool {
-        self.lengths[handle.0] == 0
     }
 
     /// Reads one short word of the resident translation (the per-word DTB

@@ -78,14 +78,6 @@ impl FaultConfig {
         cfg
     }
 
-    /// `true` when every rate is zero (nothing will ever be injected).
-    pub fn is_inert(&self) -> bool {
-        self.dir_bit_rate <= 0.0
-            && self.dtb_word_rate <= 0.0
-            && self.dtb_tag_rate <= 0.0
-            && self.drop_fetch_rate <= 0.0
-    }
-
     fn rate(&self, kind: FaultKind) -> f64 {
         match kind {
             FaultKind::DirBit => self.dir_bit_rate,
@@ -135,11 +127,6 @@ impl FaultInjector {
             rng: Rng::new(config.seed),
             stats: FaultStats::default(),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
     }
 
     /// Injection totals so far.

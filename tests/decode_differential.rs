@@ -26,7 +26,7 @@ fn sample_programs() -> Vec<(String, dir::Program)> {
 }
 
 /// Asserts both planes agree on `program` under `scheme`, per index and
-/// streaming, and that both recover the original code. Returns the number
+/// over the whole image, and that both recover the original code. Returns the number
 /// of per-instruction comparisons performed.
 fn assert_planes_agree(name: &str, scheme: SchemeKind, program: &dir::Program) -> u64 {
     let image = scheme.encode(program);
@@ -41,15 +41,15 @@ fn assert_planes_agree(name: &str, scheme: SchemeKind, program: &dir::Program) -
         assert_eq!(tree, table, "{name} {scheme} per-index divergence at {i}");
         per_index.push(table);
     }
-    // The streaming entry must agree with per-index decoding in both
-    // modes — `stream_table` is a separate code path from `decode_with`.
+    // The whole-image entry must agree with per-index decoding in both
+    // modes: it walks the contour regions with a cursor, not a search.
     for mode in [DecodeMode::Tree, DecodeMode::Table] {
-        let streamed = image
+        let whole = image
             .decode_all_with(mode)
-            .unwrap_or_else(|e| panic!("{name} {scheme} {mode:?} streaming decode: {e:?}"));
+            .unwrap_or_else(|e| panic!("{name} {scheme} {mode:?} whole-image decode: {e:?}"));
         assert_eq!(
-            streamed, per_index,
-            "{name} {scheme} {mode:?} streaming vs per-index divergence"
+            whole, per_index,
+            "{name} {scheme} {mode:?} whole-image vs per-index divergence"
         );
     }
     let insts: Vec<dir::isa::Inst> = per_index.iter().map(|d| d.inst).collect();
@@ -58,7 +58,7 @@ fn assert_planes_agree(name: &str, scheme: SchemeKind, program: &dir::Program) -
 }
 
 /// Every scheme over the full sample corpus: tree and table planes are
-/// bit-identical per index, streaming agrees with per-index decoding,
+/// bit-identical per index, whole-image decoding agrees with per-index,
 /// and both recover the compiled code.
 #[test]
 fn sample_corpus_tree_table_identical() {
@@ -85,6 +85,25 @@ fn random_programs_tree_table_identical() {
         comparisons >= 10_000,
         "only {comparisons} differential comparisons"
     );
+}
+
+/// Whole-image decoding honours the offsets the image records, as a
+/// machine's fetch does: with two instructions' offsets swapped, every
+/// scheme on both planes decodes the whole image exactly as it decodes
+/// each index, results and errors alike.
+#[test]
+fn whole_image_decode_honours_recorded_offsets() {
+    let program = dir::compiler::compile(&hlr::programs::QUEENS.compile().expect("compiles"));
+    for scheme in SchemeKind::all() {
+        let mut image = scheme.encode(&program);
+        image.offsets.swap(3, 4);
+        for mode in DecodeMode::all() {
+            let per_index: Result<Vec<_>, _> = (0..image.len() as u32)
+                .map(|i| image.decode_with(&image.bytes, i, mode))
+                .collect();
+            assert_eq!(image.decode_all_with(mode), per_index, "{scheme} {mode:?}");
+        }
+    }
 }
 
 /// Encode → decode → re-encode is a fixpoint for every scheme, including
@@ -153,11 +172,10 @@ fn with_extreme_immediates(program: &dir::Program) -> dir::Program {
     out
 }
 
-/// Instructions too wide for one window, and the instructions in the
-/// stream's last 64 bits, take the per-field reader on the table plane:
-/// per scheme, per index and streamed, both planes stay bit-identical
-/// and recover the program, on sample programs before and after fusion
-/// rewrote them with extreme immediates.
+/// Instructions too wide for one window take the per-field reader on the
+/// table plane: per scheme, per index and over the whole image, both
+/// planes stay bit-identical and recover the program, on sample programs
+/// before and after fusion rewrote them with extreme immediates.
 #[test]
 fn extreme_immediates_decode_identically_on_both_planes() {
     let mut programs = Vec::new();
