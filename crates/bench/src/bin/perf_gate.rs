@@ -2,11 +2,9 @@
 //! wall-clock throughput of the two decoder implementations — the
 //! seed's bit-at-a-time tree walker (`--decoder tree`) and the
 //! word-batched canonical-Huffman table decoder (`--decoder table`) —
-//! in MB/s over the full sample corpus — and, ungated, the table plane
-//! at one address at a time, as machines decode — plus DIR→PSDER
-//! translation throughput (ungated): `psder::Template::new` alone, with
-//! `Line::compile` of its words, and a stencil stamped into a line, as
-//! machines translate.
+//! in MB/s over the full sample corpus — plus DIR→PSDER translation
+//! throughput (ungated): `psder::Template::new` alone, and a stencil
+//! stamped into a line, as machines translate.
 //!
 //! The paper's *modeled* decode costs (E6/E12) are a property of the
 //! representation, not of the host, and are identical in both modes by
@@ -101,23 +99,6 @@ struct DecodeRow {
     tree_mb_s: f64,
     table_mb_s: f64,
     speedup: f64,
-    /// The table plane one address at a time (ungated).
-    table_at_mb_s: f64,
-}
-
-/// Decodes the corpus through the table plane one address at a time,
-/// the way a machine's fetch does.
-fn decode_at_pass(images: &[Image]) -> u64 {
-    let mut acc = 0u64;
-    for im in images {
-        for i in 0..im.len() as u32 {
-            let d = im
-                .decode_with(&im.bytes, black_box(i), DecodeMode::Table)
-                .expect("clean images decode");
-            acc = acc.wrapping_add(d.bits).wrapping_add(u64::from(d.cost));
-        }
-    }
-    acc
 }
 
 fn measure_decode(c: &Corpus) -> DecodeRow {
@@ -127,7 +108,6 @@ fn measure_decode(c: &Corpus) -> DecodeRow {
         || decode_pass(&c.images, DecodeMode::Table),
         SAMPLES,
     );
-    let at_ns = min_ns(|| decode_at_pass(&c.images), SAMPLES);
     let mb_s = |ns: f64| bytes / (ns / 1e9) / 1e6;
     DecodeRow {
         scheme: c.scheme,
@@ -136,7 +116,6 @@ fn measure_decode(c: &Corpus) -> DecodeRow {
         tree_mb_s: mb_s(tree_ns),
         table_mb_s: mb_s(table_ns),
         speedup: tree_ns / table_ns,
-        table_at_mb_s: mb_s(at_ns),
     }
 }
 
@@ -145,19 +124,16 @@ fn measure_decode(c: &Corpus) -> DecodeRow {
 enum Stage {
     /// `Template::new`: the short words.
     Plain,
-    /// `Template::new`, then `Line::compile` of the words.
-    Compile,
     /// The shape's stencil stamped into a line, as machines translate.
     Stencil,
 }
 
 impl Stage {
-    const ALL: [Stage; 3] = [Stage::Plain, Stage::Compile, Stage::Stencil];
+    const ALL: [Stage; 2] = [Stage::Plain, Stage::Stencil];
 
     fn label(self) -> &'static str {
         match self {
             Stage::Plain => "plain",
-            Stage::Compile => "compile",
             Stage::Stencil => "stencil",
         }
     }
@@ -166,7 +142,6 @@ impl Stage {
 /// Translates the whole corpus instruction by instruction through
 /// `stage`.
 fn translate_pass(programs: &[Program], stage: Stage, line: &mut psder::Line) -> u64 {
-    let lib = psder::RoutineLib::shared();
     let stencils = psder::Stencils::shared();
     let mut acc = 0u64;
     for p in programs {
@@ -174,10 +149,6 @@ fn translate_pass(programs: &[Program], stage: Stage, line: &mut psder::Line) ->
             let (inst, next) = (black_box(inst), i as u32 + 1);
             let n = match stage {
                 Stage::Plain => psder::Template::new(inst, next).len(),
-                Stage::Compile => {
-                    let words = psder::Template::new(inst, next);
-                    line.compile(lib, &words).expect("templates fit").len()
-                }
                 Stage::Stencil => {
                     stencils.instance(inst, next).line_into(line);
                     line.meta().len()
@@ -260,7 +231,6 @@ fn main() -> ExitCode {
                     ("tree_mb_s", r.tree_mb_s.into()),
                     ("table_mb_s", r.table_mb_s.into()),
                     ("speedup", r.speedup.into()),
-                    ("table_at_mb_s", r.table_at_mb_s.into()),
                 ])
             })
             .collect();
@@ -295,22 +265,20 @@ fn print_table(
         programs.len()
     );
     println!(
-        "{:>12} {:>9} {:>8} {:>12} {:>12} {:>9} {:>15}",
-        "scheme", "MB", "instrs", "tree MB/s", "table MB/s", "speedup", "table@pc MB/s"
+        "{:>12} {:>9} {:>8} {:>12} {:>12} {:>9}",
+        "scheme", "MB", "instrs", "tree MB/s", "table MB/s", "speedup"
     );
     for r in decode_rows {
         println!(
-            "{:>12} {:>9.3} {:>8} {:>12.1} {:>12.1} {:>8.2}x {:>15.1}",
+            "{:>12} {:>9.3} {:>8} {:>12.1} {:>12.1} {:>8.2}x",
             r.scheme.label(),
             r.megabytes,
             r.instrs,
             r.tree_mb_s,
             r.table_mb_s,
-            r.speedup,
-            r.table_at_mb_s
+            r.speedup
         );
     }
-    println!("(table@pc: the table plane one address at a time, ungated)");
     println!();
     for (stage, minstr_s) in translate {
         println!(

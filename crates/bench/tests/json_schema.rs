@@ -151,18 +151,18 @@ fn perf_gate_emits_a_run_report() {
     assert_eq!(decode.len(), 6, "one decode row per scheme");
     for row in &decode {
         assert!(row.get("scheme").and_then(Json::as_str).is_some());
-        for key in ["tree_mb_s", "table_mb_s", "speedup", "table_at_mb_s"] {
+        for key in ["tree_mb_s", "table_mb_s", "speedup"] {
             let v = row.get(key).and_then(Json::as_f64).unwrap();
             assert!(v > 0.0, "{key} = {v}");
         }
     }
-    // Three translation stages: the words, the words compiled into a
-    // line, and a stencil stamped into a line.
+    // Two translation stages: the words, and a stencil stamped into a
+    // line.
     let stages: Vec<&str> = translate
         .iter()
         .filter_map(|r| r.get("stage").and_then(Json::as_str))
         .collect();
-    assert_eq!(stages, ["plain", "compile", "stencil"]);
+    assert_eq!(stages, ["plain", "stencil"]);
     for row in &translate {
         assert!(row.get("minstr_s").and_then(Json::as_f64).unwrap() > 0.0);
     }

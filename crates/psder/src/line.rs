@@ -32,13 +32,12 @@
 //! state. A trapping superop therefore leaves exactly the partial state,
 //! and raises exactly the trap, of the words run one by one.
 //!
-//! Machines rarely call [`Line::compile`] themselves: fusion and exit
+//! Machines never call [`Line::compile`] themselves: fusion and exit
 //! folding depend only on an instruction's shape, so
-//! [`stencil`](crate::stencil) compiles each shape once and a translation
-//! event copies that line and patches its operands in. Compiling from
-//! words is left to words that did not come from a decoded instruction:
-//! a two-level DTB's promoted translation and the chaos plane's poisoned
-//! one.
+//! [`stencil`](crate::stencil) compiles each shape once and every
+//! translation event copies that line and patches its operands in.
+//! Compiling from words is left to the stencil builder and to the tests
+//! that check a stamped line against the words it stands for.
 //!
 //! Compilation follows the one termination rule every executor obeys: a
 //! sequence ends at its first `INTERP` or at the first `HaltOp` of a

@@ -10,10 +10,10 @@
 //! [`Template::new`] is the one definition of the mapping, built into a
 //! fixed array on the caller's stack. It serves three consumers:
 //!
-//! * the **dynamic translator** fills DTB allocation units with its
-//!   words, and the **stencil builder** ([`crate::stencil`]) compiles it
-//!   once per instruction shape into the line every translation event
-//!   stamps out;
+//! * the **stencil builder** ([`crate::stencil`]) compiles it once per
+//!   instruction shape into the line every translation event stamps out,
+//!   and under the fault plane a machine stores its words in the
+//!   first-level DTB as the surface faults strike;
 //! * the **reference interpreter** ([`crate::interp`]) executes its
 //!   words one by one;
 //! * the **cost model** and the analyses measure `s1` (short words per
@@ -24,7 +24,6 @@
 //! host-side cache sits between the translator and its consumers: the
 //! DTB is the only translation cache, as in the paper.
 
-use dir::exec::Trap;
 use dir::isa::Inst;
 
 use crate::short::{InterpMode, PopMode, PushMode, RoutineId, ShortInstr};
@@ -46,8 +45,6 @@ pub const MAX_TRANSLATION_WORDS: usize = 6;
 ///     &t[..],
 ///     [ShortInstr::Push(PushMode::Imm(7)), ShortInstr::Interp(InterpMode::Imm(1))]
 /// );
-/// // The chaos plane's corruption drops the terminator.
-/// assert_eq!(t.poisoned().len(), 1);
 /// ```
 #[derive(Clone, Copy)]
 pub struct Template {
@@ -168,42 +165,6 @@ impl Template {
             ]),
         }
     }
-
-    /// Copies stored words back into a template, as two-level promotion
-    /// does with a second-level line.
-    ///
-    /// # Errors
-    ///
-    /// [`Trap::Malformed`] when there are more than
-    /// [`MAX_TRANSLATION_WORDS`] words, which no translation produces.
-    pub fn copy_from(words: impl ExactSizeIterator<Item = ShortInstr>) -> Result<Template, Trap> {
-        let len = words.len();
-        if len > MAX_TRANSLATION_WORDS {
-            return Err(Trap::Malformed("translation exceeds MAX_TRANSLATION_WORDS"));
-        }
-        let mut template = Template {
-            words: [PAD; MAX_TRANSLATION_WORDS],
-            len,
-        };
-        for (slot, word) in template.words.iter_mut().zip(words) {
-            *slot = word;
-        }
-        Ok(template)
-    }
-
-    /// The chaos plane's corrupted translation: this template without its
-    /// final short word — the `INTERP` terminator, or for `Halt` the whole
-    /// sequence. Dispatching it runs off its end, which the machine
-    /// reports as a `Malformed("… ended without INTERP")` trap at the
-    /// first instruction. Unlike a random bit flip, truncation is
-    /// guaranteed detectable (a too-short sequence cannot silently
-    /// mis-execute into a clean run), so campaigns can assert that every
-    /// corruption is caught and recovered by a clean retry.
-    #[must_use]
-    pub fn poisoned(mut self) -> Template {
-        self.len = self.len.saturating_sub(1);
-        self
-    }
 }
 
 /// A template of exactly the words given; `N` is checked against
@@ -259,23 +220,8 @@ mod tests {
                 Some(ShortInstr::Interp(_) | ShortInstr::Call(RoutineId::HaltR)) => {}
                 other => panic!("{inst:?} ends with {other:?}"),
             }
-            // Poisoning drops exactly the last word.
-            let bad = t.poisoned();
-            assert_eq!(&bad[..], &t[..t.len() - 1], "{inst:?}");
         }
         assert_eq!(opcodes.len(), dir::isa::OPCODE_COUNT);
-    }
-
-    #[test]
-    fn copied_words_round_trip_and_overlong_lines_are_malformed() {
-        let t = Template::new(Inst::JumpIfTrue(3), 9);
-        let copy = Template::copy_from(t.iter().copied()).unwrap();
-        assert_eq!(&copy[..], &t[..]);
-        let overlong = [PAD; MAX_TRANSLATION_WORDS + 1];
-        assert!(matches!(
-            Template::copy_from(overlong.iter().copied()),
-            Err(Trap::Malformed(_))
-        ));
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //! victim way, takes the overflow blocks the translation's length needs
 //! and sets the way's tag, stamp and length. [`Dtb::store`] writes the
 //! words into the claimed way and takes the guard checksum.
-//! [`Dtb::fill`] is the two together. A machine whose words nobody reads
-//! later — no guards, no promotion out of this buffer — claims the way by
-//! length alone: the length is all the modeled charges count.
+//! [`Dtb::fill`] is the two together. A machine's buffer whose words
+//! nobody reads later — a first level without the fault plane's guards,
+//! and every second level — claims the way by length alone: the length
+//! is all the modeled charges count.
 
 use memsim::Geometry;
 use psder::{ShortInstr, MAX_TRANSLATION_WORDS};
@@ -453,8 +454,8 @@ impl Dtb {
         self.last_miss
     }
 
-    /// DIR address displaced by the most recent [`Dtb::fill`], if that
-    /// fill evicted a resident translation.
+    /// DIR address displaced by the most recent [`Dtb::claim`] (or
+    /// [`Dtb::fill`]), if it evicted a resident translation.
     pub fn last_evicted(&self) -> Option<u32> {
         self.last_evicted
     }

@@ -1,35 +1,36 @@
 //! The universal host machine in its three Section-7 configurations.
 //!
-//! All three share the [`psder::Engine`] architectural state, the semantic
-//! [`RoutineLib`] and the encoded DIR image; they differ only in the fetch
-//! path of DIR instructions:
+//! All three share the [`psder::Engine`] architectural state, the
+//! semantic [`psder::RoutineLib`] and the encoded DIR image; they differ
+//! only in the fetch path of DIR instructions:
 //!
 //! * [`Mode::Interpreter`] — the conventional UHM (T1): every DIR
 //!   instruction is fetched from level 2 and decoded, every time.
 //! * [`Mode::Dtb`] — the paper's proposal (T2): the INTERP instruction
-//!   presents the DIR address to the DTB; hits run the line compiled from
-//!   the stored PSDER translation, misses trap to the dynamic translation
+//!   presents the DIR address to the DTB; hits run the line stamped when
+//!   the translation was stored, misses trap to the dynamic translation
 //!   routine.
 //! * [`Mode::ICache`] — the resource-matched baseline (T3): level-2 words
 //!   are cached, but every instruction is still decoded.
 //!
-//! Every translation event — an interpreted step, a DTB miss, a degraded
-//! address — stamps its executable line out of the instruction shape's
-//! stencil ([`Stencils`]). A DTB miss claims its way by the translation's
-//! length, which is what the buffer allocates and the modeled generate
-//! and store charges count, and stamps the line into the way. The short words
-//! [`Template::new`] builds are made only where a buffer stores them for
-//! a later reader: the first level under the fault plane, whose guard
-//! checksums and injected faults read them, and the second-level store,
-//! whose hits promote them. The DTB is the only place a translation is
-//! kept, as in the paper.
+//! Every translation event — an interpreted or degraded step, a DTB
+//! miss, a two-level promotion, an uncached overflow step — stamps the
+//! decoded instruction's executable line out of its shape's stencil
+//! ([`Stencils`]); nothing else makes a line. A DTB level claims its way
+//! by the translation's length: lengths, and the generate, store and
+//! promote charges they imply, are each level's modeled contents. The
+//! second level keeps the decoded instruction of each way, which a
+//! promotion stamps again. Short words ([`Template::new`]) exist only as
+//! the first level's fault surface: they are built and stored under the
+//! fault plane, whose guard checksums and injected faults read them. The
+//! DTB is the only place a translation is kept, as in the paper.
 
 use dir::encode::{word_index, DecodeMode, Image, SchemeKind};
 use dir::exec::Trap;
 use dir::program::Program;
 use memsim::{Access, Geometry, SetAssocCache};
 use psder::line::Edge;
-use psder::{Engine, Flow, Instance, Line, RoutineLib, Stencils, Template};
+use psder::{Engine, Flow, Instance, Line, Stencils, Template};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use telemetry::{Event, FaultKind, MissKind, NullSink, Tier, TraceSink};
@@ -104,9 +105,10 @@ pub struct RunOptions {
     /// Execution budget (fuel and/or wall-clock deadline). The unlimited
     /// default keeps the amortized budget check inert.
     pub budget: Budget,
-    /// The chaos plane's corrupted-translation injection: every template
-    /// the run builds drops its last word ([`Template::poisoned`]), so the
-    /// first instruction traps [`Trap::Malformed`].
+    /// The chaos plane's corrupted-translation injection: every line the
+    /// run stamps is dropped again ([`Line::clear`]), so the first
+    /// dispatch runs off its end and traps [`Trap::Malformed`] before it
+    /// executes anything.
     pub poison_translations: bool,
 }
 
@@ -119,7 +121,6 @@ pub struct RunOptions {
 pub struct Machine {
     program: Program,
     image: Image,
-    lib: &'static RoutineLib,
     stencils: &'static Stencils,
     costs: CostModel,
     limits: Limits,
@@ -142,7 +143,6 @@ impl Machine {
         Machine {
             program: program.clone(),
             image: scheme.encode(program),
-            lib: RoutineLib::shared(),
             stencils: Stencils::shared(),
             costs,
             limits,
@@ -180,7 +180,6 @@ impl Machine {
         Machine {
             program: verified.program().clone(),
             image: verified.get().clone(),
-            lib: RoutineLib::shared(),
             stencils: Stencils::shared(),
             costs,
             limits,
@@ -302,6 +301,9 @@ impl Machine {
             }
         }
         let lines = vec![Line::EMPTY; dtb.as_ref().map_or(0, Dtb::ways_total)];
+        // Read only at a second-level hit, so only after the claim that
+        // wrote the way's instruction.
+        let insts2 = vec![dir::Inst::Halt; dtb2.as_ref().map_or(0, Dtb::ways_total)];
         let mut run = Run {
             machine: self,
             engine: Engine::new(&self.program, self.limits.max_depth),
@@ -328,6 +330,7 @@ impl Machine {
                 .map(|ns| Instant::now() + std::time::Duration::from_nanos(ns)),
             pending: 0,
             lines,
+            insts2,
             scratch: Line::EMPTY,
         };
         run.execute(mode)?;
@@ -362,7 +365,7 @@ struct Run<'m, S: TraceSink> {
     /// Consecutive integrity failures per DIR address, reset on a clean
     /// dispatch.
     fail_counts: HashMap<u32, u32>,
-    /// Whether every template this run builds is poisoned
+    /// Whether every line this run stamps is dropped again
     /// ([`RunOptions::poison_translations`]).
     poison: bool,
     /// Modeled-cycle allowance, compared against the run's cycle total
@@ -381,53 +384,13 @@ struct Run<'m, S: TraceSink> {
     /// short words, stored only under the fault plane, are the fault
     /// surface. A hit runs this line.
     lines: Vec<Line>,
-    /// The line non-resident translations are compiled into.
+    /// The decoded instruction of each second-level way, written when the
+    /// way is claimed: a promotion stamps its line from it. The way's
+    /// length and the charges it implies are the modeled contents; the
+    /// second level stores no words.
+    insts2: Vec<dir::Inst>,
+    /// The line non-resident translations are stamped into.
     scratch: Line,
-}
-
-/// One translation event's product: where the executable line comes
-/// from, and the words, where a buffer stores them.
-enum Translation {
-    /// A decoded instruction's whole translation: the line is stamped
-    /// from the stencil, and the words are built only when a buffer will
-    /// store them.
-    Stamped {
-        stencil: Instance<'static>,
-        words: Option<Template>,
-    },
-    /// Words that are not a decoded instruction's whole translation — a
-    /// promoted copy, or a poisoned one: the line is compiled from them.
-    Compiled(Template),
-}
-
-impl Translation {
-    /// The translation's length in short words: what the DTB allocates
-    /// and the generate and store charges count.
-    fn len(&self) -> usize {
-        match self {
-            Translation::Stamped { stencil, .. } => stencil.words(),
-            Translation::Compiled(words) => words.len(),
-        }
-    }
-
-    /// The words, if they were built.
-    fn words(&self) -> Option<&Template> {
-        match self {
-            Translation::Stamped { words, .. } => words.as_ref(),
-            Translation::Compiled(words) => Some(words),
-        }
-    }
-
-    /// Puts the translation's executable line into `line`.
-    fn load(&self, lib: &RoutineLib, line: &mut Line) -> Result<(), Trap> {
-        match self {
-            Translation::Stamped { stencil, .. } => stencil.line_into(line),
-            Translation::Compiled(words) => {
-                line.compile(lib, words)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Where one DIR instruction's execution leads.
@@ -491,18 +454,19 @@ impl<'m, S: TraceSink> Run<'m, S> {
         }
     }
 
-    /// Translates `inst` with fall-through successor `next` for the DTB:
-    /// the shape's stencil, with the words when `words` asks for them,
-    /// or, when the chaos plane asked for it, the poisoned words alone.
-    /// Inlined, as [`Run::translate_miss`] is.
+    /// Stamps a translation into the line `way` names — a first-level
+    /// way's, or the scratch line when `way` is `None`. Under the chaos
+    /// plane's poisoning the line is dropped again, so its dispatch runs
+    /// off its end and traps [`Trap::Malformed`].
     #[inline(always)]
-    fn translation(&self, inst: dir::Inst, next: u32, words: bool) -> Translation {
+    fn stamp(&mut self, stencil: Instance<'_>, way: Option<usize>) {
+        let line = match way {
+            Some(way) => &mut self.lines[way],
+            None => &mut self.scratch,
+        };
+        stencil.line_into(line);
         if self.poison {
-            return Translation::Compiled(Template::new(inst, next).poisoned());
-        }
-        Translation::Stamped {
-            stencil: self.machine.stencils.instance(inst, next),
-            words: words.then(|| Template::new(inst, next)),
+            line.clear();
         }
     }
 
@@ -512,13 +476,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
     /// Only the line is stamped out; no words are built.
     fn interp_one(&mut self, pc: u32) -> Result<Next, Trap> {
         let inst = self.fetch_decode(pc)?;
-        if self.poison {
-            let template = Template::new(inst, pc + 1).poisoned();
-            self.scratch.compile(self.machine.lib, &template)?;
-        } else {
-            let instance = self.machine.stencils.instance(inst, pc + 1);
-            instance.line_into(&mut self.scratch);
-        }
+        self.stamp(self.machine.stencils.instance(inst, pc + 1), None);
         self.run_line(None)
     }
 
@@ -702,7 +660,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
         Ok(decoded.inst)
     }
 
-    /// Runs a compiled line — a first-level DTB way's, or the scratch
+    /// Runs a stamped line — a first-level DTB way's, or the scratch
     /// line when `way` is `None` — and charges its constant cost: each
     /// short word at `τ_D` from the buffer array or at `t1` as level-1
     /// steering code, each routine word at `t1`. A trap drops the run's
@@ -906,26 +864,25 @@ impl<'m, S: TraceSink> Run<'m, S> {
                         .unwrap_or(MissKind::Cold);
                     self.sink.emit(Event::DtbMiss { addr: pc, kind });
                 }
-                // The first level's words are read only by the fault
-                // plane: its guard checksums and injected faults.
-                let translation = if self.dtb2.is_some() {
+                let inst = if self.dtb2.is_some() {
                     self.second_level(pc)?
                 } else {
-                    self.translate_miss(pc, 1, FAULTS)?
+                    self.translate_miss(pc, 1)?
                 };
+                let stencil = self.machine.stencils.instance(inst, pc + 1);
                 let dtb = require(self.dtb.as_mut(), NO_DTB)?;
-                let Some(h) = dtb.claim(pc, translation.len()) else {
+                let Some(h) = dtb.claim(pc, stencil.words()) else {
                     // Overflow area exhausted: execute without caching,
                     // the steering words at `t1` from level-1 code.
-                    translation.load(self.machine.lib, &mut self.scratch)?;
+                    self.stamp(stencil, None);
                     let next = self.run_line(None)?;
                     self.retire(pc, Tier::Interp);
                     return Ok(next);
                 };
+                // The first level's words are read only by the fault
+                // plane: its guard checksums and injected faults.
                 if FAULTS {
-                    if let Some(words) = translation.words() {
-                        dtb.store(h, words);
-                    }
+                    dtb.store(h, &Template::new(inst, pc + 1));
                 }
                 if S::ENABLED {
                     if let Some(victim) = dtb.last_evicted() {
@@ -937,7 +894,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
                         occupancy,
                     });
                 }
-                translation.load(self.machine.lib, &mut self.lines[h.way()])?;
+                self.stamp(stencil, Some(h.way()));
                 h.way()
             }
         };
@@ -949,21 +906,18 @@ impl<'m, S: TraceSink> Run<'m, S> {
     }
 
     /// A first-level miss: trap to the dynamic translation routine (via
-    /// DTRPOINT) — fetch the DIR instruction, decode it, generate the
-    /// PSDER translation and store `copies` copies of it (one per level
-    /// it will fill). The words are built only when `words` says a level
-    /// keeps them; the charges count the length either way.
+    /// DTRPOINT) — fetch the DIR instruction, decode it, and charge
+    /// generating its PSDER translation and storing `copies` copies of it
+    /// (one per level it will fill), by the translation's length.
     ///
-    /// Inlined into the miss path, so that a translation that is only a
-    /// stencil instance never goes through memory: as a call returning
-    /// it, the loop mix through a 16-entry DTB read ~24% slower.
+    /// Inlined into the miss path: as a call, the loop mix through a
+    /// 16-entry DTB read ~24% slower.
     #[inline(always)]
-    fn translate_miss(&mut self, pc: u32, copies: u64, words: bool) -> Result<Translation, Trap> {
+    fn translate_miss(&mut self, pc: u32, copies: u64) -> Result<dir::Inst, Trap> {
         let d0 = self.metrics.cycles.decode;
         let inst = self.fetch_decode(pc)?;
-        let translation = self.translation(inst, pc + 1, words);
+        let len = self.machine.stencils.instance(inst, pc + 1).words() as u64;
         let t1 = self.costs().mem.t1;
-        let len = translation.len() as u64;
         let gen = len * self.costs().gen_per_word;
         let store = len * self.costs().store_per_word * copies;
         self.charge(|c| &mut c.generate, gen * t1);
@@ -975,29 +929,28 @@ impl<'m, S: TraceSink> Run<'m, S> {
                 generate_cycles: (gen + store) * t1,
             });
         }
-        Ok(translation)
+        Ok(inst)
     }
 
     /// A first-level miss under two-level translation. A second-level
     /// hit *promotes* the stored translation (a copy, cheaper than
-    /// re-translating); a second-level miss runs the full dynamic
-    /// translation routine and fills the second level too.
-    fn second_level(&mut self, pc: u32) -> Result<Translation, Trap> {
+    /// re-translating) and hands back the instruction it was made from;
+    /// a second-level miss runs the full dynamic translation routine and
+    /// claims a second-level way too.
+    fn second_level(&mut self, pc: u32) -> Result<dir::Inst, Trap> {
         let tau2 = self.costs().tau_dtb2;
         self.charge(|c| &mut c.lookup2, tau2);
         let Some(h2) = require(self.dtb2.as_mut(), NO_DTB2)?.lookup(pc) else {
-            // The second level keeps the words: its hits promote them.
-            let translation = self.translate_miss(pc, 2, true)?;
-            if let Some(words) = translation.words() {
-                require(self.dtb2.as_mut(), NO_DTB2)?.fill(pc, words);
+            let inst = self.translate_miss(pc, 2)?;
+            let len = self.machine.stencils.instance(inst, pc + 1).words();
+            if let Some(h2) = require(self.dtb2.as_mut(), NO_DTB2)?.claim(pc, len) {
+                self.insts2[h2.way()] = inst;
             }
-            return Ok(translation);
+            return Ok(inst);
         };
         // Promote: read each word from L2 (tau_dtb2) and store it into L1
         // (store_per_word each).
-        let dtb2 = require(self.dtb2.as_ref(), NO_DTB2)?;
-        let len = dtb2.len(h2);
-        let words = Template::copy_from((0..len).map(|i| dtb2.word(h2, i)))?;
+        let len = require(self.dtb2.as_ref(), NO_DTB2)?.len(h2);
         let promote_cost = u64::from(len) * (tau2 + self.costs().store_per_word);
         self.charge(|c| &mut c.promote, promote_cost);
         if S::ENABLED {
@@ -1006,9 +959,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
                 words: len,
             });
         }
-        // The promoted words come from the store, not from a decoded
-        // instruction: their line is compiled from them.
-        Ok(Translation::Compiled(words))
+        Ok(self.insts2[h2.way()])
     }
 }
 
@@ -1304,21 +1255,27 @@ mod tests {
         let p = compile(&hlr::programs::FIB_ITER.compile().unwrap());
         let m = Machine::new(&p, SchemeKind::Huffman);
         let plain = m.run(&Mode::Interpreter).unwrap();
-        let mut all = modes();
-        all.push(Mode::TwoLevelDtb {
-            l1: DtbConfig::with_capacity(8),
-            l2: DtbConfig::with_capacity(256),
-        });
-        for mode in all {
-            let poisoned = RunOptions {
-                poison_translations: true,
-                ..RunOptions::default()
-            };
-            let err = m.run_with(&mode, &mut NullSink, poisoned).unwrap_err();
-            assert!(
-                matches!(err, Trap::Malformed(_)),
-                "poisoned translations must be caught, got {err:?} under {mode:?}"
-            );
+        // An image whose first instruction is `Halt`, whose translation
+        // is a single word.
+        let halt_first = Program {
+            code: vec![dir::Inst::Halt, dir::Inst::Return],
+            procs: Vec::new(),
+            entry_proc: 0,
+            globals_size: 0,
+        };
+        let halt_first = Machine::new(&halt_first, SchemeKind::Huffman);
+        let poisoned = RunOptions {
+            poison_translations: true,
+            ..RunOptions::default()
+        };
+        for machine in [&m, &halt_first] {
+            for mode in all_modes() {
+                let err = machine.run_with(&mode, &mut NullSink, poisoned.clone());
+                assert!(
+                    matches!(err, Err(Trap::Malformed(_))),
+                    "poisoned translations must be caught, got {err:?} under {mode:?}"
+                );
+            }
         }
         // Nothing of a poisoned run outlives it: a clean retry on the
         // same machine is bit-identical to a run that was never poisoned.

@@ -14,10 +14,11 @@
 //!    output, traps and *modeled* metrics it would produce running alone
 //!    on a sequential machine ([`MachinePool::run_sequential`] is the
 //!    reference). Host-side sharing — one [`Machine`] behind an [`Arc`],
-//!    so one encoded image, its decode tables and the routine library
-//!    serve every tenant of it — never leaks into modeled behavior
-//!    (DESIGN.md §6). Each run builds its own translation templates in
-//!    place, so there is no translation state to share.
+//!    so one encoded image and its decode tables serve every tenant of
+//!    it, and every machine reads the one process-wide stencil table —
+//!    never leaks into modeled behavior (DESIGN.md §6). Each run stamps
+//!    its lines into its own DTB ways and scratch line, so there is no
+//!    mutable translation state to share.
 //! 2. **Deterministic faults.** A pool-level base [`FaultConfig`] is
 //!    re-seeded per tenant as `base_seed ^ tenant_index`. The tenant
 //!    index — *not* the worker id — keys the stream, because which
@@ -65,8 +66,8 @@
 //! - **Chaos** — worker crashes (the panic escapes the tenant's
 //!   isolation boundary and kills the worker thread), hung tenants
 //!   (an infinite-loop stand-in runs first; only a budget preempts it)
-//!   and corrupted translations (every template the first attempt builds
-//!   is truncated) are rolled statelessly per tenant index, so the
+//!   and corrupted translations (every line the first attempt stamps is
+//!   dropped) are rolled statelessly per tenant index, so the
 //!   injected set is schedule-invariant. Tenants lost to a worker crash are recovered
 //!   by a post-join sweep: *no tenant is silently lost*.
 //!
@@ -607,8 +608,8 @@ impl MachinePool {
             seed: base.seed ^ idx as u64 ^ (u64::from(attempt) << 32),
             ..base
         });
-        // Corrupted-translation chaos: attempt 0 may build poisoned
-        // templates; retries build clean ones.
+        // Corrupted-translation chaos: attempt 0 may drop every line it
+        // stamps; retries stamp clean ones.
         let opts = RunOptions {
             faults,
             budget: sv.supervisor.budget,

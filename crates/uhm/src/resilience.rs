@@ -339,8 +339,8 @@ pub struct ChaosConfig {
     /// loop is swapped in; only a budget can preempt it).
     pub hang_rate: f64,
     /// Probability that a tenant's first attempt builds corrupted
-    /// translations (every template truncated, so dispatch traps as
-    /// malformed; see
+    /// translations (every stamped line dropped, so the first dispatch
+    /// traps as malformed before executing anything; see
     /// [`RunOptions::poison_translations`](crate::RunOptions::poison_translations)).
     pub artifact_corruption_rate: f64,
 }

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
-# Runs each deterministic gate twice with `--json` and byte-compares the
-# two reports once host-time keys are removed. Everything else a gate
-# reports (outcome counts, modeled cycles, divergences, facts) must
-# regenerate byte for byte.
+# Runs each deterministic report twice with `--json` and byte-compares
+# the two reports once host-time keys are removed: the five gates, and
+# the three reproduction bins that print the paper's tables. Everything
+# else a report holds (outcome counts, modeled cycles, divergences,
+# facts, table rows) must regenerate byte for byte.
 #
 # Usage: scripts/reproducible.sh [report-dir]
-# Writes <gate>.{1,2}.json (filtered) into report-dir (default: a fresh
-# temporary directory) and exits non-zero naming every gate whose two
-# reports differ, or whose run fails its gate.
+# Writes <bin>.{1,2}.json (filtered) into report-dir (default: a fresh
+# temporary directory) and exits non-zero naming every bin whose two
+# reports differ, or whose run fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-GATES=(fault_campaign analyze_gate conformance_sweep chaos_campaign service_load)
+GATES=(fault_campaign analyze_gate conformance_sweep chaos_campaign service_load
+    representations dtb_design section7)
 
 # The host wall-clock keys, the only fields allowed to differ between two
 # runs of one binary; removed at any depth of the report.

@@ -124,25 +124,41 @@ fn zero_rate_injection_is_invisible() {
 
 /// DTB corruption (buffer words and poisoned tags) is always detected
 /// and recovered: every sample completes with the reference output, and
-/// the corpus as a whole exercises the recovery path.
+/// the corpus as a whole exercises the recovery path, on a single DTB
+/// and on a two-level one, whose first-level lines are stamped from
+/// promoted translations too.
 #[test]
 fn dtb_corruption_recovers_across_the_corpus() {
-    let mut total_recoveries = 0;
-    for (name, program) in sample_programs() {
-        let want = dir::exec::run(&program).unwrap();
-        for kind in [FaultKind::DtbWord, FaultKind::DtbTag] {
-            let m = bounded(&program, SchemeKind::Huffman);
-            let faults = FaultConfig::only(0xFA14, kind, 1e-3);
-            let r = run_dtb64(&m, faults, RetryPolicy::default())
-                .unwrap_or_else(|t| panic!("{name} under {kind:?}: {t}"));
-            assert_eq!(r.output, want, "{name} under {kind:?}");
-            total_recoveries += r.metrics.recoveries;
+    let modes = [
+        Mode::Dtb(DtbConfig::with_capacity(64)),
+        Mode::TwoLevelDtb {
+            l1: DtbConfig::with_capacity(8),
+            l2: DtbConfig::with_capacity(256),
+        },
+    ];
+    for mode in modes {
+        let (mut recoveries, mut promote_cycles) = (0, 0);
+        for (name, program) in sample_programs() {
+            let want = dir::exec::run(&program).unwrap();
+            for kind in [FaultKind::DtbWord, FaultKind::DtbTag] {
+                let m = bounded(&program, SchemeKind::Huffman);
+                let faults = FaultConfig::only(0xFA14, kind, 1e-3);
+                let r = m
+                    .run_with(&mode, &mut NullSink, faulty(faults))
+                    .unwrap_or_else(|t| panic!("{name} under {kind:?}, {mode:?}: {t}"));
+                assert_eq!(r.output, want, "{name} under {kind:?}, {mode:?}");
+                recoveries += r.metrics.recoveries;
+                promote_cycles += r.metrics.cycles.promote;
+            }
+        }
+        assert!(
+            recoveries > 0,
+            "{mode:?}: the corpus never exercised the recovery path"
+        );
+        if let Mode::TwoLevelDtb { .. } = mode {
+            assert!(promote_cycles > 0, "the corpus never promoted");
         }
     }
-    assert!(
-        total_recoveries > 0,
-        "the corpus never exercised the recovery path"
-    );
 }
 
 /// Machine recovery counters are corroborated by telemetry: the event
