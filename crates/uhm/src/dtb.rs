@@ -276,16 +276,15 @@ impl Classifier {
     /// shadow. Called on every lookup, hit or miss, to keep LRU order
     /// faithful.
     fn touch(&mut self, addr: u32) -> MissKind {
-        let kind = if !self.seen.insert(addr) {
-            if self.shadow.contains(&addr) {
-                MissKind::Conflict
-            } else {
-                MissKind::Capacity
-            }
-        } else {
+        let at = self.shadow.iter().position(|&a| a == addr);
+        let kind = if self.seen.insert(addr) {
             MissKind::Cold
+        } else if at.is_some() {
+            MissKind::Conflict
+        } else {
+            MissKind::Capacity
         };
-        if let Some(i) = self.shadow.iter().position(|&a| a == addr) {
+        if let Some(i) = at {
             self.shadow.remove(i);
         } else if self.shadow.len() == self.cap {
             self.shadow.remove(0);
@@ -491,11 +490,7 @@ impl Dtb {
         let kind = self.classifier.as_mut().map(|c| c.touch(addr));
         for way in self.set_range(addr) {
             if self.tags[way] == Some(addr) {
-                if self.config.replacement == Replacement::Lru {
-                    self.stamps[way] = self.clock;
-                }
-                self.stats.hits += 1;
-                return Some(Handle(way));
+                return Some(self.hit(way));
             }
         }
         self.stats.misses += 1;
@@ -511,6 +506,43 @@ impl Dtb {
             self.last_miss = Some(kind);
         }
         None
+    }
+
+    /// The lookup of `addr` when the caller already holds a guess at its
+    /// way: one tag compare in place of the set search. On a match it
+    /// keeps the books [`Dtb::lookup`] keeps on a hit and returns the
+    /// same handle; on a mismatch it changes nothing and returns `None`,
+    /// and the caller falls back to [`Dtb::lookup`].
+    ///
+    /// A match is the search's answer because a tag is written only by
+    /// [`Dtb::claim`], into its address's own set and only after that
+    /// set's search missed: at most one way holds an address, and it is
+    /// in the address's set. [`Dtb::poison_tag`] can move a tag out of
+    /// its set, and the miss classifier must see every lookup, so a run
+    /// with either keeps to [`Dtb::lookup`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is not a way of this buffer.
+    #[inline(always)]
+    pub(crate) fn hit_at(&mut self, addr: u32, way: usize) -> Option<Handle> {
+        debug_assert!(self.classifier.is_none(), "a classified lookup must search");
+        if self.tags[way] != Some(addr) {
+            return None;
+        }
+        self.clock += 1;
+        Some(self.hit(way))
+    }
+
+    /// A lookup's hit at `way`: refreshes the replacement array and counts
+    /// the hit.
+    #[inline(always)]
+    fn hit(&mut self, way: usize) -> Handle {
+        if self.config.replacement == Replacement::Lru {
+            self.stamps[way] = self.clock;
+        }
+        self.stats.hits += 1;
+        Handle(way)
     }
 
     /// Stores the translation for `addr`, replacing the least recently
@@ -770,6 +802,7 @@ impl Dtb {
 mod tests {
     use super::*;
     use psder::PushMode;
+    use std::collections::HashMap;
 
     fn words(n: usize) -> Vec<ShortInstr> {
         (0..n)
@@ -1244,6 +1277,81 @@ mod tests {
                 assert!(stats.evictions > 0, "{cfg:?}");
                 if allocation != Allocation::Fixed {
                     assert!(stats.uncached > 0 && stats.overflow_peak > 0, "{cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hinted_lookup_matches_the_set_search() {
+        let geometries = [
+            Geometry::new(1, 8),
+            Geometry::new(8, 1),
+            Geometry::new(4, 4),
+            Geometry::new(3, 4),
+        ];
+        let allocations = [
+            (MAX_TRANSLATION_WORDS, Allocation::Fixed),
+            (2, Allocation::Overflow { blocks: 5 }),
+        ];
+        let replacements = [
+            Replacement::Lru,
+            Replacement::Fifo,
+            Replacement::Random { seed: 0x41E7 },
+        ];
+        for geometry in geometries {
+            for (unit_words, allocation) in allocations {
+                for replacement in replacements {
+                    let cfg = DtbConfig {
+                        geometry,
+                        unit_words,
+                        allocation,
+                        replacement,
+                    };
+                    let (mut hinted, mut searched) = (Dtb::new(cfg), Dtb::new(cfg));
+                    // The way each address was last found or claimed in:
+                    // right while it stays resident, stale once another
+                    // address has refilled the way.
+                    let mut last = HashMap::new();
+                    let (mut right, mut stale) = (0, 0);
+                    let ways = geometry.capacity() as u64;
+                    let mut rng = hlr::rng::Rng::new(0x4147 ^ ways ^ unit_words as u64);
+                    for step in 0..600 {
+                        let addr = (rng.next_u64() % 29) as u32;
+                        let remembered = last.get(&addr).copied();
+                        let hint = match remembered {
+                            Some(way) if !rng.next_u64().is_multiple_of(4) => way,
+                            _ => (rng.next_u64() % ways) as usize,
+                        };
+                        let matched = hinted.hit_at(addr, hint);
+                        match (matched, remembered) {
+                            (Some(_), _) => right += 1,
+                            (None, Some(way)) if way == hint => stale += 1,
+                            _ => {}
+                        }
+                        let a = matched.or_else(|| hinted.lookup(addr));
+                        let b = searched.lookup(addr);
+                        assert_eq!(a, b, "{cfg:?} step {step}");
+                        let found = match a {
+                            Some(h) => Some(h),
+                            None => {
+                                let len = 1 + (rng.next_u64() % 6) as usize;
+                                let a = hinted.claim(addr, len);
+                                assert_eq!(a, searched.claim(addr, len), "{cfg:?} step {step}");
+                                a
+                            }
+                        };
+                        if let Some(h) = found {
+                            last.insert(addr, h.way());
+                        }
+                        assert_eq!(bookkeeping(&hinted), bookkeeping(&searched), "{cfg:?}");
+                        assert_eq!(hinted.stamps, searched.stamps, "{cfg:?} step {step}");
+                        assert_eq!(hinted.clock, searched.clock, "{cfg:?} step {step}");
+                    }
+                    assert!(
+                        right > 0 && stale > 0,
+                        "{cfg:?}: {right} right, {stale} stale"
+                    );
                 }
             }
         }

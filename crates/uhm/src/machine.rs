@@ -300,7 +300,11 @@ impl Machine {
                 d.enable_guards();
             }
         }
-        let lines = vec![Line::EMPTY; dtb.as_ref().map_or(0, Dtb::ways_total)];
+        let way = Way {
+            line: Line::EMPTY,
+            next: 0,
+        };
+        let ways = vec![way; dtb.as_ref().map_or(0, Dtb::ways_total)];
         // Read only at a second-level hit, so only after the claim that
         // wrote the way's instruction.
         let insts2 = vec![dir::Inst::Halt; dtb2.as_ref().map_or(0, Dtb::ways_total)];
@@ -329,7 +333,8 @@ impl Machine {
                 .deadline_ns
                 .map(|ns| Instant::now() + std::time::Duration::from_nanos(ns)),
             pending: 0,
-            lines,
+            ways,
+            prev: 0,
             insts2,
             scratch: Line::EMPTY,
         };
@@ -378,12 +383,12 @@ struct Run<'m, S: TraceSink> {
     /// kept only when the sink is enabled and handed to its `Retire` by
     /// [`Run::retire`].
     pending: u64,
-    /// The executable line of each first-level DTB way, stamped when the
-    /// way is claimed and dropped when it is invalidated. The way's
-    /// length and the charges it implies are the modeled contents; its
-    /// short words, stored only under the fault plane, are the fault
-    /// surface. A hit runs this line.
-    lines: Vec<Line>,
+    /// The host record of each first-level DTB way: its executable line
+    /// and its chain hint.
+    ways: Vec<Way>,
+    /// The first-level way the latest DTB step ran from: the record
+    /// whose hint the next lookup tries.
+    prev: usize,
     /// The decoded instruction of each second-level way, written when the
     /// way is claimed: a promotion stamps its line from it. The way's
     /// length and the charges it implies are the modeled contents; the
@@ -391,6 +396,21 @@ struct Run<'m, S: TraceSink> {
     insts2: Vec<dir::Inst>,
     /// The line non-resident translations are stamped into.
     scratch: Line,
+}
+
+/// The host's record of one first-level DTB way.
+#[derive(Clone)]
+struct Way {
+    /// The executable line, stamped when the way is claimed and dropped
+    /// when it is invalidated. The way's length and the charges it
+    /// implies are the modeled contents; its short words, stored only
+    /// under the fault plane, are the fault surface. A hit runs this
+    /// line.
+    line: Line,
+    /// The way this line's exit last led to: the first way the next
+    /// lookup tries ([`Run::lookup`]). Only a guess; a lookup validates
+    /// it against the tag array.
+    next: usize,
 }
 
 /// Where one DIR instruction's execution leads.
@@ -461,7 +481,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
     #[inline(always)]
     fn stamp(&mut self, stencil: Instance<'_>, way: Option<usize>) {
         let line = match way {
-            Some(way) => &mut self.lines[way],
+            Some(way) => &mut self.ways[way].line,
             None => &mut self.scratch,
         };
         stencil.line_into(line);
@@ -537,7 +557,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
             return Ok(LineState::Clean(handle));
         }
         require(self.dtb.as_mut(), NO_DTB)?.invalidate(handle);
-        self.lines[handle.way()].clear();
+        self.ways[handle.way()].line.clear();
         self.metrics.recoveries += 1;
         if S::ENABLED {
             self.sink.emit(Event::DtbMiss {
@@ -668,7 +688,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
     #[inline(always)]
     fn run_line(&mut self, way: Option<usize>) -> Result<Next, Trap> {
         let line = match way {
-            Some(way) => &self.lines[way],
+            Some(way) => &self.ways[way].line,
             None => &self.scratch,
         };
         let flow = if S::ENABLED && S::ROUTINE_EDGES {
@@ -793,8 +813,9 @@ impl<'m, S: TraceSink> Run<'m, S> {
 
     /// One DIR instruction under the DTB: the INTERP flow of Figure 4.
     /// With `FAULTS` the fault plane's degrade, inject and verify wrap
-    /// the hit path. Without it a hit is lookup, line and retire; every
-    /// other case takes [`Run::step_dtb_slow`].
+    /// the hit path. Without it a hit is the chained lookup
+    /// ([`Run::lookup`]), line and retire; every other case takes
+    /// [`Run::step_dtb_slow`].
     #[inline(always)]
     fn step_dtb<const FAULTS: bool>(&mut self, pc: u32) -> Result<Next, Trap> {
         if FAULTS {
@@ -807,18 +828,43 @@ impl<'m, S: TraceSink> Run<'m, S> {
         }
         // INTERP presents the DIR address to the associative address array.
         self.charge(|c| &mut c.lookup, self.costs().mem.tau_d);
-        let looked = require(self.dtb.as_mut(), NO_DTB)?.lookup(pc);
+        let looked = self.lookup::<FAULTS>(pc)?;
         match looked {
             Some(h) if !FAULTS => {
                 if S::ENABLED {
                     self.sink.emit(Event::DtbHit { addr: pc });
                 }
+                self.prev = h.way();
                 let next = self.run_line(Some(h.way()))?;
                 self.retire(pc, Tier::Psder);
                 Ok(next)
             }
             _ => self.step_dtb_slow::<FAULTS>(pc, looked),
         }
+    }
+
+    /// INTERP presenting `pc` to the first level's associative address
+    /// array. A fault-free run without the miss classifier first tries
+    /// the way the previous step's exit last led to: one tag compare,
+    /// which on a match is the set search's answer ([`Dtb::hit_at`]).
+    /// Otherwise the set search runs, and a hit it finds re-points the
+    /// hint. Both keep the same books; the modeled charge is the
+    /// caller's and the same either way.
+    #[inline(always)]
+    fn lookup<const FAULTS: bool>(&mut self, pc: u32) -> Result<Option<Handle>, Trap> {
+        let dtb = require(self.dtb.as_mut(), NO_DTB)?;
+        if FAULTS || (S::ENABLED && S::CLASSIFY_MISSES) {
+            return Ok(dtb.lookup(pc));
+        }
+        let prev = &mut self.ways[self.prev];
+        if let Some(h) = dtb.hit_at(pc, prev.next) {
+            return Ok(Some(h));
+        }
+        let looked = dtb.lookup(pc);
+        if let Some(h) = looked {
+            prev.next = h.way();
+        }
+        Ok(looked)
     }
 
     /// The rest of a DTB step after the lookup: a hit under the fault
@@ -895,9 +941,12 @@ impl<'m, S: TraceSink> Run<'m, S> {
                     });
                 }
                 self.stamp(stencil, Some(h.way()));
+                // The predecessor's exit now leads to the new line.
+                self.ways[self.prev].next = h.way();
                 h.way()
             }
         };
+        self.prev = way;
         // Execute the PSDER translation out of the buffer array, one short
         // word per τ_D.
         let next = self.run_line(Some(way))?;
@@ -966,6 +1015,7 @@ impl<'m, S: TraceSink> Run<'m, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtb::{Allocation, Replacement};
     use dir::compiler::compile;
     use std::sync::Arc;
 
@@ -1037,6 +1087,80 @@ mod tests {
             let m = Machine::new(&p, SchemeKind::Packed);
             for mode in modes() {
                 assert_eq!(m.run(&mode).unwrap_err(), want, "{src} {mode:?}");
+            }
+        }
+    }
+
+    /// Asks for the miss taxonomy and keeps nothing.
+    struct Classifying;
+
+    impl TraceSink for Classifying {
+        const ROUTINE_EDGES: bool = false;
+
+        fn emit(&mut self, _event: Event) {}
+    }
+
+    #[test]
+    fn chained_hits_are_invisible_to_the_model() {
+        // A run into `NullSink` chains its hits; a classifying sink's run
+        // keeps every lookup to the set search. Only the taxonomy the
+        // classifier fills may differ.
+        let untaxed = |mut metrics: Metrics| {
+            for stats in [&mut metrics.dtb, &mut metrics.dtb2].into_iter().flatten() {
+                stats.cold_misses = 0;
+                stats.capacity_misses = 0;
+                stats.conflict_misses = 0;
+            }
+            metrics
+        };
+        let cfg = |geometry, unit_words, allocation, replacement| DtbConfig {
+            geometry,
+            unit_words,
+            allocation,
+            replacement,
+        };
+        let (unit, lru) = (psder::MAX_TRANSLATION_WORDS, Replacement::Lru);
+        let l1s = [
+            cfg(Geometry::new(1, 8), unit, Allocation::Fixed, lru),
+            cfg(
+                Geometry::new(8, 1),
+                unit,
+                Allocation::Fixed,
+                Replacement::Fifo,
+            ),
+            cfg(
+                Geometry::new(4, 4),
+                2,
+                Allocation::Overflow { blocks: 6 },
+                Replacement::Random { seed: 9 },
+            ),
+            cfg(Geometry::new(3, 4), unit, Allocation::Fixed, lru),
+        ];
+        for s in hlr::programs::ALL {
+            let p = compile(&s.compile().unwrap());
+            let m = Machine::new(&p, SchemeKind::Packed);
+            for l1 in l1s {
+                let two = Mode::TwoLevelDtb {
+                    l1,
+                    l2: DtbConfig::with_capacity(64),
+                };
+                for mode in [Mode::Dtb(l1), two] {
+                    let chained = m.run(&mode).unwrap();
+                    let searched = m
+                        .run_with(&mode, &mut Classifying, RunOptions::default())
+                        .unwrap();
+                    let stats = searched.metrics.dtb.unwrap();
+                    let taxonomy =
+                        stats.cold_misses + stats.capacity_misses + stats.conflict_misses;
+                    assert_eq!(taxonomy, stats.misses, "{}: unclassified", s.name);
+                    assert_eq!(chained.output, searched.output, "{} {mode:?}", s.name);
+                    assert_eq!(
+                        untaxed(chained.metrics),
+                        untaxed(searched.metrics),
+                        "{} {mode:?}",
+                        s.name
+                    );
+                }
             }
         }
     }
